@@ -175,6 +175,3 @@ def gate_not(ladder: KeyLadder, a):
 def gate_or(ladder: KeyLadder, a, b):
     return ladder.kernel.or_(a, b)
 
-
-def refresh(ladder: KeyLadder, c):
-    return ladder.kernel.refresh(c)

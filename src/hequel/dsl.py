@@ -30,10 +30,10 @@ _TOKEN_RE = re.compile(r"""
 _CMP_CANON = {"=": "=", "==": "=", "!=": "!=", "<>": "!=",
               "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
-_AGG_WORDS = {"sum": plans.Sum, "min": plans.Min, "max": plans.Max,
-              "avg": plans.Avg}
-_SETOP_WORDS = {"union": plans.Union, "intersect": plans.Intersect,
-                "diff": plans.Diff}
+# each plan node's word is its wire tag, except GroupBySum's
+_WORDS = {"groupby" if cls is plans.GroupBySum else plans.NODES[cls].tag: cls
+          for cls in plans.PLAN_NODES}
+_WORD_OF = {cls: word for word, cls in _WORDS.items()}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -80,78 +80,32 @@ class _Parser:
         kind, word, pos = self.next()
         if kind != "name":
             raise ParseError(f"expected an operator, found {word or 'end'!r}", pos)
-        if word == "table":
-            self.expect("(")
-            name = self.expect_name("table name")
-            self.expect(")")
-            return plans.TableRef(name)
-        if word == "select":
-            self.expect("(")
-            pred = self.pred()
-            self.expect(",")
-            child = self.plan()
-            self.expect(")")
-            return plans.Select(pred, child)
-        if word == "project":
-            self.expect("(")
-            cols = self.cols()
-            self.expect(",")
-            child = self.plan()
-            self.expect(")")
-            return plans.Project(cols, child)
-        if word == "cross":
-            left, right = self.two_plans()
-            return plans.Cross(left, right)
-        if word == "count":
-            self.expect("(")
-            child = self.plan()
-            self.expect(")")
-            return plans.Count(child)
-        if word in _AGG_WORDS:
-            self.expect("(")
-            col = self.expect_name("column")
-            self.expect(",")
-            child = self.plan()
-            self.expect(")")
-            return _AGG_WORDS[word](col, child)
-        if word == "distinct":
-            self.expect("(")
-            child = self.plan()
-            self.expect(")")
-            return plans.Distinct(child)
-        if word == "sort":
-            self.expect("(")
-            col = self.expect_name("column")
-            self.expect(",")
-            kind, direction, dpos = self.next()
+        if word not in _WORDS:
+            raise ParseError(f"unknown operator {word!r}", pos)
+        cls = _WORDS[word]
+        self.expect("(")
+        args = []
+        for name, field_kind in plans.node_fields(cls):
+            if args:
+                self.expect(",")
+            args.append(self.field(name, field_kind))
+        self.expect(")")
+        return cls(*args)
+
+    def field(self, name: str, kind: str):
+        if kind == "plan":
+            return self.plan()
+        if kind == "pred":
+            return self.pred()
+        if kind == "tuple[str, ...]":
+            return self.cols()
+        if kind == "bool":
+            _, direction, pos = self.next()
             if direction not in ("asc", "desc"):
                 raise ParseError(
-                    f"expected asc or desc, found {direction or 'end'!r}", dpos)
-            self.expect(",")
-            child = self.plan()
-            self.expect(")")
-            return plans.Sort(col, direction == "asc", child)
-        if word == "groupby":
-            self.expect("(")
-            keys = self.cols()
-            self.expect(",")
-            sum_col = self.expect_name("column")
-            self.expect(",")
-            child = self.plan()
-            self.expect(")")
-            return plans.GroupBySum(keys, sum_col, child)
-        if word in _SETOP_WORDS:
-            left, right = self.two_plans()
-            return _SETOP_WORDS[word](left, right)
-        raise ParseError(f"unknown operator {word!r}", pos)
-
-    def two_plans(self):
-        self.expect("(")
-        left = self.plan()
-        self.expect(",")
-        right = self.plan()
-        self.expect(")")
-        return left, right
+                    f"expected asc or desc, found {direction or 'end'!r}", pos)
+            return direction == "asc"
+        return self.expect_name("table name" if name == "name" else "column")
 
     def cols(self) -> tuple[str, ...]:
         kind, value, pos = self.peek()
@@ -229,31 +183,19 @@ def parse_plan(text: str, catalog: dict[str, Schema]):
     return plan
 
 
-def _pred_level(pred) -> int:
-    if isinstance(pred, Or):
-        return 1
-    if isinstance(pred, And):
-        return 2
-    if isinstance(pred, Not):
-        return 3
-    return 4
+_PRED_LEVEL = {Or: 1, And: 2, Not: 3}  # binding strength; comparisons 4
 
 
 def _pred_to_text(pred, parent_level: int = 0, right_side: bool = False) -> str:
-    level = _pred_level(pred)
+    level = _PRED_LEVEL.get(type(pred), 4)
     if isinstance(pred, Cmp):
-        left = (pred.left.name if isinstance(pred.left, ColRef)
-                else str(pred.left.value))
-        right = (pred.right.name if isinstance(pred.right, ColRef)
-                 else str(pred.right.value))
+        left, right = (side.name if isinstance(side, ColRef) else str(side.value)
+                       for side in (pred.left, pred.right))
         text = f"{left} {pred.op} {right}"
     elif isinstance(pred, Not):
         text = f"not {_pred_to_text(pred.child, level)}"
-    elif isinstance(pred, And):
-        text = (f"{_pred_to_text(pred.left, level)} and "
-                f"{_pred_to_text(pred.right, level, right_side=True)}")
-    elif isinstance(pred, Or):
-        text = (f"{_pred_to_text(pred.left, level)} or "
+    elif isinstance(pred, (And, Or)):
+        text = (f"{_pred_to_text(pred.left, level)} {plans.NODES[type(pred)].tag} "
                 f"{_pred_to_text(pred.right, level, right_side=True)}")
     else:
         raise ValueError(f"cannot render predicate {pred!r}")
@@ -266,28 +208,18 @@ def _pred_to_text(pred, parent_level: int = 0, right_side: bool = False) -> str:
 def plan_to_text(plan) -> str:
     """Render a plan back to parseable text (inverse of ``parse`` for plans
     without pre-encrypted literals)."""
-    if isinstance(plan, plans.TableRef):
-        return f"table({plan.name})"
-    if isinstance(plan, plans.Select):
-        return f"select({_pred_to_text(plan.pred)}, {plan_to_text(plan.child)})"
-    if isinstance(plan, plans.Project):
-        return f"project([{', '.join(plan.cols)}], {plan_to_text(plan.child)})"
-    if isinstance(plan, plans.Cross):
-        return f"cross({plan_to_text(plan.left)}, {plan_to_text(plan.right)})"
-    if isinstance(plan, plans.Distinct):
-        return f"distinct({plan_to_text(plan.child)})"
-    if isinstance(plan, plans.Sort):
-        direction = "asc" if plan.ascending else "desc"
-        return f"sort({plan.col}, {direction}, {plan_to_text(plan.child)})"
-    if isinstance(plan, plans.GroupBySum):
-        return (f"groupby([{', '.join(plan.keys)}], {plan.sum_col}, "
-                f"{plan_to_text(plan.child)})")
-    if isinstance(plan, (plans.Union, plans.Intersect, plans.Diff)):
-        word = type(plan).__name__.lower()
-        return f"{word}({plan_to_text(plan.left)}, {plan_to_text(plan.right)})"
-    if isinstance(plan, plans.Count):
-        return f"count({plan_to_text(plan.child)})"
-    if isinstance(plan, (plans.Sum, plans.Min, plans.Max, plans.Avg)):
-        word = type(plan).__name__.lower()
-        return f"{word}({plan.col}, {plan_to_text(plan.child)})"
-    raise ValueError(f"cannot render plan {plan!r}")
+    if type(plan) not in _WORD_OF:
+        raise ValueError(f"cannot render plan {plan!r}")
+    parts = []
+    for name, kind in plans.node_fields(type(plan)):
+        value = getattr(plan, name)
+        if kind == "plan":
+            value = plan_to_text(value)
+        elif kind == "pred":
+            value = _pred_to_text(value)
+        elif kind == "tuple[str, ...]":
+            value = f"[{', '.join(value)}]"
+        elif kind == "bool":
+            value = "asc" if value else "desc"
+        parts.append(value)
+    return f"{_WORD_OF[type(plan)]}({', '.join(parts)})"

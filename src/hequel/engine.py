@@ -70,10 +70,6 @@ def run_encrypted(plan, server: protocol.ServerStore,
     return result, stats
 
 
-def run_oracle(plan, catalog: dict[str, PlainTable]) -> PlainTable:
-    return oracle.eval_plan(plan, catalog)
-
-
 def _first_difference(got: Counter, want: Counter) -> str:
     for row in sorted(set(got) | set(want)):
         if got[row] != want[row]:
@@ -104,7 +100,7 @@ def diff_run(plan, catalog: dict[str, PlainTable],
                           [], [], empty_stats)
     finally:
         server.ladder.clear_gate_fault()
-    want_result = run_oracle(plan, catalog)
+    want_result = oracle.eval_plan(plan, catalog)
     got = Counter(enc_result.rows)
     want = Counter(want_result.rows)
     if enc_result.schema != want_result.schema:

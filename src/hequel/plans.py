@@ -4,19 +4,31 @@ encrypted evaluator, and a wire form.
 Plan structure, operator choice, and column names are public; only literal
 values inside predicates are sensitive, and those are replaced by
 ciphertexts before a plan leaves the client (``encrypt_plan_literals``).
+
+One table, ``NODES``, gives each node class its wire tag and, for plan
+nodes, its typing rule and encrypted evaluator. The walkers here and the
+text form in ``dsl`` are generic over the dataclass fields, declared in
+wire order: ``child``/``left``/``right`` hold sub-nodes, ``pred`` a
+predicate, the rest are leaves. Adding a plan node means adding its
+dataclass plus one ``NODES`` entry; the plaintext oracle gets its own
+branch by design, so that it stays an independent check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 from hequel import relalg, serial
 from hequel.circuits import DEFAULT_WIDTH, encrypt_word
-from hequel.errors import PlanTypeError, SchemaMismatch, UnknownTable
+from hequel.errors import (PlanTypeError, ProtocolError, SchemaMismatch,
+                           UnknownTable)
 from hequel.relalg import And, Cmp, ColRef, EncLit, EncTable, Lit, Not, Or
 from hequel.schema import Schema
 
 CMP_OPS = ("=", "!=", ">", "<", ">=", "<=")
+CHILD_FIELDS = ("child", "left", "right")
 
 
 @dataclass(frozen=True)
@@ -108,10 +120,21 @@ class Avg:
     child: object
 
 
-AGG_NODES = (Count, Sum, Min, Max, Avg)
+class Node(NamedTuple):
+    """A ``NODES`` entry. Rules take the node, then its child results in
+    field order; a leaf gets the catalog (or the table map) instead."""
+    tag: str
+    schema: Callable | None = None    # (node, *child schemas) -> Schema
+    evaluate: Callable | None = None  # (node, *child tables) -> EncTable
 
 
-# --- typechecking -----------------------------------------------------------
+# --- typing rules -----------------------------------------------------------
+
+def _lookup(node, env: dict):
+    if node.name not in env:
+        raise UnknownTable(f"no table {node.name!r}")
+    return env[node.name]
+
 
 def _pred_width(node, schema: Schema) -> int | None:
     if isinstance(node, ColRef):
@@ -121,136 +144,55 @@ def _pred_width(node, schema: Schema) -> int | None:
     return None
 
 
-def _check_pred(pred, schema: Schema) -> None:
+def _map_pred(pred, on_cmp):
+    """Rebuild an And/Or/Not tree, left before right, with ``on_cmp``
+    applied to each comparison."""
     if isinstance(pred, Cmp):
-        if pred.op not in CMP_OPS:
-            raise PlanTypeError(f"unknown comparison operator {pred.op!r}")
-        wl = _pred_width(pred.left, schema)
-        wr = _pred_width(pred.right, schema)
-        if wl is None and wr is None:
-            raise PlanTypeError("comparison needs at least one column")
-        if wl is not None and wr is not None and wl != wr:
-            raise PlanTypeError(
-                f"comparison mixes widths {wl} and {wr}")
-        return
-    if isinstance(pred, (And, Or)):
-        _check_pred(pred.left, schema)
-        _check_pred(pred.right, schema)
-        return
-    if isinstance(pred, Not):
-        _check_pred(pred.child, schema)
-        return
-    raise PlanTypeError(f"bad predicate node {pred!r}")
+        return on_cmp(pred)
+    if not isinstance(pred, (And, Or, Not)):
+        raise PlanTypeError(f"bad predicate node {pred!r}")
+    return type(pred)(*(_map_pred(getattr(pred, f.name), on_cmp)
+                        for f in fields(pred)))
 
 
-def typecheck(plan, catalog: dict[str, Schema]) -> Schema:
-    """Validate a plan against table schemas; returns the result schema."""
-    if isinstance(plan, TableRef):
-        if plan.name not in catalog:
-            raise UnknownTable(f"no table {plan.name!r}")
-        return catalog[plan.name]
-    if isinstance(plan, Select):
-        schema = typecheck(plan.child, catalog)
-        _check_pred(plan.pred, schema)
-        return schema
-    if isinstance(plan, Project):
-        return typecheck(plan.child, catalog).project(plan.cols)
-    if isinstance(plan, Cross):
-        left = typecheck(plan.left, catalog)
-        right = typecheck(plan.right, catalog)
-        return Schema(left.columns + right.columns)
-    if isinstance(plan, Distinct):
-        return typecheck(plan.child, catalog)
-    if isinstance(plan, Sort):
-        schema = typecheck(plan.child, catalog)
-        schema.index_of(plan.col)
-        return schema
-    if isinstance(plan, GroupBySum):
-        schema = typecheck(plan.child, catalog)
-        keys = schema.project(plan.keys)
-        width = schema.width_of(plan.sum_col)
-        return Schema(keys.columns + ((f"sum_{plan.sum_col}", width),))
-    if isinstance(plan, (Union, Intersect, Diff)):
-        left = typecheck(plan.left, catalog)
-        right = typecheck(plan.right, catalog)
-        if left != right:
-            raise SchemaMismatch(
-                f"set operation schemas differ: {left.columns} vs {right.columns}")
-        return left
-    if isinstance(plan, Count):
-        typecheck(plan.child, catalog)
-        return Schema((("count", DEFAULT_WIDTH),))
-    if isinstance(plan, (Sum, Min, Max, Avg)):
-        schema = typecheck(plan.child, catalog)
-        width = schema.width_of(plan.col)
-        tag = type(plan).__name__.lower()
-        return Schema(((f"{tag}_{plan.col}", width),))
-    raise PlanTypeError(f"bad plan node {plan!r}")
+def _check_cmp(cmp: Cmp, schema: Schema) -> Cmp:
+    if cmp.op not in CMP_OPS:
+        raise PlanTypeError(f"unknown comparison operator {cmp.op!r}")
+    wl = _pred_width(cmp.left, schema)
+    wr = _pred_width(cmp.right, schema)
+    if wl is None and wr is None:
+        raise PlanTypeError("comparison needs at least one column")
+    if wl is not None and wr is not None and wl != wr:
+        raise PlanTypeError(f"comparison mixes widths {wl} and {wr}")
+    return cmp
 
 
-# --- literal encryption (client side) ---------------------------------------
-
-def _encrypt_pred_literals(pred, schema: Schema, pk):
-    if isinstance(pred, Cmp):
-        width = _pred_width(pred.left, schema)
-        if width is None:
-            width = _pred_width(pred.right, schema)
-        left, right = pred.left, pred.right
-        if isinstance(left, Lit):
-            left = EncLit(encrypt_word(pk, left.value, width))
-        if isinstance(right, Lit):
-            right = EncLit(encrypt_word(pk, right.value, width))
-        return Cmp(pred.op, left, right)
-    if isinstance(pred, And):
-        return And(_encrypt_pred_literals(pred.left, schema, pk),
-                   _encrypt_pred_literals(pred.right, schema, pk))
-    if isinstance(pred, Or):
-        return Or(_encrypt_pred_literals(pred.left, schema, pk),
-                  _encrypt_pred_literals(pred.right, schema, pk))
-    if isinstance(pred, Not):
-        return Not(_encrypt_pred_literals(pred.child, schema, pk))
-    raise PlanTypeError(f"bad predicate node {pred!r}")
+def _select_schema(node: Select, schema: Schema) -> Schema:
+    _map_pred(node.pred, lambda cmp: _check_cmp(cmp, schema))
+    return schema
 
 
-def encrypt_plan_literals(plan, catalog: dict[str, Schema], pk):
-    """Rewrite every plaintext literal in the plan to a ciphertext under
-    ``pk``; the plan shape stays public."""
-    if isinstance(plan, TableRef):
-        return plan
-    if isinstance(plan, Select):
-        schema = typecheck(plan.child, catalog)
-        return Select(_encrypt_pred_literals(plan.pred, schema, pk),
-                      encrypt_plan_literals(plan.child, catalog, pk))
-    if isinstance(plan, Project):
-        return Project(plan.cols, encrypt_plan_literals(plan.child, catalog, pk))
-    if isinstance(plan, Cross):
-        return Cross(encrypt_plan_literals(plan.left, catalog, pk),
-                     encrypt_plan_literals(plan.right, catalog, pk))
-    if isinstance(plan, Distinct):
-        return Distinct(encrypt_plan_literals(plan.child, catalog, pk))
-    if isinstance(plan, Sort):
-        return Sort(plan.col, plan.ascending,
-                    encrypt_plan_literals(plan.child, catalog, pk))
-    if isinstance(plan, GroupBySum):
-        return GroupBySum(plan.keys, plan.sum_col,
-                          encrypt_plan_literals(plan.child, catalog, pk))
-    if isinstance(plan, Union):
-        return Union(encrypt_plan_literals(plan.left, catalog, pk),
-                     encrypt_plan_literals(plan.right, catalog, pk))
-    if isinstance(plan, Intersect):
-        return Intersect(encrypt_plan_literals(plan.left, catalog, pk),
-                         encrypt_plan_literals(plan.right, catalog, pk))
-    if isinstance(plan, Diff):
-        return Diff(encrypt_plan_literals(plan.left, catalog, pk),
-                    encrypt_plan_literals(plan.right, catalog, pk))
-    if isinstance(plan, Count):
-        return Count(encrypt_plan_literals(plan.child, catalog, pk))
-    if isinstance(plan, (Sum, Min, Max, Avg)):
-        return type(plan)(plan.col, encrypt_plan_literals(plan.child, catalog, pk))
-    raise PlanTypeError(f"bad plan node {plan!r}")
+def _sort_schema(node: Sort, schema: Schema) -> Schema:
+    schema.index_of(node.col)
+    return schema
 
 
-# --- encrypted evaluation (server side) -------------------------------------
+def _groupby_schema(node: GroupBySum, schema: Schema) -> Schema:
+    keys = schema.project(node.keys)
+    width = schema.width_of(node.sum_col)
+    return Schema(keys.columns + ((f"sum_{node.sum_col}", width),))
+
+
+def _setop_schema(node, left: Schema, right: Schema) -> Schema:
+    if left != right:
+        raise SchemaMismatch(
+            f"set operation schemas differ: {left.columns} vs {right.columns}")
+    return left
+
+
+# --- evaluators -------------------------------------------------------------
+# ``relalg`` operators are looked up at call time, so that a wrapper put on
+# a ``relalg`` attribute sees every call.
 
 def _wrap_scalar(word, name: str, state) -> EncTable:
     """Present a scalar aggregate as a 1-row table so it flows through the
@@ -262,160 +204,181 @@ def _wrap_scalar(word, name: str, state) -> EncTable:
     return EncTable("", schema, (relalg.EncRow((word,), presence),), state)
 
 
+def _aggregate(tag: str) -> Node:
+    """Entry of a one-column aggregate: ``relalg.op_<tag>`` over ``col``,
+    returned as the column ``<tag>_<col>``."""
+    return Node(
+        tag,
+        lambda n, s: Schema(((f"{tag}_{n.col}", s.width_of(n.col)),)),
+        lambda n, t: _wrap_scalar(getattr(relalg, f"op_{tag}")(n.col, t),
+                                  f"{tag}_{n.col}", t.state))
+
+
+NODES = {
+    TableRef: Node("table", _lookup, _lookup),
+    Select: Node("select", _select_schema,
+                 lambda n, t: relalg.op_select(n.pred, t)),
+    Project: Node("project", lambda n, s: s.project(n.cols),
+                  lambda n, t: relalg.op_project(n.cols, t)),
+    Cross: Node("cross", lambda n, l, r: Schema(l.columns + r.columns),
+                lambda n, l, r: relalg.op_cross(l, r)),
+    Distinct: Node("distinct", lambda n, s: s,
+                   lambda n, t: relalg.op_distinct(t)),
+    Sort: Node("sort", _sort_schema,
+               lambda n, t: relalg.op_sort(n.col, n.ascending, t)),
+    GroupBySum: Node("groupby_sum", _groupby_schema,
+                     lambda n, t: relalg.op_groupby_sum(n.keys, n.sum_col, t)),
+    Union: Node("union", _setop_schema,
+                lambda n, l, r: relalg.op_bag_union(l, r)),
+    Intersect: Node("intersect", _setop_schema,
+                    lambda n, l, r: relalg.op_bag_intersect(l, r)),
+    Diff: Node("diff", _setop_schema,
+               lambda n, l, r: relalg.op_bag_diff(l, r)),
+    Count: Node("count", lambda n, s: Schema((("count", DEFAULT_WIDTH),)),
+                lambda n, t: _wrap_scalar(relalg.op_count(t), "count", t.state)),
+    Sum: _aggregate("sum"),
+    Min: _aggregate("min"),
+    Max: _aggregate("max"),
+    Avg: _aggregate("avg"),
+    # predicate nodes carry a wire tag only: Select's typing rule checks
+    # them and relalg.eval_predicate evaluates them
+    Cmp: Node("cmp"),
+    ColRef: Node("col"),
+    Lit: Node("lit"),
+    EncLit: Node("enclit"),
+    And: Node("and"),
+    Or: Node("or"),
+    Not: Node("not"),
+}
+PLAN_NODES = tuple(cls for cls, node in NODES.items() if node.evaluate)
+_BY_TAG = {node.tag: cls for cls, node in NODES.items()}
+
+
+@functools.cache
+def node_fields(cls) -> tuple[tuple[str, str], ...]:
+    """``(name, kind)`` per field of a node class, in wire and text order.
+    The kind is ``"plan"`` for a sub-plan, ``"pred"`` for a predicate
+    (``pred`` and the children of predicate nodes), else the annotation."""
+    child = "plan" if cls in PLAN_NODES else "pred"
+    return tuple((f.name, "pred" if f.name == "pred" else
+                  child if f.name in CHILD_FIELDS else f.type)
+                 for f in fields(cls))
+
+
+def _kind(node, plan: bool = True) -> Node:
+    kind = NODES.get(type(node))
+    if kind is None or (kind.evaluate is not None) != plan:
+        what = "plan" if plan else "predicate"
+        raise PlanTypeError(f"bad {what} node {node!r}")
+    return kind
+
+
+def _inputs(plan, env: dict, walk) -> list:
+    """``walk`` of each child in field order, or ``[env]`` for a leaf."""
+    return [walk(getattr(plan, name), env)
+            for name, kind in node_fields(type(plan)) if kind == "plan"] or [env]
+
+
+# --- walkers ----------------------------------------------------------------
+# Each recurses through its module-level name, so that a wrapper put on
+# ``plans.<walker>`` sees nested calls too.
+
+def typecheck(plan, catalog: dict[str, Schema]) -> Schema:
+    """Validate a plan against table schemas; returns the result schema."""
+    return _kind(plan).schema(plan, *_inputs(plan, catalog, typecheck))
+
+
+def _encrypt_cmp(cmp: Cmp, schema: Schema, pk) -> Cmp:
+    width = _pred_width(cmp.left, schema) or _pred_width(cmp.right, schema)
+    left, right = (EncLit(encrypt_word(pk, side.value, width))
+                   if isinstance(side, Lit) else side
+                   for side in (cmp.left, cmp.right))
+    return Cmp(cmp.op, left, right)
+
+
+def encrypt_plan_literals(plan, catalog: dict[str, Schema], pk):
+    """Rewrite every plaintext literal in the plan to a ciphertext under
+    ``pk``; the plan shape stays public. A predicate's literals are
+    encrypted before its child's."""
+    _kind(plan)
+    changes = {}
+    for name, kind in node_fields(type(plan)):
+        if kind == "pred":
+            schema = typecheck(plan.child, catalog)
+            changes[name] = _map_pred(getattr(plan, name),
+                                      lambda cmp: _encrypt_cmp(cmp, schema, pk))
+        elif kind == "plan":
+            changes[name] = encrypt_plan_literals(getattr(plan, name), catalog, pk)
+    return replace(plan, **changes)
+
+
 def eval_encrypted(plan, tables: dict[str, EncTable]) -> EncTable:
-    """Evaluate a plan over encrypted tables. Aggregates come back as
-    one-row tables with an always-present row."""
-    if isinstance(plan, TableRef):
-        if plan.name not in tables:
-            raise UnknownTable(f"no table {plan.name!r}")
-        return tables[plan.name]
-    if isinstance(plan, Select):
-        return relalg.op_select(plan.pred, eval_encrypted(plan.child, tables))
-    if isinstance(plan, Project):
-        return relalg.op_project(plan.cols, eval_encrypted(plan.child, tables))
-    if isinstance(plan, Cross):
-        return relalg.op_cross(eval_encrypted(plan.left, tables),
-                               eval_encrypted(plan.right, tables))
-    if isinstance(plan, Distinct):
-        return relalg.op_distinct(eval_encrypted(plan.child, tables))
-    if isinstance(plan, Sort):
-        return relalg.op_sort(plan.col, plan.ascending,
-                              eval_encrypted(plan.child, tables))
-    if isinstance(plan, GroupBySum):
-        return relalg.op_groupby_sum(plan.keys, plan.sum_col,
-                                     eval_encrypted(plan.child, tables))
-    if isinstance(plan, Union):
-        return relalg.op_bag_union(eval_encrypted(plan.left, tables),
-                                   eval_encrypted(plan.right, tables))
-    if isinstance(plan, Intersect):
-        return relalg.op_bag_intersect(eval_encrypted(plan.left, tables),
-                                       eval_encrypted(plan.right, tables))
-    if isinstance(plan, Diff):
-        return relalg.op_bag_diff(eval_encrypted(plan.left, tables),
-                                  eval_encrypted(plan.right, tables))
-    if isinstance(plan, Count):
-        t = eval_encrypted(plan.child, tables)
-        return _wrap_scalar(relalg.op_count(t), "count", t.state)
-    if isinstance(plan, Sum):
-        t = eval_encrypted(plan.child, tables)
-        return _wrap_scalar(relalg.op_sum(plan.col, t), f"sum_{plan.col}", t.state)
-    if isinstance(plan, Min):
-        t = eval_encrypted(plan.child, tables)
-        return _wrap_scalar(relalg.op_min(plan.col, t), f"min_{plan.col}", t.state)
-    if isinstance(plan, Max):
-        t = eval_encrypted(plan.child, tables)
-        return _wrap_scalar(relalg.op_max(plan.col, t), f"max_{plan.col}", t.state)
-    if isinstance(plan, Avg):
-        t = eval_encrypted(plan.child, tables)
-        return _wrap_scalar(relalg.op_avg(plan.col, t), f"avg_{plan.col}", t.state)
-    raise PlanTypeError(f"bad plan node {plan!r}")
+    """Evaluate a plan over encrypted tables, left child before right.
+    Aggregates come back as one-row tables with an always-present row."""
+    return _kind(plan).evaluate(plan, *_inputs(plan, tables, eval_encrypted))
 
 
 # --- wire form --------------------------------------------------------------
+#
+# A node is ``{"node": tag, <field>: <value>, ...}`` in field order; tuples
+# travel as lists and ciphertext words in ``serial``'s word form.
 
-def _pred_to_obj(pred, ladder):
-    if isinstance(pred, Cmp):
-        return {"node": "cmp", "op": pred.op,
-                "left": _pred_to_obj(pred.left, ladder),
-                "right": _pred_to_obj(pred.right, ladder)}
-    if isinstance(pred, ColRef):
-        return {"node": "col", "name": pred.name}
-    if isinstance(pred, Lit):
-        return {"node": "lit", "value": pred.value}
-    if isinstance(pred, EncLit):
-        return {"node": "enclit", "word": serial.word_to_obj(ladder, pred.word)}
-    if isinstance(pred, And):
-        return {"node": "and", "left": _pred_to_obj(pred.left, ladder),
-                "right": _pred_to_obj(pred.right, ladder)}
-    if isinstance(pred, Or):
-        return {"node": "or", "left": _pred_to_obj(pred.left, ladder),
-                "right": _pred_to_obj(pred.right, ladder)}
-    if isinstance(pred, Not):
-        return {"node": "not", "child": _pred_to_obj(pred.child, ladder)}
-    raise PlanTypeError(f"bad predicate node {pred!r}")
+def plan_to_obj(plan, ladder=None) -> dict:
+    return _to_obj(plan, ladder, True)
 
 
-def _pred_from_obj(obj, ladder):
-    node = obj["node"]
-    if node == "cmp":
-        return Cmp(obj["op"], _pred_from_obj(obj["left"], ladder),
-                   _pred_from_obj(obj["right"], ladder))
-    if node == "col":
-        return ColRef(obj["name"])
-    if node == "lit":
-        return Lit(obj["value"])
-    if node == "enclit":
-        return EncLit(serial.word_from_obj(ladder, obj["word"]))
-    if node == "and":
-        return And(_pred_from_obj(obj["left"], ladder),
-                   _pred_from_obj(obj["right"], ladder))
-    if node == "or":
-        return Or(_pred_from_obj(obj["left"], ladder),
-                  _pred_from_obj(obj["right"], ladder))
-    if node == "not":
-        return Not(_pred_from_obj(obj["child"], ladder))
-    raise PlanTypeError(f"bad predicate tag {node!r}")
+def _to_obj(node, ladder, plan: bool) -> dict:
+    obj = {"node": _kind(node, plan).tag}
+    for name, kind in node_fields(type(node)):
+        value = getattr(node, name)
+        if kind == "plan":
+            value = plan_to_obj(value, ladder)
+        elif kind == "pred":
+            value = _to_obj(value, ladder, False)
+        elif kind == "CipherWord":
+            value = serial.word_to_obj(ladder, value)
+        elif kind == "tuple[str, ...]":
+            value = list(value)
+        obj[name] = value
+    return obj
 
 
-def plan_to_obj(plan, ladder=None):
-    if isinstance(plan, TableRef):
-        return {"node": "table", "name": plan.name}
-    if isinstance(plan, Select):
-        return {"node": "select", "pred": _pred_to_obj(plan.pred, ladder),
-                "child": plan_to_obj(plan.child, ladder)}
-    if isinstance(plan, Project):
-        return {"node": "project", "cols": list(plan.cols),
-                "child": plan_to_obj(plan.child, ladder)}
-    if isinstance(plan, Cross):
-        return {"node": "cross", "left": plan_to_obj(plan.left, ladder),
-                "right": plan_to_obj(plan.right, ladder)}
-    if isinstance(plan, Distinct):
-        return {"node": "distinct", "child": plan_to_obj(plan.child, ladder)}
-    if isinstance(plan, Sort):
-        return {"node": "sort", "col": plan.col, "ascending": plan.ascending,
-                "child": plan_to_obj(plan.child, ladder)}
-    if isinstance(plan, GroupBySum):
-        return {"node": "groupby_sum", "keys": list(plan.keys),
-                "sum_col": plan.sum_col, "child": plan_to_obj(plan.child, ladder)}
-    if isinstance(plan, (Union, Intersect, Diff)):
-        return {"node": type(plan).__name__.lower(),
-                "left": plan_to_obj(plan.left, ladder),
-                "right": plan_to_obj(plan.right, ladder)}
-    if isinstance(plan, Count):
-        return {"node": "count", "child": plan_to_obj(plan.child, ladder)}
-    if isinstance(plan, (Sum, Min, Max, Avg)):
-        return {"node": type(plan).__name__.lower(), "col": plan.col,
-                "child": plan_to_obj(plan.child, ladder)}
-    raise PlanTypeError(f"bad plan node {plan!r}")
+# the JSON type of each leaf annotation
+_WIRE_TYPES = {"str": str, "int": int, "bool": bool, "tuple[str, ...]": list,
+               "CipherWord": dict}
 
 
 def plan_from_obj(obj, ladder):
-    node = obj["node"]
-    if node == "table":
-        return TableRef(obj["name"])
-    if node == "select":
-        return Select(_pred_from_obj(obj["pred"], ladder),
-                      plan_from_obj(obj["child"], ladder))
-    if node == "project":
-        return Project(tuple(obj["cols"]), plan_from_obj(obj["child"], ladder))
-    if node == "cross":
-        return Cross(plan_from_obj(obj["left"], ladder),
-                     plan_from_obj(obj["right"], ladder))
-    if node == "distinct":
-        return Distinct(plan_from_obj(obj["child"], ladder))
-    if node == "sort":
-        return Sort(obj["col"], obj["ascending"],
-                    plan_from_obj(obj["child"], ladder))
-    if node == "groupby_sum":
-        return GroupBySum(tuple(obj["keys"]), obj["sum_col"],
-                          plan_from_obj(obj["child"], ladder))
-    if node in ("union", "intersect", "diff"):
-        cls = {"union": Union, "intersect": Intersect, "diff": Diff}[node]
-        return cls(plan_from_obj(obj["left"], ladder),
-                   plan_from_obj(obj["right"], ladder))
-    if node == "count":
-        return Count(plan_from_obj(obj["child"], ladder))
-    if node in ("sum", "min", "max", "avg"):
-        cls = {"sum": Sum, "min": Min, "max": Max, "avg": Avg}[node]
-        return cls(obj["col"], plan_from_obj(obj["child"], ladder))
-    raise PlanTypeError(f"bad plan tag {node!r}")
+    """Decode a wire plan; any malformed node raises ``ProtocolError``."""
+    return _from_obj(obj, ladder, True)
+
+
+def _from_obj(obj, ladder, plan: bool):
+    what = "plan" if plan else "predicate"
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"{what} node is a {type(obj).__name__}, not an object")
+    tag = obj.get("node")
+    cls = _BY_TAG.get(tag) if isinstance(tag, str) else None
+    if cls is None or (cls in PLAN_NODES) != plan:
+        raise ProtocolError(f"bad {what} tag {tag!r}")
+    spec = node_fields(cls)
+    if len(obj) != len(spec) + 1 or not all(name in obj for name, _ in spec):
+        raise ProtocolError(
+            f"{tag!r} node wants keys {[name for name, _ in spec]}, "
+            f"got {list(obj)}")
+    args = []
+    for name, kind in spec:
+        value = obj[name]
+        if kind == "plan":
+            value = plan_from_obj(value, ladder)
+        elif kind == "pred":
+            value = _from_obj(value, ladder, False)
+        elif type(value) is not _WIRE_TYPES[kind] or (
+                kind == "tuple[str, ...]" and {type(x) for x in value} - {str}):
+            raise ProtocolError(f"{tag!r} field {name!r} is not {kind}")
+        elif kind == "CipherWord":
+            value = serial.word_from_obj(ladder, value)
+        elif kind == "tuple[str, ...]":
+            value = tuple(value)
+        args.append(value)
+    return cls(*args)

@@ -35,6 +35,11 @@ class ServerStore:
     """Server half: encrypted tables, query results, and the key ladder's
     public part. No method here can read a plaintext value."""
 
+    # message type -> (handler method, the payload key it reads)
+    _HANDLERS = {"upload_table": ("_handle_upload", "table"),
+                "query": ("_handle_query", "plan"),
+                "fetch_rows_request": ("_handle_fetch", "n_prime")}
+
     def __init__(self, ladder: KeyLadder):
         self.ladder = ladder
         self.tables: dict[str, EncTable] = {}
@@ -43,13 +48,12 @@ class ServerStore:
     def handle(self, data: bytes) -> bytes:
         msg = serial.message_from_bytes(data)
         mtype, qid, payload = msg["type"], msg["query_id"], msg["payload"]
-        if mtype == "upload_table":
-            return self._handle_upload(qid, payload)
-        if mtype == "query":
-            return self._handle_query(qid, payload)
-        if mtype == "fetch_rows_request":
-            return self._handle_fetch(qid, payload)
-        raise ProtocolError(f"unknown message type {mtype!r}")
+        if mtype not in self._HANDLERS:
+            raise ProtocolError(f"unknown message type {mtype!r}")
+        method, key = self._HANDLERS[mtype]
+        if not isinstance(payload, dict) or key not in payload:
+            raise ProtocolError(f"{mtype} payload lacks {key!r}")
+        return getattr(self, method)(qid, payload)
 
     def _handle_upload(self, qid: str, payload) -> bytes:
         table = serial.table_from_obj(self.ladder, payload["table"])

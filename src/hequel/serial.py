@@ -99,9 +99,13 @@ def message_from_bytes(data: bytes) -> dict:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"unreadable message: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ProtocolError("message is not a JSON object")
     for key in ("type", "query_id", "payload"):
         if key not in obj:
             raise ProtocolError(f"message lacks {key!r}")
+    if not isinstance(obj["type"], str) or not isinstance(obj["query_id"], str):
+        raise ProtocolError("message type and query id must be strings")
     return obj
 
 

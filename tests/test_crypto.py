@@ -7,7 +7,7 @@ import pytest
 
 from hequel.crypto import (ClientKeys, SecurityContext, decrypt_bit,
                            encrypt_bit, gate_and, gate_not, gate_or, gate_xor,
-                           keygen, refresh)
+                           keygen)
 from hequel.errors import (EpochMismatch, LadderExhausted, LadderMismatch,
                            NoiseOverflow)
 
@@ -56,7 +56,7 @@ def test_decrypt_needs_matching_epoch():
     c = encrypt_bit(ladder.public_key(1), 1)
     with pytest.raises(EpochMismatch):
         decrypt_bit(keys.secret_key(2), c)
-    r = refresh(ladder, c)
+    r = ladder.kernel.refresh(c)
     assert decrypt_bit(keys.secret_key(2), r) == 1
 
 

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
-from hequel import dsl, serial
+from hequel import dsl, plans, serial
 from hequel.crypto import SecurityContext, keygen
-from hequel.errors import (FetchTooLarge, ProtocolError, VerificationFailure)
+from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
+                           VerificationFailure)
 from hequel.protocol import (ClientSession, ServerStore, result_fetch,
                              run_query, setup_upload, submit_query)
 from hequel.relalg import encrypt_table
@@ -186,6 +187,64 @@ def test_server_rejects_malformed_traffic():
 
     with pytest.raises(ProtocolError):
         client.read_count(tamper(reply, misdirect))
+
+
+TABLE = {"node": "table", "name": "pc"}
+SPEED_GT_1 = {"node": "cmp", "op": ">", "left": {"node": "col", "name": "speed"},
+              "right": {"node": "lit", "value": 1}}
+MALFORMED_QUERIES = {
+    "plan is a number": {"plan": 3},
+    "plan missing": {},
+    "node is a list": {"plan": [TABLE]},
+    "unknown tag": {"plan": {"node": "frobnicate", "child": TABLE}},
+    "tag not a string": {"plan": {"node": ["table"], "name": "pc"}},
+    "pred missing": {"plan": {"node": "select", "child": TABLE}},
+    "child missing": {"plan": {"node": "count"}},
+    "extra key": {"plan": {"node": "table", "name": "pc", "rows": 3}},
+    "cols not a list": {"plan": {"node": "project", "cols": 5, "child": TABLE}},
+    "col not a string": {"plan": {"node": "project", "cols": ["ram", 5],
+                                  "child": TABLE}},
+    "ascending not a bool": {"plan": {"node": "sort", "col": "ram",
+                                      "ascending": 1, "child": TABLE}},
+    "predicate as plan": {"plan": SPEED_GT_1},
+    "plan as predicate": {"plan": {"node": "select", "pred": TABLE,
+                                   "child": TABLE}},
+    "literal not an int": {"plan": {"node": "select", "child": TABLE, "pred": {
+        **SPEED_GT_1, "right": {"node": "lit", "value": "1"}}}},
+    "enclit word not an object": {"plan": {"node": "select", "child": TABLE,
+                                           "pred": {**SPEED_GT_1, "right": {
+                                               "node": "enclit", "word": 7}}}},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_QUERIES.values(),
+                         ids=MALFORMED_QUERIES.keys())
+def test_server_rejects_malformed_plans(payload):
+    server, _ = make_session()
+    with pytest.raises(HequelError):
+        server.handle(serial.message_to_bytes("query", "q1", payload))
+    if "plan" in payload:
+        with pytest.raises(ProtocolError):
+            plans.plan_from_obj(payload["plan"], server.ladder)
+
+
+@pytest.mark.parametrize("mtype", ["upload_table", "query",
+                                   "fetch_rows_request"])
+@pytest.mark.parametrize("payload", [{}, [], "plan", None],
+                         ids=["empty", "list", "string", "null"])
+def test_server_rejects_payload_without_its_key(mtype, payload):
+    server, _ = make_session()
+    with pytest.raises(ProtocolError):
+        server.handle(serial.message_to_bytes(mtype, "q1", payload))
+
+
+@pytest.mark.parametrize("data", [b"3", b"[]", b'"query"',
+                                  b'{"type":["query"],"query_id":"q","payload":{}}',
+                                  b'{"type":"query","query_id":[1],"payload":{}}'])
+def test_server_rejects_malformed_envelopes(data):
+    server, _ = make_session()
+    with pytest.raises(ProtocolError):
+        server.handle(data)
 
 
 def test_compact_fetch_is_smaller_than_full_table():
