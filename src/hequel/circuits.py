@@ -174,9 +174,7 @@ def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
         rem = rem[1:] + (num.bits[i],)
         fits = k.not_(word_gt(den_x, CipherWord(rem)))
         diff = _sub_bits(k, state, epoch, rem, den_x.bits)
-        nf = k.not_(fits)
-        rem = tuple(
-            k.xor(k.and_(d, fits), k.and_(r, nf)) for d, r in zip(diff, rem))
+        rem = word_mux(fits, CipherWord(diff), CipherWord(rem)).bits
         qbits.append(fits)
     quotient = CipherWord(tuple(qbits))
     zero = const_word(state, 0, w, epoch)

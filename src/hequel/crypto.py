@@ -1,4 +1,5 @@
-"""Key management and the bit-level encrypt/evaluate/decrypt API.
+"""Key management and the bit-level encrypt/decrypt API. Gates are
+evaluated by the ladder's kernel (``ladder.kernel.and_`` and friends).
 
 A key ladder is a chain of keypairs (sk_1, pk_1) .. (sk_D, pk_D). The server
 holds the public keys plus *wrapped* secret keys: in leveled mode each sk_i
@@ -158,20 +159,3 @@ def decrypt_bit(sk: SecretKey, c) -> int:
         raise NoiseOverflow(
             f"depth {c.depth} exceeds budget {state.depth_budget}")
     return state.impl._reveal(c)
-
-
-def gate_xor(ladder: KeyLadder, a, b):
-    return ladder.kernel.xor(a, b)
-
-
-def gate_and(ladder: KeyLadder, a, b):
-    return ladder.kernel.and_(a, b)
-
-
-def gate_not(ladder: KeyLadder, a):
-    return ladder.kernel.not_(a)
-
-
-def gate_or(ladder: KeyLadder, a, b):
-    return ladder.kernel.or_(a, b)
-

@@ -182,12 +182,10 @@ class ClientSession:
         shake = self.pending.get(qid)
         if shake is None or shake.n_prime is None:
             raise ProtocolError(f"rows for unknown query {qid!r}")
-        schema = serial.schema_from_obj(msg["payload"]["schema"])
+        schema, rows = serial.table_rows_from_obj(self._ladder, msg["payload"])
         if schema != shake.schema:
             raise VerificationFailure(
                 f"schema {schema.columns} does not match plan's {shake.schema.columns}")
-        rows = [serial.row_from_obj(self._ladder, r)
-                for r in msg["payload"]["rows"]]
         if len(rows) != shake.n_prime:
             raise VerificationFailure(
                 f"{len(rows)} rows returned, {shake.n_prime} requested")

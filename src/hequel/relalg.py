@@ -419,41 +419,31 @@ def op_bag_union(t1: EncTable, t2: EncTable) -> EncTable:
 
 
 def _bag_overlap(t1: EncTable, t2: EncTable, keep_matched: bool) -> EncTable:
-    """Sorted-merge core of bag intersection and difference.
+    """Greedy matching core of bag intersection and difference.
 
-    Both inputs are sorted on the full row, then an encrypted cursor walks
-    t2: each present row of t2 can match at most one row of t1. The cursor
-    advances only at the row it currently points to (the comparisons at
-    other inner positions are evaluated but masked), past rows that
-    matched, are smaller than the current t1 row, or are absent.
+    Every (t1, t2) row pair is compared once, t1-major. ``free[j]`` is 1
+    while t2 row j is present and unmatched; ``need`` is 1 while the
+    current t1 row is present and unmatched. A pair matches (``take``)
+    when its rows are equal and both flags are 1, and the match clears
+    both, so XOR is exact. Each present t2 row thus matches at most one
+    present t1 row, and a value with c1 present copies in t1 and c2 in t2
+    gets exactly min(c1, c2) matches. The output keeps t1's capacity and
+    row order: matched rows for intersection, unmatched for difference.
     """
     _check_same_shape(t1, t2)
     state = t1.state
     k = state.impl
-    n1, n2 = t1.capacity, t2.capacity
     epoch = max(_table_epoch(t1), _table_epoch(t2))
-    sorted1 = oblivious_sort_rows(t1.rows, lambda r: r.cells, True, state, epoch)
-    sorted2 = oblivious_sort_rows(t2.rows, lambda r: r.cells, True, state, epoch)
-    cw = max(1, (n2 + 1).bit_length())
-    cursor = const_word(state, 1, cw, epoch)
-    j_words = [const_word(state, j + 1, cw, epoch) for j in range(n2)]
+    free = [r.presence for r in t2.rows]
     out = []
-    for r1 in sorted1:
-        f = k.fresh_bit(state, 0, epoch)
-        for j, r2 in enumerate(sorted2):
-            consumed = word_gt(cursor, j_words[j])
-            eq = _row_eq(k, state, epoch, r1.cells, r2.cells)
-            gt = _gt_lex(k, state, epoch, r1.cells, r2.cells)
-            f2 = k.and_(k.not_(f), k.and_(k.not_(consumed), k.and_(
-                eq, k.and_(r1.presence, r2.presence))))
-            f = k.or_(f, f2)
-            at_cursor = word_eq(cursor, j_words[j])
-            skip = k.or_(f2, k.or_(gt, k.not_(r2.presence)))
-            cursor = word_add_bit(cursor, k.and_(at_cursor, skip))
-        if keep_matched:
-            p_out = f
-        else:
-            p_out = k.and_(k.not_(f), r1.presence)
+    for r1 in t1.rows:
+        need = r1.presence
+        for j, r2 in enumerate(t2.rows):
+            take = k.and_(k.and_(
+                _row_eq(k, state, epoch, r1.cells, r2.cells), free[j]), need)
+            free[j] = k.xor(free[j], take)
+            need = k.xor(need, take)
+        p_out = k.xor(r1.presence, need) if keep_matched else need
         out.append(EncRow(r1.cells, p_out))
     return EncTable("", t1.schema, tuple(out), state)
 

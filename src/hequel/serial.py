@@ -34,12 +34,34 @@ def bit_to_obj(ladder: KeyLadder, c) -> dict:
     return {"v": 1, "epoch": c.epoch, "depth": c.depth, "blob": blob}
 
 
+def _field(obj, key: str, kind: type, what: str):
+    """``obj[key]`` when ``obj`` is an object holding a ``kind`` there (a
+    JSON bool is not an int); any other shape raises ProtocolError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ProtocolError(f"{what} lacks {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
+        raise ProtocolError(f"{what} field {key!r} is not {kind.__name__}")
+    return value
+
+
 def bit_from_obj(ladder: KeyLadder, obj: dict):
-    blob = bytes.fromhex(obj["blob"])
+    # inline checks, no helper calls: table uploads decode every bit here
+    try:
+        blob = bytes.fromhex(obj["blob"])
+        epoch, depth = obj["epoch"], obj["depth"]
+    except (KeyError, TypeError, ValueError):
+        raise ProtocolError("malformed ciphertext bit") from None
     if len(blob) != 9:
         raise ProtocolError(f"ciphertext blob has {len(blob)} bytes, want 9")
+    ctx = ladder.ctx
+    if type(epoch) is not int or not 1 <= epoch <= ctx.epochs:
+        raise ProtocolError(
+            f"ciphertext epoch {epoch!r} outside 1..{ctx.epochs}")
+    if type(depth) is not int or not 0 <= depth <= ctx.depth_budget:
+        raise ProtocolError(
+            f"ciphertext depth {depth!r} outside 0..{ctx.depth_budget}")
     nonce = int.from_bytes(blob[:8], "big")
-    epoch, depth = obj["epoch"], obj["depth"]
     payload = blob[8] ^ _mask(ladder, nonce, epoch)
     return ladder.kernel.bit_from_parts(ladder.state, payload, epoch, depth, nonce)
 
@@ -50,10 +72,10 @@ def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
 
 
 def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
-    bits = tuple(bit_from_obj(ladder, b) for b in obj["bits"])
-    if len(bits) != obj["width"]:
+    bits = _field(obj, "bits", list, "ciphertext word")
+    if not bits or len(bits) != _field(obj, "width", int, "ciphertext word"):
         raise ProtocolError("word width disagrees with bit count")
-    return CipherWord(bits)
+    return CipherWord(tuple(bit_from_obj(ladder, b) for b in bits))
 
 
 def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
@@ -62,8 +84,9 @@ def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
 
 
 def row_from_obj(ladder: KeyLadder, obj: dict) -> EncRow:
-    return EncRow(tuple(word_from_obj(ladder, c) for c in obj["cells"]),
-                  bit_from_obj(ladder, obj["p"]))
+    cells = _field(obj, "cells", list, "row")
+    return EncRow(tuple(word_from_obj(ladder, c) for c in cells),
+                  bit_from_obj(ladder, _field(obj, "p", dict, "row")))
 
 
 def schema_to_obj(schema: Schema) -> list:
@@ -71,6 +94,11 @@ def schema_to_obj(schema: Schema) -> list:
 
 
 def schema_from_obj(obj: list) -> Schema:
+    if not isinstance(obj, list) or not all(
+            isinstance(col, list) and len(col) == 2
+            and isinstance(col[0], str) and type(col[1]) is int
+            for col in obj):
+        raise ProtocolError("schema is not a list of [name, width] pairs")
     return Schema(tuple((name, width) for name, width in obj))
 
 
@@ -81,10 +109,25 @@ def table_to_obj(ladder: KeyLadder, t: EncTable) -> dict:
             "rows": [row_to_obj(ladder, r) for r in t.rows]}
 
 
+def table_rows_from_obj(ladder: KeyLadder, obj: dict):
+    """Decode the ``schema`` and ``rows`` of a table or fetch payload into
+    (Schema, rows); every row needs one cell per column at its width."""
+    schema = schema_from_obj(_field(obj, "schema", list, "table"))
+    rows = tuple(row_from_obj(ladder, r)
+                 for r in _field(obj, "rows", list, "table"))
+    widths = [w for _, w in schema.columns]
+    for row in rows:
+        if [c.width for c in row.cells] != widths:
+            raise ProtocolError(
+                f"row cell widths {[c.width for c in row.cells]} do not "
+                f"match schema widths {widths}")
+    return schema, rows
+
+
 def table_from_obj(ladder: KeyLadder, obj: dict) -> EncTable:
-    return EncTable(obj["name"], schema_from_obj(obj["schema"]),
-                    tuple(row_from_obj(ladder, r) for r in obj["rows"]),
-                    ladder.state)
+    name = _field(obj, "name", str, "table")
+    schema, rows = table_rows_from_obj(ladder, obj)
+    return EncTable(name, schema, rows, ladder.state)
 
 
 # --- message envelope --------------------------------------------------------

@@ -18,7 +18,7 @@ from hequel import dsl, engine, plans, randgen, serial
 from hequel.circuits import (decrypt_word, encrypt_word, word_add,
                              word_add_bit, word_and_bit, word_div, word_eq,
                              word_gt, word_mux)
-from hequel.crypto import (SecurityContext, encrypt_bit, gate_and, keygen)
+from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import LadderExhausted, VerificationFailure
 from hequel.oracle import eval_pred_plain
 from hequel.protocol import ClientSession, ServerStore, submit_query
@@ -439,7 +439,7 @@ def depth_chain(ctx, seed):
     pk = ladder.public_key()
     acc = encrypt_bit(pk, 1)
     for _ in range(ctx.depth_budget + 1):
-        acc = gate_and(ladder, acc, encrypt_bit(pk, 1))
+        acc = ladder.kernel.and_(acc, encrypt_bit(pk, 1))
     return keys.decrypt_bit(acc), ladder.state.refresh_count
 
 

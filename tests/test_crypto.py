@@ -6,8 +6,7 @@ from __future__ import annotations
 import pytest
 
 from hequel.crypto import (ClientKeys, SecurityContext, decrypt_bit,
-                           encrypt_bit, gate_and, gate_not, gate_or, gate_xor,
-                           keygen)
+                           encrypt_bit, keygen)
 from hequel.errors import (EpochMismatch, LadderExhausted, LadderMismatch,
                            NoiseOverflow)
 
@@ -74,7 +73,7 @@ def test_noise_overflow_when_auto_refresh_disabled():
     pk = ladder.public_key()
     c = encrypt_bit(pk, 1)
     for _ in range(3):
-        c = gate_and(ladder, c, encrypt_bit(pk, 1))
+        c = ladder.kernel.and_(c, encrypt_bit(pk, 1))
     assert c.depth == 3
     with pytest.raises(NoiseOverflow):
         keys.decrypt_bit(c)
@@ -84,10 +83,10 @@ def test_gate_wrappers():
     ladder, keys = keygen(SecurityContext(), seed=b"gw")
     pk = ladder.public_key()
     one, zero = encrypt_bit(pk, 1), encrypt_bit(pk, 0)
-    assert keys.decrypt_bit(gate_xor(ladder, one, one)) == 0
-    assert keys.decrypt_bit(gate_and(ladder, one, zero)) == 0
-    assert keys.decrypt_bit(gate_or(ladder, one, zero)) == 1
-    assert keys.decrypt_bit(gate_not(ladder, zero)) == 1
+    assert keys.decrypt_bit(ladder.kernel.xor(one, one)) == 0
+    assert keys.decrypt_bit(ladder.kernel.and_(one, zero)) == 0
+    assert keys.decrypt_bit(ladder.kernel.or_(one, zero)) == 1
+    assert keys.decrypt_bit(ladder.kernel.not_(zero)) == 1
 
 
 def test_deep_circuit_refreshes_in_circular_mode():
@@ -95,7 +94,7 @@ def test_deep_circuit_refreshes_in_circular_mode():
     pk = ladder.public_key()
     acc = encrypt_bit(pk, 1)
     for _ in range(5):  # depth 5 > budget 4
-        acc = gate_and(ladder, acc, encrypt_bit(pk, 1))
+        acc = ladder.kernel.and_(acc, encrypt_bit(pk, 1))
     assert keys.decrypt_bit(acc) == 1
     assert ladder.state.refresh_count >= 1
 
@@ -107,7 +106,7 @@ def test_deep_circuit_exhausts_single_level_ladder():
     acc = encrypt_bit(pk, 1)
     with pytest.raises(LadderExhausted):
         for _ in range(5):
-            acc = gate_and(ladder, acc, encrypt_bit(pk, 1))
+            acc = ladder.kernel.and_(acc, encrypt_bit(pk, 1))
 
 
 def test_keygen_deterministic_per_seed():
@@ -126,7 +125,7 @@ def test_server_visible_material_has_no_plaintext_secret():
         assert wrapped not in tokens
     # computation needs only the ladder; decryption needs ClientKeys
     pk = ladder.public_key()
-    c = gate_and(ladder, encrypt_bit(pk, 1), encrypt_bit(pk, 1))
+    c = ladder.kernel.and_(encrypt_bit(pk, 1), encrypt_bit(pk, 1))
     assert keys.decrypt_bit(c) == 1
     assert not hasattr(ladder, "secret_keys")
 

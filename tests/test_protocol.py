@@ -214,6 +214,9 @@ MALFORMED_QUERIES = {
     "enclit word not an object": {"plan": {"node": "select", "child": TABLE,
                                            "pred": {**SPEED_GT_1, "right": {
                                                "node": "enclit", "word": 7}}}},
+    "enclit word empty": {"plan": {"node": "select", "child": TABLE,
+                                   "pred": {**SPEED_GT_1, "right": {
+                                       "node": "enclit", "word": {}}}}},
 }
 
 
@@ -245,6 +248,53 @@ def test_server_rejects_malformed_envelopes(data):
     server, _ = make_session()
     with pytest.raises(ProtocolError):
         server.handle(data)
+
+
+def _cell(t):
+    return t["rows"][0]["cells"][0]
+
+
+def _bit(t):
+    return _cell(t)["bits"][0]
+
+
+# each edit forges one part of an otherwise valid upload of a table with
+# two 4-bit columns, under a circular ladder with depth budget 8
+FORGED_UPLOADS = {
+    "row without presence": lambda t: t["rows"][0].pop("p"),
+    "presence not an object": lambda t: t["rows"][0].update(p="1"),
+    "bit not an object": lambda t: _cell(t)["bits"].__setitem__(0, 5),
+    "blob not hex": lambda t: _bit(t).update(blob="zz" * 9),
+    "blob not a string": lambda t: _bit(t).update(blob=7),
+    "bit without epoch": lambda t: _bit(t).pop("epoch"),
+    "epoch 99": lambda t: _bit(t).update(epoch=99),
+    "epoch 0": lambda t: _bit(t).update(epoch=0),
+    "epoch a bool": lambda t: _bit(t).update(epoch=True),
+    "depth -5": lambda t: _bit(t).update(depth=-5),
+    "depth past budget": lambda t: _bit(t).update(depth=9),
+    "bits not a list": lambda t: _cell(t).update(bits="0101"),
+    "width not an int": lambda t: _cell(t).update(width="4"),
+    "1-bit cell in a 4-bit column": lambda t: _cell(t).update(
+        width=1, bits=_cell(t)["bits"][:1]),
+    "cell missing": lambda t: t["rows"][0]["cells"].pop(),
+    "cells not a list": lambda t: t["rows"][0].update(cells=None),
+    "rows not a list": lambda t: t.update(rows={"0": t["rows"][0]}),
+    "schema entry [a]": lambda t: t["schema"].__setitem__(0, ["a"]),
+    "schema width a string": lambda t: t["schema"][0].__setitem__(1, "4"),
+    "name not a string": lambda t: t.update(name=["pc"]),
+}
+
+
+@pytest.mark.parametrize("edit", FORGED_UPLOADS.values(),
+                         ids=FORGED_UPLOADS.keys())
+def test_server_rejects_forged_uploads(edit):
+    server, client = make_session()
+    original = server.tables["pc"]
+    upload = client.upload_message(
+        "pc", PlainTable(Schema((("a", 4), ("b", 4))), [(3, 9), (1, 2)]))
+    with pytest.raises(ProtocolError):
+        server.handle(tamper(upload, lambda m: edit(m["payload"]["table"])))
+    assert server.tables["pc"] is original
 
 
 def test_compact_fetch_is_smaller_than_full_table():

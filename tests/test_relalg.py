@@ -198,22 +198,56 @@ def test_bag_ops(session):
     assert op_bag_union(x, y).capacity == 6
     assert op_bag_intersect(x, y).capacity == 3
     assert op_bag_diff(x, y).capacity == 3
+    t = encrypt_table(pk, PlainTable(s, [(3,), (3,), (5,), (3,)]),
+                      presence=[1, 1, 1, 0], name="t")
+    assert bag(keys, op_bag_intersect(t, t)) == bag(keys, t)
+    assert bag(keys, op_bag_diff(t, t)) == Counter()
+
+
+A4 = Schema((("a", 4),))
+BAG_CASES = {
+    # name: (left rows, left presence, right rows, right presence)
+    "absent right copy": ([(5,)], [1], [(5,), (5,)], [0, 1]),
+    "multiplicity": ([(5,), (5,)], [1, 1], [(5,)], [1]),
+    "empty left": ([], [], [(1,), (2,)], [1, 1]),
+    "empty right": ([(1,), (1,), (2,)], [1, 1, 1], [], []),
+    "both empty": ([], [], [], []),
+    "left all absent": ([(1,), (2,)], [0, 0], [(1,), (2,)], [1, 1]),
+    "right all absent": ([(1,), (2,), (2,)], [1, 1, 1], [(2,), (1,)], [0, 0]),
+}
+
+
+def present_bag(rows, presence) -> Counter:
+    return Counter(r for r, p in zip(rows, presence) if p)
 
 
 def test_bag_ops_respect_presence(session):
     _, keys, pk = session
-    s = Schema((("a", 4),))
-    # left {5}, right has an absent 5 before a present 5
-    x = encrypt_table(pk, PlainTable(s, [(5,)]), name="x")
-    y = encrypt_table(pk, PlainTable(s, [(5,), (5,)]), presence=[0, 1],
-                      name="y")
-    assert bag(keys, op_bag_intersect(x, y)) == Counter([(5,)])
-    assert bag(keys, op_bag_diff(x, y)) == Counter()
-    # multiplicity: {5,5} with one 5 on the right leaves one 5
-    x2 = encrypt_table(pk, PlainTable(s, [(5,), (5,)]), name="x2")
-    y2 = encrypt_table(pk, PlainTable(s, [(5,)]), name="y2")
-    assert bag(keys, op_bag_intersect(x2, y2)) == Counter([(5,)])
-    assert bag(keys, op_bag_diff(x2, y2)) == Counter([(5,)])
+    for name, (r1, p1, r2, p2) in BAG_CASES.items():
+        x = encrypt_table(pk, PlainTable(A4, list(r1)), presence=p1, name="x")
+        y = encrypt_table(pk, PlainTable(A4, list(r2)), presence=p2, name="y")
+        want1, want2 = present_bag(r1, p1), present_bag(r2, p2)
+        inter, diff = op_bag_intersect(x, y), op_bag_diff(x, y)
+        assert bag(keys, inter) == want1 & want2, name
+        assert bag(keys, diff) == want1 - want2, name
+        assert inter.capacity == diff.capacity == len(r1), name
+
+
+def test_bag_ops_fit_a_leveled_ladder():
+    # 8x8 rows of two 8-bit columns: the matching circuit's depth stays
+    # within a 16-epoch ladder at depth budget 8
+    ladder, keys = keygen(SecurityContext("leveled", 8, 16), seed=b"bagl")
+    pk = ladder.public_key()
+    s = Schema((("a", 8), ("b", 8)))
+    r1 = [(1, 2), (3, 4), (1, 2), (200, 5), (1, 2), (9, 9), (3, 4), (0, 0)]
+    r2 = [(1, 2), (7, 7), (3, 4), (1, 2), (255, 0), (3, 4), (3, 4), (9, 8)]
+    p1 = [1, 1, 1, 1, 0, 1, 1, 1]
+    p2 = [1, 1, 0, 1, 1, 1, 1, 1]
+    x = encrypt_table(pk, PlainTable(s, r1), presence=p1, name="x")
+    y = encrypt_table(pk, PlainTable(s, r2), presence=p2, name="y")
+    want1, want2 = present_bag(r1, p1), present_bag(r2, p2)
+    assert bag(keys, op_bag_intersect(x, y)) == want1 & want2
+    assert bag(keys, op_bag_diff(x, y)) == want1 - want2
 
 
 def test_cross_ladder_tables_rejected(session):
