@@ -203,14 +203,18 @@ def _row_eq(k, state, epoch, cells_a, cells_b):
     return acc
 
 
-def _gt_lex(k, state, epoch, cells_a, cells_b):
-    """Lexicographic strict greater-than over aligned cell lists; vacuously
-    0 for no cells (so equal rows never compare greater)."""
-    gt = k.fresh_bit(state, 0, epoch)
-    eq_so_far = k.fresh_bit(state, 1, epoch)
-    for a, b in zip(cells_a, cells_b):
-        gt = k.or_(gt, k.and_(eq_so_far, word_gt(a, b)))
-        eq_so_far = k.and_(eq_so_far, word_eq(a, b))
+def _gt_lex(k, pairs):
+    """1 iff a > b at the first (a, b) word pair that differs: lexicographic
+    strict greater-than over a non-empty pair list. The per-pair terms are
+    disjoint (each needs every earlier pair equal, an earlier 1 needs one
+    earlier pair greater), so XOR joins them, and no equality is computed
+    for the last pair."""
+    gt = word_gt(*pairs[0])
+    eq = None
+    for (pa, pb), (a, b) in zip(pairs, pairs[1:]):
+        e = word_eq(pa, pb)
+        eq = e if eq is None else k.and_(eq, e)
+        gt = k.xor(gt, k.and_(eq, word_gt(a, b)))
     return gt
 
 
@@ -226,22 +230,97 @@ def _swap_rows(k, f, a: EncRow, b: EncRow):
     return new_a, new_b
 
 
+def merge_exchange(n: int) -> list[tuple[int, int]]:
+    """Comparator pairs (i, j), i < j, of Knuth's merge exchange (TAOCP
+    5.2.2, Algorithm M), Batcher's odd-even merge sort for any n, in
+    evaluation order: 19, 63 and 191 comparators at n = 8, 16 and 32."""
+    pairs = []
+    if n < 2:
+        return pairs
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1)
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
+
+
 def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
-    """Bubble sort with encrypted compare-and-swap: n(n-1) fixed passes,
-    swapping only on strict greater-than, so equal keys keep their order.
-    ``key_fn(row)`` returns the tuple of CipherWords to compare."""
-    k = state.impl
-    rows = list(rows)
+    """Sort rows with encrypted compare-and-swaps on the fixed
+    ``merge_exchange`` schedule. ``key_fn(row)`` returns the tuple of
+    CipherWords to compare. Each row carries its encrypted input index as a
+    last key that always sorts ascending, so all keys differ and equal sort
+    keys keep their input order in both directions."""
     n = len(rows)
-    for _ in range(n):
-        for j in range(n - 1):
-            ka, kb = key_fn(rows[j]), key_fn(rows[j + 1])
-            if ascending:
-                f = _gt_lex(k, state, epoch, ka, kb)
-            else:
-                f = _gt_lex(k, state, epoch, kb, ka)
-            rows[j], rows[j + 1] = _swap_rows(k, f, rows[j], rows[j + 1])
-    return rows
+    if n < 2:
+        return list(rows)
+    k = state.impl
+    width = (n - 1).bit_length()
+    # the index rides as a trailing cell, so key_fn's cell indices still hold
+    tagged = [EncRow(r.cells + (const_word(state, i, width, epoch),),
+                     r.presence) for i, r in enumerate(rows)]
+    for i, j in merge_exchange(n):
+        a, b = tagged[i], tagged[j]
+        ka, kb = key_fn(a), key_fn(b)
+        pairs = list(zip(ka, kb) if ascending else zip(kb, ka))
+        f = _gt_lex(k, pairs + [(a.cells[-1], b.cells[-1])])
+        tagged[i], tagged[j] = _swap_rows(k, f, a, b)
+    return [EncRow(r.cells[:-1], r.presence) for r in tagged]
+
+
+def compact_rows(rows, state, epoch: int):
+    """Order-preserving oblivious compaction (Goodrich, SPAA 2011): the
+    present rows move to the front in their input order, and every slot
+    after them has presence 0.
+
+    Row i first gets an encrypted count c_i of the absent rows before it.
+    Then for j = 0 .. L-1, least significant bit first, a row whose
+    presence AND bit j of c is set moves up 2^j slots, taking its cells
+    and its remaining count bits along. Present rows i < k never meet:
+    after round j they sit at i - (c_i mod 2^j) and k - (c_k mod 2^j), and
+    (c_k mod 2^j) - (c_i mod 2^j) <= c_k - c_i < k - i. So presence moves
+    by XOR alone. The gates depend only on len(rows); fewer than two rows
+    come back untouched.
+    """
+    n = len(rows)
+    if n < 2:
+        return list(rows)
+    k = state.impl
+    width = (n - 1).bit_length()
+    counts = [const_word(state, 0, width, epoch)]
+    for r in rows[:-1]:
+        counts.append(word_add_bit(counts[-1], k.not_(r.presence)))
+    # per slot: cells, presence, and the count bits still unused, LSB first
+    slots = [(r.cells, r.presence, c.bits[::-1])
+             for r, c in zip(rows, counts)]
+    for j in range(width):
+        shift = 1 << j
+        # a present row below slot 2^j cannot have bit j set: it would
+        # have to end before slot 0
+        moves = [None] * shift + [k.and_(p, bits[0])
+                                  for _, p, bits in slots[shift:]]
+        out = []
+        for t, (cells, p, bits) in enumerate(slots):
+            if moves[t] is not None:
+                p = k.xor(p, moves[t])
+            bits = bits[1:]
+            if t + shift < n:
+                f = moves[t + shift]
+                src_cells, _, src_bits = slots[t + shift]
+                cells = tuple(word_mux(f, a, b)
+                              for a, b in zip(src_cells, cells))
+                if bits:
+                    bits = word_mux(f, CipherWord(src_bits[1:]),
+                                    CipherWord(bits)).bits
+                p = k.xor(f, p)
+            out.append((cells, p, bits))
+        slots = out
+    return [EncRow(cells, p) for cells, p, _ in slots]
 
 
 # --- operators --------------------------------------------------------------

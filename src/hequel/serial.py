@@ -45,13 +45,22 @@ def _field(obj, key: str, kind: type, what: str):
     return value
 
 
+def _check_version(obj, what: str) -> None:
+    version = _field(obj, "v", int, what)
+    if version != 1:
+        raise ProtocolError(f"{what} has version {version}, want 1")
+
+
 def bit_from_obj(ladder: KeyLadder, obj: dict):
     # inline checks, no helper calls: table uploads decode every bit here
     try:
+        version = obj["v"]
         blob = bytes.fromhex(obj["blob"])
         epoch, depth = obj["epoch"], obj["depth"]
     except (KeyError, TypeError, ValueError):
         raise ProtocolError("malformed ciphertext bit") from None
+    if type(version) is not int or version != 1:
+        raise ProtocolError(f"ciphertext bit version {version!r}, want 1")
     if len(blob) != 9:
         raise ProtocolError(f"ciphertext blob has {len(blob)} bytes, want 9")
     ctx = ladder.ctx
@@ -72,6 +81,7 @@ def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
 
 
 def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
+    _check_version(obj, "ciphertext word")
     bits = _field(obj, "bits", list, "ciphertext word")
     if not bits or len(bits) != _field(obj, "width", int, "ciphertext word"):
         raise ProtocolError("word width disagrees with bit count")
@@ -125,6 +135,7 @@ def table_rows_from_obj(ladder: KeyLadder, obj: dict):
 
 
 def table_from_obj(ladder: KeyLadder, obj: dict) -> EncTable:
+    _check_version(obj, "table")
     name = _field(obj, "name", str, "table")
     schema, rows = table_rows_from_obj(ladder, obj)
     return EncTable(name, schema, rows, ladder.state)

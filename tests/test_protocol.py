@@ -165,6 +165,32 @@ def test_overstated_count_fails_verification():
         client.read_count(tamper(reply, inflate))
 
 
+MALFORMED_COUNTS = {
+    "no count": lambda p: p.pop("count"),
+    "no capacity": lambda p: p.pop("capacity"),
+    "capacity a string": lambda p: p.update(capacity="3"),
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED_COUNTS.values()) + [None],
+                         ids=list(MALFORMED_COUNTS) + ["list payload"])
+def test_malformed_count_reply_raises_protocol_error(edit):
+    server, client = make_session()
+    qid, msg = client.query_message(dsl.parse("select(speed>1, table(pc))"))
+    reply = server.handle(msg)
+
+    def forge(m):
+        if edit is None:
+            m["payload"] = [m["payload"]["count"], m["payload"]["capacity"]]
+        else:
+            edit(m["payload"])
+
+    with pytest.raises(ProtocolError):
+        client.read_count(tamper(reply, forge))
+    shake = client.pending[qid]
+    assert shake.n is None and shake.capacity is None
+
+
 def test_server_rejects_malformed_traffic():
     server, client = make_session()
     with pytest.raises(ProtocolError):
@@ -282,6 +308,12 @@ FORGED_UPLOADS = {
     "schema entry [a]": lambda t: t["schema"].__setitem__(0, ["a"]),
     "schema width a string": lambda t: t["schema"][0].__setitem__(1, "4"),
     "name not a string": lambda t: t.update(name=["pc"]),
+    "bit version 7": lambda t: _bit(t).update(v=7),
+    "bit without version": lambda t: _bit(t).pop("v"),
+    "bit version a bool": lambda t: _bit(t).update(v=True),
+    "word version 2": lambda t: _cell(t).update(v=2),
+    "word without version": lambda t: _cell(t).pop("v"),
+    "table version 0": lambda t: t.update(v=0),
 }
 
 
@@ -306,6 +338,39 @@ def test_compact_fetch_is_smaller_than_full_table():
         "table": serial.table_to_obj(server.ladder, server.tables["pc"])})
     assert n == 2
     assert len(reply) < len(full)
+
+
+def _fetch_counts(presence):
+    """Kernel counter deltas of the server's fetch phase for a query
+    returning a two-column table with this presence, all rows requested."""
+    ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"fetch")
+    server = ServerStore(ladder)
+    client = ClientSession(keys, ladder.public_key())
+    s = Schema((("a", 4), ("b", 4)))
+    plain = PlainTable(s, [(i, 15 - i) for i in range(len(presence))])
+    server.tables["t"] = encrypt_table(ladder.public_key(), plain,
+                                       presence=list(presence), name="t")
+    client.catalog["t"] = s
+    qid, _ = submit_query(client, server, dsl.parse("table(t)"))
+    st = ladder.state
+    before = (st.and_count, st.xor_count, st.refresh_count, st.encrypt_count)
+    reply = server.handle(client.fetch_message(qid, n_prime=len(presence)))
+    after = (st.and_count, st.xor_count, st.refresh_count, st.encrypt_count)
+    out = client.read_rows_and_verify(reply)
+    assert out.rows == [r for r, p in zip(plain.rows, presence) if p]
+    return tuple(b - a for a, b in zip(before, after))
+
+
+def test_fetch_gates_do_not_depend_on_presence():
+    counts = {_fetch_counts(p) for p in
+              ([1] * 7, [0] * 7, [0, 1, 1, 0, 1, 0, 0], [1, 0, 0, 1, 1, 1, 0])}
+    assert len(counts) == 1
+    assert next(iter(counts))[0] > 0
+
+
+def test_capacity_one_fetch_costs_nothing():
+    assert _fetch_counts([1]) == (0, 0, 0, 0)
+    assert _fetch_counts([0]) == (0, 0, 0, 0)
 
 
 def test_protocol_in_leveled_mode():

@@ -4,14 +4,16 @@ capacity contracts, and ladder hygiene."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from hequel.circuits import decrypt_word
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import DuplicateColumn, LadderMismatch, PlanTypeError
-from hequel.relalg import (Cmp, ColRef, Lit, decrypt_table,
-                           decrypt_table_full, encrypt_table, op_avg,
+from hequel.relalg import (Cmp, ColRef, Lit, compact_rows, decrypt_table,
+                           decrypt_table_full, encrypt_table, merge_exchange,
+                           op_avg,
                            op_bag_diff, op_bag_intersect, op_bag_union,
                            op_count, op_cross, op_distinct, op_groupby_sum,
                            op_max, op_min, op_project, op_select, op_sort,
@@ -141,6 +143,52 @@ def test_sort_is_stable(session):
     t = encrypt_table(pk, plain, name="t")
     rows, _ = decrypt_table_full(keys, op_sort("k", True, t))
     assert rows == [(1, 1), (1, 3), (2, 0), (2, 2)]
+
+
+def test_merge_exchange_sorts_every_bit_vector():
+    # 0-1 principle: a comparator network that sorts every 0/1 input
+    # sorts every input
+    for n in range(1, 13):
+        network = merge_exchange(n)
+        assert all(0 <= i < j < n for i, j in network)
+        for bits in product((0, 1), repeat=n):
+            v = list(bits)
+            for i, j in network:
+                if v[i] > v[j]:
+                    v[i], v[j] = v[j], v[i]
+            assert v == sorted(bits), (n, bits)
+
+
+def test_merge_exchange_comparator_counts():
+    assert [len(merge_exchange(n)) for n in (0, 1, 2, 8, 16, 32)] == [
+        0, 0, 1, 19, 63, 191]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("ascending", [True, False])
+def test_sort_is_stable_at_odd_n(session, n, ascending):
+    _, keys, pk = session
+    # keys 0, 2, 1, 0, 2, ... repeat; v records the input order
+    plain = [((2 * i) % 3, i) for i in range(n)]
+    t = encrypt_table(pk, PlainTable(Schema((("k", 2), ("v", 4))), plain),
+                      name="t")
+    rows, _ = decrypt_table_full(keys, op_sort("k", ascending, t))
+    assert rows == sorted(plain, key=lambda r: r[0], reverse=not ascending)
+
+
+def test_compact_rows_every_presence_pattern(session):
+    ladder, keys, pk = session
+    for n in range(7):
+        plain = PlainTable(Schema((("i", 3),)), [(i,) for i in range(n)])
+        for presence in product((0, 1), repeat=n):
+            t = encrypt_table(pk, plain, presence=list(presence), name="t")
+            out = compact_rows(t.rows, ladder.state, 1)
+            got = [(decrypt_word(keys, r.cells[0]), keys.decrypt_bit(r.presence))
+                   for r in out]
+            m = sum(presence)
+            kept = [i for i, p in enumerate(presence) if p]
+            assert [i for i, _ in got[:m]] == kept, presence
+            assert [p for _, p in got] == [1] * m + [0] * (n - m), presence
 
 
 def test_distinct_counts_absent_rows_as_absent(session):
