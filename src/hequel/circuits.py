@@ -4,7 +4,14 @@ A word is a tuple of ciphertext bits, most significant first. Every
 function here evaluates the same gate sequence regardless of the plaintext
 under the encryption: no early exits, no data-dependent branching. Word
 widths are part of the public schema, so width checks on plaintext ints
-are allowed.
+are allowed, and so is ``settled``'s test of a bit's public depth.
+
+The circuits take the minimum number of ANDs known for their function
+(Boyar, Peralta and Pochuev, TCS 2000): one per bit for compare, select
+and compare-swap, one per carry for addition, and w - 1 for equality. An
+AND is the gate that costs depth, and so refreshes; XOR is free. None of
+them calls the kernel's ``not_`` or ``or_``, which mint fresh encryptions,
+except ``word_eq``'s single final NOT and ``word_div``'s negated divisor.
 """
 
 from __future__ import annotations
@@ -77,105 +84,181 @@ def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
         for i in range(width)))
 
 
+def settled(bit):
+    """``bit``, refreshed once if it sits at the depth budget. The kernel
+    refreshes an AND's operands, not the caller's copy, so a bit at the
+    budget that feeds several ANDs would otherwise be refreshed by each
+    of them, and XORs with it would carry its depth forward. The test
+    reads public metadata only."""
+    s = bit._state
+    if s.auto_refresh and bit.depth >= s.depth_budget:
+        return s.impl.refresh(bit)
+    return bit
+
+
 def bit_mux(f, x, y):
-    """Encrypted bit select: x when f is 1, else y."""
+    """Encrypted bit select: x when f is 1, else y. One AND and no NOT:
+    y ⊕ (f ∧ (x ⊕ y))."""
     k = f._state.impl
-    return k.xor(k.and_(x, f), k.and_(y, k.not_(f)))
+    return k.xor(y, k.and_(f, k.xor(x, y)))
+
+
+def bit_swap(f, x, y):
+    """(y, x) when the encrypted bit f is 1, else (x, y). One AND serves
+    both outputs: d = f ∧ (x ⊕ y), then x ⊕ d and y ⊕ d."""
+    k = f._state.impl
+    d = k.and_(f, k.xor(x, y))
+    return k.xor(x, d), k.xor(y, d)
+
+
+def bit_or(a, b):
+    """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND, where the kernel's ``or_`` spends
+    three ANDs and two fresh encryptions."""
+    k = a._state.impl
+    a, b = settled(a), settled(b)
+    return k.xor(k.xor(a, b), k.and_(a, b))
+
+
+def bit_and_not(a, b):
+    """a ∧ ¬b = a ⊕ (a ∧ b): one AND and no NOT, so no fresh encryption."""
+    k = a._state.impl
+    return k.xor(a, k.and_(a, b))
+
+
+def any_bit(bits):
+    """OR of a non-empty sequence of bits as a balanced tree of ``bit_or``:
+    len - 1 ANDs at depth ceil(log2 len)."""
+    bits = list(bits)
+    while len(bits) > 1:
+        paired = [bit_or(a, b) for a, b in zip(bits[::2], bits[1::2])]
+        bits = paired + bits[len(paired) * 2:]
+    return bits[0]
+
+
+def word_ne(a: CipherWord, b: CipherWord):
+    """1 iff the words differ: OR tree of the per-bit XORs, w - 1 ANDs."""
+    _check_width(a, b)
+    k = a.bits[0]._state.impl
+    return any_bit(k.xor(x, y) for x, y in zip(a.bits, b.bits))
 
 
 def word_eq(a: CipherWord, b: CipherWord):
-    """1 iff the words are equal: AND of per-bit XNORs."""
-    _check_width(a, b)
-    state, k, epoch = _context(a, b)
-    result = k.fresh_bit(state, 1, epoch)
-    for x, y in zip(a.bits, b.bits):
-        result = k.and_(result, k.not_(k.xor(x, y)))
-    return result
+    """1 iff the words are equal: NOT of ``word_ne``, w - 1 ANDs and one
+    fresh encryption."""
+    return a.bits[0]._state.impl.not_(word_ne(a, b))
 
 
 def word_gt(a: CipherWord, b: CipherWord):
-    """1 iff a > b (unsigned). MSB-first scan with an encrypted done flag:
-    the first differing bit decides, later bits are masked out."""
+    """1 iff a > b (unsigned), one AND per bit and no constants."""
     _check_width(a, b)
-    state, k, epoch = _context(a, b)
-    result = k.fresh_bit(state, 0, epoch)
-    done = k.fresh_bit(state, 0, epoch)
-    for x, y in zip(a.bits, b.bits):
-        t1 = k.and_(x, k.not_(y))
-        t2 = k.and_(y, k.not_(x))
-        nd = k.not_(done)
-        result = k.xor(k.and_(done, result), k.and_(nd, t1))
-        done = k.xor(done, k.and_(nd, k.or_(t1, t2)))
-    return result
+    k = a.bits[0]._state.impl
+    return gt_chain(a.bits, tuple(k.xor(x, y) for x, y in zip(a.bits, b.bits)))
 
 
-def _ripple(k, abits, bbits, carry):
-    """Ripple-carry add of two MSB-first bit tuples; carry-out discarded,
-    so results wrap modulo 2^width."""
+def gt_chain(xs, ts):
+    """1 iff a > b, given a's bits ``xs`` and the XORs ``ts`` = a ⊕ b,
+    both MSB first; b itself is not read, so a caller that already holds
+    the XORs feeds each bit of b into one gate only.
+
+    LSB first, g is "a > b on the bits seen so far". Where t = 0 it keeps;
+    where t = 1 it becomes x. Both cases are g ⊕ (t ∧ (x ⊕ g)), and the
+    lowest bit seeds g = t ∧ x."""
+    k = ts[0]._state.impl
+    g = k.and_(ts[-1], xs[-1])
+    for x, t in zip(xs[-2::-1], ts[-2::-1]):
+        g = settled(g)
+        g = k.xor(g, k.and_(t, k.xor(x, g)))
+    return g
+
+
+def _ripple(k, abits, bbits, carry=None):
+    """Ripple-carry add of two MSB-first bit tuples with an optional
+    carry-in (None is 0). Each carry is one AND, the majority
+    maj(x, y, c) = x ⊕ ((x ⊕ y) ∧ (x ⊕ c)) sharing x ⊕ y with the sum bit.
+    No carry leaves the top bit, so results wrap modulo 2^width."""
+    xs, ys = abits[::-1], bbits[::-1]
     out = []
-    for x, y in zip(reversed(abits), reversed(bbits)):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         axb = k.xor(x, y)
-        out.append(k.xor(axb, carry))
-        carry = k.xor(k.and_(x, y), k.and_(carry, axb))
+        if i + 1 == len(xs):
+            out.append(axb if carry is None else k.xor(axb, carry))
+        elif carry is None:
+            out.append(axb)
+            carry = k.and_(x, y)
+        else:
+            carry = settled(carry)
+            out.append(k.xor(axb, carry))
+            carry = k.xor(x, k.and_(axb, k.xor(x, carry)))
     return tuple(reversed(out))
 
 
 def word_add(a: CipherWord, b: CipherWord) -> CipherWord:
+    """a + b modulo 2^width: w - 1 ANDs, no constants."""
     _check_width(a, b)
-    state, k, epoch = _context(a, b)
-    return CipherWord(_ripple(k, a.bits, b.bits, k.fresh_bit(state, 0, epoch)))
-
-
-def _sub_bits(k, state, epoch, abits, bbits):
-    # a - b = a + ~b + 1 in two's complement; correct when a >= b
-    nb = tuple(k.not_(y) for y in bbits)
-    return _ripple(k, abits, nb, k.fresh_bit(state, 1, epoch))
+    return CipherWord(_ripple(a.bits[0]._state.impl, a.bits, b.bits))
 
 
 def word_mux(f, a: CipherWord, b: CipherWord) -> CipherWord:
-    """Word select: a when the encrypted bit f is 1, else b."""
+    """Word select: a when the encrypted bit f is 1, else b. One AND per
+    bit (``bit_mux``)."""
     _check_width(a, b)
-    k = f._state.impl
-    nf = k.not_(f)
-    return CipherWord(tuple(
-        k.xor(k.and_(x, f), k.and_(y, nf)) for x, y in zip(a.bits, b.bits)))
+    f = settled(f)
+    return CipherWord(tuple(bit_mux(f, x, y) for x, y in zip(a.bits, b.bits)))
+
+
+def word_swap(f, a: CipherWord, b: CipherWord):
+    """(b, a) when the encrypted bit f is 1, else (a, b): ``bit_swap`` per
+    bit, one AND per bit for both outputs."""
+    _check_width(a, b)
+    f = settled(f)
+    swapped = [bit_swap(f, x, y) for x, y in zip(a.bits, b.bits)]
+    return (CipherWord(tuple(x for x, _ in swapped)),
+            CipherWord(tuple(y for _, y in swapped)))
 
 
 def word_and_bit(a: CipherWord, f) -> CipherWord:
     """AND every bit of the word with one encrypted bit (zeroes the word
     when f is 0)."""
     k = f._state.impl
+    f = settled(f)
     return CipherWord(tuple(k.and_(x, f) for x in a.bits))
 
 
 def word_add_bit(a: CipherWord, f) -> CipherWord:
-    """Add a single encrypted bit to a word: the bit is widened to a word
-    (zeros above, f in the LSB) and ripple-added."""
-    state, k, epoch = _context(a)
-    bnum = tuple(
-        k.fresh_bit(state, 0, epoch) for _ in range(a.width - 1)) + (f,)
-    return CipherWord(_ripple(k, a.bits, bnum, k.fresh_bit(state, 0, epoch)))
+    """Add a single encrypted bit to a word modulo 2^width: a half-adder
+    chain with f as the carry-in, w - 1 ANDs and no constants."""
+    k = f._state.impl
+    out = []
+    carry = f
+    for i, x in enumerate(reversed(a.bits)):
+        out.append(k.xor(x, carry))
+        if i + 1 < a.width:
+            carry = k.and_(x, carry)
+    return CipherWord(tuple(reversed(out)))
 
 
 def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
     """Unsigned restoring division, quotient only. A zero divisor yields a
     zero quotient (no exception: the evaluator cannot see the divisor).
 
-    The working remainder and divisor are extended by one bit so the trial
-    subtraction and comparison stay exact after the shift-in.
+    The remainder is kept in w + 1 bits so the shift-in cannot overflow.
+    Each trial subtraction rem - den = rem + ¬den + 1 runs over w + 2 bits,
+    and the top bit of the difference is the borrow: 1 exactly when den
+    does not fit. The borrow keeps the old remainder, and the quotient bit
+    is its negation, folded into the final zero-divisor mask.
     """
     _check_width(num, den)
     state, k, epoch = _context(num, den)
     w = num.width
-    den_x = CipherWord((k.fresh_bit(state, 0, epoch),) + den.bits)
-    rem = tuple(k.fresh_bit(state, 0, epoch) for _ in range(w + 1))
-    qbits = []
+    zero = k.fresh_bit(state, 0, epoch)
+    one = k.fresh_bit(state, 1, epoch)
+    nden = (one, one) + tuple(k.not_(y) for y in den.bits)
+    rem = (zero,) * (w + 1)
+    borrows = []
     for i in range(w):
         rem = rem[1:] + (num.bits[i],)
-        fits = k.not_(word_gt(den_x, CipherWord(rem)))
-        diff = _sub_bits(k, state, epoch, rem, den_x.bits)
-        rem = word_mux(fits, CipherWord(diff), CipherWord(rem)).bits
-        qbits.append(fits)
-    quotient = CipherWord(tuple(qbits))
-    zero = const_word(state, 0, w, epoch)
-    return word_and_bit(quotient, k.not_(word_eq(den, zero)))
+        diff = _ripple(k, (zero,) + rem, nden, one)
+        rem = word_mux(diff[0], CipherWord(rem), CipherWord(diff[1:])).bits
+        borrows.append(diff[0])
+    nonzero = any_bit(den.bits)
+    return CipherWord(tuple(bit_and_not(nonzero, b) for b in borrows))

@@ -348,13 +348,22 @@ _WIRE_TYPES = {"str": str, "int": int, "bool": bool, "tuple[str, ...]": list,
                "CipherWord": dict}
 
 
-def plan_from_obj(obj, ladder):
-    """Decode a wire plan; any malformed node raises ``ProtocolError``."""
-    return _from_obj(obj, ladder, True)
+# the plan walkers recurse once per node, so a deeper wire plan would
+# exhaust the interpreter's stack; it is refused before any walk
+MAX_PLAN_DEPTH = 100
 
 
-def _from_obj(obj, ladder, plan: bool):
+def plan_from_obj(obj, ladder, depth: int = 0):
+    """Decode a wire plan; any malformed node, or nesting of plan and
+    predicate nodes deeper than ``MAX_PLAN_DEPTH``, raises
+    ``ProtocolError``. ``depth`` is the nesting above ``obj``."""
+    return _from_obj(obj, ladder, True, depth)
+
+
+def _from_obj(obj, ladder, plan: bool, depth: int):
     what = "plan" if plan else "predicate"
+    if depth > MAX_PLAN_DEPTH:
+        raise ProtocolError(f"plan nested deeper than {MAX_PLAN_DEPTH} nodes")
     if not isinstance(obj, dict):
         raise ProtocolError(f"{what} node is a {type(obj).__name__}, not an object")
     tag = obj.get("node")
@@ -370,9 +379,9 @@ def _from_obj(obj, ladder, plan: bool):
     for name, kind in spec:
         value = obj[name]
         if kind == "plan":
-            value = plan_from_obj(value, ladder)
+            value = plan_from_obj(value, ladder, depth + 1)
         elif kind == "pred":
-            value = _from_obj(value, ladder, False)
+            value = _from_obj(value, ladder, False, depth + 1)
         elif type(value) is not _WIRE_TYPES[kind] or (
                 kind == "tuple[str, ...]" and {type(x) for x in value} - {str}):
             raise ProtocolError(f"{tag!r} field {name!r} is not {kind}")

@@ -167,7 +167,9 @@ class ClientSession:
         return qid, n
 
     def fetch_message(self, qid: str, n_prime: int | None = None) -> bytes:
-        shake = self.pending[qid]
+        shake = self.pending.get(qid)
+        if shake is None:
+            raise ProtocolError(f"fetch for unknown query {qid!r}")
         if shake.n is None:
             raise ProtocolError("fetch before count round")
         if n_prime is None:

@@ -16,10 +16,15 @@ from dataclasses import dataclass, field
 from hequel.circuits import (
     CipherWord,
     DEFAULT_WIDTH,
-    bit_mux,
+    any_bit,
+    bit_and_not,
+    bit_or,
+    bit_swap,
     const_word,
     decrypt_word,
     encrypt_word,
+    gt_chain,
+    settled,
     word_add,
     word_add_bit,
     word_and_bit,
@@ -27,6 +32,8 @@ from hequel.circuits import (
     word_eq,
     word_gt,
     word_mux,
+    word_ne,
+    word_swap,
 )
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import (
@@ -133,7 +140,7 @@ def eval_predicate(pred, schema: Schema, row: EncRow):
         if pred.op == "=":
             return word_eq(a, b)
         if pred.op == "!=":
-            return k.not_(word_eq(a, b))
+            return word_ne(a, b)
         if pred.op == ">":
             return word_gt(a, b)
         if pred.op == "<":
@@ -147,8 +154,8 @@ def eval_predicate(pred, schema: Schema, row: EncRow):
         return k.and_(eval_predicate(pred.left, schema, row),
                       eval_predicate(pred.right, schema, row))
     if isinstance(pred, Or):
-        return k.or_(eval_predicate(pred.left, schema, row),
-                     eval_predicate(pred.right, schema, row))
+        return bit_or(eval_predicate(pred.left, schema, row),
+                      eval_predicate(pred.right, schema, row))
     if isinstance(pred, Not):
         return k.not_(eval_predicate(pred.child, schema, row))
     raise PlanTypeError(f"bad predicate node {pred!r}")
@@ -195,39 +202,35 @@ def _table_epoch(t: EncTable) -> int:
     return max(epochs, default=1)
 
 
-def _row_eq(k, state, epoch, cells_a, cells_b):
-    """1 iff two rows agree on every listed cell; vacuously 1 for no cells."""
-    acc = k.fresh_bit(state, 1, epoch)
-    for a, b in zip(cells_a, cells_b):
-        acc = k.and_(acc, word_eq(a, b))
-    return acc
+def _row_ne(k, state, epoch, cells_a, cells_b):
+    """1 iff two rows differ on some listed cell: one balanced OR tree over
+    the XORs of all their bits, one AND per bit but the first. Rows with no
+    cells never differ (an encrypted 0)."""
+    diffs = [k.xor(x, y) for a, b in zip(cells_a, cells_b)
+             for x, y in zip(a.bits, b.bits)]
+    return any_bit(diffs) if diffs else k.fresh_bit(state, 0, epoch)
 
 
-def _gt_lex(k, pairs):
-    """1 iff a > b at the first (a, b) word pair that differs: lexicographic
-    strict greater-than over a non-empty pair list. The per-pair terms are
-    disjoint (each needs every earlier pair equal, an earlier 1 needs one
-    earlier pair greater), so XOR joins them, and no equality is computed
-    for the last pair."""
-    gt = word_gt(*pairs[0])
-    eq = None
-    for (pa, pb), (a, b) in zip(pairs, pairs[1:]):
-        e = word_eq(pa, pb)
-        eq = e if eq is None else k.and_(eq, e)
-        gt = k.xor(gt, k.and_(eq, word_gt(a, b)))
-    return gt
+def _concat(words) -> CipherWord:
+    return CipherWord(tuple(b for w in words for b in w.bits))
 
 
-def _swap_rows(k, f, a: EncRow, b: EncRow):
+def _settled_row(r: EncRow) -> EncRow:
+    """The row with every bit at the depth budget refreshed once, before a
+    comparator reads its bits into several gates."""
+    return EncRow(tuple(CipherWord(tuple(settled(b) for b in c.bits))
+                        for c in r.cells), settled(r.presence))
+
+
+def _swap_rows(f, a: EncRow, b: EncRow):
     """Compare-and-swap: when f is 1 the rows trade places, presence bits
-    included; when 0 both pass through. Same circuit either way."""
-    new_a = EncRow(
-        tuple(word_mux(f, cb, ca) for ca, cb in zip(a.cells, b.cells)),
-        bit_mux(f, b.presence, a.presence))
-    new_b = EncRow(
-        tuple(word_mux(f, ca, cb) for ca, cb in zip(a.cells, b.cells)),
-        bit_mux(f, a.presence, b.presence))
-    return new_a, new_b
+    included; when 0 both pass through. Same circuit either way, one AND
+    per bit for both rows."""
+    f = settled(f)
+    cells = [word_swap(f, ca, cb) for ca, cb in zip(a.cells, b.cells)]
+    pa, pb = bit_swap(f, a.presence, b.presence)
+    return (EncRow(tuple(ca for ca, _ in cells), pa),
+            EncRow(tuple(cb for _, cb in cells), pb))
 
 
 def merge_exchange(n: int) -> list[tuple[int, int]]:
@@ -259,17 +262,19 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
     n = len(rows)
     if n < 2:
         return list(rows)
-    k = state.impl
     width = (n - 1).bit_length()
     # the index rides as a trailing cell, so key_fn's cell indices still hold
     tagged = [EncRow(r.cells + (const_word(state, i, width, epoch),),
                      r.presence) for i, r in enumerate(rows)]
     for i, j in merge_exchange(n):
-        a, b = tagged[i], tagged[j]
+        a, b = _settled_row(tagged[i]), _settled_row(tagged[j])
         ka, kb = key_fn(a), key_fn(b)
-        pairs = list(zip(ka, kb) if ascending else zip(kb, ka))
-        f = _gt_lex(k, pairs + [(a.cells[-1], b.cells[-1])])
-        tagged[i], tagged[j] = _swap_rows(k, f, a, b)
+        if not ascending:
+            ka, kb = kb, ka
+        # keys have public widths, so lexicographic order over them is the
+        # unsigned order of their concatenation: one comparator chain
+        f = word_gt(_concat((*ka, a.cells[-1])), _concat((*kb, b.cells[-1])))
+        tagged[i], tagged[j] = _swap_rows(f, a, b)
     return [EncRow(r.cells[:-1], r.presence) for r in tagged]
 
 
@@ -376,36 +381,40 @@ def op_sum(col: str, t: EncTable) -> CipherWord:
     return total
 
 
-def _extreme(col: str, t: EncTable, adopt_when_current_gt_candidate: bool) -> CipherWord:
-    """Shared min/max scan. A found flag distinguishes "no present row seen
-    yet" (adopt unconditionally) from "compare against the running value".
-    Zero present rows leave the initial encrypted 0 in place."""
+def _extreme(col: str, t: EncTable, want_min: bool) -> CipherWord:
+    """Shared min/max scan. The running value starts at the identity (0
+    for max, all ones for min) and adopts a present row's value when that
+    is strictly better, so a tie with the identity leaves the same value.
+    Zero present rows give 0 for both: an empty min scan is masked by the
+    OR of the presence bits."""
     ci = t.schema.index_of(col)
     width = t.schema.columns[ci][1]
-    state = t.state
-    k = state.impl
+    k = t.state.impl
     epoch = _table_epoch(t)
-    best = const_word(state, 0, width, epoch)
-    found = k.fresh_bit(state, 0, epoch)
+    if not t.rows:
+        return const_word(t.state, 0, width, epoch)
+    best = const_word(t.state, (1 << width) - 1 if want_min else 0, width,
+                      epoch)
     for r in t.rows:
-        val = r.cells[ci]
-        if adopt_when_current_gt_candidate:
-            better = word_gt(best, val)
-        else:
-            better = word_gt(val, best)
-        f = k.and_(r.presence,
-                   k.xor(k.and_(found, better), k.not_(found)))
-        found = k.xor(found, k.and_(k.not_(found), r.presence))
-        best = word_mux(f, val, best)
+        # the row's value enters the scan once, as its XOR with best: in
+        # leveled mode every use of a stale bit is an epoch alignment
+        ts = tuple(k.xor(v, b) for v, b in zip(r.cells[ci].bits, best.bits))
+        xs = best.bits if want_min else tuple(
+            k.xor(b, d) for b, d in zip(best.bits, ts))
+        f = settled(k.and_(r.presence, gt_chain(xs, ts)))
+        best = CipherWord(tuple(
+            k.xor(b, k.and_(f, d)) for b, d in zip(best.bits, ts)))
+    if want_min:
+        best = word_and_bit(best, any_bit(r.presence for r in t.rows))
     return best
 
 
 def op_min(col: str, t: EncTable) -> CipherWord:
-    return _extreme(col, t, adopt_when_current_gt_candidate=True)
+    return _extreme(col, t, want_min=True)
 
 
 def op_max(col: str, t: EncTable) -> CipherWord:
-    return _extreme(col, t, adopt_when_current_gt_candidate=False)
+    return _extreme(col, t, want_min=False)
 
 
 def op_avg(col: str, t: EncTable) -> CipherWord:
@@ -419,17 +428,14 @@ def op_distinct(t: EncTable) -> EncTable:
     epoch = _table_epoch(t)
     rows = list(t.rows)
     for i in range(1, len(rows)):
-        f = k.fresh_bit(state, 0, epoch)
-        for j in range(i):
-            # the updated presence of row j: a duplicate only counts
-            # against rows still present in the output
-            equals = k.and_(
-                _row_eq(k, state, epoch, rows[i].cells, rows[j].cells),
-                rows[j].presence)
-            f = k.xor(f, k.and_(k.not_(f), equals))
-        rows[i] = EncRow(
-            rows[i].cells,
-            bit_mux(f, k.fresh_bit(state, 0, epoch), rows[i].presence))
+        # the updated presence of row j: a duplicate only counts against
+        # rows still present in the output. p_j AND NOT differ is a copy.
+        copies = [bit_and_not(rows[j].presence,
+                              _row_ne(k, state, epoch, rows[i].cells,
+                                      rows[j].cells))
+                  for j in range(i)]
+        rows[i] = EncRow(rows[i].cells,
+                         bit_and_not(rows[i].presence, any_bit(copies)))
     return EncTable("", t.schema, tuple(rows), state)
 
 
@@ -453,34 +459,24 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
     epoch = _table_epoch(t)
     key_idx = [t.schema.index_of(c) for c in group_cols]
     sum_idx = t.schema.index_of(sum_col)
-    rows = oblivious_sort_rows(
-        t.rows, lambda r: tuple(r.cells[i] for i in key_idx),
-        True, state, epoch)
 
     def keys_of(r):
         return tuple(r.cells[i] for i in key_idx)
 
-    zero = const_word(state, 0, sum_width, epoch)
-    total = zero
-    f = k.fresh_bit(state, 0, epoch)
-    prev = None
+    rows = oblivious_sort_rows(t.rows, keys_of, True, state, epoch)
+    # f is 1 while the current group holds a present row; at a group
+    # boundary (ne = 1) the finished group is emitted and f, total restart
+    total = word_and_bit(rows[0].cells[sum_idx], rows[0].presence)
+    f = rows[0].presence
     out = []
-    for i, r in enumerate(rows):
-        if i == 0:
-            f1 = k.fresh_bit(state, 0, epoch)
-            f = r.presence
-        else:
-            # f1 = 1: same group as the previous row, keep accumulating;
-            # f1 = 0: group boundary, emit the finished group
-            f1 = _row_eq(k, state, epoch, keys_of(prev), keys_of(r))
-            nf1 = k.not_(f1)
-            out.append(EncRow(keys_of(prev) + (total,), k.and_(nf1, f)))
-            f = k.xor(k.and_(nf1, r.presence),
-                      k.and_(f1, k.or_(f, r.presence)))
-        prev = r
-        v = word_mux(r.presence, r.cells[sum_idx], zero)
-        total = word_add(word_mux(f1, total, zero), v)
-    out.append(EncRow(keys_of(prev) + (total,), f))
+    for prev, r in zip(rows, rows[1:]):
+        ne = settled(_row_ne(k, state, epoch, keys_of(prev), keys_of(r)))
+        emit = k.and_(ne, f)
+        out.append(EncRow(keys_of(prev) + (total,), emit))
+        f = bit_or(r.presence, k.xor(f, emit))
+        kept = CipherWord(tuple(bit_and_not(x, ne) for x in total.bits))
+        total = word_add(kept, word_and_bit(r.cells[sum_idx], r.presence))
+    out.append(EncRow(keys_of(rows[-1]) + (total,), f))
     return EncTable("", out_schema, tuple(out), state)
 
 
@@ -518,8 +514,8 @@ def _bag_overlap(t1: EncTable, t2: EncTable, keep_matched: bool) -> EncTable:
     for r1 in t1.rows:
         need = r1.presence
         for j, r2 in enumerate(t2.rows):
-            take = k.and_(k.and_(
-                _row_eq(k, state, epoch, r1.cells, r2.cells), free[j]), need)
+            take = bit_and_not(k.and_(free[j], need),
+                               _row_ne(k, state, epoch, r1.cells, r2.cells))
             free[j] = k.xor(free[j], take)
             need = k.xor(need, take)
         p_out = k.xor(r1.presence, need) if keep_matched else need

@@ -151,7 +151,7 @@ def message_to_bytes(msg_type: str, query_id: str, payload) -> bytes:
 def message_from_bytes(data: bytes) -> dict:
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"unreadable message: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError("message is not a JSON object")

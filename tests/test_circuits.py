@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from hequel.circuits import (CipherWord, bit_mux, const_word, decrypt_word,
-                             encrypt_word, word_add, word_add_bit,
-                             word_and_bit, word_div, word_eq, word_gt,
-                             word_mux)
+from hequel.circuits import (CipherWord, bit_mux, bit_or, const_word,
+                             decrypt_word, encrypt_word, word_add,
+                             word_add_bit, word_and_bit, word_div, word_eq,
+                             word_gt, word_mux, word_ne)
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import ValueOverflow, WidthMismatch
+from hequel.relalg import encrypt_table, oblivious_sort_rows, op_sort
+from hequel.schema import PlainTable, Schema
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +86,17 @@ def test_mux(session):
     b = encrypt_word(pk, 200, 8)
     assert decrypt_word(keys, word_mux(encrypt_bit(pk, 1), a, b)) == 77
     assert decrypt_word(keys, word_mux(encrypt_bit(pk, 0), a, b)) == 200
-    one = keys.decrypt_bit(bit_mux(encrypt_bit(pk, 1), encrypt_bit(pk, 1),
-                                   encrypt_bit(pk, 0)))
-    assert one == 1
+    for f, x, y in itertools.product((0, 1), repeat=3):
+        got = keys.decrypt_bit(bit_mux(encrypt_bit(pk, f), encrypt_bit(pk, x),
+                                       encrypt_bit(pk, y)))
+        assert got == (x if f else y)
+
+
+def test_bit_or(session):
+    _, keys, pk = session
+    for a, b in itertools.product((0, 1), repeat=2):
+        got = keys.decrypt_bit(bit_or(encrypt_bit(pk, a), encrypt_bit(pk, b)))
+        assert got == a | b
 
 
 def test_and_bit_and_add_bit(session):
@@ -135,3 +146,88 @@ def test_leveled_cross_epoch_word_ops():
     b = encrypt_word(ladder.public_key(2), 30, 8)
     out = word_add(a, b)
     assert decrypt_word(keys, out) == 39
+
+
+# --- exhaustive w=4 under refresh pressure --------------------------------
+#
+# Serial carry and comparator chains put refreshes mid-chain; in leveled
+# mode each one also moves a bit to a new key epoch. 32 epochs leave room:
+# the deepest circuit here (word_div) reaches epoch 21 at budget 1.
+
+@pytest.mark.parametrize("ctx", [
+    SecurityContext(depth_budget=1),
+    SecurityContext(depth_budget=2),
+    SecurityContext(mode="leveled", depth_budget=1, epochs=32),
+    SecurityContext(mode="leveled", depth_budget=2, epochs=32),
+], ids=["circular-1", "circular-2", "leveled-1", "leveled-2"])
+def test_exhaustive_w4_under_tight_budgets(ctx):
+    ladder, keys = keygen(ctx, seed=b"w4-tight")
+    pk = ladder.public_key()
+    enc = [encrypt_word(pk, v, 4) for v in range(16)]
+    flag = [encrypt_bit(pk, 0), encrypt_bit(pk, 1)]
+    for a, b in itertools.product(range(16), repeat=2):
+        ea, eb = enc[a], enc[b]
+        assert decrypt_word(keys, word_add(ea, eb)) == (a + b) % 16
+        assert keys.decrypt_bit(word_eq(ea, eb)) == int(a == b)
+        assert keys.decrypt_bit(word_ne(ea, eb)) == int(a != b)
+        assert keys.decrypt_bit(word_gt(ea, eb)) == int(a > b)
+        assert keys.decrypt_bit(word_gt(eb, ea)) == int(a < b)
+        for f, ef in enumerate(flag):
+            assert decrypt_word(keys, word_mux(ef, ea, eb)) == (a if f else b)
+            assert decrypt_word(keys, word_and_bit(ea, ef)) == (a if f else 0)
+            assert decrypt_word(keys, word_add_bit(ea, ef)) == (a + f) % 16
+        assert decrypt_word(keys, word_div(ea, eb)) == (a // b if b else 0)
+    assert ladder.state.refresh_count > 0
+
+
+# --- pinned costs ------------------------------------------------------------
+#
+# Execution is oblivious, so these counts are exact and data-independent.
+# A change that makes a circuit cost more fails here, not only in the
+# benchmark.
+
+def _cost(state, fn, *args):
+    """(ANDs, fresh encryptions) spent by one call."""
+    before = (state.and_count, state.encrypt_count)
+    fn(*args)
+    return state.and_count - before[0], state.encrypt_count - before[1]
+
+
+@pytest.mark.parametrize("w", [8, 12])
+def test_word_circuit_costs(session, w):
+    ladder, _, pk = session
+    state = ladder.state
+    a = encrypt_word(pk, (1 << w) - 3, w)
+    b = encrypt_word(pk, 5, w)
+    f = encrypt_bit(pk, 1)
+    assert _cost(state, word_gt, a, b) == (w, 0)
+    assert _cost(state, word_mux, f, a, b) == (w, 0)
+    assert _cost(state, word_add, a, b) == (w - 1, 0)
+    assert _cost(state, word_add_bit, a, f) == (w - 1, 0)
+    assert _cost(state, word_ne, a, b) == (w - 1, 0)
+    assert _cost(state, word_eq, a, b) == (w - 1, 1)
+
+
+KV = Schema((("k", 8), ("v", 8)))
+
+
+def test_compare_swap_cost(session):
+    # 9 ANDs compare k and the 1-bit input index; 18 swap k, v, the index
+    # and presence; the two index constants are the only encryptions
+    ladder, _, pk = session
+    rows = encrypt_table(pk, PlainTable(KV, [(200, 1), (100, 2)])).rows
+    assert _cost(ladder.state, oblivious_sort_rows, rows,
+                 lambda r: (r.cells[0],), True, ladder.state, 1) == (27, 2)
+
+
+@pytest.mark.parametrize("n,ands,refreshes", [(16, 2079, 981),
+                                              (32, 6685, 4666)])
+def test_sort_cost(session, n, ands, refreshes):
+    ladder, _, pk = session
+    state = ladder.state
+    t = encrypt_table(pk, PlainTable(KV, [((i * 37) % 256, i)
+                                          for i in range(n)]))
+    before = (state.and_count, state.refresh_count)
+    op_sort("k", True, t)
+    assert (state.and_count - before[0],
+            state.refresh_count - before[1]) == (ands, refreshes)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +157,17 @@ def test_cipherbit_is_opaque(kernel):
     assert not hasattr(c, "payload")
     # repr names only public metadata, never the hidden bit
     assert repr(c) == f"CipherBit(epoch={c.epoch}, depth={c.depth})"
+
+
+def test_generated_c_matches_committed_pyx():
+    # _ckernel.c is Cython output committed beside its source, and
+    # _ckernel.pyx.sha256 names the .pyx it was generated from: an edit to
+    # the .pyx must come with a regenerated .c and a new recorded hash
+    kdir = Path(kernel_mod.__file__).parent
+    recorded = (kdir / "_ckernel.pyx.sha256").read_text().split()
+    actual = hashlib.sha256((kdir / "_ckernel.pyx").read_bytes()).hexdigest()
+    assert recorded == [actual, "_ckernel.pyx"], (
+        "_ckernel.pyx changed since _ckernel.c was generated: regenerate "
+        "the C with Cython, then run `sha256sum _ckernel.pyx > "
+        "_ckernel.pyx.sha256` in src/hequel/kernel")
+    assert (kdir / "_ckernel.c").is_file()

@@ -102,6 +102,12 @@ def test_fetch_before_count_refused():
         client.fetch_message(qid)
 
 
+def test_fetch_for_unknown_query_refused():
+    _, client = make_session()
+    with pytest.raises(ProtocolError):
+        client.fetch_message("zz")
+
+
 def tamper(reply: bytes, edit) -> bytes:
     msg = json.loads(reply.decode())
     edit(msg)
@@ -218,6 +224,22 @@ def test_server_rejects_malformed_traffic():
 TABLE = {"node": "table", "name": "pc"}
 SPEED_GT_1 = {"node": "cmp", "op": ">", "left": {"node": "col", "name": "speed"},
               "right": {"node": "lit", "value": 1}}
+
+
+def projections(n):
+    """TABLE under n nested projections: the table node is n levels deep."""
+    plan = TABLE
+    for _ in range(n):
+        plan = {"node": "project", "cols": ["speed"], "child": plan}
+    return plan
+
+
+def negations(n):
+    pred = SPEED_GT_1
+    for _ in range(n):
+        pred = {"node": "not", "child": pred}
+    return {"node": "select", "pred": pred, "child": TABLE}
+
 MALFORMED_QUERIES = {
     "plan is a number": {"plan": 3},
     "plan missing": {},
@@ -243,7 +265,19 @@ MALFORMED_QUERIES = {
     "enclit word empty": {"plan": {"node": "select", "child": TABLE,
                                    "pred": {**SPEED_GT_1, "right": {
                                        "node": "enclit", "word": {}}}}},
+    # deep enough to exhaust the interpreter's stack if walked
+    "plan nested 600 deep": {"plan": projections(600)},
+    "predicate nested 600 deep": {"plan": negations(600)},
+    "plan nested one past the bound": {
+        "plan": projections(plans.MAX_PLAN_DEPTH + 1)},
 }
+
+
+def test_server_accepts_plan_at_the_nesting_bound():
+    server, client = make_session()
+    reply = server.handle(serial.message_to_bytes(
+        "query", "q1", {"plan": projections(plans.MAX_PLAN_DEPTH)}))
+    assert serial.message_from_bytes(reply)["type"] == "result_count"
 
 
 @pytest.mark.parametrize("payload", MALFORMED_QUERIES.values(),
@@ -274,6 +308,13 @@ def test_server_rejects_malformed_envelopes(data):
     server, _ = make_session()
     with pytest.raises(ProtocolError):
         server.handle(data)
+
+
+def test_server_rejects_deeply_nested_json():
+    # deeper than the JSON decoder's recursion limit
+    server, _ = make_session()
+    with pytest.raises(ProtocolError):
+        server.handle(b"[" * 100000)
 
 
 def _cell(t):
