@@ -96,6 +96,18 @@ def settled(bit):
     return bit
 
 
+def lifted(bit, epoch: int):
+    """``bit`` refreshed up to key ``epoch``. The kernel lifts a stale
+    operand inside the gate and keeps no copy, so a bit that meets newer
+    bits in several gates would be lifted again by each of them; a caller
+    that reuses it lifts it once. Reads public metadata only, and is the
+    identity in circular mode, where every bit has the same epoch."""
+    refresh = bit._state.impl.refresh
+    while bit.epoch < epoch:
+        bit = refresh(bit)
+    return bit
+
+
 def bit_mux(f, x, y):
     """Encrypted bit select: x when f is 1, else y. One AND and no NOT:
     y ⊕ (f ∧ (x ⊕ y))."""
@@ -175,18 +187,24 @@ def _ripple(k, abits, bbits, carry=None):
     """Ripple-carry add of two MSB-first bit tuples with an optional
     carry-in (None is 0). Each carry is one AND, the majority
     maj(x, y, c) = x ⊕ ((x ⊕ y) ∧ (x ⊕ c)) sharing x ⊕ y with the sum bit.
-    No carry leaves the top bit, so results wrap modulo 2^width."""
+    No carry leaves the top bit, so results wrap modulo 2^width. Below
+    the top, x, x ⊕ y and the carry each feed two gates or more, so x, y
+    and the carry are lifted to one epoch first."""
     xs, ys = abits[::-1], bbits[::-1]
     out = []
     for i, (x, y) in enumerate(zip(xs, ys)):
+        last = i + 1 == len(xs)
+        if carry is not None and not last:
+            carry = settled(carry)
+            top = max(x.epoch, y.epoch, carry.epoch)
+            x, y, carry = lifted(x, top), lifted(y, top), lifted(carry, top)
         axb = k.xor(x, y)
-        if i + 1 == len(xs):
+        if last:
             out.append(axb if carry is None else k.xor(axb, carry))
         elif carry is None:
             out.append(axb)
             carry = k.and_(x, y)
         else:
-            carry = settled(carry)
             out.append(k.xor(axb, carry))
             carry = k.xor(x, k.and_(axb, k.xor(x, carry)))
     return tuple(reversed(out))
@@ -237,6 +255,40 @@ def word_add_bit(a: CipherWord, f) -> CipherWord:
     return CipherWord(tuple(reversed(out)))
 
 
+def bit_count(bits, width: int) -> CipherWord:
+    """The number of 1s in a non-empty sequence of bits, modulo 2^width, as
+    a carry-save compressor (Wallace, IEEE TEC 1964).
+
+    Column j holds the bits of weight 2^j, reduced oldest first so that
+    its depth grows as a tree. Below the top column a full adder takes
+    three bits to the sum x ⊕ y ⊕ z and the carry
+    maj(x, y, z) = x ⊕ ((x ⊕ y) ∧ (x ⊕ z)), one column up; the last pair
+    takes a half adder. Each costs one AND, at most len(bits) - 1 in all.
+    The top column is reduced by XOR alone, so no carry leaves the word.
+    A fresh zero fills only an empty column."""
+    state = bits[0]._state
+    k = state.impl
+    epoch = max(b.epoch for b in bits)
+    column, out = list(bits), []
+    for j in range(width):
+        carries = []
+        while len(column) > 1:
+            x, y = column.pop(0), column.pop(0)
+            xy = k.xor(x, y)
+            if j + 1 == width:
+                column.append(xy)
+            elif column:
+                z = column.pop(0)
+                column.append(k.xor(xy, z))
+                carries.append(k.xor(x, k.and_(xy, k.xor(x, z))))
+            else:
+                column.append(xy)
+                carries.append(k.and_(x, y))
+        out.append(column[0] if column else k.fresh_bit(state, 0, epoch))
+        column = carries
+    return CipherWord(tuple(reversed(out)))
+
+
 def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
     """Unsigned restoring division, quotient only. A zero divisor yields a
     zero quotient (no exception: the evaluator cannot see the divisor).
@@ -246,6 +298,11 @@ def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
     and the top bit of the difference is the borrow: 1 exactly when den
     does not fit. The borrow keeps the old remainder, and the quotient bit
     is its negation, folded into the final zero-divisor mask.
+
+    In leveled mode the subtraction climbs epochs, so each iteration first
+    lifts the bits it reuses (the constants, the negated divisor and the
+    remainder) to its top epoch, once, instead of in every gate; the
+    zero-divisor mask climbs with the borrows the same way.
     """
     _check_width(num, den)
     state, k, epoch = _context(num, den)
@@ -257,8 +314,16 @@ def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
     borrows = []
     for i in range(w):
         rem = rem[1:] + (num.bits[i],)
+        top = max(b.epoch for b in rem + nden)
+        zero, one = lifted(zero, top), lifted(one, top)
+        nden = tuple(lifted(b, top) for b in nden)
+        rem = tuple(lifted(b, top) for b in rem)
         diff = _ripple(k, (zero,) + rem, nden, one)
         rem = word_mux(diff[0], CipherWord(rem), CipherWord(diff[1:])).bits
         borrows.append(diff[0])
     nonzero = any_bit(den.bits)
-    return CipherWord(tuple(bit_and_not(nonzero, b) for b in borrows))
+    quotient = []
+    for b in borrows:
+        nonzero = lifted(nonzero, b.epoch)
+        quotient.append(bit_and_not(nonzero, b))
+    return CipherWord(tuple(quotient))

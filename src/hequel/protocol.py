@@ -106,6 +106,7 @@ class ResultHandshake:
     capacity: int | None = None
     n: int | None = None
     n_prime: int | None = None
+    verified: bool = False
 
 
 @dataclass
@@ -140,6 +141,10 @@ class ClientSession:
         schema = plans.typecheck(plan, self.catalog)
         enc_plan = plans.encrypt_plan_literals(plan, self.catalog, self.pk)
         qid = self._new_qid()
+        # an exchange whose rows were verified is kept until the next
+        # query only, so the client's state does not grow with its queries
+        self.pending = {q: s for q, s in self.pending.items()
+                        if not s.verified}
         self.pending[qid] = ResultHandshake(qid, schema)
         return qid, serial.message_to_bytes(
             "query", qid, {"plan": plans.plan_to_obj(enc_plan, self._ladder)})
@@ -207,6 +212,7 @@ class ClientSession:
         for row, p in zip(rows, presences):
             if p:
                 out.append(tuple(decrypt_word(self.keys, c) for c in row.cells))
+        shake.verified = True
         return out
 
 

@@ -18,12 +18,14 @@ from hequel.circuits import (
     DEFAULT_WIDTH,
     any_bit,
     bit_and_not,
+    bit_count,
     bit_or,
     bit_swap,
     const_word,
     decrypt_word,
     encrypt_word,
     gt_chain,
+    lifted,
     settled,
     word_add,
     word_add_bit,
@@ -43,6 +45,7 @@ from hequel.errors import (
     SchemaMismatch,
     ValueOverflow,
 )
+from hequel.kernel import MODE_CIRCULAR
 from hequel.schema import PlainTable, Schema
 
 
@@ -263,6 +266,8 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
     if n < 2:
         return list(rows)
     width = (n - 1).bit_length()
+    k = state.impl
+    circular = state.mode == MODE_CIRCULAR and state.auto_refresh
     # the index rides as a trailing cell, so key_fn's cell indices still hold
     tagged = [EncRow(r.cells + (const_word(state, i, width, epoch),),
                      r.presence) for i, r in enumerate(rows)]
@@ -274,6 +279,11 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
         # keys have public widths, so lexicographic order over them is the
         # unsigned order of their concatenation: one comparator chain
         f = word_gt(_concat((*ka, a.cells[-1])), _concat((*kb, b.cells[-1])))
+        if circular and f.depth:
+            # the selector reaches every bit of both rows; from depth 0 the
+            # swapped bits stay shallow. A circular refresh spends no
+            # epoch; in leveled mode the epoch it spends costs more.
+            f = k.refresh(f)
         tagged[i], tagged[j] = _swap_rows(f, a, b)
     return [EncRow(r.cells[:-1], r.presence) for r in tagged]
 
@@ -364,11 +374,9 @@ def op_cross(t1: EncTable, t2: EncTable) -> EncTable:
 
 
 def op_count(t: EncTable, width: int = DEFAULT_WIDTH) -> CipherWord:
-    epoch = _table_epoch(t)
-    count = const_word(t.state, 0, width, epoch)
-    for r in t.rows:
-        count = word_add_bit(count, r.presence)
-    return count
+    if not t.rows:
+        return const_word(t.state, 0, width, _table_epoch(t))
+    return bit_count([r.presence for r in t.rows], width)
 
 
 def op_sum(col: str, t: EncTable) -> CipherWord:
@@ -382,31 +390,40 @@ def op_sum(col: str, t: EncTable) -> CipherWord:
 
 
 def _extreme(col: str, t: EncTable, want_min: bool) -> CipherWord:
-    """Shared min/max scan. The running value starts at the identity (0
-    for max, all ones for min) and adopts a present row's value when that
-    is strictly better, so a tie with the identity leaves the same value.
-    Zero present rows give 0 for both: an empty min scan is masked by the
-    OR of the presence bits."""
+    """Shared min/max as a pairwise tournament (Knuth, TAOCP 5.2.3), so
+    its depth grows with log2 of the capacity, not with the capacity.
+
+    A node is a (value bits, presence) pair. A match keeps a when a is
+    present and strictly better, else takes b when b is present; a tie
+    takes b, the same value. The winner is present when either side is.
+    An odd node out moves up a level unchanged, and the root's value is
+    masked by its presence, so zero present rows give 0 for both."""
     ci = t.schema.index_of(col)
-    width = t.schema.columns[ci][1]
-    k = t.state.impl
-    epoch = _table_epoch(t)
     if not t.rows:
-        return const_word(t.state, 0, width, epoch)
-    best = const_word(t.state, (1 << width) - 1 if want_min else 0, width,
-                      epoch)
-    for r in t.rows:
-        # the row's value enters the scan once, as its XOR with best: in
-        # leveled mode every use of a stale bit is an epoch alignment
-        ts = tuple(k.xor(v, b) for v, b in zip(r.cells[ci].bits, best.bits))
-        xs = best.bits if want_min else tuple(
-            k.xor(b, d) for b, d in zip(best.bits, ts))
-        f = settled(k.and_(r.presence, gt_chain(xs, ts)))
-        best = CipherWord(tuple(
-            k.xor(b, k.and_(f, d)) for b, d in zip(best.bits, ts)))
-    if want_min:
-        best = word_and_bit(best, any_bit(r.presence for r in t.rows))
-    return best
+        return const_word(t.state, 0, t.schema.columns[ci][1], _table_epoch(t))
+    nodes = [(r.cells[ci].bits, r.presence) for r in t.rows]
+    while len(nodes) > 1:
+        won = [_match(a, b, want_min) for a, b in zip(nodes[::2], nodes[1::2])]
+        nodes = won + nodes[len(won) * 2:]
+    bits, present = nodes[0]
+    return word_and_bit(CipherWord(bits), present)
+
+
+def _match(a, b, want_min: bool):
+    """One tournament node: 2w + 3 ANDs at value width w."""
+    k = a[1]._state.impl
+    # most inputs feed several gates: settle each input and lift it to
+    # the pair's epoch once, not inside each gate
+    bits = [settled(x) for x in (*a[0], a[1], *b[0], b[1])]
+    top = max(x.epoch for x in bits)
+    bits = [lifted(x, top) for x in bits]
+    w = len(a[0])
+    xa, pa, xb, pb = bits[:w], bits[w], bits[w + 1:-1], bits[-1]
+    ts = [k.xor(x, y) for x, y in zip(xa, xb)]
+    keep = k.and_(pa, gt_chain(xb if want_min else xa, ts))
+    take = settled(bit_and_not(pb, keep))
+    value = tuple(k.xor(x, k.and_(take, d)) for x, d in zip(xa, ts))
+    return value, bit_or(pa, pb)
 
 
 def op_min(col: str, t: EncTable) -> CipherWord:
@@ -428,9 +445,10 @@ def op_distinct(t: EncTable) -> EncTable:
     epoch = _table_epoch(t)
     rows = list(t.rows)
     for i in range(1, len(rows)):
-        # the updated presence of row j: a duplicate only counts against
-        # rows still present in the output. p_j AND NOT differ is a copy.
-        copies = [bit_and_not(rows[j].presence,
+        # the input presence of row j: p_j AND NOT differ is a copy. The
+        # first present copy of a value has no earlier one, so it stays,
+        # and no row's test waits on another row's outcome.
+        copies = [bit_and_not(t.rows[j].presence,
                               _row_ne(k, state, epoch, rows[i].cells,
                                       rows[j].cells))
                   for j in range(i)]

@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from hequel.circuits import (CipherWord, bit_mux, bit_or, const_word,
-                             decrypt_word, encrypt_word, word_add,
+from hequel.circuits import (CipherWord, bit_count, bit_mux, bit_or,
+                             const_word, decrypt_word, encrypt_word, word_add,
                              word_add_bit, word_and_bit, word_div, word_eq,
                              word_gt, word_mux, word_ne)
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import ValueOverflow, WidthMismatch
-from hequel.relalg import encrypt_table, oblivious_sort_rows, op_sort
+from hequel.relalg import (encrypt_table, oblivious_sort_rows, op_count,
+                           op_max, op_min, op_sort)
 from hequel.schema import PlainTable, Schema
 
 
@@ -220,8 +221,8 @@ def test_compare_swap_cost(session):
                  lambda r: (r.cells[0],), True, ladder.state, 1) == (27, 2)
 
 
-@pytest.mark.parametrize("n,ands,refreshes", [(16, 2079, 981),
-                                              (32, 6685, 4666)])
+@pytest.mark.parametrize("n,ands,refreshes", [(16, 2079, 608),
+                                              (32, 6685, 2196)])
 def test_sort_cost(session, n, ands, refreshes):
     ladder, _, pk = session
     state = ladder.state
@@ -231,3 +232,77 @@ def test_sort_cost(session, n, ands, refreshes):
     op_sort("k", True, t)
     assert (state.and_count - before[0],
             state.refresh_count - before[1]) == (ands, refreshes)
+
+
+# n present-or-absent bits: ANDs and fresh encryptions of the compressor.
+# Within n.bit_length() columns a full adder or half adder costs one AND;
+# only the empty columns above take a fresh zero.
+@pytest.mark.parametrize("n,width,ands,encryptions", [
+    (1, 2, 0, 1), (1, 6, 0, 5), (1, 8, 0, 7),
+    (5, 2, 2, 0), (5, 6, 3, 3), (5, 8, 3, 5),
+    (32, 2, 16, 0), (32, 6, 31, 0), (32, 8, 31, 2),
+])
+def test_bit_count_cost(session, n, width, ands, encryptions):
+    ladder, keys, pk = session
+    rng = random.Random(n * 100 + width)
+    for bits in ([0] * n, [1] * n, [rng.randint(0, 1) for _ in range(n)]):
+        enc = [encrypt_bit(pk, b) for b in bits]
+        before = (ladder.state.and_count, ladder.state.encrypt_count)
+        out = bit_count(enc, width)
+        assert (ladder.state.and_count - before[0],
+                ladder.state.encrypt_count - before[1]) == (ands, encryptions)
+        assert decrypt_word(keys, out) == sum(bits) % (1 << width)
+
+
+def _leveled_cost(state, fn, *args):
+    """(result, (ANDs, refreshes, encryptions)) of one call."""
+    before = (state.and_count, state.refresh_count, state.encrypt_count)
+    out = fn(*args)
+    return out, (state.and_count - before[0], state.refresh_count - before[1],
+                 state.encrypt_count - before[2])
+
+
+@pytest.mark.parametrize("w,refreshes,epoch", [(8, 339, 10), (12, 1047, 20)])
+def test_div_leveled_refreshes(w, refreshes, epoch):
+    # each iteration lifts the bits it reuses once, not in every gate
+    # (the per-gate lifts spent 725 and 2,860 refreshes)
+    ladder, keys = keygen(SecurityContext("leveled", 8, 128), seed=b"div-l")
+    pk = ladder.public_key()
+    out, cost = _leveled_cost(ladder.state, word_div,
+                              encrypt_word(pk, 200, w), encrypt_word(pk, 7, w))
+    assert decrypt_word(keys, out) == 200 // 7
+    assert cost[1] == refreshes
+    assert max(b.epoch for b in out.bits) == epoch
+
+
+W12 = Schema((("w", 12),))
+PRESENCE_PATTERNS = {
+    "all present": [1] * 32,
+    "all absent": [0] * 32,
+    "alternating": [i % 2 for i in range(32)],
+    "last only": [0] * 31 + [1],
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PRESENCE_PATTERNS))
+def test_aggregate_costs_are_data_independent(pattern):
+    # the min/max tournament: 31 matches of 2w + 3 ANDs and a w-AND root
+    # mask, 849 ANDs at 32 x 12 bits, no fresh encryption, epoch 10 under
+    # leveled:128; the count compressor: 31 ANDs and two zero columns
+    ladder, keys = keygen(SecurityContext("leveled", 8, 128), seed=b"agg-l")
+    presence = PRESENCE_PATTERNS[pattern]
+    rng = random.Random(9)
+    values = [rng.randrange(4096) for _ in range(32)]
+    t = encrypt_table(ladder.public_key(),
+                      PlainTable(W12, [(v,) for v in values]),
+                      presence=presence, name="t")
+    present = [v for v, p in zip(values, presence) if p]
+    for fn, want in ((op_min, min(present, default=0)),
+                     (op_max, max(present, default=0))):
+        out, cost = _leveled_cost(ladder.state, fn, "w", t)
+        assert decrypt_word(keys, out) == want, fn.__name__
+        assert cost == (849, 1860, 0), fn.__name__
+        assert max(b.epoch for b in out.bits) == 10, fn.__name__
+    out, cost = _leveled_cost(ladder.state, op_count, t, 8)
+    assert decrypt_word(keys, out) == len(present)
+    assert cost == (31, 0, 2)

@@ -108,6 +108,24 @@ def test_fetch_for_unknown_query_refused():
         client.fetch_message("zz")
 
 
+def test_client_keeps_open_exchanges_only():
+    server, client = make_session()
+    plan = dsl.parse("select(speed>1, table(pc))")
+    open_qid, _ = submit_query(client, server, plan)  # counted, not fetched
+    for _ in range(5):
+        qid, _ = submit_query(client, server, plan)
+        result_fetch(client, server, qid)
+        assert client.pending[qid].verified
+    # the last verified exchange stays until the next query
+    assert set(client.pending) == {open_qid, qid}
+    next_qid, _ = submit_query(client, server, plan)
+    assert set(client.pending) == {open_qid, next_qid}
+    with pytest.raises(ProtocolError):
+        client.fetch_message(qid)
+    assert sorted(result_fetch(client, server, open_qid).rows) == [
+        PC_ROWS[0], PC_ROWS[1]]
+
+
 def tamper(reply: bytes, edit) -> bytes:
     msg = json.loads(reply.decode())
     edit(msg)

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from hequel import plans
 from hequel.circuits import decrypt_word
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import DuplicateColumn, LadderMismatch, PlanTypeError
@@ -18,6 +19,7 @@ from hequel.relalg import (Cmp, ColRef, Lit, compact_rows, decrypt_table,
                            op_count, op_cross, op_distinct, op_groupby_sum,
                            op_max, op_min, op_project, op_select, op_sort,
                            op_sum)
+from hequel.oracle import eval_plan
 from hequel.schema import PlainTable, Schema
 
 PC_SCHEMA = Schema((("model", 12), ("speed", 4), ("ram", 12),
@@ -232,6 +234,48 @@ def test_count_width_wraps(session):
     t = encrypt_table(pk, plain, name="t")
     assert decrypt_word(keys, op_count(t, width=2)) == 5 % 4
     assert decrypt_word(keys, op_count(t, width=8)) == 5
+    # absent rows add nothing: 5 present of 7
+    t = encrypt_table(pk, PlainTable(plain.schema, [(0,)] * 7),
+                      presence=[1, 0, 1, 1, 0, 1, 1], name="t")
+    assert decrypt_word(keys, op_count(t, width=2)) == 1
+    assert decrypt_word(keys, op_count(t, width=3)) == 5
+
+
+def oracle_value(plan, rows, presence, schema) -> int:
+    """The oracle's scalar for ``plan`` over the present rows of table t."""
+    catalog = {"t": PlainTable(schema, [r for r, p in zip(rows, presence)
+                                        if p])}
+    return eval_plan(plan, catalog).rows[0][0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 7])
+def test_min_max_every_presence_pattern(session, n):
+    # a pool of three values makes ties; odd n leaves a node out of a
+    # tournament level, and the all-absent pattern gives 0
+    _, keys, pk = session
+    rows = [((5, 9, 2)[i % 3] if i % 4 else 9,) for i in range(n)]
+    plain = PlainTable(A4, rows)
+    for presence in product((0, 1), repeat=n):
+        t = encrypt_table(pk, plain, presence=list(presence), name="t")
+        for op, node in ((op_min, plans.Min), (op_max, plans.Max)):
+            want = oracle_value(node("a", plans.TableRef("t")), rows,
+                                presence, A4)
+            assert decrypt_word(keys, op("a", t)) == want, (op, presence)
+
+
+def test_distinct_every_presence_pattern(session):
+    # values from a pool of two make most rows copies of an earlier one
+    _, keys, pk = session
+    s = Schema((("a", 2), ("b", 1)))
+    for n in range(7):
+        rows = [((i * 5 // 3) % 2, (i // 4) % 2) for i in range(n)]
+        plain = PlainTable(s, rows)
+        for presence in product((0, 1), repeat=n):
+            t = encrypt_table(pk, plain, presence=list(presence), name="t")
+            want = eval_plan(plans.Distinct(plans.TableRef("t")), {
+                "t": PlainTable(s, [r for r, p in zip(rows, presence) if p])})
+            got = decrypt_table(keys, op_distinct(t))
+            assert got.rows == want.rows, presence
 
 
 def test_bag_ops(session):
@@ -307,3 +351,21 @@ def test_cross_ladder_tables_rejected(session):
                            PlainTable(Schema((("b", 4),)), [(1,)]), name="t")
     with pytest.raises(LadderMismatch):
         op_cross(mine, theirs)
+
+
+def test_min_max_fit_a_leveled_ladder():
+    # 32 rows of 12 bits: the tournament's depth grows with log2 32, so
+    # min and max end at epoch 10 of a 12-epoch ladder (a serial scan
+    # climbed to epoch 57)
+    ladder, keys = keygen(SecurityContext("leveled", 8, 12), seed=b"mml")
+    pk = ladder.public_key()
+    values = [(i * 1237 + 501) % 4096 for i in range(32)]
+    presence = [int(i % 5 != 2) for i in range(32)]
+    t = encrypt_table(pk, PlainTable(Schema((("w", 12),)),
+                                     [(v,) for v in values]),
+                      presence=presence, name="t")
+    present = [v for v, p in zip(values, presence) if p]
+    for op, want in ((op_min, min(present)), (op_max, max(present))):
+        out = op("w", t)
+        assert decrypt_word(keys, out) == want
+        assert max(b.epoch for b in out.bits) == 10
