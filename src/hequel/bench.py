@@ -1,9 +1,7 @@
-"""Microbenchmarks comparing the pure-Python and compiled gate kernels.
+"""Gate-kernel microbenchmark: wall time of a tight loop of bit gates.
 
-Three workloads, each exercising a different layer: raw bit gates, word
-circuits (add/compare/mux rounds), and a full oblivious table sort. Results
-report wall time and the exact gate count so the kernels can be compared on
-gates per second.
+The repository's ``benchmark/`` suite reports its result as the kernel
+layer's gates per second.
 """
 
 from __future__ import annotations
@@ -11,11 +9,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from hequel import kernel as kernel_mod
-from hequel.circuits import encrypt_word, word_add, word_gt, word_mux
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
-from hequel.relalg import encrypt_table, op_sort
-from hequel.schema import PlainTable, Schema
+from hequel.kernel import KERNEL_NAME
 
 
 @dataclass(frozen=True)
@@ -31,15 +26,15 @@ class BenchResult:
         return self.gates / self.seconds if self.seconds > 0 else float("inf")
 
 
-def _session(kernel_name: str, seed: bytes):
-    kernel = kernel_mod.get_kernel(kernel_name)
-    ctx = SecurityContext(mode="circular", depth_budget=8)
-    ladder, _keys = keygen(ctx, seed=seed, kernel=kernel)
-    return ladder, ladder.public_key()
-
-
 def bench_gates(kernel_name: str, n: int) -> BenchResult:
-    ladder, pk = _session(kernel_name, b"bench-gates")
+    """Time ``n`` alternating XOR and AND gates. ``kernel_name`` must name
+    the gate kernel, ``kernel.KERNEL_NAME``; it labels the result."""
+    if kernel_name != KERNEL_NAME:
+        raise ValueError(
+            f"unknown kernel {kernel_name!r} (the kernel is {KERNEL_NAME!r})")
+    ladder, _keys = keygen(SecurityContext(mode="circular", depth_budget=8),
+                           seed=b"bench-gates")
+    pk = ladder.public_key()
     impl = ladder.state.impl
     a = encrypt_bit(pk, 1)
     b = encrypt_bit(pk, 0)
@@ -53,60 +48,3 @@ def bench_gates(kernel_name: str, n: int) -> BenchResult:
     dt = time.perf_counter() - t0
     return BenchResult(kernel_name, "bit gates", n,
                        ladder.state.gate_total() - before, dt)
-
-
-def bench_words(kernel_name: str, rounds: int) -> BenchResult:
-    ladder, pk = _session(kernel_name, b"bench-words")
-    x = encrypt_word(pk, 201, width=8)
-    y = encrypt_word(pk, 90, width=8)
-    before = ladder.state.gate_total()
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        x = word_mux(word_gt(x, y), word_add(x, y), x)
-    dt = time.perf_counter() - t0
-    return BenchResult(kernel_name, "word add/gt/mux rounds", rounds,
-                       ladder.state.gate_total() - before, dt)
-
-
-def bench_sort(kernel_name: str, rows: int, rounds: int) -> BenchResult:
-    ladder, pk = _session(kernel_name, b"bench-sort")
-    schema = Schema((("k", 8), ("v", 8)))
-    plain = PlainTable(schema, [((i * 37) % 256, i % 256) for i in range(rows)])
-    table = encrypt_table(pk, plain, name="bench")
-    before = ladder.state.gate_total()
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        op_sort("k", True, table)
-    dt = time.perf_counter() - t0
-    return BenchResult(kernel_name, f"oblivious sort, {rows} rows", rounds,
-                       ladder.state.gate_total() - before, dt)
-
-
-def run(kernels: tuple[str, ...] | None = None,
-        scale: float = 1.0) -> list[BenchResult]:
-    if kernels is None:
-        kernels = kernel_mod.available_kernels()
-    results = []
-    for name in kernels:
-        results.append(bench_gates(name, max(1, int(40_000 * scale))))
-        results.append(bench_words(name, max(1, int(300 * scale))))
-        results.append(bench_sort(name, 8, max(1, int(3 * scale))))
-    return results
-
-
-def format_results(results: list[BenchResult]) -> str:
-    lines = [f"{'kernel':<8} {'benchmark':<26} {'units':>8} "
-             f"{'gates':>10} {'seconds':>9} {'gates/s':>12}"]
-    for r in results:
-        lines.append(f"{r.kernel:<8} {r.label:<26} {r.units:>8} "
-                     f"{r.gates:>10} {r.seconds:>9.3f} {r.gates_per_sec:>12.0f}")
-    by_label: dict[str, dict[str, BenchResult]] = {}
-    for r in results:
-        by_label.setdefault(r.label, {})[r.kernel] = r
-    for label, per_kernel in by_label.items():
-        if "py" in per_kernel and "native" in per_kernel:
-            py, native = per_kernel["py"], per_kernel["native"]
-            if native.seconds > 0:
-                lines.append(f"native speedup on {label}: "
-                             f"{py.seconds / native.seconds:.1f}x")
-    return "\n".join(lines)

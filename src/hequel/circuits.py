@@ -10,8 +10,8 @@ The circuits take the minimum number of ANDs known for their function
 (Boyar, Peralta and Pochuev, TCS 2000): one per bit for compare, select
 and compare-swap, one per carry for addition, and w - 1 for equality. An
 AND is the gate that costs depth, and so refreshes; XOR is free. None of
-them calls the kernel's ``not_`` or ``or_``, which mint fresh encryptions,
-except ``word_eq``'s single final NOT and ``word_div``'s negated divisor.
+them calls the kernel's ``not_``, which mints a fresh encryption, except
+``word_eq``'s single final NOT and ``word_div``'s negated divisor.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ def bit_swap(f, x, y):
 
 
 def bit_or(a, b):
-    """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND, where the kernel's ``or_`` spends
-    three ANDs and two fresh encryptions."""
+    """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND and no fresh encryption."""
     k = a._state.impl
     a, b = settled(a), settled(b)
     return k.xor(k.xor(a, b), k.and_(a, b))

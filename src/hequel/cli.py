@@ -4,7 +4,6 @@ Verbs:
   ingest  encrypt CSV tables into an on-disk session directory
   query   run a plan over an ingested session via the message protocol
   diff    compare encrypted execution against the plaintext oracle
-  bench   time the pure-Python and compiled gate kernels
 
 Result rows go to stdout as CSV; stats go to stderr as key=value lines.
 Exit codes: 0 success (diff: all plans matched), 1 diff mismatch, 2 error.
@@ -18,9 +17,7 @@ import random
 import sys
 from pathlib import Path
 
-from hequel import bench as bench_mod
 from hequel import dsl, engine, randgen, serial
-from hequel import kernel as kernel_mod
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import HequelError
 from hequel.protocol import ClientSession, ServerStore
@@ -60,10 +57,22 @@ def _save_session(db: Path, ladder, keys) -> None:
 
 
 def _load_session(db: Path):
-    session = json.loads((db / "session.json").read_text())
-    ladder = serial.ladder_from_obj(session["ladder"])
-    keys = serial.client_keys_from_obj(session["client"])
+    path = db / "session.json"
+    try:
+        session = json.loads(path.read_text())
+        ladder = serial.ladder_from_obj(session["ladder"])
+        keys = serial.client_keys_from_obj(session["client"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HequelError(f"corrupt session file {path}: {exc!r}") from None
     return ladder, keys
+
+
+def _load_table(ladder, path: Path):
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise HequelError(f"corrupt table file {path}: {exc!r}") from None
+    return serial.table_from_obj(ladder, obj)
 
 
 def _emit_stats(stats) -> None:
@@ -103,7 +112,7 @@ def cmd_query(args) -> int:
     server = ServerStore(ladder)
     catalog = {}
     for path in sorted((db / "tables").glob("*.json")):
-        table = serial.table_from_obj(ladder, json.loads(path.read_text()))
+        table = _load_table(ladder, path)
         server.tables[table.name] = table
         catalog[table.name] = table.schema
     client = ClientSession(keys, ladder.public_key(), slack=args.slack,
@@ -155,16 +164,6 @@ def cmd_diff(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_bench(args) -> int:
-    if args.kernel == "both":
-        kernels = kernel_mod.available_kernels()
-    else:
-        kernels = (args.kernel,)
-    results = bench_mod.run(kernels, scale=args.scale)
-    print(bench_mod.format_results(results))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hequel",
@@ -210,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("plan", nargs="?", help="plan text")
     diff.add_argument("csv", nargs="*", help="CSV files naming the tables")
     diff.set_defaults(func=cmd_diff)
-
-    bench_p = sub.add_parser("bench", help="compare gate-kernel implementations")
-    bench_p.add_argument("--kernel", choices=("py", "native", "both"),
-                         default="both")
-    bench_p.add_argument("--scale", type=float, default=1.0,
-                         help="work multiplier (default: 1.0)")
-    bench_p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -224,10 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HequelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ImportError) as exc:
+    except (HequelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

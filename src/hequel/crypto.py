@@ -1,5 +1,6 @@
 """Key management and the bit-level encrypt/decrypt API. Gates are
-evaluated by the ladder's kernel (``ladder.kernel.and_`` and friends).
+evaluated by ``hequel.kernel``, which each ladder also names as
+``ladder.kernel``.
 
 A key ladder is a chain of keypairs (sk_1, pk_1) .. (sk_D, pk_D). The server
 holds the public keys plus *wrapped* secret keys: in leveled mode each sk_i
@@ -20,10 +21,10 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 
-from hequel import kernel as kernel_mod
+from hequel import kernel
 from hequel.errors import EpochMismatch, LadderMismatch, NoiseOverflow
 
-MODE_NAMES = {"circular": kernel_mod.MODE_CIRCULAR, "leveled": kernel_mod.MODE_LEVELED}
+MODE_NAMES = {"circular": kernel.MODE_CIRCULAR, "leveled": kernel.MODE_LEVELED}
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,16 @@ class KeyLadder:
     """Server-side half of a keypair ladder: public keys, wrapped secret
     keys, and the kernel evaluation state."""
 
-    def __init__(self, ctx: SecurityContext, seed: bytes, kernel=None):
+    def __init__(self, ctx: SecurityContext, seed: bytes):
         self.ctx = ctx
         self.seed = seed
         self.ladder_id = hashlib.sha256(b"ladder:" + seed).hexdigest()
         # keys the serialized-ciphertext payload mask; one-way derived so it
         # cannot recover secret-key tokens
         self.mask_key = hashlib.sha256(b"mask:" + seed).digest()
-        self.kernel = kernel or kernel_mod.active
+        self.kernel = kernel
         nonce_seed = int.from_bytes(hashlib.sha256(b"nonce:" + seed).digest()[:8], "big")
-        self.state = self.kernel.new_state(
+        self.state = kernel.new_state(
             MODE_NAMES[ctx.mode], ctx.depth_budget, ctx.epochs,
             nonce_seed, self.ladder_id)
         self.public_keys = tuple(
@@ -128,13 +129,13 @@ class ClientKeys:
         return decrypt_bit(self.secret_key(c.epoch), c)
 
 
-def keygen(ctx: SecurityContext, seed: bytes | str | None = None,
-           kernel=None) -> tuple[KeyLadder, ClientKeys]:
+def keygen(ctx: SecurityContext,
+           seed: bytes | str | None = None) -> tuple[KeyLadder, ClientKeys]:
     if seed is None:
         seed = os.urandom(32)
     elif isinstance(seed, str):
         seed = seed.encode("utf-8")
-    ladder = KeyLadder(ctx, seed, kernel=kernel)
+    ladder = KeyLadder(ctx, seed)
     sks = tuple(
         SecretKey(ladder.ladder_id, e, ladder._sk_token(e))
         for e in range(1, ctx.epochs + 1))
@@ -144,8 +145,7 @@ def keygen(ctx: SecurityContext, seed: bytes | str | None = None,
 def encrypt_bit(pk: PublicKey, bit: int):
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    ladder = pk.ladder
-    return ladder.kernel.fresh_bit(ladder.state, bit, pk.epoch)
+    return kernel.fresh_bit(pk.ladder.state, bit, pk.epoch)
 
 
 def decrypt_bit(sk: SecretKey, c) -> int:
@@ -158,4 +158,4 @@ def decrypt_bit(sk: SecretKey, c) -> int:
     if c.depth > state.depth_budget:
         raise NoiseOverflow(
             f"depth {c.depth} exceeds budget {state.depth_budget}")
-    return state.impl._reveal(c)
+    return kernel._reveal(c)

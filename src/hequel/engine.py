@@ -38,12 +38,12 @@ class DiffReport:
 
 def build_session(catalog: dict[str, PlainTable],
                   ctx: SecurityContext | None = None,
-                  seed: bytes | None = None, slack: int = 0,
-                  kernel=None) -> tuple[protocol.ServerStore, protocol.ClientSession]:
+                  seed: bytes | None = None,
+                  slack: int = 0) -> tuple[protocol.ServerStore, protocol.ClientSession]:
     """Key a fresh ladder and upload every catalog table."""
     if ctx is None:
         ctx = SecurityContext()
-    ladder, keys = keygen(ctx, seed=seed, kernel=kernel)
+    ladder, keys = keygen(ctx, seed=seed)
     server = protocol.ServerStore(ladder)
     client = protocol.ClientSession(keys, ladder.public_key(1), slack=slack)
     for name, plain in catalog.items():

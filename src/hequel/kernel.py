@@ -1,16 +1,16 @@
-"""Pure-Python gate kernel.
+"""The gate kernel: ciphertext bits, the gates on them, and refresh.
 
-Drop-in twin of the compiled kernel in ``_ckernel``; ``hequel.kernel`` picks
-one at import time. The two implementations must stay behaviourally
-identical, including counter values and nonce streams, so the parity tests
-can compare them bit for bit.
+This module defines the simulated FHE cost contract that every layer above
+is measured by: AND, XOR, refresh and encryption counts, depth and key
+epochs, and the nonce stream that serialized ciphertexts carry.
 
 The model: a ciphertext bit carries a key epoch and the multiplicative
 depth consumed so far. AND costs one depth level, XOR and NOT cost none.
 When an AND would push the result past the depth budget, the deep operands
 are refreshed first (depth back to 0; epoch advances in leveled mode).
 Mixing epochs is allowed: the lower-epoch operand is refreshed up before
-the gate fires.
+the gate fires. OR is a word-circuit concern: ``circuits.bit_or`` builds
+it from one AND.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import sys
 
 from hequel.errors import LadderExhausted, LadderMismatch
+
+KERNEL_NAME = "py"  # the name benchmark results record for this kernel
 
 MODE_CIRCULAR = 0
 MODE_LEVELED = 1
@@ -31,7 +33,8 @@ class KernelState:
     Counters are plain ints; CPython's GIL keeps increments safe to run
     concurrently (worst case a lost count, never corruption). ``fault_gate``
     flips the output of the N-th gate (1-based over XOR+AND) and exists for
-    fault-injection tests; -1 disables it.
+    fault-injection tests; -1 disables it. ``impl`` is this module, so code
+    holding only a ciphertext reaches the gates through ``bit._state.impl``.
     """
 
     __slots__ = (
@@ -175,14 +178,6 @@ def and_(a: CipherBit, b: CipherBit) -> CipherBit:
 def not_(a: CipherBit) -> CipherBit:
     # NOT(b) = b XOR fresh E(1) under the operand's own key
     return xor(a, fresh_bit(a._state, 1, a.epoch))
-
-
-def or_(a: CipherBit, b: CipherBit) -> CipherBit:
-    # OR(a,b) = (a AND b) XOR ((NOT a AND b) XOR (a AND NOT b))
-    t1 = and_(a, b)
-    t2 = and_(not_(a), b)
-    t3 = and_(a, not_(b))
-    return xor(t1, xor(t2, t3))
 
 
 def _reveal(c: CipherBit) -> int:

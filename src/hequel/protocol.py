@@ -91,10 +91,13 @@ class ServerStore:
                 f"{n_prime} rows requested, capacity is {result.capacity}")
         epoch = max((r.presence.epoch for r in result.rows), default=1)
         top = compact_rows(result.rows, result.state, epoch)[:n_prime]
-        return serial.message_to_bytes("fetch_rows", qid, {
+        reply = serial.message_to_bytes("fetch_rows", qid, {
             "schema": serial.schema_to_obj(result.schema),
             "rows": [serial.row_to_obj(self.ladder, r) for r in top],
         })
+        # a result is fetched once; a refused request above keeps it
+        del self.results[qid]
+        return reply
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from hequel import kernel
 from hequel.circuits import CipherWord
 from hequel.crypto import ClientKeys, KeyLadder, SecretKey, SecurityContext
 from hequel.errors import LadderMismatch, ProtocolError
@@ -27,9 +28,8 @@ def _mask(ladder: KeyLadder, nonce: int, epoch: int) -> int:
 
 
 def bit_to_obj(ladder: KeyLadder, c) -> dict:
-    k = ladder.kernel
-    nonce = k._nonce_of(c)
-    masked = k._reveal(c) ^ _mask(ladder, nonce, c.epoch)
+    nonce = kernel._nonce_of(c)
+    masked = kernel._reveal(c) ^ _mask(ladder, nonce, c.epoch)
     blob = nonce.to_bytes(8, "big").hex() + bytes([masked]).hex()
     return {"v": 1, "epoch": c.epoch, "depth": c.depth, "blob": blob}
 
@@ -72,7 +72,7 @@ def bit_from_obj(ladder: KeyLadder, obj: dict):
             f"ciphertext depth {depth!r} outside 0..{ctx.depth_budget}")
     nonce = int.from_bytes(blob[:8], "big")
     payload = blob[8] ^ _mask(ladder, nonce, epoch)
-    return ladder.kernel.bit_from_parts(ladder.state, payload, epoch, depth, nonce)
+    return kernel.bit_from_parts(ladder.state, payload, epoch, depth, nonce)
 
 
 def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
@@ -177,11 +177,11 @@ def ladder_to_obj(ladder: KeyLadder) -> dict:
     }
 
 
-def ladder_from_obj(obj: dict, kernel=None) -> KeyLadder:
+def ladder_from_obj(obj: dict) -> KeyLadder:
     ctx = SecurityContext(obj["mode"], obj["depth_budget"], obj["epochs"])
-    ladder = KeyLadder(ctx, bytes.fromhex(obj["seed"]), kernel=kernel)
+    ladder = KeyLadder(ctx, bytes.fromhex(obj["seed"]))
     # continue the nonce stream where the previous session stopped
-    ladder.state.nonce_state = obj["nonce_state"]
+    ladder.state.nonce_state = _field(obj, "nonce_state", int, "ladder")
     return ladder
 
 

@@ -1,7 +1,8 @@
-"""CLI verbs end to end: ingest, query, diff, bench, exit codes, stats."""
+"""CLI verbs end to end: ingest, query, diff, exit codes, stats."""
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -133,7 +134,27 @@ def test_slack_flag(tmp_path, pc_csv, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["1002,2,512,80,478"]
 
 
-def test_bench_verb(capsys):
-    assert main(["bench", "--kernel", "py", "--scale", "0.01"]) == 0
-    out = capsys.readouterr().out
-    assert "kernel" in out and "py" in out
+def _string_nonce(text: str) -> str:
+    session = json.loads(text)
+    session["ladder"]["nonce_state"] = "7"
+    return json.dumps(session)
+
+
+# file in the session directory -> edit that corrupts its text
+CORRUPT_FILES = {
+    "session without keys": ("session.json", lambda _: '{"v":1}'),
+    "session not JSON": ("session.json", lambda _: "not json"),
+    "session nonce a string": ("session.json", _string_nonce),
+    "table not JSON": ("tables/pc.json", lambda _: "{"),
+}
+
+
+@pytest.mark.parametrize("name, edit", CORRUPT_FILES.values(),
+                         ids=CORRUPT_FILES.keys())
+def test_corrupt_session_exits_2(tmp_path, pc_csv, capsys, name, edit):
+    db = ingest(tmp_path, pc_csv)
+    path = tmp_path / "db" / name
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["query", "--db", db, "table(pc)"]) == 2
+    assert "error:" in capsys.readouterr().err

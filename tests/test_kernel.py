@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
+from hequel import bench
 from hequel import kernel as kernel_mod
 from hequel.errors import LadderExhausted, LadderMismatch
-
-KERNELS = kernel_mod.available_kernels()
 
 
 def make_state(kernel, mode="circular", budget=8, epochs=1, seed=0):
@@ -19,9 +16,10 @@ def make_state(kernel, mode="circular", budget=8, epochs=1, seed=0):
     return kernel.new_state(mode_id, budget, epochs, seed, "test-ladder")
 
 
-@pytest.fixture(params=KERNELS)
+# parametrized by name so each case id records the kernel it ran on
+@pytest.fixture(params=[kernel_mod.KERNEL_NAME])
 def kernel(request):
-    return kernel_mod.get_kernel(request.param)
+    return kernel_mod
 
 
 def test_truth_tables(kernel):
@@ -31,7 +29,6 @@ def test_truth_tables(kernel):
             ea, eb = kernel.fresh_bit(s, a, 1), kernel.fresh_bit(s, b, 1)
             assert kernel._reveal(kernel.xor(ea, eb)) == a ^ b
             assert kernel._reveal(kernel.and_(ea, eb)) == a & b
-            assert kernel._reveal(kernel.or_(ea, eb)) == a | b
         assert kernel._reveal(kernel.not_(kernel.fresh_bit(s, a, 1))) == 1 - a
 
 
@@ -119,8 +116,6 @@ def test_counters(kernel):
     assert s.gate_total() == 2
     kernel.not_(a)  # one fresh constant + one XOR
     assert (s.xor_count, s.encrypt_count) == (2, 3)
-    kernel.or_(a, b)  # 3 AND + 2 XOR + 2 NOT (each NOT = fresh + XOR)
-    assert (s.xor_count, s.and_count) == (6, 4)
 
 
 def test_fault_gate_flips_exactly_one_output(kernel):
@@ -159,15 +154,9 @@ def test_cipherbit_is_opaque(kernel):
     assert repr(c) == f"CipherBit(epoch={c.epoch}, depth={c.depth})"
 
 
-def test_generated_c_matches_committed_pyx():
-    # _ckernel.c is Cython output committed beside its source, and
-    # _ckernel.pyx.sha256 names the .pyx it was generated from: an edit to
-    # the .pyx must come with a regenerated .c and a new recorded hash
-    kdir = Path(kernel_mod.__file__).parent
-    recorded = (kdir / "_ckernel.pyx.sha256").read_text().split()
-    actual = hashlib.sha256((kdir / "_ckernel.pyx").read_bytes()).hexdigest()
-    assert recorded == [actual, "_ckernel.pyx"], (
-        "_ckernel.pyx changed since _ckernel.c was generated: regenerate "
-        "the C with Cython, then run `sha256sum _ckernel.pyx > "
-        "_ckernel.pyx.sha256` in src/hequel/kernel")
-    assert (kdir / "_ckernel.c").is_file()
+def test_bench_gates_counts_every_gate():
+    result = bench.bench_gates(kernel_mod.KERNEL_NAME, 10)
+    assert (result.kernel, result.units, result.gates) == ("py", 10, 10)
+    assert result.gates_per_sec > 0
+    with pytest.raises(ValueError):
+        bench.bench_gates("native", 10)

@@ -84,6 +84,25 @@ def test_fetch_too_large():
                           dsl.parse("select(speed>1, table(pc))"))
     with pytest.raises(FetchTooLarge):
         server.handle(client.fetch_message(qid, n_prime=99))
+    with pytest.raises(ProtocolError):
+        server.handle(serial.message_to_bytes(
+            "fetch_rows_request", qid, {"n_prime": -1}))
+    # a refused request keeps the result for a valid one
+    assert sorted(result_fetch(client, server, qid).rows) == [
+        PC_ROWS[0], PC_ROWS[1]]
+
+
+def test_result_is_dropped_once_fetched():
+    server, client = make_session()
+    qid, _ = submit_query(client, server,
+                          dsl.parse("select(speed>1, table(pc))"))
+    request = client.fetch_message(qid)
+    server.handle(request)
+    assert server.results == {}
+    with pytest.raises(ProtocolError):
+        server.handle(request)
+    run_query(client, server, dsl.parse("table(pc)"))
+    assert server.results == {}
 
 
 def test_fetch_below_count_refused():
