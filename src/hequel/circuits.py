@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import ValueOverflow, WidthMismatch
+from hequel.kernel import and_, fresh_bit, not_, refresh, xor
 
 DEFAULT_WIDTH = 8
 
@@ -40,16 +41,6 @@ class CipherWord:
 
     def __repr__(self):
         return f"CipherWord(width={self.width})"
-
-
-def _context(*words: CipherWord):
-    """Kernel state, module, and working epoch for a word operation.
-
-    Constants minted inside a circuit use the highest epoch present in the
-    operands so that only the stale operand bits get bootstrapped up."""
-    state = words[0].bits[0]._state
-    epoch = max(b.epoch for w in words for b in w.bits)
-    return state, state.impl, epoch
 
 
 def _check_width(a: CipherWord, b: CipherWord):
@@ -78,9 +69,8 @@ def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
     to the evaluator, so this is always available)."""
     if not 0 <= value < (1 << width):
         raise ValueOverflow(f"{value} does not fit in {width} unsigned bits")
-    k = state.impl
     return CipherWord(tuple(
-        k.fresh_bit(state, (value >> (width - 1 - i)) & 1, epoch)
+        fresh_bit(state, (value >> (width - 1 - i)) & 1, epoch)
         for i in range(width)))
 
 
@@ -90,9 +80,8 @@ def settled(bit):
     budget that feeds several ANDs would otherwise be refreshed by each
     of them, and XORs with it would carry its depth forward. The test
     reads public metadata only."""
-    s = bit._state
-    if s.auto_refresh and bit.depth >= s.depth_budget:
-        return s.impl.refresh(bit)
+    if bit.depth >= bit._state.depth_budget:
+        return refresh(bit)
     return bit
 
 
@@ -102,7 +91,6 @@ def lifted(bit, epoch: int):
     bits in several gates would be lifted again by each of them; a caller
     that reuses it lifts it once. Reads public metadata only, and is the
     identity in circular mode, where every bit has the same epoch."""
-    refresh = bit._state.impl.refresh
     while bit.epoch < epoch:
         bit = refresh(bit)
     return bit
@@ -111,29 +99,25 @@ def lifted(bit, epoch: int):
 def bit_mux(f, x, y):
     """Encrypted bit select: x when f is 1, else y. One AND and no NOT:
     y ⊕ (f ∧ (x ⊕ y))."""
-    k = f._state.impl
-    return k.xor(y, k.and_(f, k.xor(x, y)))
+    return xor(y, and_(f, xor(x, y)))
 
 
 def bit_swap(f, x, y):
     """(y, x) when the encrypted bit f is 1, else (x, y). One AND serves
     both outputs: d = f ∧ (x ⊕ y), then x ⊕ d and y ⊕ d."""
-    k = f._state.impl
-    d = k.and_(f, k.xor(x, y))
-    return k.xor(x, d), k.xor(y, d)
+    d = and_(f, xor(x, y))
+    return xor(x, d), xor(y, d)
 
 
 def bit_or(a, b):
     """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND and no fresh encryption."""
-    k = a._state.impl
     a, b = settled(a), settled(b)
-    return k.xor(k.xor(a, b), k.and_(a, b))
+    return xor(xor(a, b), and_(a, b))
 
 
 def bit_and_not(a, b):
     """a ∧ ¬b = a ⊕ (a ∧ b): one AND and no NOT, so no fresh encryption."""
-    k = a._state.impl
-    return k.xor(a, k.and_(a, b))
+    return xor(a, and_(a, b))
 
 
 def any_bit(bits):
@@ -149,21 +133,19 @@ def any_bit(bits):
 def word_ne(a: CipherWord, b: CipherWord):
     """1 iff the words differ: OR tree of the per-bit XORs, w - 1 ANDs."""
     _check_width(a, b)
-    k = a.bits[0]._state.impl
-    return any_bit(k.xor(x, y) for x, y in zip(a.bits, b.bits))
+    return any_bit(xor(x, y) for x, y in zip(a.bits, b.bits))
 
 
 def word_eq(a: CipherWord, b: CipherWord):
     """1 iff the words are equal: NOT of ``word_ne``, w - 1 ANDs and one
     fresh encryption."""
-    return a.bits[0]._state.impl.not_(word_ne(a, b))
+    return not_(word_ne(a, b))
 
 
 def word_gt(a: CipherWord, b: CipherWord):
     """1 iff a > b (unsigned), one AND per bit and no constants."""
     _check_width(a, b)
-    k = a.bits[0]._state.impl
-    return gt_chain(a.bits, tuple(k.xor(x, y) for x, y in zip(a.bits, b.bits)))
+    return gt_chain(a.bits, tuple(xor(x, y) for x, y in zip(a.bits, b.bits)))
 
 
 def gt_chain(xs, ts):
@@ -174,15 +156,14 @@ def gt_chain(xs, ts):
     LSB first, g is "a > b on the bits seen so far". Where t = 0 it keeps;
     where t = 1 it becomes x. Both cases are g ⊕ (t ∧ (x ⊕ g)), and the
     lowest bit seeds g = t ∧ x."""
-    k = ts[0]._state.impl
-    g = k.and_(ts[-1], xs[-1])
+    g = and_(ts[-1], xs[-1])
     for x, t in zip(xs[-2::-1], ts[-2::-1]):
         g = settled(g)
-        g = k.xor(g, k.and_(t, k.xor(x, g)))
+        g = xor(g, and_(t, xor(x, g)))
     return g
 
 
-def _ripple(k, abits, bbits, carry=None):
+def _ripple(abits, bbits, carry=None):
     """Ripple-carry add of two MSB-first bit tuples with an optional
     carry-in (None is 0). Each carry is one AND, the majority
     maj(x, y, c) = x ⊕ ((x ⊕ y) ∧ (x ⊕ c)) sharing x ⊕ y with the sum bit.
@@ -197,22 +178,22 @@ def _ripple(k, abits, bbits, carry=None):
             carry = settled(carry)
             top = max(x.epoch, y.epoch, carry.epoch)
             x, y, carry = lifted(x, top), lifted(y, top), lifted(carry, top)
-        axb = k.xor(x, y)
+        axb = xor(x, y)
         if last:
-            out.append(axb if carry is None else k.xor(axb, carry))
+            out.append(axb if carry is None else xor(axb, carry))
         elif carry is None:
             out.append(axb)
-            carry = k.and_(x, y)
+            carry = and_(x, y)
         else:
-            out.append(k.xor(axb, carry))
-            carry = k.xor(x, k.and_(axb, k.xor(x, carry)))
+            out.append(xor(axb, carry))
+            carry = xor(x, and_(axb, xor(x, carry)))
     return tuple(reversed(out))
 
 
 def word_add(a: CipherWord, b: CipherWord) -> CipherWord:
     """a + b modulo 2^width: w - 1 ANDs, no constants."""
     _check_width(a, b)
-    return CipherWord(_ripple(a.bits[0]._state.impl, a.bits, b.bits))
+    return CipherWord(_ripple(a.bits, b.bits))
 
 
 def word_mux(f, a: CipherWord, b: CipherWord) -> CipherWord:
@@ -236,21 +217,19 @@ def word_swap(f, a: CipherWord, b: CipherWord):
 def word_and_bit(a: CipherWord, f) -> CipherWord:
     """AND every bit of the word with one encrypted bit (zeroes the word
     when f is 0)."""
-    k = f._state.impl
     f = settled(f)
-    return CipherWord(tuple(k.and_(x, f) for x in a.bits))
+    return CipherWord(tuple(and_(x, f) for x in a.bits))
 
 
 def word_add_bit(a: CipherWord, f) -> CipherWord:
     """Add a single encrypted bit to a word modulo 2^width: a half-adder
     chain with f as the carry-in, w - 1 ANDs and no constants."""
-    k = f._state.impl
     out = []
     carry = f
     for i, x in enumerate(reversed(a.bits)):
-        out.append(k.xor(x, carry))
+        out.append(xor(x, carry))
         if i + 1 < a.width:
-            carry = k.and_(x, carry)
+            carry = and_(x, carry)
     return CipherWord(tuple(reversed(out)))
 
 
@@ -266,24 +245,23 @@ def bit_count(bits, width: int) -> CipherWord:
     The top column is reduced by XOR alone, so no carry leaves the word.
     A fresh zero fills only an empty column."""
     state = bits[0]._state
-    k = state.impl
     epoch = max(b.epoch for b in bits)
     column, out = list(bits), []
     for j in range(width):
         carries = []
         while len(column) > 1:
             x, y = column.pop(0), column.pop(0)
-            xy = k.xor(x, y)
+            xy = xor(x, y)
             if j + 1 == width:
                 column.append(xy)
             elif column:
                 z = column.pop(0)
-                column.append(k.xor(xy, z))
-                carries.append(k.xor(x, k.and_(xy, k.xor(x, z))))
+                column.append(xor(xy, z))
+                carries.append(xor(x, and_(xy, xor(x, z))))
             else:
                 column.append(xy)
-                carries.append(k.and_(x, y))
-        out.append(column[0] if column else k.fresh_bit(state, 0, epoch))
+                carries.append(and_(x, y))
+        out.append(column[0] if column else fresh_bit(state, 0, epoch))
         column = carries
     return CipherWord(tuple(reversed(out)))
 
@@ -304,11 +282,14 @@ def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
     zero-divisor mask climbs with the borrows the same way.
     """
     _check_width(num, den)
-    state, k, epoch = _context(num, den)
+    # constants start at the operands' top epoch, so only stale operand
+    # bits are bootstrapped up
+    state = num.bits[0]._state
+    epoch = max(b.epoch for b in num.bits + den.bits)
     w = num.width
-    zero = k.fresh_bit(state, 0, epoch)
-    one = k.fresh_bit(state, 1, epoch)
-    nden = (one, one) + tuple(k.not_(y) for y in den.bits)
+    zero = fresh_bit(state, 0, epoch)
+    one = fresh_bit(state, 1, epoch)
+    nden = (one, one) + tuple(not_(y) for y in den.bits)
     rem = (zero,) * (w + 1)
     borrows = []
     for i in range(w):
@@ -317,7 +298,7 @@ def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
         zero, one = lifted(zero, top), lifted(one, top)
         nden = tuple(lifted(b, top) for b in nden)
         rem = tuple(lifted(b, top) for b in rem)
-        diff = _ripple(k, (zero,) + rem, nden, one)
+        diff = _ripple((zero,) + rem, nden, one)
         rem = word_mux(diff[0], CipherWord(rem), CipherWord(diff[1:])).bits
         borrows.append(diff[0])
     nonzero = any_bit(den.bits)

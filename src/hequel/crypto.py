@@ -1,6 +1,5 @@
 """Key management and the bit-level encrypt/decrypt API. Gates are
-evaluated by ``hequel.kernel``, which each ladder also names as
-``ladder.kernel``.
+evaluated by ``hequel.kernel``.
 
 A key ladder is a chain of keypairs (sk_1, pk_1) .. (sk_D, pk_D). The server
 holds the public keys plus *wrapped* secret keys: in leveled mode each sk_i
@@ -76,9 +75,8 @@ class KeyLadder:
         # keys the serialized-ciphertext payload mask; one-way derived so it
         # cannot recover secret-key tokens
         self.mask_key = hashlib.sha256(b"mask:" + seed).digest()
-        self.kernel = kernel
         nonce_seed = int.from_bytes(hashlib.sha256(b"nonce:" + seed).digest()[:8], "big")
-        self.state = kernel.new_state(
+        self.state = kernel.KernelState(
             MODE_NAMES[ctx.mode], ctx.depth_budget, ctx.epochs,
             nonce_seed, self.ladder_id)
         self.public_keys = tuple(

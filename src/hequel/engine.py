@@ -31,8 +31,6 @@ class RunStats:
 class DiffReport:
     passed: bool
     detail: str
-    encrypted_rows: list
-    oracle_rows: list
     stats: RunStats
 
 
@@ -97,7 +95,7 @@ def diff_run(plan, catalog: dict[str, PlainTable],
         # before any table comparison; that is still a detected mismatch
         empty_stats = RunStats(0, 0, 0, 0, 0.0)
         return DiffReport(False, f"result verification failed: {exc}",
-                          [], [], empty_stats)
+                          empty_stats)
     finally:
         server.ladder.clear_gate_fault()
     want_result = oracle.eval_plan(plan, catalog)
@@ -107,10 +105,7 @@ def diff_run(plan, catalog: dict[str, PlainTable],
         return DiffReport(
             False,
             f"schema mismatch: {enc_result.schema.columns} vs "
-            f"{want_result.schema.columns}",
-            list(enc_result.rows), list(want_result.rows), stats)
+            f"{want_result.schema.columns}", stats)
     if got != want:
-        return DiffReport(False, _first_difference(got, want),
-                          list(enc_result.rows), list(want_result.rows), stats)
-    return DiffReport(True, "", list(enc_result.rows),
-                      list(want_result.rows), stats)
+        return DiffReport(False, _first_difference(got, want), stats)
+    return DiffReport(True, "", stats)

@@ -33,12 +33,13 @@ class KernelState:
     Counters are plain ints; CPython's GIL keeps increments safe to run
     concurrently (worst case a lost count, never corruption). ``fault_gate``
     flips the output of the N-th gate (1-based over XOR+AND) and exists for
-    fault-injection tests; -1 disables it. ``impl`` is this module, so code
-    holding only a ciphertext reaches the gates through ``bit._state.impl``.
+    fault-injection tests; -1 disables it. ``impl`` is this module; the
+    benchmark's layer timings are its only reader, and every other caller
+    imports the module.
     """
 
     __slots__ = (
-        "mode", "depth_budget", "num_epochs", "auto_refresh", "ladder_id",
+        "mode", "depth_budget", "num_epochs", "ladder_id",
         "xor_count", "and_count", "refresh_count", "encrypt_count",
         "fault_gate", "nonce_state", "impl",
     )
@@ -52,7 +53,6 @@ class KernelState:
         self.mode = mode
         self.depth_budget = depth_budget
         self.num_epochs = num_epochs
-        self.auto_refresh = True
         self.ladder_id = ladder_id
         self.xor_count = 0
         self.and_count = 0
@@ -92,11 +92,6 @@ def _next_nonce(s: KernelState) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def new_state(mode: int, depth_budget: int, num_epochs: int,
-              nonce_state: int, ladder_id: str = "") -> KernelState:
-    return KernelState(mode, depth_budget, num_epochs, nonce_state, ladder_id)
 
 
 def fresh_bit(s: KernelState, payload: int, epoch: int) -> CipherBit:
@@ -159,7 +154,7 @@ def and_(a: CipherBit, b: CipherBit) -> CipherBit:
     if a.epoch != b.epoch:
         a, b = _align(a, b)
     d = (a.depth if a.depth >= b.depth else b.depth) + 1
-    if d > s.depth_budget and s.auto_refresh:
+    if d > s.depth_budget:
         # refresh whichever operands carry depth, then re-align epochs
         if a.depth:
             a = refresh(a)

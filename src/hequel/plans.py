@@ -24,6 +24,7 @@ from hequel import relalg, serial
 from hequel.circuits import DEFAULT_WIDTH, encrypt_word
 from hequel.errors import (PlanTypeError, ProtocolError, SchemaMismatch,
                            UnknownTable)
+from hequel.kernel import fresh_bit
 from hequel.relalg import And, Cmp, ColRef, EncLit, EncTable, Lit, Not, Or
 from hequel.schema import Schema
 
@@ -197,9 +198,8 @@ def _setop_schema(node, left: Schema, right: Schema) -> Schema:
 def _wrap_scalar(word, name: str, state) -> EncTable:
     """Present a scalar aggregate as a 1-row table so it flows through the
     result-return protocol like any other result."""
-    k = state.impl
     epoch = max(b.epoch for b in word.bits)
-    presence = k.fresh_bit(state, 1, epoch)
+    presence = fresh_bit(state, 1, epoch)
     schema = Schema(((name, word.width),))
     return EncTable("", schema, (relalg.EncRow((word,), presence),), state)
 

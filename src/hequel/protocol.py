@@ -34,6 +34,10 @@ from hequel.relalg import (
 )
 from hequel.schema import PlainTable, Schema
 
+# results counted but not yet fetched that one server holds at most; a
+# query past the cap is refused before its plan is evaluated
+MAX_PENDING_RESULTS = 64
+
 
 class ServerStore:
     """Server half: encrypted tables, query results, and the key ladder's
@@ -68,6 +72,9 @@ class ServerStore:
             "upload_ok", qid, {"name": table.name, "capacity": table.capacity})
 
     def _handle_query(self, qid: str, payload) -> bytes:
+        if len(self.results) >= MAX_PENDING_RESULTS:
+            raise ProtocolError(
+                f"{len(self.results)} results await a fetch; fetch one first")
         plan = plans.plan_from_obj(payload["plan"], self.ladder)
         result = plans.eval_encrypted(plan, self.tables)
         self.results[qid] = result
@@ -84,7 +91,7 @@ class ServerStore:
             raise ProtocolError(f"no pending result for query {qid!r}")
         result = self.results[qid]
         n_prime = payload["n_prime"]
-        if not isinstance(n_prime, int) or n_prime < 0:
+        if type(n_prime) is not int or n_prime < 0:
             raise ProtocolError(f"bad row request {n_prime!r}")
         if n_prime > result.capacity:
             raise FetchTooLarge(

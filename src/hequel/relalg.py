@@ -45,7 +45,7 @@ from hequel.errors import (
     SchemaMismatch,
     ValueOverflow,
 )
-from hequel.kernel import MODE_CIRCULAR
+from hequel.kernel import MODE_CIRCULAR, and_, fresh_bit, not_, refresh, xor
 from hequel.schema import PlainTable, Schema
 
 
@@ -130,7 +130,6 @@ def _operand_word(node, schema: Schema, row: EncRow, width_hint: int | None):
 
 def eval_predicate(pred, schema: Schema, row: EncRow):
     """Evaluate a predicate tree on one row, returning an encrypted bit."""
-    k = row.presence._state.impl
     if isinstance(pred, Cmp):
         a = _operand_word(pred.left, schema, row, None)
         b = _operand_word(pred.right, schema, row, None)
@@ -149,18 +148,18 @@ def eval_predicate(pred, schema: Schema, row: EncRow):
         if pred.op == "<":
             return word_gt(b, a)
         if pred.op == ">=":
-            return k.not_(word_gt(b, a))
+            return not_(word_gt(b, a))
         if pred.op == "<=":
-            return k.not_(word_gt(a, b))
+            return not_(word_gt(a, b))
         raise PlanTypeError(f"unknown comparison operator {pred.op!r}")
     if isinstance(pred, And):
-        return k.and_(eval_predicate(pred.left, schema, row),
-                      eval_predicate(pred.right, schema, row))
+        return and_(eval_predicate(pred.left, schema, row),
+                    eval_predicate(pred.right, schema, row))
     if isinstance(pred, Or):
         return bit_or(eval_predicate(pred.left, schema, row),
                       eval_predicate(pred.right, schema, row))
     if isinstance(pred, Not):
-        return k.not_(eval_predicate(pred.child, schema, row))
+        return not_(eval_predicate(pred.child, schema, row))
     raise PlanTypeError(f"bad predicate node {pred!r}")
 
 
@@ -205,13 +204,13 @@ def _table_epoch(t: EncTable) -> int:
     return max(epochs, default=1)
 
 
-def _row_ne(k, state, epoch, cells_a, cells_b):
+def _row_ne(state, epoch, cells_a, cells_b):
     """1 iff two rows differ on some listed cell: one balanced OR tree over
     the XORs of all their bits, one AND per bit but the first. Rows with no
     cells never differ (an encrypted 0)."""
-    diffs = [k.xor(x, y) for a, b in zip(cells_a, cells_b)
+    diffs = [xor(x, y) for a, b in zip(cells_a, cells_b)
              for x, y in zip(a.bits, b.bits)]
-    return any_bit(diffs) if diffs else k.fresh_bit(state, 0, epoch)
+    return any_bit(diffs) if diffs else fresh_bit(state, 0, epoch)
 
 
 def _concat(words) -> CipherWord:
@@ -266,8 +265,7 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
     if n < 2:
         return list(rows)
     width = (n - 1).bit_length()
-    k = state.impl
-    circular = state.mode == MODE_CIRCULAR and state.auto_refresh
+    circular = state.mode == MODE_CIRCULAR
     # the index rides as a trailing cell, so key_fn's cell indices still hold
     tagged = [EncRow(r.cells + (const_word(state, i, width, epoch),),
                      r.presence) for i, r in enumerate(rows)]
@@ -283,7 +281,7 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
             # the selector reaches every bit of both rows; from depth 0 the
             # swapped bits stay shallow. A circular refresh spends no
             # epoch; in leveled mode the epoch it spends costs more.
-            f = k.refresh(f)
+            f = refresh(f)
         tagged[i], tagged[j] = _swap_rows(f, a, b)
     return [EncRow(r.cells[:-1], r.presence) for r in tagged]
 
@@ -305,11 +303,10 @@ def compact_rows(rows, state, epoch: int):
     n = len(rows)
     if n < 2:
         return list(rows)
-    k = state.impl
     width = (n - 1).bit_length()
     counts = [const_word(state, 0, width, epoch)]
     for r in rows[:-1]:
-        counts.append(word_add_bit(counts[-1], k.not_(r.presence)))
+        counts.append(word_add_bit(counts[-1], not_(r.presence)))
     # per slot: cells, presence, and the count bits still unused, LSB first
     slots = [(r.cells, r.presence, c.bits[::-1])
              for r, c in zip(rows, counts)]
@@ -317,12 +314,12 @@ def compact_rows(rows, state, epoch: int):
         shift = 1 << j
         # a present row below slot 2^j cannot have bit j set: it would
         # have to end before slot 0
-        moves = [None] * shift + [k.and_(p, bits[0])
+        moves = [None] * shift + [and_(p, bits[0])
                                   for _, p, bits in slots[shift:]]
         out = []
         for t, (cells, p, bits) in enumerate(slots):
             if moves[t] is not None:
-                p = k.xor(p, moves[t])
+                p = xor(p, moves[t])
             bits = bits[1:]
             if t + shift < n:
                 f = moves[t + shift]
@@ -332,7 +329,7 @@ def compact_rows(rows, state, epoch: int):
                 if bits:
                     bits = word_mux(f, CipherWord(src_bits[1:]),
                                     CipherWord(bits)).bits
-                p = k.xor(f, p)
+                p = xor(f, p)
             out.append((cells, p, bits))
         slots = out
     return [EncRow(cells, p) for cells, p, _ in slots]
@@ -341,9 +338,8 @@ def compact_rows(rows, state, epoch: int):
 # --- operators --------------------------------------------------------------
 
 def op_select(pred, t: EncTable) -> EncTable:
-    k = t.state.impl
     rows = tuple(
-        EncRow(r.cells, k.and_(r.presence, eval_predicate(pred, t.schema, r)))
+        EncRow(r.cells, and_(r.presence, eval_predicate(pred, t.schema, r)))
         for r in t.rows)
     return EncTable("", t.schema, rows, t.state)
 
@@ -364,12 +360,11 @@ def op_cross(t1: EncTable, t2: EncTable) -> EncTable:
         if name in t1.schema.names:
             raise DuplicateColumn(f"column {name!r} exists in both operands")
     schema = Schema(t1.schema.columns + t2.schema.columns)
-    k = t1.state.impl
     rows = []
     for r1 in t1.rows:
         for r2 in t2.rows:
             rows.append(EncRow(
-                r1.cells + r2.cells, k.and_(r1.presence, r2.presence)))
+                r1.cells + r2.cells, and_(r1.presence, r2.presence)))
     return EncTable("", schema, tuple(rows), t1.state)
 
 
@@ -411,7 +406,6 @@ def _extreme(col: str, t: EncTable, want_min: bool) -> CipherWord:
 
 def _match(a, b, want_min: bool):
     """One tournament node: 2w + 3 ANDs at value width w."""
-    k = a[1]._state.impl
     # most inputs feed several gates: settle each input and lift it to
     # the pair's epoch once, not inside each gate
     bits = [settled(x) for x in (*a[0], a[1], *b[0], b[1])]
@@ -419,10 +413,10 @@ def _match(a, b, want_min: bool):
     bits = [lifted(x, top) for x in bits]
     w = len(a[0])
     xa, pa, xb, pb = bits[:w], bits[w], bits[w + 1:-1], bits[-1]
-    ts = [k.xor(x, y) for x, y in zip(xa, xb)]
-    keep = k.and_(pa, gt_chain(xb if want_min else xa, ts))
+    ts = [xor(x, y) for x, y in zip(xa, xb)]
+    keep = and_(pa, gt_chain(xb if want_min else xa, ts))
     take = settled(bit_and_not(pb, keep))
-    value = tuple(k.xor(x, k.and_(take, d)) for x, d in zip(xa, ts))
+    value = tuple(xor(x, and_(take, d)) for x, d in zip(xa, ts))
     return value, bit_or(pa, pb)
 
 
@@ -441,7 +435,6 @@ def op_avg(col: str, t: EncTable) -> CipherWord:
 
 def op_distinct(t: EncTable) -> EncTable:
     state = t.state
-    k = state.impl
     epoch = _table_epoch(t)
     rows = list(t.rows)
     for i in range(1, len(rows)):
@@ -449,7 +442,7 @@ def op_distinct(t: EncTable) -> EncTable:
         # first present copy of a value has no earlier one, so it stays,
         # and no row's test waits on another row's outcome.
         copies = [bit_and_not(t.rows[j].presence,
-                              _row_ne(k, state, epoch, rows[i].cells,
+                              _row_ne(state, epoch, rows[i].cells,
                                       rows[j].cells))
                   for j in range(i)]
         rows[i] = EncRow(rows[i].cells,
@@ -473,7 +466,6 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
     state = t.state
     if t.capacity == 0:
         return EncTable("", out_schema, (), state)
-    k = state.impl
     epoch = _table_epoch(t)
     key_idx = [t.schema.index_of(c) for c in group_cols]
     sum_idx = t.schema.index_of(sum_col)
@@ -488,10 +480,10 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
     f = rows[0].presence
     out = []
     for prev, r in zip(rows, rows[1:]):
-        ne = settled(_row_ne(k, state, epoch, keys_of(prev), keys_of(r)))
-        emit = k.and_(ne, f)
+        ne = settled(_row_ne(state, epoch, keys_of(prev), keys_of(r)))
+        emit = and_(ne, f)
         out.append(EncRow(keys_of(prev) + (total,), emit))
-        f = bit_or(r.presence, k.xor(f, emit))
+        f = bit_or(r.presence, xor(f, emit))
         kept = CipherWord(tuple(bit_and_not(x, ne) for x in total.bits))
         total = word_add(kept, word_and_bit(r.cells[sum_idx], r.presence))
     out.append(EncRow(keys_of(rows[-1]) + (total,), f))
@@ -525,18 +517,17 @@ def _bag_overlap(t1: EncTable, t2: EncTable, keep_matched: bool) -> EncTable:
     """
     _check_same_shape(t1, t2)
     state = t1.state
-    k = state.impl
     epoch = max(_table_epoch(t1), _table_epoch(t2))
     free = [r.presence for r in t2.rows]
     out = []
     for r1 in t1.rows:
         need = r1.presence
         for j, r2 in enumerate(t2.rows):
-            take = bit_and_not(k.and_(free[j], need),
-                               _row_ne(k, state, epoch, r1.cells, r2.cells))
-            free[j] = k.xor(free[j], take)
-            need = k.xor(need, take)
-        p_out = k.xor(r1.presence, need) if keep_matched else need
+            take = bit_and_not(and_(free[j], need),
+                               _row_ne(state, epoch, r1.cells, r2.cells))
+            free[j] = xor(free[j], take)
+            need = xor(need, take)
+        p_out = xor(r1.presence, need) if keep_matched else need
         out.append(EncRow(r1.cells, p_out))
     return EncTable("", t1.schema, tuple(out), state)
 

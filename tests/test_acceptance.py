@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from hequel import dsl, engine, plans, randgen, serial
+from hequel import dsl, engine, kernel, plans, randgen, serial
 from hequel.circuits import (bit_or, decrypt_word, encrypt_word, word_add,
                              word_add_bit, word_and_bit, word_div, word_eq,
                              word_gt, word_mux)
@@ -40,7 +40,6 @@ def test_criterion_1_gate_layer():
     t0 = time.monotonic()
     ctx = SecurityContext(mode="leveled", depth_budget=8, epochs=3)
     ladder, keys = keygen(ctx, seed=b"acc1")
-    kernel = ladder.kernel
     checks = 0
     for ei in (1, 2, 3):
         for ej in (1, 2, 3):
@@ -439,7 +438,7 @@ def depth_chain(ctx, seed):
     pk = ladder.public_key()
     acc = encrypt_bit(pk, 1)
     for _ in range(ctx.depth_budget + 1):
-        acc = ladder.kernel.and_(acc, encrypt_bit(pk, 1))
+        acc = kernel.and_(acc, encrypt_bit(pk, 1))
     return keys.decrypt_bit(acc), ladder.state.refresh_count
 
 

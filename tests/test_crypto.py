@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from hequel import kernel
 from hequel.circuits import bit_or
 from hequel.crypto import (ClientKeys, SecurityContext, decrypt_bit,
                            encrypt_bit, keygen)
@@ -56,7 +57,7 @@ def test_decrypt_needs_matching_epoch():
     c = encrypt_bit(ladder.public_key(1), 1)
     with pytest.raises(EpochMismatch):
         decrypt_bit(keys.secret_key(2), c)
-    r = ladder.kernel.refresh(c)
+    r = kernel.refresh(c)
     assert decrypt_bit(keys.secret_key(2), r) == 1
 
 
@@ -68,26 +69,29 @@ def test_decrypt_rejects_foreign_ladder():
         keys_a.decrypt_bit(c)
 
 
-def test_noise_overflow_when_auto_refresh_disabled():
+def test_decrypt_refuses_bit_past_depth_budget():
+    # gates refresh before they pass the budget, so an over-deep bit can
+    # only be rebuilt from its parts, as a forged one off the wire would be
     ladder, keys = keygen(SecurityContext(depth_budget=2), seed=b"no")
-    ladder.state.auto_refresh = False
-    pk = ladder.public_key()
-    c = encrypt_bit(pk, 1)
-    for _ in range(3):
-        c = ladder.kernel.and_(c, encrypt_bit(pk, 1))
-    assert c.depth == 3
+    c = encrypt_bit(ladder.public_key(), 1)
+
+    def at_depth(depth):
+        return kernel.bit_from_parts(ladder.state, kernel._reveal(c), c.epoch,
+                                     depth, kernel._nonce_of(c))
+
+    assert keys.decrypt_bit(at_depth(2)) == 1
     with pytest.raises(NoiseOverflow):
-        keys.decrypt_bit(c)
+        keys.decrypt_bit(at_depth(3))
 
 
 def test_gate_wrappers():
     ladder, keys = keygen(SecurityContext(), seed=b"gw")
     pk = ladder.public_key()
     one, zero = encrypt_bit(pk, 1), encrypt_bit(pk, 0)
-    assert keys.decrypt_bit(ladder.kernel.xor(one, one)) == 0
-    assert keys.decrypt_bit(ladder.kernel.and_(one, zero)) == 0
+    assert keys.decrypt_bit(kernel.xor(one, one)) == 0
+    assert keys.decrypt_bit(kernel.and_(one, zero)) == 0
     assert keys.decrypt_bit(bit_or(one, zero)) == 1
-    assert keys.decrypt_bit(ladder.kernel.not_(zero)) == 1
+    assert keys.decrypt_bit(kernel.not_(zero)) == 1
 
 
 def test_deep_circuit_refreshes_in_circular_mode():
@@ -95,7 +99,7 @@ def test_deep_circuit_refreshes_in_circular_mode():
     pk = ladder.public_key()
     acc = encrypt_bit(pk, 1)
     for _ in range(5):  # depth 5 > budget 4
-        acc = ladder.kernel.and_(acc, encrypt_bit(pk, 1))
+        acc = kernel.and_(acc, encrypt_bit(pk, 1))
     assert keys.decrypt_bit(acc) == 1
     assert ladder.state.refresh_count >= 1
 
@@ -107,7 +111,7 @@ def test_deep_circuit_exhausts_single_level_ladder():
     acc = encrypt_bit(pk, 1)
     with pytest.raises(LadderExhausted):
         for _ in range(5):
-            acc = ladder.kernel.and_(acc, encrypt_bit(pk, 1))
+            acc = kernel.and_(acc, encrypt_bit(pk, 1))
 
 
 def test_keygen_deterministic_per_seed():
@@ -126,7 +130,7 @@ def test_server_visible_material_has_no_plaintext_secret():
         assert wrapped not in tokens
     # computation needs only the ladder; decryption needs ClientKeys
     pk = ladder.public_key()
-    c = ladder.kernel.and_(encrypt_bit(pk, 1), encrypt_bit(pk, 1))
+    c = kernel.and_(encrypt_bit(pk, 1), encrypt_bit(pk, 1))
     assert keys.decrypt_bit(c) == 1
     assert not hasattr(ladder, "secret_keys")
 

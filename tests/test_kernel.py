@@ -11,9 +11,9 @@ from hequel import kernel as kernel_mod
 from hequel.errors import LadderExhausted, LadderMismatch
 
 
-def make_state(kernel, mode="circular", budget=8, epochs=1, seed=0):
+def make_state(mode="circular", budget=8, epochs=1, seed=0):
     mode_id = kernel_mod.MODE_CIRCULAR if mode == "circular" else kernel_mod.MODE_LEVELED
-    return kernel.new_state(mode_id, budget, epochs, seed, "test-ladder")
+    return kernel_mod.KernelState(mode_id, budget, epochs, seed, "test-ladder")
 
 
 # parametrized by name so each case id records the kernel it ran on
@@ -23,7 +23,7 @@ def kernel(request):
 
 
 def test_truth_tables(kernel):
-    s = make_state(kernel)
+    s = make_state()
     for a in (0, 1):
         for b in (0, 1):
             ea, eb = kernel.fresh_bit(s, a, 1), kernel.fresh_bit(s, b, 1)
@@ -33,7 +33,7 @@ def test_truth_tables(kernel):
 
 
 def test_depth_accounting(kernel):
-    s = make_state(kernel, budget=8)
+    s = make_state(budget=8)
     a = kernel.fresh_bit(s, 1, 1)
     b = kernel.fresh_bit(s, 1, 1)
     assert a.depth == 0
@@ -49,7 +49,7 @@ def test_depth_accounting(kernel):
 
 
 def test_auto_refresh_keeps_depth_legal(kernel):
-    s = make_state(kernel, budget=3)
+    s = make_state(budget=3)
     acc = kernel.fresh_bit(s, 1, 1)
     for _ in range(10):
         acc = kernel.and_(acc, kernel.fresh_bit(s, 1, 1))
@@ -59,7 +59,7 @@ def test_auto_refresh_keeps_depth_legal(kernel):
 
 
 def test_circular_refresh_same_epoch(kernel):
-    s = make_state(kernel, mode="circular")
+    s = make_state(mode="circular")
     c = kernel.and_(kernel.fresh_bit(s, 1, 1), kernel.fresh_bit(s, 1, 1))
     r = kernel.refresh(c)
     assert (r.epoch, r.depth) == (1, 0)
@@ -67,7 +67,7 @@ def test_circular_refresh_same_epoch(kernel):
 
 
 def test_leveled_refresh_advances_epoch(kernel):
-    s = make_state(kernel, mode="leveled", epochs=3)
+    s = make_state(mode="leveled", epochs=3)
     c = kernel.fresh_bit(s, 1, 1)
     r1 = kernel.refresh(c)
     r2 = kernel.refresh(r1)
@@ -77,7 +77,7 @@ def test_leveled_refresh_advances_epoch(kernel):
 
 
 def test_cross_epoch_gate_lifts_lower_operand(kernel):
-    s = make_state(kernel, mode="leveled", epochs=3)
+    s = make_state(mode="leveled", epochs=3)
     lo = kernel.fresh_bit(s, 1, 1)
     hi = kernel.fresh_bit(s, 1, 3)
     out = kernel.and_(lo, hi)
@@ -90,15 +90,15 @@ def test_cross_epoch_gate_lifts_lower_operand(kernel):
 
 def test_leveled_exhaustion_at_top_epoch(kernel):
     # depth forces a refresh but no next key exists
-    s = make_state(kernel, mode="leveled", budget=1, epochs=1)
+    s = make_state(mode="leveled", budget=1, epochs=1)
     a = kernel.and_(kernel.fresh_bit(s, 1, 1), kernel.fresh_bit(s, 1, 1))
     with pytest.raises(LadderExhausted):
         kernel.and_(a, a)
 
 
 def test_ladder_mismatch(kernel):
-    s1 = make_state(kernel)
-    s2 = make_state(kernel)
+    s1 = make_state()
+    s2 = make_state()
     a = kernel.fresh_bit(s1, 1, 1)
     b = kernel.fresh_bit(s2, 1, 1)
     with pytest.raises(LadderMismatch):
@@ -106,7 +106,7 @@ def test_ladder_mismatch(kernel):
 
 
 def test_counters(kernel):
-    s = make_state(kernel)
+    s = make_state()
     a = kernel.fresh_bit(s, 1, 1)
     b = kernel.fresh_bit(s, 0, 1)
     assert s.encrypt_count == 2
@@ -119,7 +119,7 @@ def test_counters(kernel):
 
 
 def test_fault_gate_flips_exactly_one_output(kernel):
-    s = make_state(kernel)
+    s = make_state()
     s.fault_gate = 2
     a = kernel.fresh_bit(s, 1, 1)
     b = kernel.fresh_bit(s, 1, 1)
@@ -133,13 +133,13 @@ def test_fault_gate_flips_exactly_one_output(kernel):
 
 def test_nonce_stream_is_reference_splitmix64(kernel):
     # known-answer vector for the splitmix64 generator, seed 0
-    s = make_state(kernel, seed=0)
+    s = make_state(seed=0)
     got = [kernel._nonce_of(kernel.fresh_bit(s, 0, 1)) for _ in range(3)]
     assert got == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_nonces_distinct(kernel):
-    s = make_state(kernel, seed=7)
+    s = make_state(seed=7)
     rng = random.Random(7)
     seen = {kernel._nonce_of(kernel.fresh_bit(s, rng.randint(0, 1), 1))
             for _ in range(500)}
@@ -147,7 +147,7 @@ def test_nonces_distinct(kernel):
 
 
 def test_cipherbit_is_opaque(kernel):
-    s = make_state(kernel)
+    s = make_state()
     c = kernel.fresh_bit(s, 1, 1)
     assert not hasattr(c, "payload")
     # repr names only public metadata, never the hidden bit

@@ -11,8 +11,9 @@ from hequel import dsl, plans, serial
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
                            VerificationFailure)
-from hequel.protocol import (ClientSession, ServerStore, result_fetch,
-                             run_query, setup_upload, submit_query)
+from hequel.protocol import (MAX_PENDING_RESULTS, ClientSession, ServerStore,
+                             result_fetch, run_query, setup_upload,
+                             submit_query)
 from hequel.relalg import encrypt_table
 from hequel.schema import PlainTable, Schema
 
@@ -84,9 +85,10 @@ def test_fetch_too_large():
                           dsl.parse("select(speed>1, table(pc))"))
     with pytest.raises(FetchTooLarge):
         server.handle(client.fetch_message(qid, n_prime=99))
-    with pytest.raises(ProtocolError):
-        server.handle(serial.message_to_bytes(
-            "fetch_rows_request", qid, {"n_prime": -1}))
+    for bad in (-1, True):
+        with pytest.raises(ProtocolError):
+            server.handle(serial.message_to_bytes(
+                "fetch_rows_request", qid, {"n_prime": bad}))
     # a refused request keeps the result for a valid one
     assert sorted(result_fetch(client, server, qid).rows) == [
         PC_ROWS[0], PC_ROWS[1]]
@@ -103,6 +105,21 @@ def test_result_is_dropped_once_fetched():
         server.handle(request)
     run_query(client, server, dsl.parse("table(pc)"))
     assert server.results == {}
+
+
+def test_pending_results_are_capped():
+    server, client = make_session()
+    plan = dsl.parse("table(pc)")
+    qids = [submit_query(client, server, plan)[0]
+            for _ in range(MAX_PENDING_RESULTS)]
+    with pytest.raises(ProtocolError):
+        submit_query(client, server, plan)
+    assert len(server.results) == MAX_PENDING_RESULTS
+    # a fetch frees a slot for the next query
+    result_fetch(client, server, qids[0])
+    qid, _ = submit_query(client, server, plan)
+    assert sorted(result_fetch(client, server, qid).rows) == [
+        PC_ROWS[0], PC_ROWS[1]]
 
 
 def test_fetch_below_count_refused():

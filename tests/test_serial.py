@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from hequel import serial
+from hequel import kernel, serial
 from hequel.circuits import decrypt_word, encrypt_word
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import LadderMismatch, ProtocolError
@@ -114,8 +114,7 @@ def test_ladder_persistence_continues_nonce_stream(session):
     assert keys.decrypt_bit(serial.bit_from_obj(reloaded, bit_obj)) == 1
     # new encryptions continue the stream rather than repeating nonces
     after = encrypt_bit(reloaded.public_key(), 1)
-    assert (reloaded.kernel._nonce_of(after)
-            != ladder.kernel._nonce_of(before))
+    assert kernel._nonce_of(after) != kernel._nonce_of(before)
 
 
 def test_client_keys_round_trip(session):
