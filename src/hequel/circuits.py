@@ -4,7 +4,8 @@ A word is a tuple of ciphertext bits, most significant first. Every
 function here evaluates the same gate sequence regardless of the plaintext
 under the encryption: no early exits, no data-dependent branching. Word
 widths are part of the public schema, so width checks on plaintext ints
-are allowed, and so is ``settled``'s test of a bit's public depth.
+are allowed, and so are the kernel's ``settle`` and ``lift``, which read
+a bit's public depth and epoch.
 
 The circuits take the minimum number of ANDs known for their function
 (Boyar, Peralta and Pochuev, TCS 2000): one per bit for compare, select
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import ValueOverflow, WidthMismatch
-from hequel.kernel import and_, fresh_bit, not_, refresh, xor
+from hequel.kernel import and_, fresh_bit, lift, not_, settle, xor
 
 DEFAULT_WIDTH = 8
 
@@ -74,28 +75,6 @@ def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
         for i in range(width)))
 
 
-def settled(bit):
-    """``bit``, refreshed once if it sits at the depth budget. The kernel
-    refreshes an AND's operands, not the caller's copy, so a bit at the
-    budget that feeds several ANDs would otherwise be refreshed by each
-    of them, and XORs with it would carry its depth forward. The test
-    reads public metadata only."""
-    if bit.depth >= bit._state.depth_budget:
-        return refresh(bit)
-    return bit
-
-
-def lifted(bit, epoch: int):
-    """``bit`` refreshed up to key ``epoch``. The kernel lifts a stale
-    operand inside the gate and keeps no copy, so a bit that meets newer
-    bits in several gates would be lifted again by each of them; a caller
-    that reuses it lifts it once. Reads public metadata only, and is the
-    identity in circular mode, where every bit has the same epoch."""
-    while bit.epoch < epoch:
-        bit = refresh(bit)
-    return bit
-
-
 def bit_mux(f, x, y):
     """Encrypted bit select: x when f is 1, else y. One AND and no NOT:
     y ⊕ (f ∧ (x ⊕ y))."""
@@ -111,7 +90,7 @@ def bit_swap(f, x, y):
 
 def bit_or(a, b):
     """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND and no fresh encryption."""
-    a, b = settled(a), settled(b)
+    a, b = settle(a), settle(b)
     return xor(xor(a, b), and_(a, b))
 
 
@@ -158,7 +137,7 @@ def gt_chain(xs, ts):
     lowest bit seeds g = t ∧ x."""
     g = and_(ts[-1], xs[-1])
     for x, t in zip(xs[-2::-1], ts[-2::-1]):
-        g = settled(g)
+        g = settle(g)
         g = xor(g, and_(t, xor(x, g)))
     return g
 
@@ -175,9 +154,9 @@ def _ripple(abits, bbits, carry=None):
     for i, (x, y) in enumerate(zip(xs, ys)):
         last = i + 1 == len(xs)
         if carry is not None and not last:
-            carry = settled(carry)
+            carry = settle(carry)
             top = max(x.epoch, y.epoch, carry.epoch)
-            x, y, carry = lifted(x, top), lifted(y, top), lifted(carry, top)
+            x, y, carry = lift(x, top), lift(y, top), lift(carry, top)
         axb = xor(x, y)
         if last:
             out.append(axb if carry is None else xor(axb, carry))
@@ -200,7 +179,7 @@ def word_mux(f, a: CipherWord, b: CipherWord) -> CipherWord:
     """Word select: a when the encrypted bit f is 1, else b. One AND per
     bit (``bit_mux``)."""
     _check_width(a, b)
-    f = settled(f)
+    f = settle(f)
     return CipherWord(tuple(bit_mux(f, x, y) for x, y in zip(a.bits, b.bits)))
 
 
@@ -208,7 +187,6 @@ def word_swap(f, a: CipherWord, b: CipherWord):
     """(b, a) when the encrypted bit f is 1, else (a, b): ``bit_swap`` per
     bit, one AND per bit for both outputs."""
     _check_width(a, b)
-    f = settled(f)
     swapped = [bit_swap(f, x, y) for x, y in zip(a.bits, b.bits)]
     return (CipherWord(tuple(x for x, _ in swapped)),
             CipherWord(tuple(y for _, y in swapped)))
@@ -217,7 +195,7 @@ def word_swap(f, a: CipherWord, b: CipherWord):
 def word_and_bit(a: CipherWord, f) -> CipherWord:
     """AND every bit of the word with one encrypted bit (zeroes the word
     when f is 0)."""
-    f = settled(f)
+    f = settle(f)
     return CipherWord(tuple(and_(x, f) for x in a.bits))
 
 
@@ -295,15 +273,15 @@ def word_div(num: CipherWord, den: CipherWord) -> CipherWord:
     for i in range(w):
         rem = rem[1:] + (num.bits[i],)
         top = max(b.epoch for b in rem + nden)
-        zero, one = lifted(zero, top), lifted(one, top)
-        nden = tuple(lifted(b, top) for b in nden)
-        rem = tuple(lifted(b, top) for b in rem)
+        zero, one = lift(zero, top), lift(one, top)
+        nden = tuple(lift(b, top) for b in nden)
+        rem = tuple(lift(b, top) for b in rem)
         diff = _ripple((zero,) + rem, nden, one)
         rem = word_mux(diff[0], CipherWord(rem), CipherWord(diff[1:])).bits
         borrows.append(diff[0])
     nonzero = any_bit(den.bits)
     quotient = []
     for b in borrows:
-        nonzero = lifted(nonzero, b.epoch)
+        nonzero = lift(nonzero, b.epoch)
         quotient.append(bit_and_not(nonzero, b))
     return CipherWord(tuple(quotient))

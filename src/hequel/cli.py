@@ -148,10 +148,17 @@ def cmd_diff(args) -> int:
         plan = dsl.parse_plan(args.plan, schemas)
         trials.append((args.plan, plan, catalog))
 
-    failures = 0
+    failures = errors = 0
     for label, plan, catalog in trials:
-        report = engine.diff_run(plan, catalog, ctx=ctx, seed=args.seed,
-                                 slack=args.slack, fault_gate=args.inject_fault)
+        try:
+            report = engine.diff_run(plan, catalog, ctx=ctx, seed=args.seed,
+                                     slack=args.slack,
+                                     fault_gate=args.inject_fault)
+        except HequelError as exc:
+            errors += 1
+            print(f"ERROR {label}")
+            print(f"  {exc}")
+            continue
         if report.passed:
             print(f"PASS {label}")
         else:
@@ -160,8 +167,9 @@ def cmd_diff(args) -> int:
             print(f"  {report.detail}")
         if args.stats:
             _emit_stats(report.stats)
-    print(f"{len(trials) - failures}/{len(trials)} plans matched the oracle")
-    return 0 if failures == 0 else 1
+    passed = len(trials) - failures - errors
+    print(f"{passed}/{len(trials)} plans matched the oracle")
+    return 2 if errors else 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

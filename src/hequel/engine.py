@@ -55,12 +55,11 @@ def _counters(state) -> tuple[int, int, int, int]:
 
 
 def run_encrypted(plan, server: protocol.ServerStore,
-                  client: protocol.ClientSession,
-                  n_prime: int | None = None) -> tuple[PlainTable, RunStats]:
+                  client: protocol.ClientSession) -> tuple[PlainTable, RunStats]:
     state = server.ladder.state
     before = _counters(state)
     t0 = time.perf_counter()
-    result = protocol.run_query(client, server, plan, n_prime)
+    result = protocol.run_query(client, server, plan)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     after = _counters(state)
     stats = RunStats(after[0] - before[0], after[1] - before[1],

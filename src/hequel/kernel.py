@@ -6,11 +6,12 @@ epochs, and the nonce stream that serialized ciphertexts carry.
 
 The model: a ciphertext bit carries a key epoch and the multiplicative
 depth consumed so far. AND costs one depth level, XOR and NOT cost none.
-When an AND would push the result past the depth budget, the deep operands
-are refreshed first (depth back to 0; epoch advances in leveled mode).
-Mixing epochs is allowed: the lower-epoch operand is refreshed up before
-the gate fires. OR is a word-circuit concern: ``circuits.bit_or`` builds
-it from one AND.
+When an AND would push the result past the depth budget, an operand that
+sits at the budget is refreshed first (``settle``). Mixing epochs is
+allowed: the lower-epoch operand is lifted to the other's epoch first
+(``lift``). A gate keeps no refreshed copy, so a caller that feeds one bit
+into several gates settles or lifts it once itself. OR is a word-circuit
+concern: ``circuits.bit_or`` builds it from one AND.
 """
 
 from __future__ import annotations
@@ -121,6 +122,20 @@ def refresh(c: CipherBit) -> CipherBit:
     return CipherBit(s, c._payload, epoch, 0, _next_nonce(s))
 
 
+def settle(c: CipherBit) -> CipherBit:
+    """``c`` refreshed if it sits at the depth budget, else ``c`` itself:
+    the one refresh rule. Reads public metadata only."""
+    return refresh(c) if c.depth >= c._state.depth_budget else c
+
+
+def lift(c: CipherBit, epoch: int) -> CipherBit:
+    """``c`` refreshed up to key ``epoch``, one refresh per epoch of the
+    gap; the identity in circular mode, which has one epoch."""
+    while c.epoch < epoch:
+        c = refresh(c)
+    return c
+
+
 def _check_ladder(a: CipherBit, b: CipherBit) -> KernelState:
     s = a._state
     if b._state is not s:
@@ -130,11 +145,9 @@ def _check_ladder(a: CipherBit, b: CipherBit) -> KernelState:
 
 def _align(a: CipherBit, b: CipherBit):
     # cross-key form: bootstrap the lower-epoch operand up to the higher one
-    while a.epoch < b.epoch:
-        a = refresh(a)
-    while b.epoch < a.epoch:
-        b = refresh(b)
-    return a, b
+    if a.epoch < b.epoch:
+        return lift(a, b.epoch), b
+    return a, lift(b, a.epoch)
 
 
 def xor(a: CipherBit, b: CipherBit) -> CipherBit:
@@ -155,11 +168,7 @@ def and_(a: CipherBit, b: CipherBit) -> CipherBit:
         a, b = _align(a, b)
     d = (a.depth if a.depth >= b.depth else b.depth) + 1
     if d > s.depth_budget:
-        # refresh whichever operands carry depth, then re-align epochs
-        if a.depth:
-            a = refresh(a)
-        if b.depth:
-            b = refresh(b)
+        a, b = settle(a), settle(b)
         if a.epoch != b.epoch:
             a, b = _align(a, b)
         d = (a.depth if a.depth >= b.depth else b.depth) + 1

@@ -67,6 +67,8 @@ class ServerStore:
         table = serial.table_from_obj(self.ladder, payload["table"])
         if not table.name:
             raise ProtocolError("uploaded table needs a name")
+        if table.name in self.tables:
+            raise ProtocolError(f"table {table.name!r} is already stored")
         self.tables[table.name] = table
         return serial.message_to_bytes(
             "upload_ok", qid, {"name": table.name, "capacity": table.capacity})

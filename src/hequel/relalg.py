@@ -25,8 +25,6 @@ from hequel.circuits import (
     decrypt_word,
     encrypt_word,
     gt_chain,
-    lifted,
-    settled,
     word_add,
     word_add_bit,
     word_and_bit,
@@ -45,7 +43,8 @@ from hequel.errors import (
     SchemaMismatch,
     ValueOverflow,
 )
-from hequel.kernel import MODE_CIRCULAR, and_, fresh_bit, not_, refresh, xor
+from hequel.kernel import (
+    MODE_CIRCULAR, and_, fresh_bit, lift, not_, refresh, settle, xor)
 from hequel.schema import PlainTable, Schema
 
 
@@ -220,15 +219,15 @@ def _concat(words) -> CipherWord:
 def _settled_row(r: EncRow) -> EncRow:
     """The row with every bit at the depth budget refreshed once, before a
     comparator reads its bits into several gates."""
-    return EncRow(tuple(CipherWord(tuple(settled(b) for b in c.bits))
-                        for c in r.cells), settled(r.presence))
+    return EncRow(tuple(CipherWord(tuple(settle(b) for b in c.bits))
+                        for c in r.cells), settle(r.presence))
 
 
 def _swap_rows(f, a: EncRow, b: EncRow):
     """Compare-and-swap: when f is 1 the rows trade places, presence bits
     included; when 0 both pass through. Same circuit either way, one AND
     per bit for both rows."""
-    f = settled(f)
+    f = settle(f)
     cells = [word_swap(f, ca, cb) for ca, cb in zip(a.cells, b.cells)]
     pa, pb = bit_swap(f, a.presence, b.presence)
     return (EncRow(tuple(ca for ca, _ in cells), pa),
@@ -408,14 +407,14 @@ def _match(a, b, want_min: bool):
     """One tournament node: 2w + 3 ANDs at value width w."""
     # most inputs feed several gates: settle each input and lift it to
     # the pair's epoch once, not inside each gate
-    bits = [settled(x) for x in (*a[0], a[1], *b[0], b[1])]
+    bits = [settle(x) for x in (*a[0], a[1], *b[0], b[1])]
     top = max(x.epoch for x in bits)
-    bits = [lifted(x, top) for x in bits]
+    bits = [lift(x, top) for x in bits]
     w = len(a[0])
     xa, pa, xb, pb = bits[:w], bits[w], bits[w + 1:-1], bits[-1]
     ts = [xor(x, y) for x, y in zip(xa, xb)]
     keep = and_(pa, gt_chain(xb if want_min else xa, ts))
-    take = settled(bit_and_not(pb, keep))
+    take = settle(bit_and_not(pb, keep))
     value = tuple(xor(x, and_(take, d)) for x, d in zip(xa, ts))
     return value, bit_or(pa, pb)
 
@@ -480,7 +479,7 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
     f = rows[0].presence
     out = []
     for prev, r in zip(rows, rows[1:]):
-        ne = settled(_row_ne(state, epoch, keys_of(prev), keys_of(r)))
+        ne = settle(_row_ne(state, epoch, keys_of(prev), keys_of(r)))
         emit = and_(ne, f)
         out.append(EncRow(keys_of(prev) + (total,), emit))
         f = bit_or(r.presence, xor(f, emit))

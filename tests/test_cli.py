@@ -101,6 +101,18 @@ def test_diff_random_is_seed_reproducible(capsys):
     assert first.count("PASS") == 3
 
 
+def test_diff_reports_every_plan_when_one_errors(capsys):
+    # a 3-epoch ladder under budget 2 runs out on some of these plans
+    assert main(["diff", "--random", "6", "--seed", "3",
+                 "--mode", "leveled:3", "--depth-budget", "2"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    results = [line for line in lines
+               if line.split(" ")[0] in ("PASS", "MISMATCH", "ERROR")]
+    assert len(results) == 6
+    assert any(line.startswith("ERROR ") for line in results)
+    assert lines[-1].endswith("/6 plans matched the oracle")
+
+
 def test_diff_without_inputs_exits_2(capsys):
     assert main(["diff"]) == 2
     assert "error" in capsys.readouterr().err

@@ -96,6 +96,45 @@ def test_leveled_exhaustion_at_top_epoch(kernel):
         kernel.and_(a, a)
 
 
+def test_settle_refreshes_only_a_bit_at_the_budget():
+    s = make_state(budget=4)
+    below = kernel_mod.bit_from_parts(s, 1, 1, 3, 0)
+    assert kernel_mod.settle(below) is below
+    assert s.refresh_count == 0
+    settled = kernel_mod.settle(kernel_mod.bit_from_parts(s, 1, 1, 4, 0))
+    assert (settled.depth, s.refresh_count) == (0, 1)
+    assert kernel_mod._reveal(settled) == 1
+
+
+@pytest.mark.parametrize("top_first", [True, False])
+def test_overflowing_and_refreshes_only_the_operand_at_the_budget(top_first):
+    s = make_state(budget=4)
+    top = kernel_mod.bit_from_parts(s, 1, 1, 4, 0)
+    mid = kernel_mod.bit_from_parts(s, 1, 1, 2, 0)
+    out = kernel_mod.and_(top, mid) if top_first else kernel_mod.and_(mid, top)
+    assert (s.refresh_count, out.depth) == (1, 3)
+    assert kernel_mod._reveal(out) == 1
+
+
+def test_lift_spends_one_refresh_per_epoch():
+    s = make_state(mode="leveled", epochs=5)
+    c = kernel_mod.fresh_bit(s, 1, 2)
+    lifted = kernel_mod.lift(c, 5)
+    assert (lifted.epoch, lifted.depth, s.refresh_count) == (5, 0, 3)
+    assert kernel_mod._reveal(lifted) == 1
+    assert kernel_mod.lift(lifted, 5) is lifted
+    assert kernel_mod.lift(c, 1) is c
+    assert s.refresh_count == 3
+
+
+def test_lift_is_the_identity_in_circular_mode():
+    s = make_state(mode="circular")
+    c = kernel_mod.and_(kernel_mod.fresh_bit(s, 1, 1),
+                        kernel_mod.fresh_bit(s, 1, 1))
+    assert kernel_mod.lift(c, 1) is c
+    assert s.refresh_count == 0
+
+
 def test_ladder_mismatch(kernel):
     s1 = make_state()
     s2 = make_state()

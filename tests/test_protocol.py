@@ -424,6 +424,17 @@ def test_server_rejects_forged_uploads(edit):
     assert server.tables["pc"] is original
 
 
+def test_server_refuses_to_replace_a_stored_table():
+    server, client = make_session()
+    original = server.tables["pc"]
+    plain = PlainTable(Schema((("a", 4), ("b", 4))), [(3, 9), (1, 2)])
+    with pytest.raises(ProtocolError):
+        server.handle(client.upload_message("pc", plain))
+    assert server.tables["pc"] is original
+    setup_upload(client, server, "pc2", plain)
+    assert server.tables["pc2"].capacity == 2
+
+
 def test_compact_fetch_is_smaller_than_full_table():
     server, client = make_session()
     qid, n = submit_query(client, server,
@@ -466,6 +477,35 @@ def test_fetch_gates_do_not_depend_on_presence():
 def test_capacity_one_fetch_costs_nothing():
     assert _fetch_counts([1]) == (0, 0, 0, 0)
     assert _fetch_counts([0]) == (0, 0, 0, 0)
+
+
+def test_select_phase_costs():
+    """ANDs, refreshes and encryptions of the query and fetch phases of
+    select(k > 50) over 32 rows. Fetch compaction settles only the operand
+    of an overflowing AND that sits at the budget: 368 refreshes, where
+    refreshing every operand with depth spent 596."""
+    ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"phases")
+    server = ServerStore(ladder)
+    client = ClientSession(keys, ladder.public_key())
+    s = Schema((("k", 8), ("v", 8)))
+    plain = PlainTable(s, [((i * 53) % 256, i) for i in range(32)])
+    server.tables["t"] = encrypt_table(ladder.public_key(), plain, name="t")
+    client.catalog["t"] = s
+    st = ladder.state
+
+    def counts():
+        return st.and_count, st.refresh_count, st.encrypt_count
+
+    plan = dsl.parse("select(k > 50, table(t))")
+    before = counts()
+    qid, _ = submit_query(client, server, plan)
+    query = counts()
+    reply = server.handle(client.fetch_message(qid))
+    fetch = counts()
+    assert tuple(b - a for a, b in zip(before, query)) == (319, 32, 8)
+    assert tuple(b - a for a, b in zip(query, fetch)) == (2611, 368, 36)
+    assert sorted(client.read_rows_and_verify(reply).rows) == sorted(
+        r for r in plain.rows if r[0] > 50)
 
 
 def test_protocol_in_leveled_mode():
