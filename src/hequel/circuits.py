@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
+from hequel.crypto import ClientKeys, PublicKey
 from hequel.errors import ValueOverflow, WidthMismatch
 from hequel.kernel import and_, fresh_bit, lift, not_, settle, xor
 
@@ -50,12 +50,7 @@ def _check_width(a: CipherWord, b: CipherWord):
 
 
 def encrypt_word(pk: PublicKey, value: int, width: int = DEFAULT_WIDTH) -> CipherWord:
-    if width < 1:
-        raise WidthMismatch("width must be >= 1")
-    if not 0 <= value < (1 << width):
-        raise ValueOverflow(f"{value} does not fit in {width} unsigned bits")
-    return CipherWord(tuple(
-        encrypt_bit(pk, (value >> (width - 1 - i)) & 1) for i in range(width)))
+    return const_word(pk.ladder.state, value, width, pk.epoch)
 
 
 def decrypt_word(keys: ClientKeys, word: CipherWord) -> int:
@@ -68,6 +63,8 @@ def decrypt_word(keys: ClientKeys, word: CipherWord) -> int:
 def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
     """Server-side encryption of a public literal (public keys are known
     to the evaluator, so this is always available)."""
+    if width < 1:
+        raise WidthMismatch("width must be >= 1")
     if not 0 <= value < (1 << width):
         raise ValueOverflow(f"{value} does not fit in {width} unsigned bits")
     return CipherWord(tuple(
@@ -99,14 +96,21 @@ def bit_and_not(a, b):
     return xor(a, and_(a, b))
 
 
+def pairwise(fn, items):
+    """Reduce a non-empty sequence with the binary ``fn`` as a balanced
+    tree: each level pairs neighbours in order, and an odd item out moves
+    up a level unchanged. len - 1 calls, ceil(log2 len) levels deep."""
+    items = list(items)
+    while len(items) > 1:
+        paired = [fn(a, b) for a, b in zip(items[::2], items[1::2])]
+        items = paired + items[len(paired) * 2:]
+    return items[0]
+
+
 def any_bit(bits):
-    """OR of a non-empty sequence of bits as a balanced tree of ``bit_or``:
-    len - 1 ANDs at depth ceil(log2 len)."""
-    bits = list(bits)
-    while len(bits) > 1:
-        paired = [bit_or(a, b) for a, b in zip(bits[::2], bits[1::2])]
-        bits = paired + bits[len(paired) * 2:]
-    return bits[0]
+    """OR of a non-empty sequence of bits as a ``pairwise`` tree of
+    ``bit_or``: len - 1 ANDs at depth ceil(log2 len)."""
+    return pairwise(bit_or, bits)
 
 
 def word_ne(a: CipherWord, b: CipherWord):

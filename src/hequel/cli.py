@@ -40,6 +40,17 @@ def _parse_mode(text: str) -> tuple[str, int]:
         f"mode must be 'circular' or 'leveled:D', got {text!r}")
 
 
+def _parse_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget >= 1:
+        return budget
+    raise argparse.ArgumentTypeError(
+        f"depth budget must be an integer >= 1, got {text!r}")
+
+
 def _context(args) -> SecurityContext:
     mode, epochs = args.mode
     return SecurityContext(mode=mode, depth_budget=args.depth_budget,
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--db", required=True, help="session directory")
     ingest.add_argument("--mode", type=_parse_mode, default=("circular", 1),
                         help="circular or leveled:D (default: circular)")
-    ingest.add_argument("--depth-budget", type=int, default=8,
+    ingest.add_argument("--depth-budget", type=_parse_budget, default=8,
                         help="max multiplicative depth per epoch (default: 8)")
     ingest.add_argument("--seed", default=None, help="key-generation seed")
     ingest.add_argument("--width-default", type=int, default=None,
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff", help="differential test: encrypted engine vs plaintext oracle")
     diff.add_argument("--mode", type=_parse_mode, default=("circular", 1))
-    diff.add_argument("--depth-budget", type=int, default=8)
+    diff.add_argument("--depth-budget", type=_parse_budget, default=8)
     diff.add_argument("--seed", default=None)
     diff.add_argument("--slack", type=int, default=0)
     diff.add_argument("--stats", action="store_true")

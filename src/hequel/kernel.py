@@ -10,7 +10,10 @@ When an AND would push the result past the depth budget, an operand that
 sits at the budget is refreshed first (``settle``). Mixing epochs is
 allowed: the lower-epoch operand is lifted to the other's epoch first
 (``lift``). A gate keeps no refreshed copy, so a caller that feeds one bit
-into several gates settles or lifts it once itself. OR is a word-circuit
+into several gates settles or lifts it once itself, and a selector about
+to feed a gate for every bit of whole rows goes through ``fan_out``. These
+three functions make every refresh decision above the gates: no other
+library module calls ``refresh`` or reads the mode. OR is a word-circuit
 concern: ``circuits.bit_or`` builds it from one AND.
 """
 
@@ -126,6 +129,16 @@ def settle(c: CipherBit) -> CipherBit:
     """``c`` refreshed if it sits at the depth budget, else ``c`` itself:
     the one refresh rule. Reads public metadata only."""
     return refresh(c) if c.depth >= c._state.depth_budget else c
+
+
+def fan_out(c: CipherBit) -> CipherBit:
+    """``c`` made ready to feed a gate for every bit of one or more rows.
+    In circular mode it is refreshed whenever it has depth, since a
+    circular refresh spends no epoch and the gates it feeds then stay
+    shallow; in leveled mode, where the epoch costs more, it is settled."""
+    if c._state.mode == MODE_CIRCULAR:
+        return refresh(c) if c.depth else c
+    return settle(c)
 
 
 def lift(c: CipherBit, epoch: int) -> CipherBit:

@@ -18,7 +18,6 @@ from hequel.schema import PlainTable, Schema
 MAX_ROWS = 6
 MAX_WIDTH = 8
 MAX_CAPACITY = 12
-CMP_CHOICES = ("=", "!=", ">", "<", ">=", "<=")
 
 
 def random_table(rng: random.Random, schema: Schema,
@@ -62,7 +61,7 @@ def random_pred(rng: random.Random, schema: Schema, depth: int = 0):
         return cls(random_pred(rng, schema, depth + 1),
                    random_pred(rng, schema, depth + 1))
     name, width = rng.choice(schema.columns)
-    op = rng.choice(CMP_CHOICES)
+    op = rng.choice(plans.CMP_OPS)
     same_width = [n for n, w in schema.columns if w == width and n != name]
     if same_width and rng.random() < 0.3:
         return Cmp(op, ColRef(name), ColRef(rng.choice(same_width)))

@@ -25,6 +25,7 @@ from hequel.circuits import (
     decrypt_word,
     encrypt_word,
     gt_chain,
+    pairwise,
     word_add,
     word_add_bit,
     word_and_bit,
@@ -43,8 +44,7 @@ from hequel.errors import (
     SchemaMismatch,
     ValueOverflow,
 )
-from hequel.kernel import (
-    MODE_CIRCULAR, and_, fresh_bit, lift, not_, refresh, settle, xor)
+from hequel.kernel import and_, fan_out, fresh_bit, lift, not_, settle, xor
 from hequel.schema import PlainTable, Schema
 
 
@@ -226,8 +226,7 @@ def _settled_row(r: EncRow) -> EncRow:
 def _swap_rows(f, a: EncRow, b: EncRow):
     """Compare-and-swap: when f is 1 the rows trade places, presence bits
     included; when 0 both pass through. Same circuit either way, one AND
-    per bit for both rows."""
-    f = settle(f)
+    per bit for both rows. f comes through ``fan_out``."""
     cells = [word_swap(f, ca, cb) for ca, cb in zip(a.cells, b.cells)]
     pa, pb = bit_swap(f, a.presence, b.presence)
     return (EncRow(tuple(ca for ca, _ in cells), pa),
@@ -259,12 +258,12 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
     ``merge_exchange`` schedule. ``key_fn(row)`` returns the tuple of
     CipherWords to compare. Each row carries its encrypted input index as a
     last key that always sorts ascending, so all keys differ and equal sort
-    keys keep their input order in both directions."""
+    keys keep their input order in both directions. Each selector reaches
+    every bit of both rows, so it passes through ``kernel.fan_out`` first."""
     n = len(rows)
     if n < 2:
         return list(rows)
     width = (n - 1).bit_length()
-    circular = state.mode == MODE_CIRCULAR
     # the index rides as a trailing cell, so key_fn's cell indices still hold
     tagged = [EncRow(r.cells + (const_word(state, i, width, epoch),),
                      r.presence) for i, r in enumerate(rows)]
@@ -276,12 +275,7 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
         # keys have public widths, so lexicographic order over them is the
         # unsigned order of their concatenation: one comparator chain
         f = word_gt(_concat((*ka, a.cells[-1])), _concat((*kb, b.cells[-1])))
-        if circular and f.depth:
-            # the selector reaches every bit of both rows; from depth 0 the
-            # swapped bits stay shallow. A circular refresh spends no
-            # epoch; in leveled mode the epoch it spends costs more.
-            f = refresh(f)
-        tagged[i], tagged[j] = _swap_rows(f, a, b)
+        tagged[i], tagged[j] = _swap_rows(fan_out(f), a, b)
     return [EncRow(r.cells[:-1], r.presence) for r in tagged]
 
 
@@ -296,8 +290,9 @@ def compact_rows(rows, state, epoch: int):
     and its remaining count bits along. Present rows i < k never meet:
     after round j they sit at i - (c_i mod 2^j) and k - (c_k mod 2^j), and
     (c_k mod 2^j) - (c_i mod 2^j) <= c_k - c_i < k - i. So presence moves
-    by XOR alone. The gates depend only on len(rows); fewer than two rows
-    come back untouched.
+    by XOR alone. Each mover bit passes through ``kernel.fan_out`` once,
+    and its cells, count bits and presence share that copy. The gates
+    depend only on len(rows); fewer than two rows come back untouched.
     """
     n = len(rows)
     if n < 2:
@@ -313,7 +308,7 @@ def compact_rows(rows, state, epoch: int):
         shift = 1 << j
         # a present row below slot 2^j cannot have bit j set: it would
         # have to end before slot 0
-        moves = [None] * shift + [and_(p, bits[0])
+        moves = [None] * shift + [fan_out(and_(p, bits[0]))
                                   for _, p, bits in slots[shift:]]
         out = []
         for t, (cells, p, bits) in enumerate(slots):
@@ -374,13 +369,13 @@ def op_count(t: EncTable, width: int = DEFAULT_WIDTH) -> CipherWord:
 
 
 def op_sum(col: str, t: EncTable) -> CipherWord:
+    """The present rows' values added as a ``pairwise`` tree: n·w ANDs to
+    mask them and (n - 1)(w - 1) to add, no fresh encryption."""
     ci = t.schema.index_of(col)
-    width = t.schema.columns[ci][1]
-    epoch = _table_epoch(t)
-    total = const_word(t.state, 0, width, epoch)
-    for r in t.rows:
-        total = word_add(total, word_and_bit(r.cells[ci], r.presence))
-    return total
+    if not t.rows:
+        return const_word(t.state, 0, t.schema.columns[ci][1], _table_epoch(t))
+    return pairwise(word_add, [word_and_bit(r.cells[ci], r.presence)
+                               for r in t.rows])
 
 
 def _extreme(col: str, t: EncTable, want_min: bool) -> CipherWord:
@@ -390,16 +385,13 @@ def _extreme(col: str, t: EncTable, want_min: bool) -> CipherWord:
     A node is a (value bits, presence) pair. A match keeps a when a is
     present and strictly better, else takes b when b is present; a tie
     takes b, the same value. The winner is present when either side is.
-    An odd node out moves up a level unchanged, and the root's value is
+    The matches run as a ``pairwise`` tree, and the root's value is
     masked by its presence, so zero present rows give 0 for both."""
     ci = t.schema.index_of(col)
     if not t.rows:
         return const_word(t.state, 0, t.schema.columns[ci][1], _table_epoch(t))
-    nodes = [(r.cells[ci].bits, r.presence) for r in t.rows]
-    while len(nodes) > 1:
-        won = [_match(a, b, want_min) for a, b in zip(nodes[::2], nodes[1::2])]
-        nodes = won + nodes[len(won) * 2:]
-    bits, present = nodes[0]
+    bits, present = pairwise(lambda a, b: _match(a, b, want_min),
+                             [(r.cells[ci].bits, r.presence) for r in t.rows])
     return word_and_bit(CipherWord(bits), present)
 
 

@@ -14,7 +14,7 @@ from hequel.circuits import (CipherWord, bit_count, bit_mux, bit_or,
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import ValueOverflow, WidthMismatch
 from hequel.relalg import (encrypt_table, oblivious_sort_rows, op_count,
-                           op_max, op_min, op_sort)
+                           op_max, op_min, op_sort, op_sum)
 from hequel.schema import PlainTable, Schema
 
 
@@ -128,6 +128,9 @@ def test_const_word_is_server_side(session):
     assert decrypt_word(keys, w) == 42
     got = decrypt_word(keys, word_add(w, const_word(ladder.state, 1, 8, 1)))
     assert got == 43
+    for width in (0, -1):
+        with pytest.raises(WidthMismatch):
+            const_word(ladder.state, 0, width, 1)
 
 
 def test_circuits_survive_tight_budget():
@@ -288,7 +291,9 @@ PRESENCE_PATTERNS = {
 def test_aggregate_costs_are_data_independent(pattern):
     # the min/max tournament: 31 matches of 2w + 3 ANDs and a w-AND root
     # mask, 849 ANDs at 32 x 12 bits, no fresh encryption, epoch 10 under
-    # leveled:128; the count compressor: 31 ANDs and two zero columns
+    # leveled:128; the sum tree: n*w mask ANDs and (n - 1)(w - 1) carries,
+    # 725 ANDs, no fresh encryption, epoch 2; the count compressor: 31
+    # ANDs and two zero columns
     ladder, keys = keygen(SecurityContext("leveled", 8, 128), seed=b"agg-l")
     presence = PRESENCE_PATTERNS[pattern]
     rng = random.Random(9)
@@ -303,6 +308,10 @@ def test_aggregate_costs_are_data_independent(pattern):
         assert decrypt_word(keys, out) == want, fn.__name__
         assert cost == (849, 1860, 0), fn.__name__
         assert max(b.epoch for b in out.bits) == 10, fn.__name__
+    out, cost = _leveled_cost(ladder.state, op_sum, "w", t)
+    assert decrypt_word(keys, out) == sum(present) % 4096
+    assert cost == (725, 175, 0)
+    assert max(b.epoch for b in out.bits) == 2
     out, cost = _leveled_cost(ladder.state, op_count, t, 8)
     assert decrypt_word(keys, out) == len(present)
     assert cost == (31, 0, 2)

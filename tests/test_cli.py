@@ -138,6 +138,21 @@ def test_mode_flag(tmp_path, pc_csv, capsys):
         main(["ingest", "--db", db, "--mode", "sideways", pc_csv])
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_depth_budget_below_one_exits_2(tmp_path, pc_csv, capsys, budget):
+    db = tmp_path / "db"
+    for argv in (["diff", "--random", "1", "--depth-budget", budget],
+                 ["ingest", "--db", str(db), "--depth-budget", budget,
+                  pc_csv]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "depth budget must be an integer >= 1" in err
+        assert "Traceback" not in err
+    assert not db.exists()
+
+
 def test_slack_flag(tmp_path, pc_csv, capsys):
     db = ingest(tmp_path, pc_csv)
     capsys.readouterr()

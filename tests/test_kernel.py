@@ -106,6 +106,26 @@ def test_settle_refreshes_only_a_bit_at_the_budget():
     assert kernel_mod._reveal(settled) == 1
 
 
+def test_fan_out_refreshes_any_depth_in_circular_mode():
+    s = make_state(budget=4)
+    shallow = kernel_mod.bit_from_parts(s, 1, 1, 0, 0)
+    assert kernel_mod.fan_out(shallow) is shallow
+    assert s.refresh_count == 0
+    out = kernel_mod.fan_out(kernel_mod.bit_from_parts(s, 1, 1, 1, 0))
+    assert (out.epoch, out.depth, s.refresh_count) == (1, 0, 1)
+    assert kernel_mod._reveal(out) == 1
+
+
+def test_fan_out_settles_in_leveled_mode():
+    s = make_state(mode="leveled", budget=4, epochs=3)
+    below = kernel_mod.bit_from_parts(s, 1, 1, 3, 0)
+    assert kernel_mod.fan_out(below) is below
+    assert s.refresh_count == 0
+    out = kernel_mod.fan_out(kernel_mod.bit_from_parts(s, 1, 1, 4, 0))
+    assert (out.epoch, out.depth, s.refresh_count) == (2, 0, 1)
+    assert kernel_mod._reveal(out) == 1
+
+
 @pytest.mark.parametrize("top_first", [True, False])
 def test_overflowing_and_refreshes_only_the_operand_at_the_budget(top_first):
     s = make_state(budget=4)

@@ -479,12 +479,10 @@ def test_capacity_one_fetch_costs_nothing():
     assert _fetch_counts([0]) == (0, 0, 0, 0)
 
 
-def test_select_phase_costs():
-    """ANDs, refreshes and encryptions of the query and fetch phases of
-    select(k > 50) over 32 rows. Fetch compaction settles only the operand
-    of an overflowing AND that sits at the budget: 368 refreshes, where
-    refreshing every operand with depth spent 596."""
-    ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"phases")
+def _select_phase_counts(ctx):
+    """(ANDs, refreshes, encryptions) of the query and of the fetch phase
+    of select(k > 50) over 32 rows."""
+    ladder, keys = keygen(ctx, seed=b"phases")
     server = ServerStore(ladder)
     client = ClientSession(keys, ladder.public_key())
     s = Schema((("k", 8), ("v", 8)))
@@ -502,10 +500,27 @@ def test_select_phase_costs():
     query = counts()
     reply = server.handle(client.fetch_message(qid))
     fetch = counts()
-    assert tuple(b - a for a, b in zip(before, query)) == (319, 32, 8)
-    assert tuple(b - a for a, b in zip(query, fetch)) == (2611, 368, 36)
     assert sorted(client.read_rows_and_verify(reply).rows) == sorted(
         r for r in plain.rows if r[0] > 50)
+    return (tuple(b - a for a, b in zip(before, query)),
+            tuple(b - a for a, b in zip(query, fetch)))
+
+
+def test_select_phase_costs():
+    """Fetch compaction passes each mover through ``kernel.fan_out`` once,
+    so in circular mode it is refreshed to depth 0 before it reaches the
+    cells, count bits and presence of its rows: 165 fetch refreshes, where
+    settling only an overflowing AND's operands spent 368."""
+    assert _select_phase_counts(SecurityContext(depth_budget=8)) == (
+        (319, 32, 8), (2611, 165, 36))
+
+
+def test_select_phase_costs_leveled():
+    """In leveled mode ``fan_out`` settles each mover once, and all its
+    cells share that copy: 2,034 fetch refreshes, where each cell's
+    ``word_mux`` settled a copy of its own and spent 2,076."""
+    ctx = SecurityContext(mode="leveled", depth_budget=8, epochs=24)
+    assert _select_phase_counts(ctx) == ((319, 64, 8), (2611, 2034, 36))
 
 
 def test_protocol_in_leveled_mode():

@@ -124,6 +124,15 @@ def test_aggregates_all_absent(session):
         assert decrypt_word(keys, word) == 0
 
 
+def test_aggregates_of_an_empty_table(session):
+    _, keys, pk = session
+    t = encrypt_table(pk, PlainTable(PC_SCHEMA, []), name="pc")
+    for word in (op_sum("price", t), op_min("price", t), op_max("price", t)):
+        assert word.width == 12
+        assert {b.epoch for b in word.bits} == {1}
+        assert decrypt_word(keys, word) == 0
+
+
 def test_sort_moves_absent_rows_with_their_keys(session):
     _, keys, pk = session
     # prices 2114, 478, 600 with the 478 row absent
