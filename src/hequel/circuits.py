@@ -61,8 +61,10 @@ def decrypt_word(keys: ClientKeys, word: CipherWord) -> int:
 
 
 def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
-    """Server-side encryption of a public literal (public keys are known
-    to the evaluator, so this is always available)."""
+    """Encryption of a public constant under ``state``'s key of ``epoch``:
+    the client's ``encrypt_word``, and on the server the constants its
+    circuits need (sort indices, zero counts and sums). Query literals are
+    not public and never come through here on the server."""
     if width < 1:
         raise WidthMismatch("width must be >= 1")
     if not 0 <= value < (1 << width):

@@ -40,15 +40,19 @@ def _parse_mode(text: str) -> tuple[str, int]:
         f"mode must be 'circular' or 'leveled:D', got {text!r}")
 
 
-def _parse_budget(text: str) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget >= 1:
-        return budget
-    raise argparse.ArgumentTypeError(
-        f"depth budget must be an integer >= 1, got {text!r}")
+def _positive_int(what: str):
+    """An argparse type for an integer >= 1; ``what`` names the value in
+    the error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value >= 1:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"{what} must be an integer >= 1, got {text!r}")
+    return parse
 
 
 def _context(args) -> SecurityContext:
@@ -97,15 +101,17 @@ def _emit_stats(stats) -> None:
 
 
 def cmd_ingest(args) -> int:
+    # read every CSV before making --db, so a rejected one leaves nothing
+    plains = [(Path(path_text).stem,
+               read_csv(path_text, default_width=args.width_default))
+              for path_text in args.csv]
     db = Path(args.db)
     tables_dir = db / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
     ladder, keys = keygen(_context(args), seed=args.seed)
     pk = ladder.public_key()
     summaries = []
-    for path_text in args.csv:
-        plain = read_csv(path_text, default_width=args.width_default)
-        name = Path(path_text).stem
+    for name, plain in plains:
         enc = encrypt_table(pk, plain, name=name)
         (tables_dir / f"{name}.json").write_text(
             _dumps(serial.table_to_obj(ladder, enc)))
@@ -194,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--db", required=True, help="session directory")
     ingest.add_argument("--mode", type=_parse_mode, default=("circular", 1),
                         help="circular or leveled:D (default: circular)")
-    ingest.add_argument("--depth-budget", type=_parse_budget, default=8,
+    ingest.add_argument("--depth-budget", type=_positive_int("depth budget"),
+                        default=8,
                         help="max multiplicative depth per epoch (default: 8)")
     ingest.add_argument("--seed", default=None, help="key-generation seed")
     ingest.add_argument("--width-default", type=int, default=None,
@@ -216,14 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff", help="differential test: encrypted engine vs plaintext oracle")
     diff.add_argument("--mode", type=_parse_mode, default=("circular", 1))
-    diff.add_argument("--depth-budget", type=_parse_budget, default=8)
+    diff.add_argument("--depth-budget", type=_positive_int("depth budget"),
+                      default=8)
     diff.add_argument("--seed", default=None)
     diff.add_argument("--slack", type=int, default=0)
     diff.add_argument("--stats", action="store_true")
     diff.add_argument("--width-default", type=int, default=None)
     diff.add_argument("--inject-fault", type=int, default=None, metavar="N",
                       help="flip the N-th gate output (testing hook)")
-    diff.add_argument("--random", type=int, default=None, metavar="N",
+    diff.add_argument("--random", type=_positive_int("plan count"),
+                      default=None, metavar="N",
                       help="run N generated plans instead of an explicit one")
     diff.add_argument("plan", nargs="?", help="plan text")
     diff.add_argument("csv", nargs="*", help="CSV files naming the tables")

@@ -4,6 +4,9 @@ encrypted evaluator, and a wire form.
 Plan structure, operator choice, and column names are public; only literal
 values inside predicates are sensitive, and those are replaced by
 ciphertexts before a plan leaves the client (``encrypt_plan_literals``).
+The wire form has no plaintext literal: encoding a plan that still holds
+a ``Lit`` raises ``PlanTypeError``, and decoding a ``lit`` node raises
+``ProtocolError``.
 
 One table, ``NODES``, gives each node class its wire tag and, for plan
 nodes, its typing rule and encrypted evaluator. The walkers here and the
@@ -28,7 +31,7 @@ from hequel.kernel import fresh_bit
 from hequel.relalg import And, Cmp, ColRef, EncLit, EncTable, Lit, Not, Or
 from hequel.schema import Schema
 
-CMP_OPS = ("=", "!=", ">", "<", ">=", "<=")
+CMP_OPS = tuple(relalg.CMP_CIRCUITS)
 CHILD_FIELDS = ("child", "left", "right")
 
 
@@ -241,10 +244,10 @@ NODES = {
     Max: _aggregate("max"),
     Avg: _aggregate("avg"),
     # predicate nodes carry a wire tag only: Select's typing rule checks
-    # them and relalg.eval_predicate evaluates them
+    # them and relalg.eval_predicate evaluates them. A plaintext Lit has
+    # no tag, so the wire form carries no query constant in clear.
     Cmp: Node("cmp"),
     ColRef: Node("col"),
-    Lit: Node("lit"),
     EncLit: Node("enclit"),
     And: Node("and"),
     Or: Node("or"),
@@ -344,7 +347,7 @@ def _to_obj(node, ladder, plan: bool) -> dict:
 
 
 # the JSON type of each leaf annotation
-_WIRE_TYPES = {"str": str, "int": int, "bool": bool, "tuple[str, ...]": list,
+_WIRE_TYPES = {"str": str, "bool": bool, "tuple[str, ...]": list,
                "CipherWord": dict}
 
 

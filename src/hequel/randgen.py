@@ -73,18 +73,18 @@ def random_plan(rng: random.Random, catalog: dict[str, PlainTable],
     """A plan of 2-4 relational operators, well typed by construction."""
     if n_ops is None:
         n_ops = rng.randint(2, 4)
-    shared_schema = catalog["a"].schema
+    schemas = {name: t.schema for name, t in catalog.items()}
     start = rng.choice(("a", "b"))
     plan = plans.TableRef(start)
-    schema = catalog[start].schema
     capacity = len(catalog[start].rows)
 
     for step in range(n_ops):
+        schema = plans.typecheck(plan, schemas)
         last = step == n_ops - 1
         choices = ["select", "distinct"]
         if schema.columns:
             choices += ["project", "sort", "groupby"]
-        if schema == shared_schema:
+        if schema == schemas["a"]:
             if capacity + len(catalog["a"].rows) <= MAX_CAPACITY:
                 choices.append("union")
             choices += ["intersect", "diff"]
@@ -103,7 +103,6 @@ def random_plan(rng: random.Random, catalog: dict[str, PlainTable],
             k = rng.randint(1, len(schema.columns))
             cols = tuple(rng.sample(schema.names, k))
             plan = plans.Project(cols, plan)
-            schema = schema.project(cols)
         elif op == "sort":
             plan = plans.Sort(rng.choice(schema.names), rng.random() < 0.5, plan)
         elif op == "groupby":
@@ -113,9 +112,6 @@ def random_plan(rng: random.Random, catalog: dict[str, PlainTable],
             keys = tuple(n for n in rng.sample(schema.names, k)
                          if n != f"sum_{sum_col}")
             plan = plans.GroupBySum(keys, sum_col, plan)
-            width = schema.width_of(sum_col)
-            schema = Schema(schema.project(keys).columns
-                            + ((f"sum_{sum_col}", width),))
         elif op in ("union", "intersect", "diff"):
             partner = rng.choice(("a", "b"))
             cls = {"union": plans.Union, "intersect": plans.Intersect,
@@ -132,16 +128,11 @@ def random_plan(rng: random.Random, catalog: dict[str, PlainTable],
                 capacity = len(catalog[partner].rows)
         elif op == "cross":
             plan = plans.Cross(plan, plans.TableRef("c"))
-            schema = Schema(schema.columns + catalog["c"].schema.columns)
             capacity *= max(1, len(catalog["c"].rows))
         elif op == "count":
             plan = plans.Count(plan)
-            schema = Schema((("count", 8),))
         else:
             col = rng.choice(schema.names)
             cls = rng.choice((plans.Sum, plans.Min, plans.Max, plans.Avg))
             plan = cls(col, plan)
-            width = schema.width_of(col)
-            tag = cls.__name__.lower()
-            schema = Schema(((f"{tag}_{col}", width),))
     return plan

@@ -68,9 +68,11 @@ class EncTable:
 
 # --- predicates -------------------------------------------------------------
 #
-# Expression tree evaluated per row to one encrypted bit. Plaintext literals
-# are legal server-side (public keys are public); pre-encrypted literals
-# arrive from the client via the protocol layer.
+# Expression tree evaluated per row to one encrypted bit. A comparison
+# reads columns and ``EncLit`` words only: the client turns every plaintext
+# ``Lit`` into an ``EncLit`` (``plans.encrypt_plan_literals``) before a plan
+# leaves it, and the server evaluates no query constant in clear. ``Lit``
+# lives here for the plan language, the oracle and the client.
 
 @dataclass(frozen=True)
 class ColRef:
@@ -89,7 +91,7 @@ class EncLit:
 
 @dataclass(frozen=True)
 class Cmp:
-    op: str  # one of = != > < >= <=
+    op: str  # a key of CMP_CIRCUITS
     left: object
     right: object
 
@@ -111,46 +113,35 @@ class Not:
     child: object
 
 
-def _operand_word(node, schema: Schema, row: EncRow, width_hint: int | None):
-    """Resolve a comparison operand to a CipherWord, or defer a plaintext
-    literal until the other side fixes its width."""
+# comparison operator -> circuit on the (left, right) words
+CMP_CIRCUITS = {
+    "=": word_eq,
+    "!=": word_ne,
+    ">": word_gt,
+    "<": lambda a, b: word_gt(b, a),
+    ">=": lambda a, b: not_(word_gt(b, a)),
+    "<=": lambda a, b: not_(word_gt(a, b)),
+}
+
+
+def _operand_word(node, schema: Schema, row: EncRow) -> CipherWord:
+    """A comparison operand's word: the row's cell or the client's
+    ciphertext."""
     if isinstance(node, ColRef):
         return row.cells[schema.index_of(node.name)]
     if isinstance(node, EncLit):
         return node.word
-    if isinstance(node, Lit):
-        if width_hint is None:
-            return None
-        state = row.presence._state
-        epoch = row.presence.epoch
-        return const_word(state, node.value, width_hint, epoch)
     raise PlanTypeError(f"bad comparison operand {node!r}")
 
 
 def eval_predicate(pred, schema: Schema, row: EncRow):
     """Evaluate a predicate tree on one row, returning an encrypted bit."""
     if isinstance(pred, Cmp):
-        a = _operand_word(pred.left, schema, row, None)
-        b = _operand_word(pred.right, schema, row, None)
-        if a is None and b is None:
-            raise PlanTypeError("comparison needs at least one column")
-        if a is None:
-            a = _operand_word(pred.left, schema, row, b.width)
-        if b is None:
-            b = _operand_word(pred.right, schema, row, a.width)
-        if pred.op == "=":
-            return word_eq(a, b)
-        if pred.op == "!=":
-            return word_ne(a, b)
-        if pred.op == ">":
-            return word_gt(a, b)
-        if pred.op == "<":
-            return word_gt(b, a)
-        if pred.op == ">=":
-            return not_(word_gt(b, a))
-        if pred.op == "<=":
-            return not_(word_gt(a, b))
-        raise PlanTypeError(f"unknown comparison operator {pred.op!r}")
+        circuit = CMP_CIRCUITS.get(pred.op)
+        if circuit is None:
+            raise PlanTypeError(f"unknown comparison operator {pred.op!r}")
+        return circuit(_operand_word(pred.left, schema, row),
+                       _operand_word(pred.right, schema, row))
     if isinstance(pred, And):
         return and_(eval_predicate(pred.left, schema, row),
                     eval_predicate(pred.right, schema, row))

@@ -15,15 +15,15 @@ from collections import Counter
 import pytest
 
 from hequel import dsl, engine, kernel, plans, randgen, serial
-from hequel.circuits import (bit_or, decrypt_word, encrypt_word, word_add,
-                             word_add_bit, word_and_bit, word_div, word_eq,
-                             word_gt, word_mux)
+from hequel.circuits import (bit_or, const_word, decrypt_word, encrypt_word,
+                             word_add, word_add_bit, word_and_bit, word_div,
+                             word_eq, word_gt, word_mux)
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import LadderExhausted, VerificationFailure
 from hequel.oracle import eval_pred_plain
 from hequel.protocol import ClientSession, ServerStore, submit_query
-from hequel.relalg import (Cmp, ColRef, Lit, decrypt_table, encrypt_table,
-                           op_avg, op_bag_diff, op_bag_intersect,
+from hequel.relalg import (Cmp, ColRef, EncLit, Lit, decrypt_table,
+                           encrypt_table, op_avg, op_bag_diff, op_bag_intersect,
                            op_bag_union, op_count, op_cross, op_distinct,
                            op_groupby_sum, op_max, op_min, op_project,
                            op_select, op_sort, op_sum)
@@ -159,8 +159,12 @@ def rand_pred(rng, schema):
 def check_select(rng, keys, pk):
     schema, rows, presence = rand_input(rng)
     pred = rand_pred(rng, schema)
-    got = decrypt_table(keys, op_select(pred, enc(pk, schema, rows, presence,
-                                                  "t"))).rows
+    # the server gets the predicate with its literal encrypted, as a client
+    # sends it; the oracle reads the plaintext one
+    enc_pred = plans.encrypt_plan_literals(
+        plans.Select(pred, plans.TableRef("t")), {"t": schema}, pk).pred
+    got = decrypt_table(keys, op_select(enc_pred, enc(pk, schema, rows,
+                                                      presence, "t"))).rows
     want = [r for r in present(rows, presence)
             if eval_pred_plain(pred, schema, r)]
     return Counter(got), Counter(want)
@@ -351,9 +355,13 @@ def test_criterion_4_oblivious_shapes():
     pres_b = [0, 1, 1, 1]
     d1 = (schema, rows_a, pres_a)
     d2 = (schema, rows_b, pres_b)
-    pred = Cmp(">", ColRef("a"), Lit(50))
+    def select_a_gt_50(t):
+        # the literal encrypted under the table's ladder, as a client would
+        fifty = EncLit(const_word(t.state, 50, 8, 1))
+        return op_select(Cmp(">", ColRef("a"), fifty), t)
+
     single = [
-        ("select", lambda t: op_select(pred, t)),
+        ("select", select_a_gt_50),
         ("project", lambda t: op_project(("b",), t)),
         ("count", lambda t: op_count(t)),
         ("sum", lambda t: op_sum("a", t)),

@@ -185,3 +185,22 @@ def test_corrupt_session_exits_2(tmp_path, pc_csv, capsys, name, edit):
     capsys.readouterr()
     assert main(["query", "--db", db, "table(pc)"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_diff_random_below_one_exits_2(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "--random", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "plan count must be an integer >= 1" in captured.err
+    assert "plans matched" not in captured.out
+
+
+def test_ingest_rejected_csv_leaves_no_session(tmp_path, pc_csv, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a:4\n3\nseven\n")
+    db = tmp_path / "db"
+    assert main(["ingest", "--db", str(db), pc_csv, str(bad)]) == 2
+    assert "non-integer cell" in capsys.readouterr().err
+    assert not db.exists()

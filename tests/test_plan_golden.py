@@ -1,9 +1,10 @@
 """Golden pins for the plan wire form and text form.
 
 One plan uses all 15 plan node classes and all 7 predicate node classes.
-The sha256 of its ``plan_to_obj`` JSON bytes under a fixed keygen seed,
-and its text rendering, must stay byte-identical: any change to the wire
-tags, field order, literal encryption order or DSL words shows up here.
+The sha256 of its ``plan_to_obj`` JSON bytes once its literals are
+encrypted under a fixed keygen seed, and its text rendering, must stay
+byte-identical: any change to the wire tags, field order, literal
+encryption order or DSL words shows up here.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from hequel import dsl, plans
 from hequel.circuits import encrypt_word
 from hequel.crypto import SecurityContext, keygen
+from hequel.errors import PlanTypeError
 from hequel.relalg import And, Cmp, ColRef, EncLit, Lit, Not, Or
 from hequel.schema import Schema
 
@@ -27,8 +31,6 @@ GOLDEN_TEXT = (
     "union(select(k > 3 and (not v = 7 or k <= v), table(a)), "
     "intersect(distinct(table(a)), diff(table(b), project([k, v], "
     "select(d != 2, cross(table(b), table(c))))))))), table(c))))))))")
-GOLDEN_WIRE_SHA = (
-    "862ca5e6b4a3e190011177287cb81de0d11c85d187361cd5712aa039c1730bb6")
 GOLDEN_ENC_WIRE_SHA = (
     "ccfba0bf3ea0460c5f4121a8f7f63c3d34809e5f63b4019dba14363f3524c59e")
 
@@ -78,12 +80,14 @@ def test_golden_wire_bytes():
     ladder, _ = keygen(SecurityContext(), seed=b"golden")
     pk = ladder.public_key()
     plan = golden_plan(EncLit(encrypt_word(pk, 7, 8)))
-    obj = plans.plan_to_obj(plan, ladder)
-    assert _sha(obj) == GOLDEN_WIRE_SHA
-    assert plans.plan_to_obj(plans.plan_from_obj(obj, ladder), ladder) == obj
+    # the wire form has no plaintext literal: the client must encrypt first
+    with pytest.raises(PlanTypeError):
+        plans.plan_to_obj(plan, ladder)
     # literal encryption order fixes the nonces, so it is pinned too
     enc = plans.encrypt_plan_literals(golden_plan(Lit(7)), CATALOG, pk)
-    assert _sha(plans.plan_to_obj(enc, ladder)) == GOLDEN_ENC_WIRE_SHA
+    obj = plans.plan_to_obj(enc, ladder)
+    assert _sha(obj) == GOLDEN_ENC_WIRE_SHA
+    assert plans.plan_to_obj(plans.plan_from_obj(obj, ladder), ladder) == obj
 
 
 def test_golden_text_round_trip():

@@ -3,6 +3,7 @@ representation."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -125,6 +126,23 @@ def test_render_round_trip_random():
         catalog = randgen.random_catalog(rng)
         plan = randgen.random_plan(rng, catalog)
         assert dsl.parse(dsl.plan_to_text(plan)) == plan
+
+
+# sha256 of the first 25 plan texts of seed 7, one per line: a seed must
+# keep giving the same plans, so any change to the generator's rng calls
+# shows up here
+RANDOM_PLANS_SHA = (
+    "027256b620008bc27fe2e9c7b8cee3167f1e543af3b6958733a60a659ba026b0")
+
+
+def test_random_plans_are_pinned():
+    rng = random.Random(7)
+    texts = []
+    for _ in range(25):
+        catalog = randgen.random_catalog(rng)
+        texts.append(dsl.plan_to_text(randgen.random_plan(rng, catalog)))
+    data = "\n".join(texts).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == RANDOM_PLANS_SHA
 
 
 def test_encrypt_plan_literals():

@@ -276,6 +276,7 @@ def test_server_rejects_malformed_traffic():
 
 
 TABLE = {"node": "table", "name": "pc"}
+# speed > 1 with its literal in clear, as no client sends it
 SPEED_GT_1 = {"node": "cmp", "op": ">", "left": {"node": "col", "name": "speed"},
               "right": {"node": "lit", "value": 1}}
 
@@ -311,8 +312,8 @@ MALFORMED_QUERIES = {
     "predicate as plan": {"plan": SPEED_GT_1},
     "plan as predicate": {"plan": {"node": "select", "pred": TABLE,
                                    "child": TABLE}},
-    "literal not an int": {"plan": {"node": "select", "child": TABLE, "pred": {
-        **SPEED_GT_1, "right": {"node": "lit", "value": "1"}}}},
+    "plaintext literal": {"plan": {"node": "select", "child": TABLE,
+                                   "pred": SPEED_GT_1}},
     "enclit word not an object": {"plan": {"node": "select", "child": TABLE,
                                            "pred": {**SPEED_GT_1, "right": {
                                                "node": "enclit", "word": 7}}}},
@@ -325,6 +326,15 @@ MALFORMED_QUERIES = {
     "plan nested one past the bound": {
         "plan": projections(plans.MAX_PLAN_DEPTH + 1)},
 }
+
+
+def test_server_refuses_a_plaintext_literal():
+    # a query constant sent in clear is refused before it is evaluated
+    server, _ = make_session()
+    with pytest.raises(ProtocolError, match="bad predicate tag 'lit'"):
+        server.handle(serial.message_to_bytes("query", "q1", {
+            "plan": {"node": "select", "pred": SPEED_GT_1, "child": TABLE}}))
+    assert server.results == {}
 
 
 def test_server_accepts_plan_at_the_nesting_bound():

@@ -9,12 +9,12 @@ from itertools import product
 import pytest
 
 from hequel import plans
-from hequel.circuits import decrypt_word
+from hequel.circuits import decrypt_word, encrypt_word
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import DuplicateColumn, LadderMismatch, PlanTypeError
-from hequel.relalg import (Cmp, ColRef, Lit, compact_rows, decrypt_table,
-                           decrypt_table_full, encrypt_table, merge_exchange,
-                           op_avg,
+from hequel.relalg import (Cmp, ColRef, EncLit, Lit, compact_rows,
+                           decrypt_table, decrypt_table_full, encrypt_table,
+                           merge_exchange, op_avg,
                            op_bag_diff, op_bag_intersect, op_bag_union,
                            op_count, op_cross, op_distinct, op_groupby_sum,
                            op_max, op_min, op_project, op_select, op_sort,
@@ -59,7 +59,8 @@ def test_table_round_trip_with_presence(session):
 def test_select_marks_presence(session):
     _, keys, pk = session
     t = enc_pc(pk, presence=[1, 1, 0])
-    out = op_select(Cmp(">", ColRef("speed"), Lit(1)), t)
+    out = op_select(Cmp(">", ColRef("speed"), EncLit(encrypt_word(pk, 1, 4))),
+                    t)
     assert out.capacity == 3  # shape is data-independent
     _, presences = decrypt_table_full(keys, out)
     # speeds 3,2,1: predicate keeps rows 1,2; row 3 was already absent
@@ -70,7 +71,8 @@ def test_select_marks_presence(session):
 def test_select_on_absent_row_stays_absent(session):
     _, keys, pk = session
     t = enc_pc(pk, presence=[0, 0, 0])
-    out = op_select(Cmp(">=", ColRef("model"), Lit(0)), t)
+    out = op_select(
+        Cmp(">=", ColRef("model"), EncLit(encrypt_word(pk, 0, 12))), t)
     assert bag(keys, out) == Counter()
 
 
