@@ -40,18 +40,18 @@ def _parse_mode(text: str) -> tuple[str, int]:
         f"mode must be 'circular' or 'leveled:D', got {text!r}")
 
 
-def _positive_int(what: str):
-    """An argparse type for an integer >= 1; ``what`` names the value in
-    the error."""
+def _int_at_least(minimum: int, what: str):
+    """An argparse type for an integer >= ``minimum``; ``what`` names the
+    value in the error."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value >= 1:
+            value = minimum - 1
+        if value >= minimum:
             return value
         raise argparse.ArgumentTypeError(
-            f"{what} must be an integer >= 1, got {text!r}")
+            f"{what} must be an integer >= {minimum}, got {text!r}")
     return parse
 
 
@@ -101,11 +101,15 @@ def _emit_stats(stats) -> None:
 
 
 def cmd_ingest(args) -> int:
+    db = Path(args.db)
+    # new keys would leave the stored tables unreadable
+    if (db / "session.json").exists():
+        raise HequelError(f"{db} already holds a session; "
+                          "ingest into a new --db")
     # read every CSV before making --db, so a rejected one leaves nothing
     plains = [(Path(path_text).stem,
                read_csv(path_text, default_width=args.width_default))
               for path_text in args.csv]
-    db = Path(args.db)
     tables_dir = db / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
     ladder, keys = keygen(_context(args), seed=args.seed)
@@ -200,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--db", required=True, help="session directory")
     ingest.add_argument("--mode", type=_parse_mode, default=("circular", 1),
                         help="circular or leveled:D (default: circular)")
-    ingest.add_argument("--depth-budget", type=_positive_int("depth budget"),
-                        default=8,
+    ingest.add_argument("--depth-budget",
+                        type=_int_at_least(1, "depth budget"), default=8,
                         help="max multiplicative depth per epoch (default: 8)")
     ingest.add_argument("--seed", default=None, help="key-generation seed")
     ingest.add_argument("--width-default", type=int, default=None,
@@ -212,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="run a plan over an ingested session")
     query.add_argument("--db", required=True, help="session directory")
-    query.add_argument("--slack", type=int, default=0,
+    query.add_argument("--slack", type=_int_at_least(0, "slack"), default=0,
                        help="extra rows fetched beyond the true count")
     query.add_argument("--stats", action="store_true",
                        help="print key=value stats to stderr")
@@ -223,15 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff", help="differential test: encrypted engine vs plaintext oracle")
     diff.add_argument("--mode", type=_parse_mode, default=("circular", 1))
-    diff.add_argument("--depth-budget", type=_positive_int("depth budget"),
-                      default=8)
+    diff.add_argument("--depth-budget",
+                      type=_int_at_least(1, "depth budget"), default=8)
     diff.add_argument("--seed", default=None)
-    diff.add_argument("--slack", type=int, default=0)
+    diff.add_argument("--slack", type=_int_at_least(0, "slack"), default=0)
     diff.add_argument("--stats", action="store_true")
     diff.add_argument("--width-default", type=int, default=None)
     diff.add_argument("--inject-fault", type=int, default=None, metavar="N",
                       help="flip the N-th gate output (testing hook)")
-    diff.add_argument("--random", type=_positive_int("plan count"),
+    diff.add_argument("--random", type=_int_at_least(1, "plan count"),
                       default=None, metavar="N",
                       help="run N generated plans instead of an explicit one")
     diff.add_argument("plan", nargs="?", help="plan text")

@@ -15,6 +15,13 @@ to feed a gate for every bit of whole rows goes through ``fan_out``. These
 three functions make every refresh decision above the gates: no other
 library module calls ``refresh`` or reads the mode. OR is a word-circuit
 concern: ``circuits.bit_or`` builds it from one AND.
+
+Every gate output, refresh and encryption is a fresh ciphertext with its
+own nonce, the next value of a splitmix64 stream (Steele, Lea and Flood,
+OOPSLA 2014). A gate only advances the stream's counter; the finalizer
+that mixes a counter into the nonce runs when ``_nonce_of`` reads it,
+which only serialization does, so the few bits that reach the wire pay
+for it and the rest never do.
 """
 
 from __future__ import annotations
@@ -73,7 +80,10 @@ class KernelState:
 class CipherBit:
     """Opaque encrypted bit. The payload is private; only decryption with a
     matching secret key (via the crypto layer) reveals it. ``epoch`` and
-    ``depth`` are public metadata."""
+    ``depth`` are public metadata. ``_nonce`` is either a wire nonce (a
+    decoded bit's, non-negative) or the complement ``~z`` of a splitmix64
+    counter ``z`` not yet mixed (a minted bit's, negative); ``_nonce_of``
+    returns the wire nonce of both."""
 
     __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state")
 
@@ -90,12 +100,17 @@ class CipherBit:
 
 
 def _next_nonce(s: KernelState) -> int:
-    # splitmix64: cheap, deterministic per ladder seed, 64-bit period
-    s.nonce_state = (s.nonce_state + 0x9E3779B97F4A7C15) & _MASK64
-    z = s.nonce_state
+    # splitmix64's counter step: deterministic per ladder seed, 64-bit
+    # period; the complement marks the counter as not yet mixed
+    s.nonce_state = z = (s.nonce_state + 0x9E3779B97F4A7C15) & _MASK64
+    return ~z
+
+
+def _mix(z: int) -> int:
+    # splitmix64's finalizer: the nonce of counter value ``z``
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return z ^ (z >> 31)
 
 
 def fresh_bit(s: KernelState, payload: int, epoch: int) -> CipherBit:
@@ -204,4 +219,6 @@ def _reveal(c: CipherBit) -> int:
 
 
 def _nonce_of(c: CipherBit) -> int:
-    return c._nonce
+    """The 64-bit wire nonce of ``c``, mixed here if ``c`` was minted."""
+    n = c._nonce
+    return n if n >= 0 else _mix(~n)

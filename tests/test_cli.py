@@ -204,3 +204,34 @@ def test_ingest_rejected_csv_leaves_no_session(tmp_path, pc_csv, capsys):
     assert main(["ingest", "--db", str(db), pc_csv, str(bad)]) == 2
     assert "non-integer cell" in capsys.readouterr().err
     assert not db.exists()
+
+
+@pytest.mark.parametrize("verb", ["query", "diff"])
+def test_negative_slack_exits_2_before_any_work(tmp_path, pc_csv, capsys,
+                                                 verb):
+    db = ingest(tmp_path, pc_csv)
+    capsys.readouterr()
+    argv = ["query", "--db", db] if verb == "query" else ["diff"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--slack", "-2", "select(speed>1, table(pc))", pc_csv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "slack must be an integer >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_ingest_refuses_an_existing_session(tmp_path, pc_csv, capsys):
+    db = ingest(tmp_path, pc_csv)
+    files = [tmp_path / "db" / "session.json",
+             tmp_path / "db" / "tables" / "pc.json"]
+    before = [path.read_bytes() for path in files]
+    other = tmp_path / "other.csv"
+    other.write_text("a:4\n3\n")
+    capsys.readouterr()
+    assert main(["ingest", "--db", db, "--seed", "again", str(other)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert [path.read_bytes() for path in files] == before
+    assert not (tmp_path / "db" / "tables" / "other.json").exists()
+    assert main(["query", "--db", db, "table(pc)"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert Counter(got[1:]) == Counter(PC_CSV.splitlines()[1:])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from hequel import dsl, engine
 from hequel.crypto import SecurityContext
 from hequel.schema import PlainTable, Schema
@@ -82,3 +84,28 @@ def test_run_encrypted_returns_stats():
                                         server, client)
     assert table.rows == [(3,)]
     assert stats.total_gates == stats.xor_gates + stats.and_gates
+
+
+# sha256 over every message of the two runs below, from the kernel that
+# mixed every nonce when it was minted
+SERVER_MESSAGES_SHA = (
+    "17e76f4ed97b569973095e789ecbff5f2cc700c0f85e8809f1bc1fe012b8de04")
+
+
+def test_server_messages_are_pinned():
+    digest = hashlib.sha256()
+    for seed, text in ((b"m1", "sort(price, asc, table(pc))"),
+                       (b"m2", "select(speed>1, table(pc))")):
+        server, client = engine.build_session(pc_catalog(), seed=seed)
+        handle = server.handle
+
+        def recording(data, handle=handle):
+            reply = handle(data)
+            digest.update(data)
+            digest.update(reply)
+            return reply
+
+        server.handle = recording
+        table, _ = engine.run_encrypted(dsl.parse(text), server, client)
+        assert table.rows
+    assert digest.hexdigest() == SERVER_MESSAGES_SHA

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from hequel import bench
+from hequel import bench, serial
 from hequel import kernel as kernel_mod
+from hequel.crypto import SecurityContext, keygen
 from hequel.errors import LadderExhausted, LadderMismatch
 
 
@@ -203,6 +206,60 @@ def test_nonces_distinct(kernel):
     seen = {kernel._nonce_of(kernel.fresh_bit(s, rng.randint(0, 1), 1))
             for _ in range(500)}
     assert len(seen) == 500
+
+
+def gate_ladder():
+    """A 3-epoch leveled ladder under budget 2 with a fixed seed."""
+    ladder, _ = keygen(SecurityContext(mode="leveled", depth_budget=2,
+                                       epochs=3), seed=b"gate-nonces")
+    return ladder
+
+
+def gate_outputs(s):
+    """One output of each nonce-minting path, in a fixed order."""
+    k = kernel_mod
+    a, b = k.fresh_bit(s, 1, 1), k.fresh_bit(s, 0, 1)
+    x = k.xor(a, b)
+    y = k.and_(a, x)
+    n = k.not_(y)
+    deep = k.and_(y, x)  # at the budget
+    settled = k.and_(deep, y)  # over it: settles deep, lifts y to match
+    lifted = k.lift(settled, 3)
+    return [a, b, x, y, n, deep, settled, lifted]
+
+
+# sha256 of the serialized gate_outputs of gate_ladder, from the kernel
+# that mixed every nonce when it was minted
+GATE_NONCES_SHA = (
+    "a8a56d0fc3d8c2d3ac2cb894f2b972fed66b88109a1b5f6a4264db8015b7cb57")
+
+
+def test_gate_minted_nonces_are_pinned():
+    ladder = gate_ladder()
+    outs = gate_outputs(ladder.state)
+    assert ladder.state.refresh_count == 3  # settle, lift in the AND, lift
+    assert [c.epoch for c in outs] == [1, 1, 1, 1, 1, 1, 2, 3]
+    text = json.dumps([serial.bit_to_obj(ladder, c) for c in outs])
+    assert hashlib.sha256(text.encode()).hexdigest() == GATE_NONCES_SHA
+
+
+def test_decoded_gate_output_re_encodes_byte_exactly():
+    ladder = gate_ladder()
+    for c in gate_outputs(ladder.state):
+        obj = serial.bit_to_obj(ladder, c)
+        back = serial.bit_from_obj(ladder, obj)
+        assert serial.bit_to_obj(ladder, back) == obj
+        assert kernel_mod._nonce_of(back) == kernel_mod._nonce_of(c)
+
+
+def test_gate_outputs_read_distinct_nonces():
+    s = make_state(seed=7)
+    a, b = kernel_mod.fresh_bit(s, 1, 1), kernel_mod.fresh_bit(s, 0, 1)
+    outs = [gate(a, b) for _ in range(250)
+            for gate in (kernel_mod.xor, kernel_mod.and_)]
+    nonces = {kernel_mod._nonce_of(c) for c in outs}
+    assert len(nonces) == 500
+    assert all(0 <= n <= kernel_mod._MASK64 for n in nonces)
 
 
 def test_cipherbit_is_opaque(kernel):
