@@ -19,7 +19,7 @@ from pathlib import Path
 
 from hequel import dsl, engine, randgen, serial
 from hequel.crypto import SecurityContext, keygen
-from hequel.errors import HequelError
+from hequel.errors import HequelError, ProtocolError
 from hequel.protocol import ClientSession, ServerStore
 from hequel.relalg import encrypt_table
 from hequel.schema import csv_text, read_csv
@@ -87,7 +87,12 @@ def _load_table(ladder, path: Path):
         obj = json.loads(path.read_text())
     except ValueError as exc:
         raise HequelError(f"corrupt table file {path}: {exc!r}") from None
-    return serial.table_from_obj(ladder, obj)
+    try:
+        return serial.table_from_obj(ladder, obj)
+    except ProtocolError as exc:
+        # e.g. a table written in an older wire format
+        raise HequelError(f"unreadable table file {path}: {exc}; "
+                          "ingest its CSV into a new --db") from None
 
 
 def _emit_stats(stats) -> None:

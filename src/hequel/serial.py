@@ -2,17 +2,24 @@
 
 Everything serializes to JSON with fixed key insertion order and compact
 separators, so equal values produce byte-identical messages (golden tests
-rely on this). A ciphertext bit becomes an 18-hex-char blob: an 8-byte
-nonce followed by the payload byte XOR-masked with a digest keyed by the
-ladder's mask key, the nonce, and the epoch. Without the mask key the
-payload byte is unreadable; round-trips are byte-exact because the nonce
-is preserved.
+rely on this). A ciphertext word of w bits is one object,
+``{"v": 2, "width": w, "epoch": e, "depth": d, "blob": b64}``; a presence
+bit is a width-1 word. ``epoch`` and ``depth`` are one int when every bit
+agrees, else a w-long list. The base64 blob holds the w 8-byte big-endian
+nonces in bit order, then ceil(w/8) bytes of payload bits packed LSB-first
+and XORed with one shake-256 digest keyed by the ladder's mask key, the
+nonces and the 2-byte epochs. Every payload bit is masked by a keyed
+pseudorandom bit that depends on its own unique nonce, so without the mask
+key the blob does not reveal the plaintext; round-trips are byte-exact
+because the nonces are preserved.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import struct
 
 from hequel import kernel
 from hequel.circuits import CipherWord
@@ -21,17 +28,77 @@ from hequel.errors import LadderMismatch, ProtocolError
 from hequel.relalg import EncRow, EncTable
 from hequel.schema import Schema
 
-
-def _mask(ladder: KeyLadder, nonce: int, epoch: int) -> int:
-    material = ladder.mask_key + nonce.to_bytes(8, "big") + epoch.to_bytes(2, "big")
-    return hashlib.sha256(material).digest()[0] & 1
+WIRE_VERSION = 2
 
 
-def bit_to_obj(ladder: KeyLadder, c) -> dict:
-    nonce = kernel._nonce_of(c)
-    masked = kernel._reveal(c) ^ _mask(ladder, nonce, c.epoch)
-    blob = nonce.to_bytes(8, "big").hex() + bytes([masked]).hex()
-    return {"v": 1, "epoch": c.epoch, "depth": c.depth, "blob": blob}
+def _mask(ladder: KeyLadder, head: bytes, epochs: list) -> int:
+    """Shake-256 mask of one word, keyed by mask key, nonces and epochs."""
+    material = ladder.mask_key + head + struct.pack(f">{len(epochs)}H", *epochs)
+    digest = hashlib.shake_256(material).digest((len(epochs) + 7) // 8)
+    return int.from_bytes(digest, "little")
+
+
+def _uniform(values: list):
+    return values[0] if values.count(values[0]) == len(values) else values
+
+
+def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
+    bits, width = w.bits, w.width
+    epochs = [b.epoch for b in bits]
+    head = struct.pack(f">{width}Q", *map(kernel._nonce_of, bits))
+    payload = sum(kernel._reveal(b) << i for i, b in enumerate(bits))
+    payload ^= _mask(ladder, head, epochs)
+    blob = head + payload.to_bytes((width + 7) // 8, "little")
+    return {"v": WIRE_VERSION, "width": width, "epoch": _uniform(epochs),
+            "depth": _uniform([b.depth for b in bits]),
+            "blob": base64.b64encode(blob).decode("ascii")}
+
+
+def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
+    """``value`` as ``width`` ints in ``lo..top``; one int stands for all."""
+    if type(value) is int:
+        if lo <= value <= top:
+            return [value] * width
+    elif type(value) is list and len(value) == width and all(
+            type(v) is int and lo <= v <= top for v in value):
+        return value
+    raise ProtocolError(
+        f"ciphertext {what} {value!r} is not {width} ints in {lo}..{top}")
+
+
+def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
+    try:
+        version, width, blob = obj["v"], obj["width"], obj["blob"]
+        epoch, depth = obj["epoch"], obj["depth"]
+    except (KeyError, TypeError):
+        raise ProtocolError("malformed ciphertext word") from None
+    if type(version) is not int or version != WIRE_VERSION:
+        raise ProtocolError(
+            f"ciphertext word version {version!r}, want {WIRE_VERSION}")
+    if type(width) is not int or width < 1:
+        raise ProtocolError(f"ciphertext word width {width!r}")
+    if type(blob) is not str:
+        raise ProtocolError("ciphertext blob is not a string")
+    # the blob's length bounds the width before any list is built
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ProtocolError("ciphertext blob is not base64") from None
+    size = 8 * width + (width + 7) // 8
+    if len(raw) != size:
+        raise ProtocolError(f"ciphertext blob has {len(raw)} bytes, want {size}")
+    epochs = _per_bit(epoch, width, 1, ladder.ctx.epochs, "epoch")
+    depths = _per_bit(depth, width, 0, ladder.ctx.depth_budget, "depth")
+    head = raw[:8 * width]
+    payload = int.from_bytes(raw[8 * width:], "little")
+    payload ^= _mask(ladder, head, epochs)
+    if payload >> width:
+        raise ProtocolError("ciphertext blob has padding bits set")
+    state = ladder.state
+    return CipherWord(tuple(
+        kernel.bit_from_parts(state, payload >> i, e, d, n)
+        for i, (n, e, d) in enumerate(
+            zip(struct.unpack(f">{width}Q", head), epochs, depths))))
 
 
 def _field(obj, key: str, kind: type, what: str):
@@ -45,58 +112,18 @@ def _field(obj, key: str, kind: type, what: str):
     return value
 
 
-def _check_version(obj, what: str) -> None:
-    version = _field(obj, "v", int, what)
-    if version != 1:
-        raise ProtocolError(f"{what} has version {version}, want 1")
-
-
-def bit_from_obj(ladder: KeyLadder, obj: dict):
-    # inline checks, no helper calls: table uploads decode every bit here
-    try:
-        version = obj["v"]
-        blob = bytes.fromhex(obj["blob"])
-        epoch, depth = obj["epoch"], obj["depth"]
-    except (KeyError, TypeError, ValueError):
-        raise ProtocolError("malformed ciphertext bit") from None
-    if type(version) is not int or version != 1:
-        raise ProtocolError(f"ciphertext bit version {version!r}, want 1")
-    if len(blob) != 9:
-        raise ProtocolError(f"ciphertext blob has {len(blob)} bytes, want 9")
-    ctx = ladder.ctx
-    if type(epoch) is not int or not 1 <= epoch <= ctx.epochs:
-        raise ProtocolError(
-            f"ciphertext epoch {epoch!r} outside 1..{ctx.epochs}")
-    if type(depth) is not int or not 0 <= depth <= ctx.depth_budget:
-        raise ProtocolError(
-            f"ciphertext depth {depth!r} outside 0..{ctx.depth_budget}")
-    nonce = int.from_bytes(blob[:8], "big")
-    payload = blob[8] ^ _mask(ladder, nonce, epoch)
-    return kernel.bit_from_parts(ladder.state, payload, epoch, depth, nonce)
-
-
-def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
-    return {"v": 1, "width": w.width,
-            "bits": [bit_to_obj(ladder, b) for b in w.bits]}
-
-
-def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
-    _check_version(obj, "ciphertext word")
-    bits = _field(obj, "bits", list, "ciphertext word")
-    if not bits or len(bits) != _field(obj, "width", int, "ciphertext word"):
-        raise ProtocolError("word width disagrees with bit count")
-    return CipherWord(tuple(bit_from_obj(ladder, b) for b in bits))
-
-
 def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
     return {"cells": [word_to_obj(ladder, c) for c in row.cells],
-            "p": bit_to_obj(ladder, row.presence)}
+            "p": word_to_obj(ladder, CipherWord((row.presence,)))}
 
 
 def row_from_obj(ladder: KeyLadder, obj: dict) -> EncRow:
     cells = _field(obj, "cells", list, "row")
+    presence = word_from_obj(ladder, _field(obj, "p", dict, "row"))
+    if presence.width != 1:
+        raise ProtocolError(f"presence word has width {presence.width}, want 1")
     return EncRow(tuple(word_from_obj(ladder, c) for c in cells),
-                  bit_from_obj(ladder, _field(obj, "p", dict, "row")))
+                  presence.bits[0])
 
 
 def schema_to_obj(schema: Schema) -> list:
@@ -115,7 +142,8 @@ def schema_from_obj(obj: list) -> Schema:
 def table_to_obj(ladder: KeyLadder, t: EncTable) -> dict:
     if t.state is not ladder.state:
         raise LadderMismatch("table belongs to a different ladder")
-    return {"v": 1, "name": t.name, "schema": schema_to_obj(t.schema),
+    return {"v": WIRE_VERSION, "name": t.name,
+            "schema": schema_to_obj(t.schema),
             "rows": [row_to_obj(ladder, r) for r in t.rows]}
 
 
@@ -135,7 +163,9 @@ def table_rows_from_obj(ladder: KeyLadder, obj: dict):
 
 
 def table_from_obj(ladder: KeyLadder, obj: dict) -> EncTable:
-    _check_version(obj, "table")
+    version = _field(obj, "v", int, "table")
+    if version != WIRE_VERSION:
+        raise ProtocolError(f"table version {version}, want {WIRE_VERSION}")
     name = _field(obj, "name", str, "table")
     schema, rows = table_rows_from_obj(ladder, obj)
     return EncTable(name, schema, rows, ladder.state)

@@ -187,6 +187,21 @@ def test_corrupt_session_exits_2(tmp_path, pc_csv, capsys, name, edit):
     assert "error:" in capsys.readouterr().err
 
 
+def test_query_refuses_a_v1_table(tmp_path, pc_csv, capsys):
+    db = ingest(tmp_path, pc_csv)
+    # a table as the v1 wire format wrote it: one object per ciphertext bit
+    bit = {"v": 1, "epoch": 1, "depth": 0, "blob": "00" * 9}
+    v1 = {"v": 1, "name": "t", "schema": [["a", 1]],
+          "rows": [{"cells": [{"v": 1, "width": 1, "bits": [bit]}], "p": bit}]}
+    (tmp_path / "db" / "tables" / "t.json").write_text(json.dumps(v1))
+    capsys.readouterr()
+    assert main(["query", "--db", db, "table(pc)"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "t.json" in err and "version 1, want 2" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_diff_random_below_one_exits_2(capsys, count):
     with pytest.raises(SystemExit) as exc:

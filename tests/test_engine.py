@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
-from hequel import dsl, engine
+from hequel import dsl, engine, kernel, plans, serial
+from hequel.circuits import CipherWord
 from hequel.crypto import SecurityContext
 from hequel.schema import PlainTable, Schema
 
@@ -86,26 +88,76 @@ def test_run_encrypted_returns_stats():
     assert stats.total_gates == stats.xor_gates + stats.and_gates
 
 
-# sha256 over every message of the two runs below, from the kernel that
-# mixed every nonce when it was minted
-SERVER_MESSAGES_SHA = (
-    "17e76f4ed97b569973095e789ecbff5f2cc700c0f85e8809f1bc1fe012b8de04")
-
-
-def test_server_messages_are_pinned():
-    digest = hashlib.sha256()
+def pinned_messages():
+    """(ladder, bytes) of every message ``server.handle`` takes or returns
+    in the two pinned runs, in order."""
+    out = []
     for seed, text in ((b"m1", "sort(price, asc, table(pc))"),
                        (b"m2", "select(speed>1, table(pc))")):
         server, client = engine.build_session(pc_catalog(), seed=seed)
         handle = server.handle
 
-        def recording(data, handle=handle):
+        def recording(data, handle=handle, ladder=server.ladder):
             reply = handle(data)
-            digest.update(data)
-            digest.update(reply)
+            out.extend(((ladder, data), (ladder, reply)))
             return reply
 
         server.handle = recording
         table, _ = engine.run_encrypted(dsl.parse(text), server, client)
         assert table.rows
+    return out
+
+
+# sha256 over the bytes of every pinned message, in wire format v2
+SERVER_MESSAGES_SHA = (
+    "7aab6c0a024bebffeb01ceae1d38733c4bb38285e4e81b697f2ca7cb5e84fe63")
+
+
+def test_server_messages_are_pinned():
+    digest = hashlib.sha256()
+    for _, data in pinned_messages():
+        digest.update(data)
     assert digest.hexdigest() == SERVER_MESSAGES_SHA
+
+
+def _words(node):
+    """Every ciphertext word in a decoded plan, depth first."""
+    if isinstance(node, CipherWord):
+        yield node
+    elif hasattr(node, "__dataclass_fields__"):
+        for value in vars(node).values():
+            yield from _words(value)
+
+
+def _message_bits(ladder, data):
+    """The ciphertext bits of one message, decoded with ``serial``'s and
+    ``plans``' own decoders."""
+    msg = serial.message_from_bytes(data)
+    kind, payload = msg["type"], msg["payload"]
+    if kind == "query":
+        words = list(_words(plans.plan_from_obj(payload["plan"], ladder)))
+    elif kind == "result_count":
+        words = [serial.word_from_obj(ladder, payload["count"])]
+    elif kind == "fetch_rows":
+        _, rows = serial.table_rows_from_obj(ladder, payload)
+        return [b for r in rows
+                for b in (*(b for w in r.cells for b in w.bits), r.presence)]
+    else:
+        words = []
+    return [b for w in words for b in w.bits]
+
+
+# sha256 of (nonce, epoch, depth, payload) of every ciphertext bit of those
+# messages: it does not depend on the wire form, so it pins the nonce
+# stream and the payloads across wire format changes
+SERVER_BIT_TUPLES_SHA = (
+    "52c2b710cfa5920874fea783bd1bd813a457663fac45121573f9f1e43d768044")
+
+
+def test_server_message_bit_tuples_are_pinned():
+    tuples = [(kernel._nonce_of(b), b.epoch, b.depth, kernel._reveal(b))
+              for ladder, data in pinned_messages()
+              for b in _message_bits(ladder, data)]
+    assert len(tuples) > 100
+    text = json.dumps(tuples)
+    assert hashlib.sha256(text.encode()).hexdigest() == SERVER_BIT_TUPLES_SHA

@@ -10,6 +10,7 @@ import pytest
 
 from hequel import bench, serial
 from hequel import kernel as kernel_mod
+from hequel.circuits import CipherWord
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import LadderExhausted, LadderMismatch
 
@@ -228,10 +229,15 @@ def gate_outputs(s):
     return [a, b, x, y, n, deep, settled, lifted]
 
 
-# sha256 of the serialized gate_outputs of gate_ladder, from the kernel
-# that mixed every nonce when it was minted
+def bit_obj(ladder, c) -> dict:
+    """``c`` in its wire form, a width-1 word."""
+    return serial.word_to_obj(ladder, CipherWord((c,)))
+
+
+# sha256 of the gate_outputs of gate_ladder, each serialized as a width-1
+# word in wire format v2
 GATE_NONCES_SHA = (
-    "a8a56d0fc3d8c2d3ac2cb894f2b972fed66b88109a1b5f6a4264db8015b7cb57")
+    "d909380ceaf5a0f62960769d9db1e9a3a01fa5c8383b1ce6a58aa3d3e0de1358")
 
 
 def test_gate_minted_nonces_are_pinned():
@@ -239,17 +245,40 @@ def test_gate_minted_nonces_are_pinned():
     outs = gate_outputs(ladder.state)
     assert ladder.state.refresh_count == 3  # settle, lift in the AND, lift
     assert [c.epoch for c in outs] == [1, 1, 1, 1, 1, 1, 2, 3]
-    text = json.dumps([serial.bit_to_obj(ladder, c) for c in outs])
+    text = json.dumps([bit_obj(ladder, c) for c in outs])
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_NONCES_SHA
+
+
+# sha256 of (nonce, epoch, depth, payload) of every gate_outputs bit: read
+# from the kernel alone, so it pins the nonce stream whatever the wire form
+GATE_BIT_TUPLES_SHA = (
+    "3a886ed734ec8bafd7c8a60051536a764c57792d8f54f94b5b712da28d4e8eb8")
+
+
+def test_gate_minted_bit_tuples_are_pinned():
+    ladder = gate_ladder()
+    outs = gate_outputs(ladder.state)
+    text = json.dumps([(kernel_mod._nonce_of(c), c.epoch, c.depth,
+                        kernel_mod._reveal(c)) for c in outs])
+    assert hashlib.sha256(text.encode()).hexdigest() == GATE_BIT_TUPLES_SHA
 
 
 def test_decoded_gate_output_re_encodes_byte_exactly():
     ladder = gate_ladder()
-    for c in gate_outputs(ladder.state):
-        obj = serial.bit_to_obj(ladder, c)
-        back = serial.bit_from_obj(ladder, obj)
-        assert serial.bit_to_obj(ladder, back) == obj
+    outs = gate_outputs(ladder.state)
+    for c in outs:
+        obj = bit_obj(ladder, c)
+        (back,) = serial.word_from_obj(ladder, obj).bits
+        assert bit_obj(ladder, back) == obj
         assert kernel_mod._nonce_of(back) == kernel_mod._nonce_of(c)
+    # the same bits as one word, whose epochs and depths differ per bit
+    obj = serial.word_to_obj(ladder, CipherWord(tuple(outs)))
+    assert obj["epoch"] == [1, 1, 1, 1, 1, 1, 2, 3]
+    assert isinstance(obj["depth"], list)
+    back = serial.word_from_obj(ladder, obj)
+    assert serial.word_to_obj(ladder, back) == obj
+    assert [kernel_mod._reveal(b) for b in back.bits] == \
+        [kernel_mod._reveal(c) for c in outs]
 
 
 def test_gate_outputs_read_distinct_nonces():

@@ -32,7 +32,7 @@ GOLDEN_TEXT = (
     "intersect(distinct(table(a)), diff(table(b), project([k, v], "
     "select(d != 2, cross(table(b), table(c))))))))), table(c))))))))")
 GOLDEN_ENC_WIRE_SHA = (
-    "ccfba0bf3ea0460c5f4121a8f7f63c3d34809e5f63b4019dba14363f3524c59e")
+    "625a49b8f45195ae0b212877fa0f1f38d18add0d6394ed39ebe83e94377207af")
 
 
 def golden_plan(seven):

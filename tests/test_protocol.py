@@ -3,11 +3,13 @@ and rejection of tampered or malformed replies."""
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
 
 from hequel import dsl, plans, serial
+from hequel.circuits import encrypt_word
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
                            VerificationFailure)
@@ -386,7 +388,23 @@ def _cell(t):
 
 
 def _bit(t):
-    return _cell(t)["bits"][0]
+    """The first row's presence bit, a width-1 word."""
+    return t["rows"][0]["p"]
+
+
+def _blob(word, edit):
+    """Re-encode ``word``'s blob after ``edit`` changes its raw bytes."""
+    raw = bytearray(base64.b64decode(word["blob"]))
+    edit(raw)
+    word["blob"] = base64.b64encode(bytes(raw)).decode()
+
+
+def _wide_presence(t):
+    """Make the first row's presence a valid 2-bit word under the ladder
+    of ``make_session``."""
+    ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"proto")
+    t["rows"][0]["p"] = serial.word_to_obj(
+        ladder, encrypt_word(ladder.public_key(), 1, 2))
 
 
 # each edit forges one part of an otherwise valid upload of a table with
@@ -394,19 +412,19 @@ def _bit(t):
 FORGED_UPLOADS = {
     "row without presence": lambda t: t["rows"][0].pop("p"),
     "presence not an object": lambda t: t["rows"][0].update(p="1"),
-    "bit not an object": lambda t: _cell(t)["bits"].__setitem__(0, 5),
-    "blob not hex": lambda t: _bit(t).update(blob="zz" * 9),
+    "word not an object": lambda t: t["rows"][0]["cells"].__setitem__(0, 5),
+    "blob not base64": lambda t: _cell(t).update(blob="z!" * 30),
     "blob not a string": lambda t: _bit(t).update(blob=7),
+    "blob a list": lambda t: _cell(t).update(blob=[_cell(t)["blob"]]),
     "bit without epoch": lambda t: _bit(t).pop("epoch"),
-    "epoch 99": lambda t: _bit(t).update(epoch=99),
-    "epoch 0": lambda t: _bit(t).update(epoch=0),
-    "epoch a bool": lambda t: _bit(t).update(epoch=True),
-    "depth -5": lambda t: _bit(t).update(depth=-5),
-    "depth past budget": lambda t: _bit(t).update(depth=9),
-    "bits not a list": lambda t: _cell(t).update(bits="0101"),
+    "epoch 99": lambda t: _cell(t).update(epoch=99),
+    "epoch 0": lambda t: _cell(t).update(epoch=0),
+    "epoch a bool": lambda t: _cell(t).update(epoch=True),
+    "depth -5": lambda t: _cell(t).update(depth=-5),
+    "depth past budget": lambda t: _cell(t).update(depth=9),
     "width not an int": lambda t: _cell(t).update(width="4"),
-    "1-bit cell in a 4-bit column": lambda t: _cell(t).update(
-        width=1, bits=_cell(t)["bits"][:1]),
+    "1-bit cell in a 4-bit column": lambda t: t["rows"][0]["cells"].__setitem__(
+        0, dict(_bit(t))),
     "cell missing": lambda t: t["rows"][0]["cells"].pop(),
     "cells not a list": lambda t: t["rows"][0].update(cells=None),
     "rows not a list": lambda t: t.update(rows={"0": t["rows"][0]}),
@@ -416,9 +434,24 @@ FORGED_UPLOADS = {
     "bit version 7": lambda t: _bit(t).update(v=7),
     "bit without version": lambda t: _bit(t).pop("v"),
     "bit version a bool": lambda t: _bit(t).update(v=True),
-    "word version 2": lambda t: _cell(t).update(v=2),
+    "word version 1": lambda t: _cell(t).update(v=1),
     "word without version": lambda t: _cell(t).pop("v"),
     "table version 0": lambda t: t.update(v=0),
+    # wire format v2: per-bit metadata lists, blob size, padding, width
+    "table version 1": lambda t: t.update(v=1),
+    "epoch list too short": lambda t: _cell(t).update(epoch=[1, 1, 1]),
+    "epoch list holding a bool": lambda t: _cell(t).update(
+        epoch=[1, True, 1, 1]),
+    "depth list too long": lambda t: _cell(t).update(depth=[0] * 5),
+    "depth list holding a bool": lambda t: _cell(t).update(
+        depth=[0, 0, False, 0]),
+    "blob one byte short": lambda t: _blob(_cell(t), bytearray.pop),
+    # a 4-bit word's payload byte has 4 padding bits, and flipping a masked
+    # bit flips the same bit after unmasking
+    "padding bit set": lambda t: _blob(
+        _cell(t), lambda raw: raw.__setitem__(-1, raw[-1] ^ 0x10)),
+    "presence word of width 2": _wide_presence,
+    "width 2**40": lambda t: _cell(t).update(width=2 ** 40),
 }
 
 
@@ -426,12 +459,15 @@ FORGED_UPLOADS = {
                          ids=FORGED_UPLOADS.keys())
 def test_server_rejects_forged_uploads(edit):
     server, client = make_session()
-    original = server.tables["pc"]
+    before = dict(server.tables)
     upload = client.upload_message(
-        "pc", PlainTable(Schema((("a", 4), ("b", 4))), [(3, 9), (1, 2)]))
+        "up", PlainTable(Schema((("a", 4), ("b", 4))), [(3, 9), (1, 2)]))
     with pytest.raises(ProtocolError):
         server.handle(tamper(upload, lambda m: edit(m["payload"]["table"])))
-    assert server.tables["pc"] is original
+    assert server.tables == before
+    # the same upload untampered is stored, so the edit made the refusal
+    server.handle(upload)
+    assert set(server.tables) == set(before) | {"up"}
 
 
 def test_server_refuses_to_replace_a_stored_table():

@@ -3,12 +3,13 @@ message framing, and key-material persistence."""
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
 
 from hequel import kernel, serial
-from hequel.circuits import decrypt_word, encrypt_word
+from hequel.circuits import CipherWord, decrypt_word, encrypt_word
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import LadderMismatch, ProtocolError
 from hequel.relalg import decrypt_table, encrypt_table
@@ -21,40 +22,81 @@ def session():
     return ladder, keys, ladder.public_key()
 
 
+def bit_obj(ladder, c) -> dict:
+    """A ciphertext bit in its wire form, a width-1 word."""
+    return serial.word_to_obj(ladder, CipherWord((c,)))
+
+
 def test_bit_round_trip_byte_exact(session):
     ladder, keys, pk = session
     for b in (0, 1):
         c = encrypt_bit(pk, b)
-        obj = serial.bit_to_obj(ladder, c)
-        back = serial.bit_from_obj(ladder, obj)
+        obj = bit_obj(ladder, c)
+        (back,) = serial.word_from_obj(ladder, obj).bits
         assert keys.decrypt_bit(back) == b
         assert (back.epoch, back.depth) == (c.epoch, c.depth)
         # re-serialization reproduces the exact bytes
-        assert json.dumps(serial.bit_to_obj(ladder, back)) == json.dumps(obj)
+        assert json.dumps(bit_obj(ladder, back)) == json.dumps(obj)
 
 
 def test_same_literal_serializes_differently(session):
     ladder, _, pk = session
-    a = serial.bit_to_obj(ladder, encrypt_bit(pk, 1))
-    b = serial.bit_to_obj(ladder, encrypt_bit(pk, 1))
+    a = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8))
+    b = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8))
     assert a["blob"] != b["blob"]
 
 
 def test_blob_does_not_expose_payload(session):
     ladder, _, pk = session
-    # over many encryptions of the same bit, the masked payload byte takes
+    # over many encryptions of the same word, each masked payload bit takes
     # both values, so the blob alone does not determine the plaintext
-    last_bytes = {serial.bit_to_obj(ladder, encrypt_bit(pk, 1))["blob"][-2:]
-                  for _ in range(64)}
-    assert last_bytes == {"00", "01"}
+    seen = [set() for _ in range(8)]
+    for _ in range(64):
+        obj = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8))
+        masked = base64.b64decode(obj["blob"])[8 * 8]
+        for i in range(8):
+            seen[i].add(masked >> i & 1)
+    assert seen == [{0, 1}] * 8
+
+
+def _blob_edit(obj, edit):
+    raw = bytearray(base64.b64decode(obj["blob"]))
+    edit(raw)
+    return dict(obj, blob=base64.b64encode(bytes(raw)).decode())
 
 
 def test_bad_blob_rejected(session):
     ladder, _, pk = session
-    obj = serial.bit_to_obj(ladder, encrypt_bit(pk, 1))
-    obj["blob"] = obj["blob"][:-2]
-    with pytest.raises(ProtocolError):
-        serial.bit_from_obj(ladder, obj)
+    obj = serial.word_to_obj(ladder, encrypt_word(pk, 9, width=4))
+    bad = [_blob_edit(obj, lambda raw: raw.pop()),  # one byte short
+           _blob_edit(obj, lambda raw: raw.append(0)),  # one byte long
+           _blob_edit(obj, lambda raw: raw.__setitem__(-1, raw[-1] ^ 0x10)),
+           dict(obj, blob=obj["blob"][:-1]),  # not base64
+           dict(obj, blob="*" * len(obj["blob"])),
+           dict(obj, blob=obj["blob"].encode()),  # not a string
+           dict(obj, width=2 ** 40)]
+    for forged in bad:
+        with pytest.raises(ProtocolError):
+            serial.word_from_obj(ladder, forged)
+    # flipping a payload bit inside the width is not detectable: the mask
+    # hides the payload, it does not authenticate it
+    flipped = _blob_edit(obj, lambda raw: raw.__setitem__(-1, raw[-1] ^ 1))
+    assert serial.word_from_obj(ladder, flipped).width == 4
+
+
+def test_word_metadata_lists(session):
+    ladder, keys, pk = session
+    w = encrypt_word(pk, 5, width=3)
+    obj = serial.word_to_obj(ladder, w)
+    assert (obj["v"], obj["width"], obj["epoch"], obj["depth"]) == (2, 3, 1, 0)
+    assert len(base64.b64decode(obj["blob"])) == 3 * 8 + 1
+    listed = dict(obj, epoch=[1, 1, 1], depth=[0, 0, 0])
+    assert decrypt_word(keys, serial.word_from_obj(ladder, listed)) == 5
+    for key, value in (("epoch", [1, 1]), ("epoch", [1, True, 1]),
+                       ("depth", [0, 0, 0, 0]), ("depth", [0, 9, 0]),
+                       ("epoch", 1.0), ("v", 1), ("width", True)):
+        with pytest.raises(ProtocolError):
+            serial.word_from_obj(ladder, dict(obj, **{key: value}))
 
 
 def test_word_round_trip(session):
@@ -63,6 +105,7 @@ def test_word_round_trip(session):
     obj = serial.word_to_obj(ladder, w)
     back = serial.word_from_obj(ladder, obj)
     assert decrypt_word(keys, back) == 202
+    assert serial.word_to_obj(ladder, back) == obj
     obj["width"] = 9
     with pytest.raises(ProtocolError):
         serial.word_from_obj(ladder, obj)
@@ -110,8 +153,8 @@ def test_ladder_persistence_continues_nonce_stream(session):
     assert reloaded.mask_key == ladder.mask_key
     assert reloaded.state.nonce_state == ladder.state.nonce_state
     # a ciphertext serialized before the reload is readable after it
-    bit_obj = serial.bit_to_obj(ladder, before)
-    assert keys.decrypt_bit(serial.bit_from_obj(reloaded, bit_obj)) == 1
+    (back,) = serial.word_from_obj(reloaded, bit_obj(ladder, before)).bits
+    assert keys.decrypt_bit(back) == 1
     # new encryptions continue the stream rather than repeating nonces
     after = encrypt_bit(reloaded.public_key(), 1)
     assert kernel._nonce_of(after) != kernel._nonce_of(before)
