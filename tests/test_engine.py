@@ -88,13 +88,23 @@ def test_run_encrypted_returns_stats():
     assert stats.total_gates == stats.xor_gates + stats.and_gates
 
 
-def pinned_messages():
+PINNED_RUNS = ((b"m1", "sort(price, asc, table(pc))"),
+               (b"m2", "select(speed>1, table(pc))"))
+
+# under a leveled ladder with a small budget the gates meet stale and
+# over-budget operands: lifts, overflow settles and cross-epoch gates
+LEVELED_CTX = SecurityContext(mode="leveled", depth_budget=3, epochs=64)
+LEVELED_RUNS = ((b"l1", "avg(price, table(pc))"),
+                (b"l2", "min(price, table(pc))"),
+                (b"l3", "sort(price, asc, table(pc))"))
+
+
+def pinned_messages(runs=PINNED_RUNS, ctx=None):
     """(ladder, bytes) of every message ``server.handle`` takes or returns
-    in the two pinned runs, in order."""
+    in the pinned ``runs`` of (seed, plan text), in order."""
     out = []
-    for seed, text in ((b"m1", "sort(price, asc, table(pc))"),
-                       (b"m2", "select(speed>1, table(pc))")):
-        server, client = engine.build_session(pc_catalog(), seed=seed)
+    for seed, text in runs:
+        server, client = engine.build_session(pc_catalog(), ctx=ctx, seed=seed)
         handle = server.handle
 
         def recording(data, handle=handle, ladder=server.ladder):
@@ -154,10 +164,26 @@ SERVER_BIT_TUPLES_SHA = (
     "52c2b710cfa5920874fea783bd1bd813a457663fac45121573f9f1e43d768044")
 
 
+def _bit_tuples(messages):
+    return [(kernel._nonce_of(b), b.epoch, b.depth, kernel._reveal(b))
+            for ladder, data in messages for b in _message_bits(ladder, data)]
+
+
 def test_server_message_bit_tuples_are_pinned():
-    tuples = [(kernel._nonce_of(b), b.epoch, b.depth, kernel._reveal(b))
-              for ladder, data in pinned_messages()
-              for b in _message_bits(ladder, data)]
+    tuples = _bit_tuples(pinned_messages())
     assert len(tuples) > 100
     text = json.dumps(tuples)
     assert hashlib.sha256(text.encode()).hexdigest() == SERVER_BIT_TUPLES_SHA
+
+
+# the same tuples for the leveled runs
+LEVELED_BIT_TUPLES_SHA = (
+    "0197db148952eca4fadab099fa9593c1eb6eaf9a8d11d09adc6079abe6873799")
+
+
+def test_leveled_server_message_bit_tuples_are_pinned():
+    tuples = _bit_tuples(pinned_messages(LEVELED_RUNS, LEVELED_CTX))
+    assert len(tuples) > 100
+    assert max(epoch for _, epoch, _, _ in tuples) > 10  # the ladder climbed
+    text = json.dumps(tuples)
+    assert hashlib.sha256(text.encode()).hexdigest() == LEVELED_BIT_TUPLES_SHA
