@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from hequel import dsl, engine, randgen, serial
-from hequel.crypto import SecurityContext, keygen
+from hequel.crypto import MAX_EPOCHS, SecurityContext, keygen
 from hequel.errors import HequelError, ProtocolError
 from hequel.protocol import ClientSession, ServerStore
 from hequel.relalg import encrypt_table
@@ -34,10 +34,11 @@ def _parse_mode(text: str) -> tuple[str, int]:
             epochs = int(tail)
         except ValueError:
             epochs = 0
-        if epochs >= 1:
+        if 1 <= epochs <= MAX_EPOCHS:
             return "leveled", epochs
     raise argparse.ArgumentTypeError(
-        f"mode must be 'circular' or 'leveled:D', got {text!r}")
+        f"mode must be 'circular' or 'leveled:D' with 1 <= D <= {MAX_EPOCHS},"
+        f" got {text!r}")
 
 
 def _int_at_least(minimum: int, what: str):

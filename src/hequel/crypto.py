@@ -25,6 +25,9 @@ from hequel.errors import EpochMismatch, LadderMismatch, NoiseOverflow
 
 MODE_NAMES = {"circular": kernel.MODE_CIRCULAR, "leveled": kernel.MODE_LEVELED}
 
+# the wire mask packs each ciphertext's epoch in two bytes
+MAX_EPOCHS = 0xFFFF
+
 
 @dataclass(frozen=True)
 class SecurityContext:
@@ -39,8 +42,8 @@ class SecurityContext:
             raise ValueError(f"mode must be 'circular' or 'leveled', got {self.mode!r}")
         if self.depth_budget < 1:
             raise ValueError("depth_budget must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ValueError(f"epochs must be in 1..{MAX_EPOCHS}")
         if self.mode == "circular" and self.epochs != 1:
             raise ValueError("circular mode has a single epoch")
 

@@ -153,6 +153,20 @@ def test_depth_budget_below_one_exits_2(tmp_path, pc_csv, capsys, budget):
     assert not db.exists()
 
 
+def test_mode_past_the_wire_epoch_range_exits_2(tmp_path, pc_csv, capsys):
+    db = tmp_path / "db"
+    for argv in (["diff", "--random", "1", "--mode", "leveled:65536"],
+                 ["ingest", "--db", str(db), "--mode", "leveled:65536",
+                  pc_csv]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "1 <= D <= 65535, got 'leveled:65536'" in err
+        assert "Traceback" not in err
+    assert not db.exists()
+
+
 def test_slack_flag(tmp_path, pc_csv, capsys):
     db = ingest(tmp_path, pc_csv)
     capsys.readouterr()
@@ -167,11 +181,19 @@ def _string_nonce(text: str) -> str:
     return json.dumps(session)
 
 
+def _epochs_past_the_wire(text: str) -> str:
+    # a wire epoch is two bytes, so 65,535 is the largest ladder
+    session = json.loads(text)
+    session["ladder"].update(mode="leveled", epochs=65536)
+    return json.dumps(session)
+
+
 # file in the session directory -> edit that corrupts its text
 CORRUPT_FILES = {
     "session without keys": ("session.json", lambda _: '{"v":1}'),
     "session not JSON": ("session.json", lambda _: "not json"),
     "session nonce a string": ("session.json", _string_nonce),
+    "session epochs past the wire": ("session.json", _epochs_past_the_wire),
     "table not JSON": ("tables/pc.json", lambda _: "{"),
 }
 

@@ -7,8 +7,8 @@ import pytest
 
 from hequel import kernel
 from hequel.circuits import bit_or
-from hequel.crypto import (ClientKeys, SecurityContext, decrypt_bit,
-                           encrypt_bit, keygen)
+from hequel.crypto import (MAX_EPOCHS, ClientKeys, SecurityContext,
+                           decrypt_bit, encrypt_bit, keygen)
 from hequel.errors import (EpochMismatch, LadderExhausted, LadderMismatch,
                            NoiseOverflow)
 
@@ -38,6 +38,15 @@ def test_context_validation():
         SecurityContext(depth_budget=0)
     with pytest.raises(ValueError):
         SecurityContext(mode="leveled", epochs=0)
+
+
+def test_context_refuses_more_epochs_than_the_wire_holds():
+    # the wire mask packs an epoch in two bytes; the context is refused
+    # before any key is built, and the largest ladder is only described
+    assert MAX_EPOCHS == 65535
+    assert SecurityContext(mode="leveled", epochs=MAX_EPOCHS).epochs == 65535
+    with pytest.raises(ValueError, match="epochs must be in 1..65535"):
+        SecurityContext(mode="leveled", epochs=65536)
 
 
 def test_round_trip_both_bits():
