@@ -13,6 +13,12 @@ and compare-swap, one per carry for addition, and w - 1 for equality. An
 AND is the gate that costs depth, and so refreshes; XOR is free. None of
 them calls the kernel's ``not_``, which mints a fresh encryption, except
 ``word_eq``'s single final NOT and ``word_div``'s negated divisor.
+
+Every one-AND step is one of the kernel's four primitives, which build
+only their output bits: ``bit_mux`` (select, the compare step of
+``gt_chain`` and the carries of addition and ``bit_count``), ``bit_swap``,
+``bit_or`` and ``bit_and_not``. They are imported here under the same
+names, so ``circuits.bit_mux`` and the others still resolve.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from dataclasses import dataclass
 
 from hequel.crypto import ClientKeys, PublicKey
 from hequel.errors import ValueOverflow, WidthMismatch
-from hequel.kernel import and_, fresh_bit, lift, not_, settle, xor
+from hequel.kernel import (and_, bit_and_not, bit_mux, bit_or, bit_swap,
+                           fresh_bit, lift, not_, settle, xor)
 
 DEFAULT_WIDTH = 8
 
@@ -74,30 +81,6 @@ def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
         for i in range(width)))
 
 
-def bit_mux(f, x, y):
-    """Encrypted bit select: x when f is 1, else y. One AND and no NOT:
-    y ⊕ (f ∧ (x ⊕ y))."""
-    return xor(y, and_(f, xor(x, y)))
-
-
-def bit_swap(f, x, y):
-    """(y, x) when the encrypted bit f is 1, else (x, y). One AND serves
-    both outputs: d = f ∧ (x ⊕ y), then x ⊕ d and y ⊕ d."""
-    d = and_(f, xor(x, y))
-    return xor(x, d), xor(y, d)
-
-
-def bit_or(a, b):
-    """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND and no fresh encryption."""
-    a, b = settle(a), settle(b)
-    return xor(xor(a, b), and_(a, b))
-
-
-def bit_and_not(a, b):
-    """a ∧ ¬b = a ⊕ (a ∧ b): one AND and no NOT, so no fresh encryption."""
-    return xor(a, and_(a, b))
-
-
 def pairwise(fn, items):
     """Reduce a non-empty sequence with the binary ``fn`` as a balanced
     tree: each level pairs neighbours in order, and an odd item out moves
@@ -139,19 +122,20 @@ def gt_chain(xs, ts):
     the XORs feeds each bit of b into one gate only.
 
     LSB first, g is "a > b on the bits seen so far". Where t = 0 it keeps;
-    where t = 1 it becomes x. Both cases are g ⊕ (t ∧ (x ⊕ g)), and the
+    where t = 1 it becomes x. Both cases are ``bit_mux(t, x, g)``, and the
     lowest bit seeds g = t ∧ x."""
     g = and_(ts[-1], xs[-1])
     for x, t in zip(xs[-2::-1], ts[-2::-1]):
-        g = settle(g)
-        g = xor(g, and_(t, xor(x, g)))
+        g = bit_mux(t, x, settle(g))
     return g
 
 
 def _ripple(abits, bbits, carry=None):
     """Ripple-carry add of two MSB-first bit tuples with an optional
     carry-in (None is 0). Each carry is one AND, the majority
-    maj(x, y, c) = x ⊕ ((x ⊕ y) ∧ (x ⊕ c)) sharing x ⊕ y with the sum bit.
+    maj(x, y, c) = x ⊕ ((x ⊕ y) ∧ (x ⊕ c)), that is c where x and y
+    differ and x where they agree: ``bit_mux(x ⊕ y, c, x)``, sharing
+    x ⊕ y with the sum bit.
     No carry leaves the top bit, so results wrap modulo 2^width. Below
     the top, x, x ⊕ y and the carry each feed two gates or more, so x, y
     and the carry are lifted to one epoch first."""
@@ -171,7 +155,7 @@ def _ripple(abits, bbits, carry=None):
             carry = and_(x, y)
         else:
             out.append(xor(axb, carry))
-            carry = xor(x, and_(axb, xor(x, carry)))
+            carry = bit_mux(axb, carry, x)
     return tuple(reversed(out))
 
 
@@ -224,7 +208,7 @@ def bit_count(bits, width: int) -> CipherWord:
     Column j holds the bits of weight 2^j, reduced oldest first so that
     its depth grows as a tree. Below the top column a full adder takes
     three bits to the sum x ⊕ y ⊕ z and the carry
-    maj(x, y, z) = x ⊕ ((x ⊕ y) ∧ (x ⊕ z)), one column up; the last pair
+    maj(x, y, z) = ``bit_mux(x ⊕ y, z, x)``, one column up; the last pair
     takes a half adder. Each costs one AND, at most len(bits) - 1 in all.
     The top column is reduced by XOR alone, so no carry leaves the word.
     A fresh zero fills only an empty column."""
@@ -241,7 +225,7 @@ def bit_count(bits, width: int) -> CipherWord:
             elif column:
                 z = column.pop(0)
                 column.append(xor(xy, z))
-                carries.append(xor(x, and_(xy, xor(x, z))))
+                carries.append(bit_mux(xy, z, x))
             else:
                 column.append(xy)
                 carries.append(and_(x, y))

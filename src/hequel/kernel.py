@@ -13,8 +13,17 @@ allowed: the lower-epoch operand is lifted to the other's epoch first
 into several gates settles or lifts it once itself, and a selector about
 to feed a gate for every bit of whole rows goes through ``fan_out``. These
 three functions make every refresh decision above the gates: no other
-library module calls ``refresh`` or reads the mode. OR is a word-circuit
-concern: ``circuits.bit_or`` builds it from one AND.
+library module calls ``refresh`` or reads the mode.
+
+The one-AND primitives live here too: ``bit_mux``, ``bit_swap``,
+``bit_or`` and ``bit_and_not``. Each is defined by a short composition of
+``xor`` and ``and_``, and when its operands share one ladder and one
+epoch, no AND in it would pass the depth budget and no fault is armed, it
+computes the payloads inline and builds only its output bits. It still
+counts every gate of the composition and advances the nonce stream once
+per gate, in gate order, so each output carries the nonce, epoch and
+depth that the composition would give it. On any other input it runs the
+composition itself.
 
 Every gate output, refresh and encryption is a fresh ciphertext with its
 own nonce, the next value of a splitmix64 stream (Steele, Lea and Flood,
@@ -36,6 +45,7 @@ MODE_CIRCULAR = 0
 MODE_LEVELED = 1
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter increment
 
 
 class KernelState:
@@ -102,7 +112,7 @@ class CipherBit:
 def _next_nonce(s: KernelState) -> int:
     # splitmix64's counter step: deterministic per ladder seed, 64-bit
     # period; the complement marks the counter as not yet mixed
-    s.nonce_state = z = (s.nonce_state + 0x9E3779B97F4A7C15) & _MASK64
+    s.nonce_state = z = (s.nonce_state + _GAMMA) & _MASK64
     return ~z
 
 
@@ -210,6 +220,84 @@ def and_(a: CipherBit, b: CipherBit) -> CipherBit:
 def not_(a: CipherBit) -> CipherBit:
     # NOT(b) = b XOR fresh E(1) under the operand's own key
     return xor(a, fresh_bit(a._state, 1, a.epoch))
+
+
+# The one-AND primitives. In each, ``d`` is the deepest operand's depth; the
+# inline path needs d < budget, so the AND lands at d + 1 with no settle,
+# and every later XOR of the composition keeps that depth.
+
+
+def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
+    """Encrypted bit select: x when f is 1, else y. One AND and no NOT:
+    y ⊕ (f ∧ (x ⊕ y)), three gates."""
+    s = f._state
+    e = f.epoch
+    d = x.depth if x.depth >= y.depth else y.depth
+    if f.depth > d:
+        d = f.depth
+    if (d < s.depth_budget and x.epoch == e and y.epoch == e
+            and x._state is s and y._state is s and s.fault_gate < 0):
+        s.xor_count += 2
+        s.and_count += 1
+        s.nonce_state = z = (s.nonce_state + 3 * _GAMMA) & _MASK64
+        p = y._payload
+        return CipherBit(s, p ^ (f._payload & (x._payload ^ p)), e, d + 1, ~z)
+    return xor(y, and_(f, xor(x, y)))
+
+
+def bit_swap(f: CipherBit, x: CipherBit, y: CipherBit):
+    """(y, x) when the encrypted bit f is 1, else (x, y). One AND serves
+    both outputs: t = f ∧ (x ⊕ y), then x ⊕ t and y ⊕ t, four gates."""
+    s = f._state
+    e = f.epoch
+    d = x.depth if x.depth >= y.depth else y.depth
+    if f.depth > d:
+        d = f.depth
+    if (d < s.depth_budget and x.epoch == e and y.epoch == e
+            and x._state is s and y._state is s and s.fault_gate < 0):
+        s.xor_count += 3
+        s.and_count += 1
+        z = s.nonce_state
+        s.nonce_state = (z + 4 * _GAMMA) & _MASK64
+        p, q = x._payload, y._payload
+        t = f._payload & (p ^ q)
+        d += 1
+        return (CipherBit(s, p ^ t, e, d, ~((z + 3 * _GAMMA) & _MASK64)),
+                CipherBit(s, q ^ t, e, d, ~s.nonce_state))
+    t = and_(f, xor(x, y))
+    return xor(x, t), xor(y, t)
+
+
+def bit_or(a: CipherBit, b: CipherBit) -> CipherBit:
+    """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND and no fresh encryption, three
+    gates. The operands are settled first, since each feeds two gates."""
+    s = a._state
+    e = a.epoch
+    d = a.depth if a.depth >= b.depth else b.depth
+    if (d < s.depth_budget and b.epoch == e and b._state is s
+            and s.fault_gate < 0):
+        s.xor_count += 2
+        s.and_count += 1
+        s.nonce_state = z = (s.nonce_state + 3 * _GAMMA) & _MASK64
+        return CipherBit(s, a._payload | b._payload, e, d + 1, ~z)
+    a, b = settle(a), settle(b)
+    return xor(xor(a, b), and_(a, b))
+
+
+def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:
+    """a ∧ ¬b = a ⊕ (a ∧ b): one AND and no NOT, so no fresh encryption,
+    two gates."""
+    s = a._state
+    e = a.epoch
+    d = a.depth if a.depth >= b.depth else b.depth
+    if (d < s.depth_budget and b.epoch == e and b._state is s
+            and s.fault_gate < 0):
+        s.xor_count += 1
+        s.and_count += 1
+        s.nonce_state = z = (s.nonce_state + 2 * _GAMMA) & _MASK64
+        p = a._payload
+        return CipherBit(s, p ^ (p & b._payload), e, d + 1, ~z)
+    return xor(a, and_(a, b))
 
 
 def _reveal(c: CipherBit) -> int:

@@ -17,10 +17,7 @@ from hequel.circuits import (
     CipherWord,
     DEFAULT_WIDTH,
     any_bit,
-    bit_and_not,
     bit_count,
-    bit_or,
-    bit_swap,
     const_word,
     decrypt_word,
     encrypt_word,
@@ -44,7 +41,8 @@ from hequel.errors import (
     SchemaMismatch,
     ValueOverflow,
 )
-from hequel.kernel import and_, fan_out, fresh_bit, lift, not_, settle, xor
+from hequel.kernel import (and_, bit_and_not, bit_or, bit_swap, fan_out,
+                           fresh_bit, lift, not_, settle, xor)
 from hequel.schema import PlainTable, Schema
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -305,3 +306,102 @@ def test_bench_gates_counts_every_gate():
     assert result.gates_per_sec > 0
     with pytest.raises(ValueError):
         bench.bench_gates("native", 10)
+
+
+# Each fused one-AND primitive and the gate composition that defines it.
+def _swap_composition(f, x, y):
+    t = kernel_mod.and_(f, kernel_mod.xor(x, y))
+    return kernel_mod.xor(x, t), kernel_mod.xor(y, t)
+
+
+def _or_composition(a, b):
+    a, b = kernel_mod.settle(a), kernel_mod.settle(b)
+    return kernel_mod.xor(kernel_mod.xor(a, b), kernel_mod.and_(a, b))
+
+
+# (name, arity, gates, composition)
+FUSED = [
+    ("bit_mux", 3, 3, lambda f, x, y: kernel_mod.xor(
+        y, kernel_mod.and_(f, kernel_mod.xor(x, y)))),
+    ("bit_swap", 3, 4, _swap_composition),
+    ("bit_or", 2, 3, _or_composition),
+    ("bit_and_not", 2, 2, lambda a, b: kernel_mod.xor(
+        a, kernel_mod.and_(a, b))),
+]
+FUSED_IDS = [name for name, *_ in FUSED]
+BUDGET = 3
+
+
+def _twin_states(mode):
+    """Two fresh ladders with equal parameters and nonce seed; a leveled
+    one has room to lift and settle every operand."""
+    epochs = 1 if mode == "circular" else 8
+    return [make_state(mode=mode, budget=BUDGET, epochs=epochs, seed=11)
+            for _ in range(2)]
+
+
+def _observe(s, out):
+    outs = out if isinstance(out, tuple) else (out,)
+    return ([(kernel_mod._nonce_of(c), c.epoch, c.depth, kernel_mod._reveal(c))
+             for c in outs],
+            (s.xor_count, s.and_count, s.refresh_count, s.encrypt_count),
+            s.nonce_state)
+
+
+def _run_twins(name, composition, mode, operands, fault=None):
+    """The fused primitive and its composition on twin ladders, over
+    operands given as (payload, epoch, depth); what each left behind."""
+    seen = []
+    for s, fn in zip(_twin_states(mode),
+                     (getattr(kernel_mod, name), composition)):
+        bits = [kernel_mod.bit_from_parts(s, p, e, d, 1000 + i)
+                for i, (p, e, d) in enumerate(operands)]
+        if fault is not None:
+            s.fault_gate = fault
+        seen.append(_observe(s, fn(*bits)))
+    return seen
+
+
+def _operand_grid(arity, epochs_per_operand):
+    for payloads in itertools.product((0, 1), repeat=arity):
+        for depths in itertools.product(range(BUDGET + 1), repeat=arity):
+            for epochs in itertools.product(epochs_per_operand, repeat=arity):
+                yield list(zip(payloads, epochs, depths))
+
+
+@pytest.mark.parametrize("name, arity, gates, composition", FUSED,
+                         ids=FUSED_IDS)
+@pytest.mark.parametrize("mode", ["circular", "leveled"])
+def test_fused_primitive_equals_its_gate_composition(name, arity, gates,
+                                                     composition, mode):
+    # every payload combination, every depth 0..budget, and in leveled mode
+    # equal and unequal epochs; circular mode has one epoch, so only equal
+    epochs = (1,) if mode == "circular" else (1, 2)
+    for operands in _operand_grid(arity, epochs):
+        fused, reference = _run_twins(name, composition, mode, operands)
+        assert fused == reference, (operands, fused, reference)
+
+
+@pytest.mark.parametrize("name, arity, gates, composition", FUSED,
+                         ids=FUSED_IDS)
+@pytest.mark.parametrize("mode", ["circular", "leveled"])
+def test_fused_primitive_with_a_fault_at_each_gate(name, arity, gates,
+                                                   composition, mode):
+    epochs = (1,) if mode == "circular" else (1, 2)
+    for operands in _operand_grid(arity, epochs):
+        for position in range(1, gates + 1):
+            fused, reference = _run_twins(name, composition, mode, operands,
+                                          fault=position)
+            assert fused == reference, (operands, position)
+
+
+@pytest.mark.parametrize("name, arity, gates, composition", FUSED,
+                         ids=FUSED_IDS)
+def test_fused_primitive_refuses_mixed_ladders(name, arity, gates,
+                                               composition):
+    for stranger in range(arity):
+        home, away = make_state(), make_state()
+        bits = [kernel_mod.fresh_bit(away if i == stranger else home, 1, 1)
+                for i in range(arity)]
+        with pytest.raises(LadderMismatch):
+            getattr(kernel_mod, name)(*bits)
