@@ -17,8 +17,8 @@ them calls the kernel's ``not_``, which mints a fresh encryption, except
 Every one-AND step is one of the kernel's four primitives, which build
 only their output bits: ``bit_mux`` (select, the compare step of
 ``gt_chain`` and the carries of addition and ``bit_count``), ``bit_swap``,
-``bit_or`` and ``bit_and_not``. They are imported here under the same
-names, so ``circuits.bit_mux`` and the others still resolve.
+``bit_or`` and ``bit_and_not``. They are imported here, so
+``circuits.bit_mux`` and the others name the kernel's functions.
 """
 
 from __future__ import annotations

@@ -224,7 +224,8 @@ def not_(a: CipherBit) -> CipherBit:
 
 # The one-AND primitives. In each, ``d`` is the deepest operand's depth; the
 # inline path needs d < budget, so the AND lands at d + 1 with no settle,
-# and every later XOR of the composition keeps that depth.
+# and every later XOR of the composition keeps that depth. Each writes its
+# guard out in full: a shared helper would cost a call on every primitive.
 
 
 def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
