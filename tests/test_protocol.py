@@ -227,6 +227,68 @@ def test_overstated_count_fails_verification():
         client.read_count(tamper(reply, inflate))
 
 
+def test_readers_refuse_a_reply_of_the_wrong_type():
+    # each reply keeps a payload its reader accepts; only its type is wrong
+    def retype(mtype):
+        return lambda m: m.update(type=mtype)
+
+    server, client = make_session()
+    qid, msg = client.query_message(dsl.parse("select(speed>1, table(pc))"))
+    count = server.handle(msg)
+    with pytest.raises(ProtocolError):
+        client.read_count(tamper(count, retype("fetch_rows")))
+    assert client.pending[qid].n is None
+    assert client.read_count(count) == (qid, 2)
+    rows = server.handle(client.fetch_message(qid))
+    with pytest.raises(ProtocolError):
+        client.read_rows_and_verify(tamper(rows, retype("result_count")))
+    assert sorted(client.read_rows_and_verify(rows).rows) == [
+        PC_ROWS[0], PC_ROWS[1]]
+
+
+def test_rows_for_a_query_never_issued_are_refused():
+    server, client = make_session()
+    qid, _ = submit_query(client, server,
+                          dsl.parse("select(speed>1, table(pc))"))
+    reply = server.handle(client.fetch_message(qid))
+
+    def misdirect(m):
+        m["query_id"] = "q999"
+
+    with pytest.raises(ProtocolError):
+        client.read_rows_and_verify(tamper(reply, misdirect))
+    assert not client.pending[qid].verified
+
+
+def test_present_row_made_absent_fails_verification():
+    # the reply keeps the requested number of rows, so only the count of
+    # present rows can catch it
+    server, client = make_session()
+    qid, n = submit_query(client, server,
+                          dsl.parse("select(speed>1, table(pc))"))
+    reply = server.handle(client.fetch_message(qid))
+    ladder = server.ladder
+    zero = serial.word_to_obj(ladder, encrypt_word(ladder.public_key(), 0, 1))
+
+    def drop_presence(m):
+        m["payload"]["rows"][0]["p"] = zero
+
+    with pytest.raises(VerificationFailure, match=f"count said {n}"):
+        client.read_rows_and_verify(tamper(reply, drop_presence))
+
+
+def test_setup_upload_refuses_a_reply_other_than_upload_ok():
+    _, client = make_session()
+
+    class RefusingServer:
+        def handle(self, data: bytes) -> bytes:
+            return serial.message_to_bytes("result_count", "q1", {})
+
+    with pytest.raises(ProtocolError):
+        setup_upload(client, RefusingServer(), "t",
+                     PlainTable(Schema((("a", 4),)), [(3,)]))
+
+
 MALFORMED_COUNTS = {
     "no count": lambda p: p.pop("count"),
     "no capacity": lambda p: p.pop("capacity"),
