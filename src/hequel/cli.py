@@ -205,40 +205,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run relational-algebra queries over encrypted tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    db = argparse.ArgumentParser(add_help=False)
+    db.add_argument("--db", required=True, help="session directory")
+    keys = argparse.ArgumentParser(add_help=False)
+    keys.add_argument("--mode", type=_parse_mode, default=("circular", 1),
+                      help="circular or leveled:D (default: circular)")
+    keys.add_argument("--depth-budget",
+                      type=_int_at_least(1, "depth budget"), default=8,
+                      help="max multiplicative depth per epoch (default: 8)")
+    keys.add_argument("--seed", default=None,
+                      help="key-generation seed; diff --random also seeds "
+                      "its plans with it")
+    keys.add_argument("--width-default", type=int, default=None,
+                      help="width for CSV header cells without ':width'")
+    fetch = argparse.ArgumentParser(add_help=False)
+    fetch.add_argument("--slack", type=_int_at_least(0, "slack"), default=0,
+                       help="extra rows fetched beyond the true count")
+    fetch.add_argument("--stats", action="store_true",
+                       help="print key=value stats to stderr")
+
     ingest = sub.add_parser(
-        "ingest", help="encrypt CSV tables into a session directory")
-    ingest.add_argument("--db", required=True, help="session directory")
-    ingest.add_argument("--mode", type=_parse_mode, default=("circular", 1),
-                        help="circular or leveled:D (default: circular)")
-    ingest.add_argument("--depth-budget",
-                        type=_int_at_least(1, "depth budget"), default=8,
-                        help="max multiplicative depth per epoch (default: 8)")
-    ingest.add_argument("--seed", default=None, help="key-generation seed")
-    ingest.add_argument("--width-default", type=int, default=None,
-                        help="width for CSV header cells without ':width'")
+        "ingest", parents=[db, keys],
+        help="encrypt CSV tables into a session directory")
     ingest.add_argument("csv", nargs="+",
                         help="CSV files; the table name is the file stem")
     ingest.set_defaults(func=cmd_ingest)
 
-    query = sub.add_parser("query", help="run a plan over an ingested session")
-    query.add_argument("--db", required=True, help="session directory")
-    query.add_argument("--slack", type=_int_at_least(0, "slack"), default=0,
-                       help="extra rows fetched beyond the true count")
-    query.add_argument("--stats", action="store_true",
-                       help="print key=value stats to stderr")
+    query = sub.add_parser("query", parents=[db, fetch],
+                           help="run a plan over an ingested session")
     query.add_argument("plan",
                        help="plan text, e.g. 'select(speed>1, table(pc))'")
     query.set_defaults(func=cmd_query)
 
     diff = sub.add_parser(
-        "diff", help="differential test: encrypted engine vs plaintext oracle")
-    diff.add_argument("--mode", type=_parse_mode, default=("circular", 1))
-    diff.add_argument("--depth-budget",
-                      type=_int_at_least(1, "depth budget"), default=8)
-    diff.add_argument("--seed", default=None)
-    diff.add_argument("--slack", type=_int_at_least(0, "slack"), default=0)
-    diff.add_argument("--stats", action="store_true")
-    diff.add_argument("--width-default", type=int, default=None)
+        "diff", parents=[keys, fetch],
+        help="differential test: encrypted engine vs plaintext oracle")
     diff.add_argument("--inject-fault", type=int, default=None, metavar="N",
                       help="flip the N-th gate output (testing hook)")
     diff.add_argument("--random", type=_int_at_least(1, "plan count"),

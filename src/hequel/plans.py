@@ -141,11 +141,14 @@ def _lookup(node, env: dict):
 
 
 def _pred_width(node, schema: Schema) -> int | None:
+    """A comparison operand's width; None for a plaintext ``Lit``."""
     if isinstance(node, ColRef):
         return schema.width_of(node.name)
     if isinstance(node, EncLit):
         return node.word.width
-    return None
+    if isinstance(node, Lit):
+        return None
+    raise PlanTypeError(f"bad comparison operand {node!r}")
 
 
 def _map_pred(pred, on_cmp):

@@ -2,7 +2,11 @@
 
 Both roles run in one process but talk only through serialized messages,
 so the trust boundary is the API: the server side holds public keys and
-wrapped secret keys and can never decrypt.
+wrapped secret keys and can never decrypt. Each message is checked once,
+where it enters: ``serial.message_from_bytes`` refuses a message of a type
+its reader does not take, every payload field is read through
+``serial.field``, and the server typechecks a decoded plan against its
+stored schemas with the client's own rules before any gate runs.
 
 Result return is two round trips. The server first answers a query with
 the encrypted presence-count of the result table plus its public capacity.
@@ -43,10 +47,8 @@ class ServerStore:
     """Server half: encrypted tables, query results, and the key ladder's
     public part. No method here can read a plaintext value."""
 
-    # message type -> (handler method, the payload key it reads)
-    _HANDLERS = {"upload_table": ("_handle_upload", "table"),
-                "query": ("_handle_query", "plan"),
-                "fetch_rows_request": ("_handle_fetch", "n_prime")}
+    _HANDLERS = {"upload_table": "_handle_upload", "query": "_handle_query",
+                 "fetch_rows_request": "_handle_fetch"}
 
     def __init__(self, ladder: KeyLadder):
         self.ladder = ladder
@@ -54,17 +56,13 @@ class ServerStore:
         self.results: dict[str, EncTable] = {}
 
     def handle(self, data: bytes) -> bytes:
-        msg = serial.message_from_bytes(data)
-        mtype, qid, payload = msg["type"], msg["query_id"], msg["payload"]
-        if mtype not in self._HANDLERS:
-            raise ProtocolError(f"unknown message type {mtype!r}")
-        method, key = self._HANDLERS[mtype]
-        if not isinstance(payload, dict) or key not in payload:
-            raise ProtocolError(f"{mtype} payload lacks {key!r}")
-        return getattr(self, method)(qid, payload)
+        msg = serial.message_from_bytes(data, *self._HANDLERS)
+        return getattr(self, self._HANDLERS[msg["type"]])(
+            msg["query_id"], msg["payload"])
 
     def _handle_upload(self, qid: str, payload) -> bytes:
-        table = serial.table_from_obj(self.ladder, payload["table"])
+        table = serial.table_from_obj(
+            self.ladder, serial.field(payload, "table", dict, "upload_table"))
         if not table.name:
             raise ProtocolError("uploaded table needs a name")
         if table.name in self.tables:
@@ -77,7 +75,11 @@ class ServerStore:
         if len(self.results) >= MAX_PENDING_RESULTS:
             raise ProtocolError(
                 f"{len(self.results)} results await a fetch; fetch one first")
-        plan = plans.plan_from_obj(payload["plan"], self.ladder)
+        plan = plans.plan_from_obj(
+            serial.field(payload, "plan", dict, "query"), self.ladder)
+        # the client's typing rules, so an ill-typed plan spends no gate
+        plans.typecheck(plan, {name: t.schema
+                               for name, t in self.tables.items()})
         result = plans.eval_encrypted(plan, self.tables)
         self.results[qid] = result
         # width chosen from the public capacity, so the count cannot wrap
@@ -92,8 +94,8 @@ class ServerStore:
         if qid not in self.results:
             raise ProtocolError(f"no pending result for query {qid!r}")
         result = self.results[qid]
-        n_prime = payload["n_prime"]
-        if type(n_prime) is not int or n_prime < 0:
+        n_prime = serial.field(payload, "n_prime", int, "fetch_rows_request")
+        if n_prime < 0:
             raise ProtocolError(f"bad row request {n_prime!r}")
         if n_prime > result.capacity:
             raise FetchTooLarge(
@@ -161,27 +163,28 @@ class ClientSession:
         return qid, serial.message_to_bytes(
             "query", qid, {"plan": plans.plan_to_obj(enc_plan, self._ladder)})
 
+    def _reply(self, data: bytes, mtype: str) -> tuple[ResultHandshake, dict]:
+        """The exchange and payload of a reply of type ``mtype`` to a
+        pending query."""
+        msg = serial.message_from_bytes(data, mtype)
+        shake = self.pending.get(msg["query_id"])
+        if shake is None:
+            raise ProtocolError(
+                f"{mtype} for unknown query {msg['query_id']!r}")
+        return shake, msg["payload"]
+
     def read_count(self, reply: bytes) -> tuple[str, int]:
-        msg = serial.message_from_bytes(reply)
-        if msg["type"] != "result_count":
-            raise ProtocolError(f"expected result_count, got {msg['type']!r}")
-        qid = msg["query_id"]
-        if qid not in self.pending:
-            raise ProtocolError(f"count for unknown query {qid!r}")
-        payload = msg["payload"]
-        if not isinstance(payload, dict) or "count" not in payload:
-            raise ProtocolError("result_count payload lacks 'count'")
-        capacity = payload.get("capacity")
-        if type(capacity) is not int or capacity < 0:
+        shake, payload = self._reply(reply, "result_count")
+        count = serial.field(payload, "count", dict, "result_count")
+        capacity = serial.field(payload, "capacity", int, "result_count")
+        if capacity < 0:
             raise ProtocolError(f"bad result capacity {capacity!r}")
-        n = decrypt_word(self.keys,
-                         serial.word_from_obj(self._ladder, payload["count"]))
+        n = decrypt_word(self.keys, serial.word_from_obj(self._ladder, count))
         if n > capacity:
             raise VerificationFailure(f"count {n} exceeds capacity {capacity}")
         # recorded only once the whole reply has passed
-        shake = self.pending[qid]
         shake.n, shake.capacity = n, capacity
-        return qid, n
+        return shake.query_id, n
 
     def fetch_message(self, qid: str, n_prime: int | None = None) -> bytes:
         shake = self.pending.get(qid)
@@ -200,14 +203,10 @@ class ClientSession:
 
     def read_rows_and_verify(self, reply: bytes) -> PlainTable:
         """Step 2.b client side: decrypt and verify the presence prefix."""
-        msg = serial.message_from_bytes(reply)
-        if msg["type"] != "fetch_rows":
-            raise ProtocolError(f"expected fetch_rows, got {msg['type']!r}")
-        qid = msg["query_id"]
-        shake = self.pending.get(qid)
-        if shake is None or shake.n_prime is None:
-            raise ProtocolError(f"rows for unknown query {qid!r}")
-        schema, rows = serial.table_rows_from_obj(self._ladder, msg["payload"])
+        shake, payload = self._reply(reply, "fetch_rows")
+        if shake.n_prime is None:
+            raise ProtocolError(f"rows before a fetch for {shake.query_id!r}")
+        schema, rows = serial.table_rows_from_obj(self._ladder, payload)
         if schema != shake.schema:
             raise VerificationFailure(
                 f"schema {schema.columns} does not match plan's {shake.schema.columns}")
@@ -232,10 +231,8 @@ class ClientSession:
 
 def setup_upload(client: ClientSession, server: ServerStore,
                  name: str, plain: PlainTable) -> None:
-    reply = serial.message_from_bytes(server.handle(
-        client.upload_message(name, plain)))
-    if reply["type"] != "upload_ok":
-        raise ProtocolError(f"upload failed: {reply['type']!r}")
+    serial.message_from_bytes(
+        server.handle(client.upload_message(name, plain)), "upload_ok")
 
 
 def submit_query(client: ClientSession, server: ServerStore, plan) -> tuple[str, int]:

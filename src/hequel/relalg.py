@@ -6,7 +6,11 @@ rows (the capacity) is public while the logical row count is not. Every
 operator walks all capacity rows and evaluates the same circuit per row:
 the only control flow is over public capacities.
 
-Operators return new tables; inputs are never mutated.
+Operators return new tables; inputs are never mutated. They trust a
+typechecked plan: ``plans.typecheck``, run by the client and again by the
+server, checks column names, widths, operators and set-operation schemas,
+so only what typing cannot see (ladders, plaintext literals) is checked
+here.
 """
 
 from __future__ import annotations
@@ -34,13 +38,7 @@ from hequel.circuits import (
     word_swap,
 )
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
-from hequel.errors import (
-    DuplicateColumn,
-    LadderMismatch,
-    PlanTypeError,
-    SchemaMismatch,
-    ValueOverflow,
-)
+from hequel.errors import LadderMismatch, PlanTypeError, ValueOverflow
 from hequel.kernel import (and_, bit_and_not, bit_or, bit_swap, fan_out,
                            fresh_bit, lift, not_, settle, xor)
 from hequel.schema import PlainTable, Schema
@@ -135,11 +133,8 @@ def _operand_word(node, schema: Schema, row: EncRow) -> CipherWord:
 def eval_predicate(pred, schema: Schema, row: EncRow):
     """Evaluate a predicate tree on one row, returning an encrypted bit."""
     if isinstance(pred, Cmp):
-        circuit = CMP_CIRCUITS.get(pred.op)
-        if circuit is None:
-            raise PlanTypeError(f"unknown comparison operator {pred.op!r}")
-        return circuit(_operand_word(pred.left, schema, row),
-                       _operand_word(pred.right, schema, row))
+        return CMP_CIRCUITS[pred.op](_operand_word(pred.left, schema, row),
+                                     _operand_word(pred.right, schema, row))
     if isinstance(pred, And):
         return and_(eval_predicate(pred.left, schema, row),
                     eval_predicate(pred.right, schema, row))
@@ -199,6 +194,11 @@ def _row_ne(state, epoch, cells_a, cells_b):
     diffs = [xor(x, y) for a, b in zip(cells_a, cells_b)
              for x, y in zip(a.bits, b.bits)]
     return any_bit(diffs) if diffs else fresh_bit(state, 0, epoch)
+
+
+def _check_same_ladder(t1: EncTable, t2: EncTable):
+    if t1.state is not t2.state:
+        raise LadderMismatch("operands use different ladders")
 
 
 def _concat(words) -> CipherWord:
@@ -337,11 +337,7 @@ def op_project(cols, t: EncTable) -> EncTable:
 
 
 def op_cross(t1: EncTable, t2: EncTable) -> EncTable:
-    if t1.state is not t2.state:
-        raise LadderMismatch("cross product operands use different ladders")
-    for name, _ in t2.schema.columns:
-        if name in t1.schema.names:
-            raise DuplicateColumn(f"column {name!r} exists in both operands")
+    _check_same_ladder(t1, t2)
     schema = Schema(t1.schema.columns + t2.schema.columns)
     rows = []
     for r1 in t1.rows:
@@ -470,16 +466,8 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
     return EncTable("", out_schema, tuple(out), state)
 
 
-def _check_same_shape(t1: EncTable, t2: EncTable):
-    if t1.state is not t2.state:
-        raise LadderMismatch("operands use different ladders")
-    if t1.schema != t2.schema:
-        raise SchemaMismatch(
-            f"schemas differ: {t1.schema.columns} vs {t2.schema.columns}")
-
-
 def op_bag_union(t1: EncTable, t2: EncTable) -> EncTable:
-    _check_same_shape(t1, t2)
+    _check_same_ladder(t1, t2)
     return EncTable("", t1.schema, t1.rows + t2.rows, t1.state)
 
 
@@ -495,7 +483,7 @@ def _bag_overlap(t1: EncTable, t2: EncTable, keep_matched: bool) -> EncTable:
     gets exactly min(c1, c2) matches. The output keeps t1's capacity and
     row order: matched rows for intersection, unmatched for difference.
     """
-    _check_same_shape(t1, t2)
+    _check_same_ladder(t1, t2)
     state = t1.state
     epoch = max(_table_epoch(t1), _table_epoch(t2))
     free = [r.presence for r in t2.rows]

@@ -1,9 +1,9 @@
 """Plaintext table model and CSV serialization.
 
-A schema is an ordered list of (column name, bit width). Cell values are
-unsigned ints that must fit their column width. The CSV dialect is
-deliberately small: header cells are ``name:width``, data cells are
-unsigned decimals, no quoting or escapes.
+A schema is an ordered list of (column name, bit width), each width in
+1..``MAX_WIDTH``. Cell values are unsigned ints that must fit their column
+width. The CSV dialect is deliberately small: header cells are
+``name:width``, data cells are unsigned decimals, no quoting or escapes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,11 @@ import io
 from dataclasses import dataclass, field
 
 from hequel.errors import DuplicateColumn, ParseError, UnknownColumn, ValueOverflow
+
+# widest column a schema holds: an aggregate over an empty table mints one
+# ciphertext per bit of its column, so a forged upload of a few bytes could
+# otherwise make the server build a word of any width
+MAX_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -25,8 +30,9 @@ class Schema:
             if names.count(name) > 1:
                 raise DuplicateColumn(f"column {name!r} appears more than once")
         for name, width in self.columns:
-            if width < 1:
-                raise ValueOverflow(f"column {name!r} has width {width} < 1")
+            if not 1 <= width <= MAX_WIDTH:
+                raise ValueOverflow(
+                    f"column {name!r} has width {width}, not in 1..{MAX_WIDTH}")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -67,18 +67,17 @@ def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
 
 
 def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
-    try:
-        version, width, blob = obj["v"], obj["width"], obj["blob"]
-        epoch, depth = obj["epoch"], obj["depth"]
-    except (KeyError, TypeError):
-        raise ProtocolError("malformed ciphertext word") from None
-    if type(version) is not int or version != WIRE_VERSION:
+    what = "ciphertext word"
+    version = field(obj, "v", int, what)
+    if version != WIRE_VERSION:
         raise ProtocolError(
             f"ciphertext word version {version!r}, want {WIRE_VERSION}")
-    if type(width) is not int or width < 1:
+    width = field(obj, "width", int, what)
+    if width < 1:
         raise ProtocolError(f"ciphertext word width {width!r}")
-    if type(blob) is not str:
-        raise ProtocolError("ciphertext blob is not a string")
+    blob = field(obj, "blob", str, what)
+    epoch = field(obj, "epoch", object, what)
+    depth = field(obj, "depth", object, what)
     # the blob's length bounds the width before any list is built
     try:
         raw = base64.b64decode(blob, validate=True)
@@ -101,9 +100,10 @@ def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
             zip(struct.unpack(f">{width}Q", head), epochs, depths))))
 
 
-def _field(obj, key: str, kind: type, what: str):
+def field(obj, key: str, kind: type, what: str):
     """``obj[key]`` when ``obj`` is an object holding a ``kind`` there (a
-    JSON bool is not an int); any other shape raises ProtocolError."""
+    JSON bool is not an int; ``object`` takes any value); any other shape
+    raises ProtocolError."""
     if not isinstance(obj, dict) or key not in obj:
         raise ProtocolError(f"{what} lacks {key!r}")
     value = obj[key]
@@ -118,8 +118,8 @@ def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
 
 
 def row_from_obj(ladder: KeyLadder, obj: dict) -> EncRow:
-    cells = _field(obj, "cells", list, "row")
-    presence = word_from_obj(ladder, _field(obj, "p", dict, "row"))
+    cells = field(obj, "cells", list, "row")
+    presence = word_from_obj(ladder, field(obj, "p", dict, "row"))
     if presence.width != 1:
         raise ProtocolError(f"presence word has width {presence.width}, want 1")
     return EncRow(tuple(word_from_obj(ladder, c) for c in cells),
@@ -150,9 +150,9 @@ def table_to_obj(ladder: KeyLadder, t: EncTable) -> dict:
 def table_rows_from_obj(ladder: KeyLadder, obj: dict):
     """Decode the ``schema`` and ``rows`` of a table or fetch payload into
     (Schema, rows); every row needs one cell per column at its width."""
-    schema = schema_from_obj(_field(obj, "schema", list, "table"))
+    schema = schema_from_obj(field(obj, "schema", list, "table"))
     rows = tuple(row_from_obj(ladder, r)
-                 for r in _field(obj, "rows", list, "table"))
+                 for r in field(obj, "rows", list, "table"))
     widths = [w for _, w in schema.columns]
     for row in rows:
         if [c.width for c in row.cells] != widths:
@@ -163,10 +163,10 @@ def table_rows_from_obj(ladder: KeyLadder, obj: dict):
 
 
 def table_from_obj(ladder: KeyLadder, obj: dict) -> EncTable:
-    version = _field(obj, "v", int, "table")
+    version = field(obj, "v", int, "table")
     if version != WIRE_VERSION:
         raise ProtocolError(f"table version {version}, want {WIRE_VERSION}")
-    name = _field(obj, "name", str, "table")
+    name = field(obj, "name", str, "table")
     schema, rows = table_rows_from_obj(ladder, obj)
     return EncTable(name, schema, rows, ladder.state)
 
@@ -178,18 +178,18 @@ def message_to_bytes(msg_type: str, query_id: str, payload) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
-def message_from_bytes(data: bytes) -> dict:
+def message_from_bytes(data: bytes, *types: str) -> dict:
+    """Decode a message envelope; given ``types``, a message of any other
+    type raises ProtocolError."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"unreadable message: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ProtocolError("message is not a JSON object")
-    for key in ("type", "query_id", "payload"):
-        if key not in obj:
-            raise ProtocolError(f"message lacks {key!r}")
-    if not isinstance(obj["type"], str) or not isinstance(obj["query_id"], str):
-        raise ProtocolError("message type and query id must be strings")
+    mtype = field(obj, "type", str, "message")
+    field(obj, "query_id", str, "message")
+    field(obj, "payload", object, "message")
+    if types and mtype not in types:
+        raise ProtocolError(f"message type {mtype!r}, want one of {types}")
     return obj
 
 
@@ -211,7 +211,7 @@ def ladder_from_obj(obj: dict) -> KeyLadder:
     ctx = SecurityContext(obj["mode"], obj["depth_budget"], obj["epochs"])
     ladder = KeyLadder(ctx, bytes.fromhex(obj["seed"]))
     # continue the nonce stream where the previous session stopped
-    ladder.state.nonce_state = _field(obj, "nonce_state", int, "ladder")
+    ladder.state.nonce_state = field(obj, "nonce_state", int, "ladder")
     return ladder
 
 

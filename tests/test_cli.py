@@ -243,6 +243,15 @@ def test_ingest_rejected_csv_leaves_no_session(tmp_path, pc_csv, capsys):
     assert not db.exists()
 
 
+def test_ingest_refuses_a_column_past_the_width_bound(tmp_path, capsys):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a:65\n3\n")
+    db = tmp_path / "db"
+    assert main(["ingest", "--db", str(db), str(wide)]) == 2
+    assert "not in 1..64" in capsys.readouterr().err
+    assert not db.exists()
+
+
 @pytest.mark.parametrize("verb", ["query", "diff"])
 def test_negative_slack_exits_2_before_any_work(tmp_path, pc_csv, capsys,
                                                  verb):

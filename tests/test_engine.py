@@ -32,6 +32,16 @@ def test_diff_run_passes():
     assert report.stats.wall_ms >= 0
 
 
+def test_widest_column_sums_to_the_oracle():
+    # the sum wraps modulo 2**64, as the oracle's does
+    top = (1 << 64) - 1
+    catalog = {"t": PlainTable(Schema((("a", 64),)),
+                               [(top,), (top - 5,), (1 << 63,)])}
+    report = engine.diff_run(dsl.parse("sum(a, table(t))"), catalog,
+                             seed=b"e64")
+    assert report.passed, report.detail
+
+
 def test_diff_run_detects_injected_fault():
     plan = dsl.parse("select(speed>1, table(pc))")
     report = engine.diff_run(plan, pc_catalog(), seed=b"e2", fault_gate=50)

@@ -17,7 +17,7 @@ from hequel.protocol import (MAX_PENDING_RESULTS, ClientSession, ServerStore,
                              result_fetch, run_query, setup_upload,
                              submit_query)
 from hequel.relalg import encrypt_table
-from hequel.schema import PlainTable, Schema
+from hequel.schema import MAX_WIDTH, PlainTable, Schema
 
 PC_SCHEMA = Schema((("model", 12), ("speed", 4), ("ram", 12),
                     ("hd", 10), ("price", 12)))
@@ -392,6 +392,76 @@ MALFORMED_QUERIES = {
 }
 
 
+def _kv_server():
+    """A server holding a(k:8, v:8) with 32 rows and b(k:8) with 2."""
+    ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"typed")
+    pk = ladder.public_key()
+    server = ServerStore(ladder)
+    kv = PlainTable(Schema((("k", 8), ("v", 8))),
+                    [((i * 37) % 256, i) for i in range(32)])
+    server.tables["a"] = encrypt_table(pk, kv, name="a")
+    server.tables["b"] = encrypt_table(
+        pk, PlainTable(Schema((("k", 8),)), [(1,), (2,)]), name="b")
+    return server
+
+
+def _counters(state):
+    return (state.and_count, state.xor_count, state.refresh_count,
+            state.encrypt_count)
+
+
+TABLE_A = {"node": "table", "name": "a"}
+COL_K = {"node": "col", "name": "k"}
+
+
+def _enclit(ladder, width):
+    return {"node": "enclit", "word": serial.word_to_obj(
+        ladder, encrypt_word(ladder.public_key(), 1, width))}
+
+
+def _cmp(op, right):
+    return {"node": "cmp", "op": op, "left": COL_K, "right": right}
+
+
+def _select_after_valid(ladder, bad_cmp):
+    """select(k > 1 and <bad_cmp>, table(a)): the valid comparison comes
+    first, so an evaluator that checks as it goes spends gates on it."""
+    return {"node": "select", "child": TABLE_A, "pred": {
+        "node": "and", "left": _cmp(">", _enclit(ladder, 8)),
+        "right": bad_cmp}}
+
+
+# well-formed wire plans that break a typing rule, each as a function of the
+# server's ladder, which its encrypted literals need
+ILL_TYPED = {
+    "unknown column above distinct": lambda ladder: {
+        "node": "project", "cols": ["nope"],
+        "child": {"node": "distinct", "child": TABLE_A}},
+    "8-bit column against a 12-bit literal": lambda ladder: (
+        _select_after_valid(ladder, _cmp("=", _enclit(ladder, 12)))),
+    "union of two schemas": lambda ladder: {
+        "node": "union", "left": {"node": "distinct", "child": TABLE_A},
+        "right": {"node": "table", "name": "b"}},
+    "and node as an operand": lambda ladder: _select_after_valid(
+        ladder, _cmp("=", {"node": "and",
+                           "left": _cmp(">", _enclit(ladder, 8)),
+                           "right": _cmp("<", _enclit(ladder, 8))})),
+    "operator ~": lambda ladder: _select_after_valid(
+        ladder, _cmp("~", _enclit(ladder, 8))),
+}
+
+
+@pytest.mark.parametrize("forge", ILL_TYPED.values(), ids=ILL_TYPED.keys())
+def test_server_typechecks_a_plan_before_any_gate(forge):
+    server = _kv_server()
+    plan = forge(server.ladder)
+    before = _counters(server.ladder.state)
+    with pytest.raises(HequelError):
+        server.handle(serial.message_to_bytes("query", "q1", {"plan": plan}))
+    assert _counters(server.ladder.state) == before
+    assert server.results == {}
+
+
 def test_server_refuses_a_plaintext_literal():
     # a query constant sent in clear is refused before it is evaluated
     server, _ = make_session()
@@ -530,6 +600,24 @@ def test_server_rejects_forged_uploads(edit):
     # the same upload untampered is stored, so the edit made the refusal
     server.handle(upload)
     assert set(server.tables) == set(before) | {"up"}
+
+
+def test_server_refuses_a_column_wider_than_the_bound():
+    # an empty table carries no ciphertext, so only the schema bounds the
+    # words its aggregates would build
+    server, _ = make_session()
+
+    def upload(width):
+        return serial.message_to_bytes("upload_table", "q1", {"table": {
+            "v": serial.WIRE_VERSION, "name": f"w{width}",
+            "schema": [["a", width]], "rows": []}})
+
+    with pytest.raises(HequelError):
+        server.handle(upload(MAX_WIDTH + 1))
+    assert set(server.tables) == {"pc"}
+    server.handle(upload(MAX_WIDTH))
+    stored = server.tables[f"w{MAX_WIDTH}"]
+    assert stored.schema.columns == (("a", MAX_WIDTH),)
 
 
 def test_server_refuses_to_replace_a_stored_table():

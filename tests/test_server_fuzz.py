@@ -1,5 +1,6 @@
 """Property: whatever bytes reach ``ServerStore.handle``, it returns a reply
-or raises a ``HequelError``; no other exception escapes.
+or raises a ``HequelError``; no other exception escapes, and a refused
+message spends no gate, refresh or encryption.
 
 Inputs are arbitrary bytes, byte-level corruptions of valid messages, and
 structural mutations of valid ``upload_table`` / ``query`` /
@@ -56,11 +57,18 @@ def fresh_server() -> ServerStore:
     return server
 
 
+def counters(state) -> tuple[int, int, int, int]:
+    return (state.and_count, state.xor_count, state.refresh_count,
+            state.encrypt_count)
+
+
 def handle_or_hequel_error(data: bytes):
     server = fresh_server()
+    before = counters(LADDER.state)
     try:
         reply = server.handle(data)
     except HequelError:
+        assert counters(LADDER.state) == before
         return
     assert isinstance(reply, bytes)
 
