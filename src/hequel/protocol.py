@@ -16,7 +16,10 @@ server sees only n'). The server compacts the result under encryption
 gate sequence fixed by the capacity) and returns its first n' rows. The
 client decrypts the presence bits and accepts only if exactly n present
 rows arrive, all before any absent row: a short or padded-wrong reply
-fails verification instead of silently truncating.
+fails verification instead of silently truncating. A client exchange goes
+from "queried" to "counted" to "requested" and is dropped once its rows
+verify; a reply or fetch out of that order is refused, and so is a query
+whose id already has a result awaiting its fetch on the server.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ class ServerStore:
             "upload_ok", qid, {"name": table.name, "capacity": table.capacity})
 
     def _handle_query(self, qid: str, payload) -> bytes:
+        if qid in self.results:
+            raise ProtocolError(f"query {qid!r} already awaits a fetch")
         if len(self.results) >= MAX_PENDING_RESULTS:
             raise ProtocolError(
                 f"{len(self.results)} results await a fetch; fetch one first")
@@ -113,14 +118,14 @@ class ServerStore:
 
 @dataclass
 class ResultHandshake:
-    """Client-side record of one query's result exchange."""
+    """Client-side record of one query's result exchange and its stage."""
 
     query_id: str
     schema: Schema
+    stage: str = "queried"
     capacity: int | None = None
     n: int | None = None
     n_prime: int | None = None
-    verified: bool = False
 
 
 @dataclass
@@ -155,26 +160,26 @@ class ClientSession:
         schema = plans.typecheck(plan, self.catalog)
         enc_plan = plans.encrypt_plan_literals(plan, self.catalog, self.pk)
         qid = self._new_qid()
-        # an exchange whose rows were verified is kept until the next
-        # query only, so the client's state does not grow with its queries
-        self.pending = {q: s for q, s in self.pending.items()
-                        if not s.verified}
         self.pending[qid] = ResultHandshake(qid, schema)
         return qid, serial.message_to_bytes(
             "query", qid, {"plan": plans.plan_to_obj(enc_plan, self._ladder)})
 
-    def _reply(self, data: bytes, mtype: str) -> tuple[ResultHandshake, dict]:
-        """The exchange and payload of a reply of type ``mtype`` to a
-        pending query."""
+    def _exchange(self, qid: str, what: str, *stages: str) -> ResultHandshake:
+        """The pending exchange ``qid``, if ``what`` may come at its stage."""
+        shake = self.pending.get(qid)
+        stage = shake.stage if shake else "unknown"
+        if stage not in stages:
+            raise ProtocolError(f"{what} out of sequence: {qid!r} is {stage}")
+        return shake
+
+    def _reply(self, data: bytes, mtype: str,
+               stage: str) -> tuple[ResultHandshake, dict]:
+        """The exchange and payload of an ``mtype`` reply due at ``stage``."""
         msg = serial.message_from_bytes(data, mtype)
-        shake = self.pending.get(msg["query_id"])
-        if shake is None:
-            raise ProtocolError(
-                f"{mtype} for unknown query {msg['query_id']!r}")
-        return shake, msg["payload"]
+        return self._exchange(msg["query_id"], mtype, stage), msg["payload"]
 
     def read_count(self, reply: bytes) -> tuple[str, int]:
-        shake, payload = self._reply(reply, "result_count")
+        shake, payload = self._reply(reply, "result_count", "queried")
         count = serial.field(payload, "count", dict, "result_count")
         capacity = serial.field(payload, "capacity", int, "result_count")
         if capacity < 0:
@@ -183,29 +188,24 @@ class ClientSession:
         if n > capacity:
             raise VerificationFailure(f"count {n} exceeds capacity {capacity}")
         # recorded only once the whole reply has passed
-        shake.n, shake.capacity = n, capacity
+        shake.n, shake.capacity, shake.stage = n, capacity, "counted"
         return shake.query_id, n
 
     def fetch_message(self, qid: str, n_prime: int | None = None) -> bytes:
-        shake = self.pending.get(qid)
-        if shake is None:
-            raise ProtocolError(f"fetch for unknown query {qid!r}")
-        if shake.n is None:
-            raise ProtocolError("fetch before count round")
+        # "requested" too, so a fetch the server refused can be sent again
+        shake = self._exchange(qid, "fetch", "counted", "requested")
         if n_prime is None:
             n_prime = min(shake.capacity, shake.n + self.slack)
         if n_prime < shake.n:
             raise ProtocolError(
                 f"{n_prime} rows would drop results: count is {shake.n}")
-        shake.n_prime = n_prime
+        shake.n_prime, shake.stage = n_prime, "requested"
         return serial.message_to_bytes(
             "fetch_rows_request", qid, {"n_prime": n_prime})
 
     def read_rows_and_verify(self, reply: bytes) -> PlainTable:
         """Step 2.b client side: decrypt and verify the presence prefix."""
-        shake, payload = self._reply(reply, "fetch_rows")
-        if shake.n_prime is None:
-            raise ProtocolError(f"rows before a fetch for {shake.query_id!r}")
+        shake, payload = self._reply(reply, "fetch_rows", "requested")
         schema, rows = serial.table_rows_from_obj(self._ladder, payload)
         if schema != shake.schema:
             raise VerificationFailure(
@@ -219,11 +219,10 @@ class ClientSession:
                 f"{sum(presences)} present rows, count said {shake.n}")
         if presences != sorted(presences, reverse=True):
             raise VerificationFailure("an absent row precedes a present row")
-        out = PlainTable(schema)
-        for row, p in zip(rows, presences):
-            if p:
-                out.append(tuple(decrypt_word(self.keys, c) for c in row.cells))
-        shake.verified = True
+        out = PlainTable(schema, [
+            tuple(decrypt_word(self.keys, c) for c in row.cells)
+            for row, p in zip(rows, presences) if p])
+        del self.pending[shake.query_id]
         return out
 
 

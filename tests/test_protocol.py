@@ -57,9 +57,10 @@ def test_slack_widens_fetch():
     server, client = make_session(slack=5)
     plan = dsl.parse("select(speed>1, table(pc))")
     qid, n = submit_query(client, server, plan)
+    shake = client.pending[qid]
     out = result_fetch(client, server, qid)
     # n + slack caps at the public capacity
-    assert client.pending[qid].n_prime == 3
+    assert shake.n_prime == 3
     assert sorted(out.rows) == [PC_ROWS[0], PC_ROWS[1]]
 
 
@@ -153,15 +154,57 @@ def test_client_keeps_open_exchanges_only():
     for _ in range(5):
         qid, _ = submit_query(client, server, plan)
         result_fetch(client, server, qid)
-        assert client.pending[qid].verified
-    # the last verified exchange stays until the next query
-    assert set(client.pending) == {open_qid, qid}
-    next_qid, _ = submit_query(client, server, plan)
-    assert set(client.pending) == {open_qid, next_qid}
-    with pytest.raises(ProtocolError):
+        # a verified exchange is dropped at once
+        assert set(client.pending) == {open_qid}
+    with pytest.raises(ProtocolError, match="out of sequence"):
         client.fetch_message(qid)
     assert sorted(result_fetch(client, server, open_qid).rows) == [
         PC_ROWS[0], PC_ROWS[1]]
+
+
+def test_replayed_count_is_refused():
+    server, client = make_session()
+    qid, msg = client.query_message(dsl.parse("select(speed>1, table(pc))"))
+    count = server.handle(msg)
+    client.read_count(count)
+    shake = client.pending[qid]
+    for stage in ("counted", "requested"):
+        assert shake.stage == stage
+        with pytest.raises(ProtocolError, match="out of sequence"):
+            client.read_count(count)
+        assert (shake.n, shake.capacity, shake.stage) == (2, 3, stage)
+        request = client.fetch_message(qid)
+    client.read_rows_and_verify(server.handle(request))
+    with pytest.raises(ProtocolError, match="out of sequence"):
+        client.read_count(count)
+    assert qid not in client.pending
+    assert (shake.n, shake.capacity, shake.stage) == (2, 3, "requested")
+
+
+def test_replayed_rows_are_refused():
+    server, client = make_session()
+    qid, _ = submit_query(client, server,
+                          dsl.parse("select(speed>1, table(pc))"))
+    rows = server.handle(client.fetch_message(qid))
+    assert sorted(client.read_rows_and_verify(rows).rows) == [
+        PC_ROWS[0], PC_ROWS[1]]
+    with pytest.raises(ProtocolError, match="out of sequence"):
+        client.read_rows_and_verify(rows)
+    with pytest.raises(ProtocolError, match="out of sequence"):
+        client.fetch_message(qid)
+    assert client.pending == {}
+
+
+def test_replayed_query_is_refused_before_any_gate():
+    server, client = make_session()
+    qid, msg = client.query_message(dsl.parse("distinct(table(pc))"))
+    server.handle(msg)
+    held = server.results[qid]
+    before = _counters(server.ladder.state)
+    with pytest.raises(ProtocolError, match="already awaits a fetch"):
+        server.handle(msg)
+    assert _counters(server.ladder.state) == before
+    assert server.results[qid] is held
 
 
 def tamper(reply: bytes, edit) -> bytes:
@@ -257,7 +300,9 @@ def test_rows_for_a_query_never_issued_are_refused():
 
     with pytest.raises(ProtocolError):
         client.read_rows_and_verify(tamper(reply, misdirect))
-    assert not client.pending[qid].verified
+    assert client.pending[qid].stage == "requested"
+    assert sorted(client.read_rows_and_verify(reply).rows) == [
+        PC_ROWS[0], PC_ROWS[1]]
 
 
 def test_present_row_made_absent_fails_verification():
@@ -312,7 +357,7 @@ def test_malformed_count_reply_raises_protocol_error(edit):
     with pytest.raises(ProtocolError):
         client.read_count(tamper(reply, forge))
     shake = client.pending[qid]
-    assert shake.n is None and shake.capacity is None
+    assert (shake.stage, shake.n, shake.capacity) == ("queried", None, None)
 
 
 def test_server_rejects_malformed_traffic():

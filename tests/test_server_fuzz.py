@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,12 +31,16 @@ CLIENT = ClientSession(KEYS, LADDER.public_key())
 CLIENT.catalog["t"] = SCHEMA
 TABLE = encrypt_table(LADDER.public_key(), PlainTable(SCHEMA, ROWS), name="t")
 
-UPLOAD = CLIENT.upload_message("t", PlainTable(SCHEMA, ROWS[:2]))
-QUERY_ID, QUERY = CLIENT.query_message(
-    dsl.parse("select(a>2 or not b=9, table(t))"))
+# a name the server does not hold, so the unmutated upload is stored
+UPLOAD = CLIENT.upload_message("u", PlainTable(SCHEMA, ROWS[:2]))
+PLAN = dsl.parse("select(a>2 or not b=9, table(t))")
+QUERY_ID, QUERY = CLIENT.query_message(PLAN)
+# a second id, as the server refuses a query whose result awaits its fetch
+_, FUZZED_QUERY = CLIENT.query_message(PLAN)
 FETCH = serial.message_to_bytes("fetch_rows_request", QUERY_ID,
                                 {"n_prime": 2})
-VALID = {"upload_table": UPLOAD, "query": QUERY, "fetch_rows_request": FETCH}
+VALID = {"upload_table": UPLOAD, "query": FUZZED_QUERY,
+         "fetch_rows_request": FETCH}
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -84,6 +89,15 @@ def paths(obj, prefix=()):
     for key, value in items:
         yield prefix, key
         yield from paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("mtype", sorted(VALID))
+def test_unmutated_messages_are_answered(mtype):
+    # so the mutations below start from messages that reach their handler
+    reply = serial.message_from_bytes(fresh_server().handle(VALID[mtype]))
+    assert reply["type"] == {"upload_table": "upload_ok",
+                             "query": "result_count",
+                             "fetch_rows_request": "fetch_rows"}[mtype]
 
 
 @FUZZ
