@@ -9,21 +9,27 @@ depth consumed so far. AND costs one depth level, XOR and NOT cost none.
 When an AND would push the result past the depth budget, an operand that
 sits at the budget is refreshed first (``settle``). Mixing epochs is
 allowed: the lower-epoch operand is lifted to the other's epoch first
-(``lift``). A gate keeps no refreshed copy, so a caller that feeds one bit
-into several gates settles or lifts it once itself, and a selector about
-to feed a gate for every bit of whole rows goes through ``fan_out``. These
-three functions make every refresh decision above the gates: no other
-library module calls ``refresh`` or reads the mode.
+(``lift``). Within one scope, a bit lifted a second time returns the
+copy its first lift made, so a bit that meets newer-epoch bits in several
+gates is bootstrapped once per epoch step; the server opens a new scope
+for each message it handles (``open_scope``), so a repeated request pays
+for its lifts again and spends the same counts. A settle keeps no copy,
+so a caller that feeds one deep bit into several gates settles it once
+itself, and a selector about to feed a gate for every bit of whole rows
+goes through ``fan_out``. These three functions make every refresh
+decision above the gates: no other library module calls ``refresh`` or
+reads the mode.
 
 The one-AND primitives live here too: ``bit_mux``, ``bit_swap``,
 ``bit_or`` and ``bit_and_not``. Each is defined by a short composition of
-``xor`` and ``and_``, and when its operands share one ladder and one
-epoch, no AND in it would pass the depth budget and no fault is armed, it
-computes the payloads inline and builds only its output bits. It still
-counts every gate of the composition and advances the nonce stream once
-per gate, in gate order, so each output carries the nonce, epoch and
-depth that the composition would give it. On any other input it runs the
-composition itself.
+``xor`` and ``and_``. It refuses operands from two ladders before any
+gate, and lifts operands of unequal epochs to their top epoch first, each
+once. Then, when no AND in it would pass the depth budget and no fault is
+armed, it computes the payloads inline and builds only its output bits.
+It still counts every gate of the composition and advances the nonce
+stream once per gate, in gate order, so each output carries the nonce,
+epoch and depth that the composition would give it. On any other input
+it runs the composition itself.
 
 Every gate output, refresh and encryption is a fresh ciphertext with its
 own nonce, the next value of a splitmix64 stream (Steele, Lea and Flood,
@@ -62,7 +68,7 @@ class KernelState:
     __slots__ = (
         "mode", "depth_budget", "num_epochs", "ladder_id",
         "xor_count", "and_count", "refresh_count", "encrypt_count",
-        "fault_gate", "nonce_state", "impl",
+        "fault_gate", "nonce_state", "scope", "impl",
     )
 
     def __init__(self, mode: int, depth_budget: int, num_epochs: int,
@@ -81,6 +87,7 @@ class KernelState:
         self.encrypt_count = 0
         self.fault_gate = -1
         self.nonce_state = nonce_state & _MASK64
+        self.scope = 0
         self.impl = sys.modules[__name__]
 
     def gate_total(self) -> int:
@@ -93,9 +100,12 @@ class CipherBit:
     ``depth`` are public metadata. ``_nonce`` is either a wire nonce (a
     decoded bit's, non-negative) or the complement ``~z`` of a splitmix64
     counter ``z`` not yet mixed (a minted bit's, negative); ``_nonce_of``
-    returns the wire nonce of both."""
+    returns the wire nonce of both. ``_up`` is the copy ``lift`` made of
+    this bit one epoch up, or None, and ``_up_scope`` the scope it was
+    made in; ``_up_scope`` is unset while ``_up`` is None."""
 
-    __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state")
+    __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state", "_up",
+                 "_up_scope")
 
     def __init__(self, state: KernelState, payload: int, epoch: int,
                  depth: int, nonce: int):
@@ -104,6 +114,7 @@ class CipherBit:
         self.depth = depth
         self._nonce = nonce
         self._state = state
+        self._up = None
 
     def __repr__(self):
         return f"CipherBit(epoch={self.epoch}, depth={self.depth})"
@@ -167,17 +178,33 @@ def fan_out(c: CipherBit) -> CipherBit:
 
 
 def lift(c: CipherBit, epoch: int) -> CipherBit:
-    """``c`` refreshed up to key ``epoch``, one refresh per epoch of the
-    gap; the identity in circular mode, which has one epoch."""
+    """``c`` refreshed up to key ``epoch``, one epoch step at a time; the
+    identity in circular mode, which has one epoch. A step this bit
+    already took in the current scope reuses its copy, so only the first
+    lift of a bit in a scope pays a refresh per step."""
     while c.epoch < epoch:
-        c = refresh(c)
+        up = c._up
+        if up is None or c._up_scope != c._state.scope:
+            up = c._up = refresh(c)
+            c._up_scope = c._state.scope
+        c = up
     return c
+
+
+def open_scope(s: KernelState) -> None:
+    """Start a new lift scope on ``s``: no copy a lift made before is
+    reused after. A server opens one per message, so each request's
+    counts depend on that request alone."""
+    s.scope += 1
+
+
+_MIXED = "operands were encrypted under different ladders"
 
 
 def _check_ladder(a: CipherBit, b: CipherBit) -> KernelState:
     s = a._state
     if b._state is not s:
-        raise LadderMismatch("operands were encrypted under different ladders")
+        raise LadderMismatch(_MIXED)
     return s
 
 
@@ -222,9 +249,11 @@ def not_(a: CipherBit) -> CipherBit:
     return xor(a, fresh_bit(a._state, 1, a.epoch))
 
 
-# The one-AND primitives. In each, ``d`` is the deepest operand's depth; the
-# inline path needs d < budget, so the AND lands at d + 1 with no settle,
-# and every later XOR of the composition keeps that depth. Each writes its
+# The one-AND primitives. Each first refuses a stranger ladder and lifts
+# operands of unequal epochs to their top one, so a mixed-ladder call
+# refreshes nothing. Then ``d`` is the deepest operand's depth; the inline
+# path needs d < budget, so the AND lands at d + 1 with no settle, and
+# every later XOR of the composition keeps that depth. Each writes its
 # guard out in full: a shared helper would cost a call on every primitive.
 
 
@@ -232,12 +261,16 @@ def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
     """Encrypted bit select: x when f is 1, else y. One AND and no NOT:
     y ⊕ (f ∧ (x ⊕ y)), three gates."""
     s = f._state
+    if x._state is not s or y._state is not s:
+        raise LadderMismatch(_MIXED)
     e = f.epoch
+    if x.epoch != e or y.epoch != e:
+        e = max(e, x.epoch, y.epoch)
+        f, x, y = lift(f, e), lift(x, e), lift(y, e)
     d = x.depth if x.depth >= y.depth else y.depth
     if f.depth > d:
         d = f.depth
-    if (d < s.depth_budget and x.epoch == e and y.epoch == e
-            and x._state is s and y._state is s and s.fault_gate < 0):
+    if d < s.depth_budget and s.fault_gate < 0:
         s.xor_count += 2
         s.and_count += 1
         s.nonce_state = z = (s.nonce_state + 3 * _GAMMA) & _MASK64
@@ -250,12 +283,16 @@ def bit_swap(f: CipherBit, x: CipherBit, y: CipherBit):
     """(y, x) when the encrypted bit f is 1, else (x, y). One AND serves
     both outputs: t = f ∧ (x ⊕ y), then x ⊕ t and y ⊕ t, four gates."""
     s = f._state
+    if x._state is not s or y._state is not s:
+        raise LadderMismatch(_MIXED)
     e = f.epoch
+    if x.epoch != e or y.epoch != e:
+        e = max(e, x.epoch, y.epoch)
+        f, x, y = lift(f, e), lift(x, e), lift(y, e)
     d = x.depth if x.depth >= y.depth else y.depth
     if f.depth > d:
         d = f.depth
-    if (d < s.depth_budget and x.epoch == e and y.epoch == e
-            and x._state is s and y._state is s and s.fault_gate < 0):
+    if d < s.depth_budget and s.fault_gate < 0:
         s.xor_count += 3
         s.and_count += 1
         z = s.nonce_state
@@ -273,15 +310,19 @@ def bit_or(a: CipherBit, b: CipherBit) -> CipherBit:
     """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND and no fresh encryption, three
     gates. The operands are settled first, since each feeds two gates."""
     s = a._state
-    e = a.epoch
+    if b._state is not s:
+        raise LadderMismatch(_MIXED)
     d = a.depth if a.depth >= b.depth else b.depth
-    if (d < s.depth_budget and b.epoch == e and b._state is s
-            and s.fault_gate < 0):
+    if d >= s.depth_budget or a.epoch != b.epoch:
+        a, b = settle(a), settle(b)
+        if a.epoch != b.epoch:
+            a, b = _align(a, b)
+        d = a.depth if a.depth >= b.depth else b.depth
+    if s.fault_gate < 0:
         s.xor_count += 2
         s.and_count += 1
         s.nonce_state = z = (s.nonce_state + 3 * _GAMMA) & _MASK64
-        return CipherBit(s, a._payload | b._payload, e, d + 1, ~z)
-    a, b = settle(a), settle(b)
+        return CipherBit(s, a._payload | b._payload, a.epoch, d + 1, ~z)
     return xor(xor(a, b), and_(a, b))
 
 
@@ -289,15 +330,17 @@ def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:
     """a ∧ ¬b = a ⊕ (a ∧ b): one AND and no NOT, so no fresh encryption,
     two gates."""
     s = a._state
-    e = a.epoch
+    if b._state is not s:
+        raise LadderMismatch(_MIXED)
+    if a.epoch != b.epoch:
+        a, b = _align(a, b)
     d = a.depth if a.depth >= b.depth else b.depth
-    if (d < s.depth_budget and b.epoch == e and b._state is s
-            and s.fault_gate < 0):
+    if d < s.depth_budget and s.fault_gate < 0:
         s.xor_count += 1
         s.and_count += 1
         s.nonce_state = z = (s.nonce_state + 2 * _GAMMA) & _MASK64
         p = a._payload
-        return CipherBit(s, p ^ (p & b._payload), e, d + 1, ~z)
+        return CipherBit(s, p ^ (p & b._payload), a.epoch, d + 1, ~z)
     return xor(a, and_(a, b))
 
 

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from hequel import plans, serial
 from hequel.circuits import decrypt_word
 from hequel.crypto import ClientKeys, KeyLadder, PublicKey
-from hequel.errors import FetchTooLarge, ProtocolError, VerificationFailure
+from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
+                           VerificationFailure)
+from hequel.kernel import open_scope
 # the benchmark's tracer wraps oblivious_sort_rows and op_count by name
 # as attributes of this module, so both stay imported here
 from hequel.relalg import (
@@ -59,6 +61,9 @@ class ServerStore:
         self.results: dict[str, EncTable] = {}
 
     def handle(self, data: bytes) -> bytes:
+        # each message is its own lift scope: a lifted copy is reused
+        # within the request that made it and never by a later one
+        open_scope(self.ladder.state)
         msg = serial.message_from_bytes(data, *self._HANDLERS)
         return getattr(self, self._HANDLERS[msg["type"]])(
             msg["query_id"], msg["payload"])
@@ -236,7 +241,13 @@ def setup_upload(client: ClientSession, server: ServerStore,
 
 def submit_query(client: ClientSession, server: ServerStore, plan) -> tuple[str, int]:
     qid, msg = client.query_message(plan)
-    return client.read_count(server.handle(msg))
+    try:
+        reply = server.handle(msg)
+    except HequelError:
+        # a refused query has no exchange to continue
+        del client.pending[qid]
+        raise
+    return client.read_count(reply)
 
 
 def result_fetch(client: ClientSession, server: ServerStore, qid: str,

@@ -40,7 +40,7 @@ from hequel.circuits import (
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import LadderMismatch, PlanTypeError, ValueOverflow
 from hequel.kernel import (and_, bit_and_not, bit_or, bit_swap, fan_out,
-                           fresh_bit, lift, not_, settle, xor)
+                           fresh_bit, not_, settle, xor)
 from hequel.schema import PlainTable, Schema
 
 
@@ -382,11 +382,9 @@ def _extreme(col: str, t: EncTable, want_min: bool) -> CipherWord:
 
 def _match(a, b, want_min: bool):
     """One tournament node: 2w + 3 ANDs at value width w."""
-    # most inputs feed several gates: settle each input and lift it to
-    # the pair's epoch once, not inside each gate
+    # most inputs feed several gates: settle each input once, not inside
+    # each gate; a gate's lift of a stale input is reused by the next
     bits = [settle(x) for x in (*a[0], a[1], *b[0], b[1])]
-    top = max(x.epoch for x in bits)
-    bits = [lift(x, top) for x in bits]
     w = len(a[0])
     xa, pa, xb, pb = bits[:w], bits[w], bits[w + 1:-1], bits[-1]
     ts = [xor(x, y) for x, y in zip(xa, xb)]

@@ -308,25 +308,36 @@ def test_bench_gates_counts_every_gate():
         bench.bench_gates("native", 10)
 
 
-# Each fused one-AND primitive and the gate composition that defines it.
+# Each fused one-AND primitive and the gate composition that defines it,
+# run on its operands lifted to their top epoch, each once and in argument
+# order; on operands of one epoch the lifts are the identity.
+def _on_top_epoch(composition):
+    def run(*bits):
+        top = max(b.epoch for b in bits)
+        return composition(*(kernel_mod.lift(b, top) for b in bits))
+    return run
+
+
 def _swap_composition(f, x, y):
     t = kernel_mod.and_(f, kernel_mod.xor(x, y))
     return kernel_mod.xor(x, t), kernel_mod.xor(y, t)
 
 
 def _or_composition(a, b):
+    # settled first, then lifted, since each operand feeds two gates
     a, b = kernel_mod.settle(a), kernel_mod.settle(b)
-    return kernel_mod.xor(kernel_mod.xor(a, b), kernel_mod.and_(a, b))
+    return _on_top_epoch(lambda a, b: kernel_mod.xor(
+        kernel_mod.xor(a, b), kernel_mod.and_(a, b)))(a, b)
 
 
 # (name, arity, gates, composition)
 FUSED = [
-    ("bit_mux", 3, 3, lambda f, x, y: kernel_mod.xor(
-        y, kernel_mod.and_(f, kernel_mod.xor(x, y)))),
-    ("bit_swap", 3, 4, _swap_composition),
+    ("bit_mux", 3, 3, _on_top_epoch(lambda f, x, y: kernel_mod.xor(
+        y, kernel_mod.and_(f, kernel_mod.xor(x, y))))),
+    ("bit_swap", 3, 4, _on_top_epoch(_swap_composition)),
     ("bit_or", 2, 3, _or_composition),
-    ("bit_and_not", 2, 2, lambda a, b: kernel_mod.xor(
-        a, kernel_mod.and_(a, b))),
+    ("bit_and_not", 2, 2, _on_top_epoch(lambda a, b: kernel_mod.xor(
+        a, kernel_mod.and_(a, b)))),
 ]
 FUSED_IDS = [name for name, *_ in FUSED]
 BUDGET = 3
@@ -340,12 +351,15 @@ def _twin_states(mode):
             for _ in range(2)]
 
 
+def _spent(s):
+    return ((s.xor_count, s.and_count, s.refresh_count, s.encrypt_count),
+            s.nonce_state)
+
+
 def _observe(s, out):
     outs = out if isinstance(out, tuple) else (out,)
     return ([(kernel_mod._nonce_of(c), c.epoch, c.depth, kernel_mod._reveal(c))
-             for c in outs],
-            (s.xor_count, s.and_count, s.refresh_count, s.encrypt_count),
-            s.nonce_state)
+             for c in outs], *_spent(s))
 
 
 def _run_twins(name, composition, mode, operands, fault=None):
@@ -399,9 +413,53 @@ def test_fused_primitive_with_a_fault_at_each_gate(name, arity, gates,
                          ids=FUSED_IDS)
 def test_fused_primitive_refuses_mixed_ladders(name, arity, gates,
                                                composition):
+    # at one epoch and at several, the refusal comes before any gate,
+    # lift or settle on either ladder
     for stranger in range(arity):
-        home, away = make_state(), make_state()
-        bits = [kernel_mod.fresh_bit(away if i == stranger else home, 1, 1)
-                for i in range(arity)]
-        with pytest.raises(LadderMismatch):
-            getattr(kernel_mod, name)(*bits)
+        for epochs in itertools.product((1, 2), repeat=arity):
+            home, away = (make_state(mode="leveled", budget=BUDGET, epochs=3)
+                          for _ in range(2))
+            bits = [kernel_mod.fresh_bit(away if i == stranger else home, 1, e)
+                    for i, e in enumerate(epochs)]
+            before = [_spent(s) for s in (home, away)]
+            with pytest.raises(LadderMismatch):
+                getattr(kernel_mod, name)(*bits)
+            assert [_spent(s) for s in (home, away)] == before
+
+
+def test_lift_reuses_its_copy_within_a_scope():
+    s = make_state(mode="leveled", epochs=4)
+    c = kernel_mod.fresh_bit(s, 1, 1)
+    up = kernel_mod.lift(c, 3)
+    assert (up.epoch, s.refresh_count) == (3, 2)
+    # a second lift, to the same epoch or part of the way, pays nothing
+    assert kernel_mod.lift(c, 3) is up
+    assert kernel_mod.lift(c, 2).epoch == 2
+    assert s.refresh_count == 2
+    # a longer lift reuses the steps already taken and pays for the rest
+    assert kernel_mod.lift(c, 4).epoch == 4
+    assert s.refresh_count == 3
+
+
+def test_lift_pays_again_in_a_new_scope():
+    s = make_state(mode="leveled", epochs=4)
+    c = kernel_mod.fresh_bit(s, 1, 1)
+    up = kernel_mod.lift(c, 3)
+    kernel_mod.open_scope(s)
+    again = kernel_mod.lift(c, 3)
+    assert again is not up
+    assert s.refresh_count == 4
+    assert kernel_mod.lift(c, 3) is again
+    assert s.refresh_count == 4
+
+
+def test_settle_and_circular_lift_keep_no_copy():
+    s = make_state(mode="leveled", budget=1, epochs=4)
+    a = kernel_mod.fresh_bit(s, 1, 1)
+    deep = kernel_mod.and_(a, a)
+    assert kernel_mod.settle(deep) is not kernel_mod.settle(deep)
+    assert s.refresh_count == 2
+    circ = make_state()
+    c = kernel_mod.fresh_bit(circ, 1, 1)
+    assert kernel_mod.lift(c, 1) is c
+    assert circ.refresh_count == 0

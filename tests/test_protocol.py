@@ -125,6 +125,16 @@ def test_pending_results_are_capped():
         PC_ROWS[0], PC_ROWS[1]]
 
 
+def test_refused_query_leaves_no_exchange():
+    server, client = make_session()
+    plan = dsl.parse("table(pc)")
+    qids = {submit_query(client, server, plan)[0]
+            for _ in range(MAX_PENDING_RESULTS)}
+    with pytest.raises(ProtocolError):
+        submit_query(client, server, plan)
+    assert set(client.pending) == qids
+
+
 def test_fetch_below_count_refused():
     server, client = make_session()
     qid, n = submit_query(client, server,
@@ -758,10 +768,12 @@ def test_select_phase_costs():
 
 def test_select_phase_costs_leveled():
     """In leveled mode ``fan_out`` settles each mover once, and all its
-    cells share that copy: 2,034 fetch refreshes, where each cell's
-    ``word_mux`` settled a copy of its own and spent 2,076."""
+    cells share that copy; a row bit lifted to a mover's epoch is lifted
+    once per fetch, however many gates read it: 1,178 fetch refreshes,
+    where lifting in every gate spent 2,034 and settling a copy per
+    cell's ``word_mux`` 2,076."""
     ctx = SecurityContext(mode="leveled", depth_budget=8, epochs=24)
-    assert _select_phase_counts(ctx) == ((319, 64, 8), (2611, 2034, 36))
+    assert _select_phase_counts(ctx) == ((319, 64, 8), (2611, 1178, 36))
 
 
 def test_protocol_in_leveled_mode():
@@ -773,3 +785,26 @@ def test_protocol_in_leveled_mode():
     setup_upload(client, server, "t", plain)
     out = run_query(client, server, dsl.parse("select(a<100, table(t))"))
     assert sorted(out.rows) == [(5,), (7,)]
+
+
+def test_repeated_leveled_query_spends_the_same_counts():
+    """Each message the server handles is a lift scope of its own, so a
+    second min over the same stored table lifts that table's bits again
+    and spends what the first spent."""
+    ctx = SecurityContext(mode="leveled", depth_budget=8, epochs=128)
+    ladder, keys = keygen(ctx, seed=b"scope")
+    server = ServerStore(ladder)
+    client = ClientSession(keys, ladder.public_key())
+    plain = PlainTable(Schema((("w", 12),)),
+                       [((i * 1237) % 4096,) for i in range(32)])
+    setup_upload(client, server, "t", plain)
+    plan = dsl.parse("min(w, table(t))")
+    spent = []
+    for _ in range(2):
+        before = _counters(ladder.state)
+        qid, _ = submit_query(client, server, plan)
+        spent.append(tuple(b - a for a, b in
+                           zip(before, _counters(ladder.state))))
+        assert result_fetch(client, server, qid).rows == [(min(plain.rows)[0],)]
+    assert spent[0] == spent[1]
+    assert spent[0][2] > 0  # the tournament climbs epochs, so it lifts
