@@ -1,5 +1,6 @@
 """End-to-end drivers: run a plan through the full encrypted protocol,
-run it through the plaintext oracle, and compare the two as multisets.
+run it through the plaintext oracle, and compare the two as multisets;
+a sort-rooted result must also match the oracle's order on its sort key.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from hequel import oracle, protocol
+from hequel import oracle, plans, protocol
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import VerificationFailure
 from hequel.schema import PlainTable
@@ -75,11 +76,30 @@ def _first_difference(got: Counter, want: Counter) -> str:
     return ""
 
 
+def _key_order_difference(plan, got: PlainTable, want: PlainTable) -> str:
+    """Where the result's sequence of sort keys leaves the oracle's, or "".
+    A sort at the plan's root, under projections that keep its column,
+    promises an order. Only the keys are compared: rows with equal keys
+    may come in another order, as groupby emits groups in key order and
+    the oracle in order of first appearance."""
+    while isinstance(plan, plans.Project):
+        plan = plan.child
+    if not isinstance(plan, plans.Sort) or plan.col not in got.schema.names:
+        return ""
+    i = got.schema.index_of(plan.col)
+    got_keys, want_keys = ([r[i] for r in t.rows] for t in (got, want))
+    if got_keys == want_keys:
+        return ""
+    return (f"sort order on {plan.col!r}: encrypted engine has {got_keys}, "
+            f"oracle has {want_keys}")
+
+
 def diff_run(plan, catalog: dict[str, PlainTable],
              ctx: SecurityContext | None = None,
              seed: bytes | None = None, slack: int = 0,
              fault_gate: int | None = None) -> DiffReport:
-    """Run a plan both ways and compare present-row multisets.
+    """Run a plan both ways and compare present-row multisets, and for a
+    sort-rooted plan the sequence of sort keys too.
 
     ``fault_gate`` flips the output of the N-th gate of the encrypted run
     (testing hook to prove the comparison actually detects mutations).
@@ -107,4 +127,5 @@ def diff_run(plan, catalog: dict[str, PlainTable],
             f"{want_result.schema.columns}", stats)
     if got != want:
         return DiffReport(False, _first_difference(got, want), stats)
-    return DiffReport(True, "", stats)
+    detail = _key_order_difference(plan, enc_result, want_result)
+    return DiffReport(not detail, detail, stats)

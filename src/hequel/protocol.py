@@ -13,7 +13,10 @@ the encrypted presence-count of the result table plus its public capacity.
 The client decrypts the count to n and asks for n' rows (n' >= n; the
 server sees only n'). The server compacts the result under encryption
 (``relalg.compact_rows``: present rows to the front in their order, with a
-gate sequence fixed by the capacity) and returns its first n' rows. The
+gate sequence fixed by the capacity) and returns its first n' rows. A
+packed result (``EncTable.packed``: a sort at the plan's root, through
+projections) already has its present rows in front, so its first n' rows
+go out with no gate at all; the flag follows the public plan shape. The
 client decrypts the presence bits and accepts only if exactly n present
 rows arrive, all before any absent row: a short or padded-wrong reply
 fails verification instead of silently truncating. A client exchange goes
@@ -110,8 +113,11 @@ class ServerStore:
         if n_prime > result.capacity:
             raise FetchTooLarge(
                 f"{n_prime} rows requested, capacity is {result.capacity}")
-        epoch = max((r.presence.epoch for r in result.rows), default=1)
-        top = compact_rows(result.rows, result.state, epoch)[:n_prime]
+        rows = result.rows
+        if not result.packed:
+            epoch = max((r.presence.epoch for r in rows), default=1)
+            rows = compact_rows(rows, result.state, epoch)
+        top = rows[:n_prime]
         reply = serial.message_to_bytes("fetch_rows", qid, {
             "schema": serial.schema_to_obj(result.schema),
             "rows": [serial.row_to_obj(self.ladder, r) for r in top],

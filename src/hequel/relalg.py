@@ -56,6 +56,9 @@ class EncTable:
     schema: Schema
     rows: tuple
     state: object  # kernel state shared by every bit in the table
+    # public: the present rows form a prefix, so the fetch needs no
+    # compaction. Set by op_sort, kept by op_project, False elsewhere.
+    packed: bool = False
 
     @property
     def capacity(self) -> int:
@@ -242,30 +245,51 @@ def merge_exchange(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int):
+def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
+                        adjacent_only: bool = False):
     """Sort rows with encrypted compare-and-swaps on the fixed
     ``merge_exchange`` schedule. ``key_fn(row)`` returns the tuple of
-    CipherWords to compare. Each row carries its encrypted input index as a
-    last key that always sorts ascending, so all keys differ and equal sort
-    keys keep their input order in both directions. Each selector reaches
-    every bit of both rows, so it passes through ``kernel.fan_out`` first."""
+    CipherWords to compare. Each selector reaches every bit of both rows,
+    so it passes through ``kernel.fan_out`` first.
+
+    By default the order is total: presence leads, so the present rows
+    form a prefix in both directions, then the keys, then each row's
+    encrypted input index, which always sorts ascending, so equal keys
+    keep their input order (stable) in both directions. Presence costs
+    one AND per comparator and no encryption: row a sorts after row b
+    exactly when b is present and a is not, so (p_b, keys_a, index_a) is
+    compared against (p_a, keys_b, index_b). The index costs n·⌈log2 n⌉
+    encryptions and two ANDs per index bit per comparator.
+
+    ``adjacent_only`` is for a caller that needs equal keys adjacent and
+    nothing more: the keys alone are compared, so equal keys end up
+    together in some order and absent rows among the present ones. With
+    no key either, every order will do and no gate runs."""
     n = len(rows)
-    if n < 2:
+    if n < 2 or (adjacent_only and not key_fn(rows[0])):
         return list(rows)
-    width = (n - 1).bit_length()
-    # the index rides as a trailing cell, so key_fn's cell indices still hold
-    tagged = [EncRow(r.cells + (const_word(state, i, width, epoch),),
-                     r.presence) for i, r in enumerate(rows)]
+    rows = list(rows)
+    if not adjacent_only:
+        width = (n - 1).bit_length()
+        # the index rides as a trailing cell, so key_fn's cell indices
+        # still hold
+        rows = [EncRow(r.cells + (const_word(state, i, width, epoch),),
+                       r.presence) for i, r in enumerate(rows)]
     for i, j in merge_exchange(n):
-        a, b = _settled_row(tagged[i]), _settled_row(tagged[j])
+        a, b = _settled_row(rows[i]), _settled_row(rows[j])
         ka, kb = key_fn(a), key_fn(b)
         if not ascending:
             ka, kb = kb, ka
+        if not adjacent_only:
+            ka = (CipherWord((b.presence,)), *ka, a.cells[-1])
+            kb = (CipherWord((a.presence,)), *kb, b.cells[-1])
         # keys have public widths, so lexicographic order over them is the
         # unsigned order of their concatenation: one comparator chain
-        f = word_gt(_concat((*ka, a.cells[-1])), _concat((*kb, b.cells[-1])))
-        tagged[i], tagged[j] = _swap_rows(fan_out(f), a, b)
-    return [EncRow(r.cells[:-1], r.presence) for r in tagged]
+        f = word_gt(_concat(ka), _concat(kb))
+        rows[i], rows[j] = _swap_rows(fan_out(f), a, b)
+    if not adjacent_only:
+        rows = [EncRow(r.cells[:-1], r.presence) for r in rows]
+    return rows
 
 
 def compact_rows(rows, state, epoch: int):
@@ -282,6 +306,8 @@ def compact_rows(rows, state, epoch: int):
     by XOR alone. Each mover bit passes through ``kernel.fan_out`` once,
     and its cells, count bits and presence share that copy. The gates
     depend only on len(rows); fewer than two rows come back untouched.
+    The fetch runs it on every result that is not packed; a sort's result
+    already holds its present rows in front, so it is not run there.
     """
     n = len(rows)
     if n < 2:
@@ -333,7 +359,7 @@ def op_project(cols, t: EncTable) -> EncTable:
     idx = [t.schema.index_of(c) for c in cols]
     rows = tuple(
         EncRow(tuple(r.cells[i] for i in idx), r.presence) for r in t.rows)
-    return EncTable("", schema, rows, t.state)
+    return EncTable("", schema, rows, t.state, t.packed)
 
 
 def op_cross(t1: EncTable, t2: EncTable) -> EncTable:
@@ -425,11 +451,13 @@ def op_distinct(t: EncTable) -> EncTable:
 
 
 def op_sort(col: str, ascending: bool, t: EncTable) -> EncTable:
+    """Present rows first, in ``col`` order, ties in input order (stable);
+    absent rows after them. The result is packed."""
     ci = t.schema.index_of(col)
     epoch = _table_epoch(t)
     rows = oblivious_sort_rows(
         t.rows, lambda r: (r.cells[ci],), ascending, t.state, epoch)
-    return EncTable("", t.schema, tuple(rows), t.state)
+    return EncTable("", t.schema, tuple(rows), t.state, packed=True)
 
 
 def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
@@ -447,7 +475,9 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
     def keys_of(r):
         return tuple(r.cells[i] for i in key_idx)
 
-    rows = oblivious_sort_rows(t.rows, keys_of, True, state, epoch)
+    # a group's rows need only be adjacent: no presence key and no index
+    rows = oblivious_sort_rows(t.rows, keys_of, True, state, epoch,
+                               adjacent_only=True)
     # f is 1 while the current group holds a present row; at a group
     # boundary (ne = 1) the finished group is emitted and f, total restart
     total = word_and_bit(rows[0].cells[sum_idx], rows[0].presence)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
-from hequel import dsl, engine, kernel, plans, serial
+import pytest
+
+from hequel import dsl, engine, kernel, plans, relalg, serial
 from hequel.circuits import CipherWord
 from hequel.crypto import SecurityContext
 from hequel.schema import PlainTable, Schema
@@ -72,15 +75,74 @@ def test_diff_run_same_seed_reproduces_stats():
 
 
 def test_gate_counts_are_data_independent():
-    plan = dsl.parse("select(price>600, distinct(table(pc)))")
-    cat_a = pc_catalog()
-    cat_b = pc_catalog()
-    cat_b["pc"].rows[:] = [(9, 1, 9, 9, 9), (8, 2, 8, 8, 8), (7, 3, 7, 7, 7)]
-    a = engine.diff_run(plan, cat_a, seed=b"e5")
-    b = engine.diff_run(plan, cat_b, seed=b"e5")
-    assert a.passed and b.passed
-    assert (a.stats.xor_gates, a.stats.and_gates, a.stats.refreshes) == \
-           (b.stats.xor_gates, b.stats.and_gates, b.stats.refreshes)
+    # the sort-rooted plan is packed: its fetch runs no gate, whatever the
+    # number of rows present
+    for text in ("select(price>600, distinct(table(pc)))",
+                 "sort(price, desc, select(price>600, table(pc)))"):
+        plan = dsl.parse(text)
+        cat_a = pc_catalog()
+        cat_b = pc_catalog()
+        cat_b["pc"].rows[:] = [(9, 1, 9, 9, 9), (8, 2, 8, 8, 8),
+                               (7, 3, 7, 7, 7)]
+        a = engine.diff_run(plan, cat_a, seed=b"e5")
+        b = engine.diff_run(plan, cat_b, seed=b"e5")
+        assert a.passed and b.passed
+        assert (a.stats.xor_gates, a.stats.and_gates, a.stats.refreshes) == \
+               (b.stats.xor_gates, b.stats.and_gates, b.stats.refreshes)
+
+
+KV = Schema((("k", 8), ("v", 8)))
+
+
+@pytest.mark.parametrize("plan,ands,refreshes,encryptions", [
+    # a sort with presence as its leading key needs no fetch compaction:
+    # 9,327 / 4,230 / 196 when it compacted
+    (plans.Sort("v", False, plans.TableRef("a")), 6907, 2251, 160),
+    # groupby sorts without the index key and its 160 encryptions:
+    # 10,327 / 5,457 / 196 with it
+    (plans.GroupBySum(("k",), "v", plans.TableRef("a")), 8417, 4810, 36),
+], ids=["sort", "groupby"])
+def test_sort_and_groupby_query_and_fetch_cost(plan, ands, refreshes,
+                                               encryptions):
+    # the relational benchmark's sort and groupby over 32 rows of k:8, v:8
+    # drawn from small pools, circular mode; counts depend on shapes only
+    rng = random.Random(7)
+    catalog = {"a": PlainTable(KV, [(rng.choice((3, 9, 77)), rng.randrange(256))
+                                    for _ in range(32)])}
+    report = engine.diff_run(plan, catalog, seed=b"q32")
+    assert report.passed, report.detail
+    stats = report.stats
+    assert (stats.and_gates, stats.refreshes, stats.encryptions) == (
+        ands, refreshes, encryptions)
+
+
+def test_diff_run_checks_sort_order(monkeypatch):
+    # a sort that returns the right rows in the wrong order passes the
+    # multiset comparison and fails the key-order check
+    op_sort = relalg.op_sort
+    monkeypatch.setattr(relalg, "op_sort", lambda col, ascending, t: op_sort(
+        col, not ascending, t))
+    for text in ("sort(price, asc, table(pc))",
+                 "project([price], sort(price, desc, table(pc)))"):
+        report = engine.diff_run(dsl.parse(text), pc_catalog(), seed=b"e8")
+        assert not report.passed
+        assert "sort order on 'price'" in report.detail
+    # a projection that drops the sort key leaves no order to check
+    report = engine.diff_run(
+        dsl.parse("project([model], sort(price, asc, table(pc)))"),
+        pc_catalog(), seed=b"e8")
+    assert report.passed
+
+
+def test_diff_run_compares_keys_not_tied_rows():
+    # groupby emits groups in key order, the oracle in order of first
+    # appearance; sorting both on the summed column ties them, so whole
+    # rows differ in order while the key sequences agree
+    catalog = {"t": PlainTable(KV, [(9, 5), (3, 5), (9, 0), (3, 0)])}
+    report = engine.diff_run(
+        dsl.parse("sort(sum_v, asc, groupby([k], v, table(t)))"), catalog,
+        seed=b"e9")
+    assert report.passed, report.detail
 
 
 def test_diff_run_in_leveled_mode():
@@ -128,9 +190,12 @@ def pinned_messages(runs=PINNED_RUNS, ctx=None):
     return out
 
 
-# sha256 over the bytes of every pinned message, in wire format v2
+# sha256 over the bytes of every pinned message, in wire format v2. The
+# presence-first sort moved the sort runs' result_count and fetch_rows
+# replies, here and in both pins below; every upload, every query and the
+# select run's messages kept their bytes.
 SERVER_MESSAGES_SHA = (
-    "7aab6c0a024bebffeb01ceae1d38733c4bb38285e4e81b697f2ca7cb5e84fe63")
+    "5ef5edb4af5aecba2011efad7080d211b80880edfa3c39cc79986f8329ec2983")
 
 
 def test_server_messages_are_pinned():
@@ -171,7 +236,7 @@ def _message_bits(ladder, data):
 # messages: it does not depend on the wire form, so it pins the nonce
 # stream and the payloads across wire format changes
 SERVER_BIT_TUPLES_SHA = (
-    "52c2b710cfa5920874fea783bd1bd813a457663fac45121573f9f1e43d768044")
+    "5847a0e548067c46009bbce61765206359d3ec5e5043426ce0bbc79f95d0ebdb")
 
 
 def _bit_tuples(messages):
@@ -190,7 +255,7 @@ def test_server_message_bit_tuples_are_pinned():
 # mints no nonce, so these nonces differ from those of a kernel that lifts
 # in every gate, and the epochs, depths and payloads do not
 LEVELED_BIT_TUPLES_SHA = (
-    "85da40053a2d275a0019a677164dfc94ac537ece241c15c7cbb5a0923c00a96b")
+    "17c2a054aec4e705045ee3374668824fab6962637dfcd9788dd86e4b255cd081")
 
 
 def test_leveled_server_message_bit_tuples_are_pinned():

@@ -4,11 +4,12 @@ and rejection of tampered or malformed replies."""
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import pytest
 
-from hequel import dsl, plans, serial
+from hequel import dsl, plans, relalg, serial
 from hequel.circuits import encrypt_word
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
@@ -697,37 +698,111 @@ def test_compact_fetch_is_smaller_than_full_table():
     assert len(reply) < len(full)
 
 
-def _fetch_counts(presence):
-    """Kernel counter deltas of the server's fetch phase for a query
-    returning a two-column table with this presence, all rows requested."""
+FETCH_SCHEMA = Schema((("a", 4), ("b", 4)))
+
+
+def _fetch_counts(presence, text="table(t)", n_prime=None):
+    """Kernel counter deltas of the server's fetch phase for the query
+    ``text`` over a two-column table ``t`` with this presence, and the
+    rows it returns; all rows are requested unless ``n_prime`` is given."""
     ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"fetch")
     server = ServerStore(ladder)
     client = ClientSession(keys, ladder.public_key())
-    s = Schema((("a", 4), ("b", 4)))
-    plain = PlainTable(s, [(i, 15 - i) for i in range(len(presence))])
+    plain = PlainTable(FETCH_SCHEMA,
+                       [(i, 15 - i) for i in range(len(presence))])
     server.tables["t"] = encrypt_table(ladder.public_key(), plain,
                                        presence=list(presence), name="t")
-    client.catalog["t"] = s
-    qid, _ = submit_query(client, server, dsl.parse("table(t)"))
+    client.catalog["t"] = FETCH_SCHEMA
+    qid, _ = submit_query(client, server, dsl.parse(text))
+    if n_prime is None:
+        n_prime = len(presence)
     st = ladder.state
     before = (st.and_count, st.xor_count, st.refresh_count, st.encrypt_count)
-    reply = server.handle(client.fetch_message(qid, n_prime=len(presence)))
+    reply = server.handle(client.fetch_message(qid, n_prime=n_prime))
     after = (st.and_count, st.xor_count, st.refresh_count, st.encrypt_count)
     out = client.read_rows_and_verify(reply)
-    assert out.rows == [r for r, p in zip(plain.rows, presence) if p]
-    return tuple(b - a for a, b in zip(before, after))
+    return tuple(b - a for a, b in zip(before, after)), out.rows
+
+
+def _present(presence):
+    return [(i, 15 - i) for i, p in enumerate(presence) if p]
+
+
+PRESENCES = ([1] * 7, [0] * 7, [0, 1, 1, 0, 1, 0, 0], [1, 0, 0, 1, 1, 1, 0])
 
 
 def test_fetch_gates_do_not_depend_on_presence():
-    counts = {_fetch_counts(p) for p in
-              ([1] * 7, [0] * 7, [0, 1, 1, 0, 1, 0, 0], [1, 0, 0, 1, 1, 1, 0])}
+    counts = set()
+    for p in PRESENCES:
+        spent, rows = _fetch_counts(p)
+        assert rows == _present(p)
+        counts.add(spent)
     assert len(counts) == 1
     assert next(iter(counts))[0] > 0
 
 
 def test_capacity_one_fetch_costs_nothing():
-    assert _fetch_counts([1]) == (0, 0, 0, 0)
-    assert _fetch_counts([0]) == (0, 0, 0, 0)
+    assert _fetch_counts([1])[0] == (0, 0, 0, 0)
+    assert _fetch_counts([0])[0] == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("presence", PRESENCES)
+def test_packed_fetch_costs_nothing(presence):
+    """A sort puts its present rows in front, so its fetch sends the first
+    n' rows as they are: no gate, refresh or encryption, for every n' and
+    every presence pattern."""
+    n = sum(presence)
+    for n_prime in range(n, len(presence) + 1):
+        spent, rows = _fetch_counts(presence, "sort(a, desc, table(t))",
+                                    n_prime)
+        assert spent == (0, 0, 0, 0)
+        assert rows == _present(presence)[::-1]
+
+
+def test_packed_follows_the_plan_shape():
+    """project keeps a sort's packing, select loses it and compacts."""
+    presence = [0, 1, 1, 0, 1, 0, 0]
+    ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"shape")
+    pk = ladder.public_key()
+    t = encrypt_table(pk, PlainTable(FETCH_SCHEMA, _present([1] * 7)),
+                      presence=presence, name="t")
+
+    def evaluate(text):
+        plan = plans.encrypt_plan_literals(dsl.parse(text),
+                                           {"t": FETCH_SCHEMA}, pk)
+        return plans.eval_encrypted(plan, {"t": t})
+
+    packed = {text: evaluate(text).packed
+              for text in ("table(t)", "sort(a, asc, table(t))",
+                           "project([b], sort(a, asc, table(t)))",
+                           "select(a>1, sort(a, asc, table(t)))",
+                           "sort(a, asc, select(a>1, table(t)))")}
+    assert packed == {"table(t)": False, "sort(a, asc, table(t))": True,
+                      "project([b], sort(a, asc, table(t)))": True,
+                      "select(a>1, sort(a, asc, table(t)))": False,
+                      "sort(a, asc, select(a>1, table(t)))": True}
+    spent, rows = _fetch_counts(presence, "project([b], sort(a, asc, table(t)))")
+    assert (spent, rows) == ((0, 0, 0, 0), [(14,), (13,), (11,)])
+    spent, rows = _fetch_counts(presence, "select(a>1, sort(a, asc, table(t)))")
+    # the compaction of any 7-row result: its gates, not its refreshes,
+    # which follow the depth of the sorted cells
+    assert spent[:2] == _fetch_counts(presence)[0][:2]
+    assert spent[0] > 0
+    assert rows == [(2, 13), (4, 11)]
+
+
+def test_forged_packed_flag_fails_verification(monkeypatch):
+    """A server that marks an unsorted result packed skips the compaction
+    and sends an absent row first; the client's prefix check catches it."""
+    op_select = relalg.op_select
+    monkeypatch.setattr(relalg, "op_select", lambda pred, t: dataclasses.replace(
+        op_select(pred, t), packed=True))
+    server, client = make_session(presence=(1, 1, 1))
+    # speeds 3, 2, 1: the first row is dropped, the other two are present
+    qid, n = submit_query(client, server, dsl.parse("select(speed<3, table(pc))"))
+    assert n == 2
+    with pytest.raises(VerificationFailure):
+        result_fetch(client, server, qid)
 
 
 def _select_phase_counts(ctx):

@@ -137,16 +137,28 @@ def test_aggregates_of_an_empty_table(session):
 
 def test_sort_moves_absent_rows_with_their_keys(session):
     _, keys, pk = session
-    # prices 2114, 478, 600 with the 478 row absent
+    # prices 2114, 478, 600 with the 478 row absent: it goes last in both
+    # directions, its cells with it
     t = enc_pc(pk, presence=[1, 0, 1])
-    out = op_sort("price", True, t)
-    rows, presences = decrypt_table_full(keys, out)
-    assert [r[4] for r in rows] == [478, 600, 2114]
-    assert presences == [0, 1, 1]
-    out = op_sort("price", False, t)
-    rows, presences = decrypt_table_full(keys, out)
-    assert [r[4] for r in rows] == [2114, 600, 478]
-    assert presences == [1, 1, 0]
+    for ascending, prices in ((True, [600, 2114, 478]),
+                              (False, [2114, 600, 478])):
+        out = op_sort("price", ascending, t)
+        rows, presences = decrypt_table_full(keys, out)
+        assert [r[4] for r in rows] == prices
+        assert presences == [1, 1, 0]
+        assert out.packed
+    # present rows in key order, ties in input order, then the absent rows
+    plain = [(1, 0), (2, 1), (1, 2), (0, 3), (1, 4), (2, 5), (0, 6)]
+    presence = [1, 1, 0, 0, 1, 1, 1]
+    t = encrypt_table(pk, PlainTable(Schema((("k", 2), ("v", 4))), plain),
+                      presence=presence, name="t")
+    present = [r for r, p in zip(plain, presence) if p]
+    for ascending in (True, False):
+        rows, presences = decrypt_table_full(keys, op_sort("k", ascending, t))
+        assert presences == [1] * 5 + [0] * 2
+        assert rows[:5] == sorted(present, key=lambda r: r[0],
+                                  reverse=not ascending)
+        assert sorted(rows[5:]) == [(0, 3), (1, 2)]
 
 
 def test_sort_is_stable(session):

@@ -12,7 +12,7 @@ from hequel import kernel, serial
 from hequel.circuits import CipherWord, decrypt_word, encrypt_word
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import LadderMismatch, ProtocolError
-from hequel.relalg import decrypt_table, encrypt_table
+from hequel.relalg import decrypt_table, encrypt_table, op_sort
 from hequel.schema import PlainTable, Schema
 
 
@@ -176,3 +176,17 @@ def test_plan_wire_objects_are_json(session):
     data = json.dumps(obj, separators=(",", ":"))
     back = plans.plan_from_obj(json.loads(data), ladder)
     assert plans.plan_to_obj(back, ladder) == obj
+
+
+def test_decoded_table_is_never_packed(session):
+    # packing is the server's record of how a result was built; the wire
+    # form carries no flag, so a decoded table is compacted if fetched
+    ladder, keys, pk = session
+    plain = PlainTable(Schema((("a", 4),)), [(3,), (1,), (2,)])
+    t = encrypt_table(pk, plain, presence=[0, 1, 1], name="s")
+    assert not t.packed
+    ordered = op_sort("a", True, t)
+    assert ordered.packed
+    back = serial.table_from_obj(ladder, serial.table_to_obj(ladder, ordered))
+    assert not back.packed
+    assert decrypt_table(keys, back).rows == [(1,), (2,)]
