@@ -66,34 +66,44 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _save_session(db: Path, ladder, keys) -> None:
-    session = {"v": 1, "ladder": serial.ladder_to_obj(ladder),
-               "client": serial.client_keys_to_obj(keys)}
+def _save_session(db: Path, ladder) -> None:
+    session = {"v": 1, "ladder": serial.ladder_to_obj(ladder)}
     (db / "session.json").write_text(_dumps(session))
 
 
 def _load_session(db: Path):
+    """The session's ladder and client keys, both rebuilt from its seed."""
     path = db / "session.json"
     try:
         session = json.loads(path.read_text())
-        ladder = serial.ladder_from_obj(session["ladder"])
-        keys = serial.client_keys_from_obj(session["client"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HequelError(f"corrupt session file {path}: {exc!r}") from None
-    return ladder, keys
+        return serial.ladder_from_obj(
+            serial.field(session, "ladder", dict, "session"))
+    except (ValueError, RecursionError, ProtocolError) as exc:
+        raise HequelError(f"corrupt session file {path}: {exc}") from None
 
 
-def _load_table(ladder, path: Path):
-    try:
-        obj = json.loads(path.read_text())
-    except ValueError as exc:
-        raise HequelError(f"corrupt table file {path}: {exc!r}") from None
-    try:
-        return serial.table_from_obj(ladder, obj)
-    except ProtocolError as exc:
-        # e.g. a table written in an older wire format
-        raise HequelError(f"unreadable table file {path}: {exc}; "
-                          "ingest its CSV into a new --db") from None
+def _upload_tables(db: Path, server: ServerStore) -> None:
+    """Upload each stored table through the server's own checks."""
+    for path in sorted((db / "tables").glob("*.json")):
+        try:
+            table = json.loads(path.read_text())
+            msg = serial.message_to_bytes("upload_table", path.stem,
+                                          {"table": table})
+            serial.message_from_bytes(server.handle(msg), "upload_ok")
+        except (ValueError, RecursionError, HequelError) as exc:
+            raise HequelError(f"refused table file {path}: {exc}") from None
+
+
+def _read_csvs(paths: list[str], width_default) -> dict:
+    """Each CSV file as the table its stem names; two files with one stem
+    are refused before any is read."""
+    stems = [Path(path).stem for path in paths]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise HequelError(f"{stems.count(stem)} CSV files name table "
+                              f"{stem!r}; each table needs its own file stem")
+    return {stem: read_csv(path, default_width=width_default)
+            for stem, path in zip(stems, paths)}
 
 
 def _emit_stats(stats) -> None:
@@ -113,21 +123,19 @@ def cmd_ingest(args) -> int:
         raise HequelError(f"{db} already holds a session; "
                           "ingest into a new --db")
     # read every CSV before making --db, so a rejected one leaves nothing
-    plains = [(Path(path_text).stem,
-               read_csv(path_text, default_width=args.width_default))
-              for path_text in args.csv]
+    plains = _read_csvs(args.csv, args.width_default)
     tables_dir = db / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
-    ladder, keys = keygen(_context(args), seed=args.seed)
+    ladder, _ = keygen(_context(args), seed=args.seed)
     pk = ladder.public_key()
     summaries = []
-    for name, plain in plains:
+    for name, plain in plains.items():
         enc = encrypt_table(pk, plain, name=name)
         (tables_dir / f"{name}.json").write_text(
             _dumps(serial.table_to_obj(ladder, enc)))
         summaries.append((name, enc.capacity, len(enc.schema.columns)))
     # session is saved after encryption so the nonce stream continues
-    _save_session(db, ladder, keys)
+    _save_session(db, ladder)
     for name, capacity, ncols in summaries:
         print(f"ingested {name}: capacity={capacity} columns={ncols}")
     return 0
@@ -137,11 +145,8 @@ def cmd_query(args) -> int:
     db = Path(args.db)
     ladder, keys = _load_session(db)
     server = ServerStore(ladder)
-    catalog = {}
-    for path in sorted((db / "tables").glob("*.json")):
-        table = _load_table(ladder, path)
-        server.tables[table.name] = table
-        catalog[table.name] = table.schema
+    _upload_tables(db, server)
+    catalog = {name: table.schema for name, table in server.tables.items()}
     client = ClientSession(keys, ladder.public_key(), slack=args.slack,
                            catalog=catalog)
     plan = dsl.parse_plan(args.plan, catalog)
@@ -149,7 +154,7 @@ def cmd_query(args) -> int:
     sys.stdout.write(csv_text(result))
     if args.stats:
         _emit_stats(stats)
-    _save_session(db, ladder, keys)
+    _save_session(db, ladder)
     return 0
 
 
@@ -164,13 +169,8 @@ def cmd_diff(args) -> int:
             trials.append((dsl.plan_to_text(plan), plan, catalog))
     else:
         if args.plan is None or not args.csv:
-            print("error: diff needs a plan and CSV files, or --random N",
-                  file=sys.stderr)
-            return 2
-        catalog = {}
-        for path_text in args.csv:
-            catalog[Path(path_text).stem] = read_csv(
-                path_text, default_width=args.width_default)
+            raise HequelError("diff needs a plan and CSV files, or --random N")
+        catalog = _read_csvs(args.csv, args.width_default)
         schemas = {name: t.schema for name, t in catalog.items()}
         plan = dsl.parse_plan(args.plan, schemas)
         trials.append((args.plan, plan, catalog))

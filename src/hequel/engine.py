@@ -55,17 +55,19 @@ def _counters(state) -> tuple[int, int, int, int]:
             state.refresh_count, state.encrypt_count)
 
 
+def _meter(state):
+    """A function returning the RunStats spent on ``state`` since now."""
+    before, t0 = _counters(state), time.perf_counter()
+    return lambda: RunStats(
+        *(b - a for a, b in zip(before, _counters(state))),
+        (time.perf_counter() - t0) * 1000.0)
+
+
 def run_encrypted(plan, server: protocol.ServerStore,
                   client: protocol.ClientSession) -> tuple[PlainTable, RunStats]:
-    state = server.ladder.state
-    before = _counters(state)
-    t0 = time.perf_counter()
+    spent = _meter(server.ladder.state)
     result = protocol.run_query(client, server, plan)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    after = _counters(state)
-    stats = RunStats(after[0] - before[0], after[1] - before[1],
-                     after[2] - before[2], after[3] - before[3], wall_ms)
-    return result, stats
+    return result, spent()
 
 
 def _first_difference(got: Counter, want: Counter) -> str:
@@ -107,16 +109,17 @@ def diff_run(plan, catalog: dict[str, PlainTable],
     server, client = build_session(catalog, ctx=ctx, seed=seed, slack=slack)
     if fault_gate is not None:
         server.ladder.inject_gate_fault(fault_gate)
+    spent = _meter(server.ladder.state)
     try:
-        enc_result, stats = run_encrypted(plan, server, client)
+        enc_result = protocol.run_query(client, server, plan)
     except VerificationFailure as exc:
         # a corrupted gate can surface as a count/fetch inconsistency
         # before any table comparison; that is still a detected mismatch
-        empty_stats = RunStats(0, 0, 0, 0, 0.0)
         return DiffReport(False, f"result verification failed: {exc}",
-                          empty_stats)
+                          spent())
     finally:
         server.ladder.clear_gate_fault()
+    stats = spent()
     want_result = oracle.eval_plan(plan, catalog)
     got = Counter(enc_result.rows)
     want = Counter(want_result.rows)

@@ -113,10 +113,7 @@ class ServerStore:
         if n_prime > result.capacity:
             raise FetchTooLarge(
                 f"{n_prime} rows requested, capacity is {result.capacity}")
-        rows = result.rows
-        if not result.packed:
-            epoch = max((r.presence.epoch for r in rows), default=1)
-            rows = compact_rows(rows, result.state, epoch)
+        rows = result.rows if result.packed else compact_rows(result.rows)
         top = rows[:n_prime]
         reply = serial.message_to_bytes("fetch_rows", qid, {
             "schema": serial.schema_to_obj(result.schema),
@@ -256,13 +253,12 @@ def submit_query(client: ClientSession, server: ServerStore, plan) -> tuple[str,
     return client.read_count(reply)
 
 
-def result_fetch(client: ClientSession, server: ServerStore, qid: str,
-                 n_prime: int | None = None) -> PlainTable:
+def result_fetch(client: ClientSession, server: ServerStore,
+                 qid: str) -> PlainTable:
     return client.read_rows_and_verify(
-        server.handle(client.fetch_message(qid, n_prime)))
+        server.handle(client.fetch_message(qid)))
 
 
-def run_query(client: ClientSession, server: ServerStore, plan,
-              n_prime: int | None = None) -> PlainTable:
+def run_query(client: ClientSession, server: ServerStore, plan) -> PlainTable:
     qid, _ = submit_query(client, server, plan)
-    return result_fetch(client, server, qid, n_prime)
+    return result_fetch(client, server, qid)

@@ -292,10 +292,11 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
     return rows
 
 
-def compact_rows(rows, state, epoch: int):
+def compact_rows(rows):
     """Order-preserving oblivious compaction (Goodrich, SPAA 2011): the
     present rows move to the front in their input order, and every slot
-    after them has presence 0.
+    after them has presence 0. The count constants sit at the top
+    presence epoch.
 
     Row i first gets an encrypted count c_i of the absent rows before it.
     Then for j = 0 .. L-1, least significant bit first, a row whose
@@ -313,7 +314,8 @@ def compact_rows(rows, state, epoch: int):
     if n < 2:
         return list(rows)
     width = (n - 1).bit_length()
-    counts = [const_word(state, 0, width, epoch)]
+    epoch = max(r.presence.epoch for r in rows)
+    counts = [const_word(rows[0].presence._state, 0, width, epoch)]
     for r in rows[:-1]:
         counts.append(word_add_bit(counts[-1], not_(r.presence)))
     # per slot: cells, presence, and the count bits still unused, LSB first

@@ -23,7 +23,7 @@ import struct
 
 from hequel import kernel
 from hequel.circuits import CipherWord
-from hequel.crypto import ClientKeys, KeyLadder, SecretKey, SecurityContext
+from hequel.crypto import ClientKeys, KeyLadder, SecurityContext, keygen
 from hequel.errors import LadderMismatch, ProtocolError
 from hequel.relalg import EncRow, EncTable
 from hequel.schema import Schema
@@ -196,32 +196,27 @@ def message_from_bytes(data: bytes, *types: str) -> dict:
 # --- key material (CLI persistence) ------------------------------------------
 
 def ladder_to_obj(ladder: KeyLadder) -> dict:
+    """The ladder's parameters, seed and nonce cursor. The seed derives
+    both key halves, so no key token is stored beside it."""
     return {
-        "v": 1,
         "mode": ladder.ctx.mode,
         "depth_budget": ladder.ctx.depth_budget,
         "epochs": ladder.ctx.epochs,
         "seed": ladder.seed.hex(),
         "nonce_state": ladder.state.nonce_state,
-        "wrapped": [w.hex() for w in ladder.wrapped_secret_keys],
     }
 
 
-def ladder_from_obj(obj: dict) -> KeyLadder:
-    ctx = SecurityContext(obj["mode"], obj["depth_budget"], obj["epochs"])
-    ladder = KeyLadder(ctx, bytes.fromhex(obj["seed"]))
+def ladder_from_obj(obj: dict) -> tuple[KeyLadder, ClientKeys]:
+    """Both key halves rebuilt from a saved ladder; fields it does not
+    read (an older layout's ``v`` and ``wrapped``) are ignored. A bad
+    parameter or seed raises ValueError."""
+    what = "ladder"
+    ctx = SecurityContext(field(obj, "mode", str, what),
+                          field(obj, "depth_budget", int, what),
+                          field(obj, "epochs", int, what))
+    seed = bytes.fromhex(field(obj, "seed", str, what))
+    ladder, keys = keygen(ctx, seed=seed)
     # continue the nonce stream where the previous session stopped
-    ladder.state.nonce_state = field(obj, "nonce_state", int, "ladder")
-    return ladder
-
-
-def client_keys_to_obj(keys: ClientKeys) -> dict:
-    return {"v": 1, "ladder_id": keys.ladder_id,
-            "keys": [{"epoch": sk.epoch, "token": sk.token.hex()}
-                     for sk in keys.secret_keys]}
-
-
-def client_keys_from_obj(obj: dict) -> ClientKeys:
-    return ClientKeys(obj["ladder_id"], tuple(
-        SecretKey(obj["ladder_id"], e["epoch"], bytes.fromhex(e["token"]))
-        for e in obj["keys"]))
+    ladder.state.nonce_state = field(obj, "nonce_state", int, what)
+    return ladder, keys

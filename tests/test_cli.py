@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from hequel.cli import main
+from hequel.crypto import SecurityContext, keygen
 
 PC_CSV = ("model:12,speed:4,ram:12,hd:10,price:12\n"
           "1001,3,1024,250,2114\n"
@@ -209,6 +210,17 @@ def test_corrupt_session_exits_2(tmp_path, pc_csv, capsys, name, edit):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["session.json", "tables/pc.json"])
+def test_deeply_nested_json_exits_2(tmp_path, pc_csv, capsys, name):
+    db = ingest(tmp_path, pc_csv)
+    (tmp_path / "db" / name).write_text("[" * 100_000)
+    capsys.readouterr()
+    assert main(["query", "--db", db, "table(pc)"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert name.split("/")[-1] in err
+
+
 def test_query_refuses_a_v1_table(tmp_path, pc_csv, capsys):
     db = ingest(tmp_path, pc_csv)
     # a table as the v1 wire format wrote it: one object per ciphertext bit
@@ -281,3 +293,57 @@ def test_ingest_refuses_an_existing_session(tmp_path, pc_csv, capsys):
     assert main(["query", "--db", db, "table(pc)"]) == 0
     got = capsys.readouterr().out.splitlines()
     assert Counter(got[1:]) == Counter(PC_CSV.splitlines()[1:])
+
+
+@pytest.mark.parametrize("verb", ["ingest", "diff"])
+def test_two_csv_files_with_one_stem_exit_2(tmp_path, capsys, verb):
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "t.csv")
+        paths[-1].write_text("x:4\n3\n")
+    db = tmp_path / "db"
+    argv = (["ingest", "--db", str(db)] if verb == "ingest"
+            else ["diff", "table(t)"])
+    assert main([*argv, *map(str, paths)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "'t'" in captured.err
+    assert captured.out == ""
+    assert not db.exists()
+
+
+def test_query_refuses_two_table_files_with_one_name(tmp_path, pc_csv,
+                                                     capsys):
+    db = ingest(tmp_path, pc_csv)
+    tables = tmp_path / "db" / "tables"
+    (tables / "pc2.json").write_bytes((tables / "pc.json").read_bytes())
+    capsys.readouterr()
+    assert main(["query", "--db", db, "table(pc)"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "pc2.json" in err and "already stored" in err
+
+
+def test_query_reads_a_session_that_stores_client_keys(tmp_path, pc_csv,
+                                                       capsys):
+    db = ingest(tmp_path, pc_csv)
+    path = tmp_path / "db" / "session.json"
+    session = json.loads(path.read_text())
+    assert set(session) == {"v", "ladder"}
+    assert set(session["ladder"]) == {"mode", "depth_budget", "epochs",
+                                      "seed", "nonce_state"}
+    # the older layout: the client's key tokens and the wrapped keys
+    # stored beside the seed they derive from
+    ladder, keys = keygen(SecurityContext(), seed="cli-test")
+    session["ladder"].update(
+        v=1, wrapped=[w.hex() for w in ladder.wrapped_secret_keys])
+    session["client"] = {"v": 1, "ladder_id": keys.ladder_id, "keys": [
+        {"epoch": sk.epoch, "token": sk.token.hex()}
+        for sk in keys.secret_keys]}
+    path.write_text(json.dumps(session))
+    capsys.readouterr()
+    assert main(["query", "--db", db, "select(speed>1, table(pc))"]) == 0
+    assert Counter(capsys.readouterr().out.splitlines()[1:]) == Counter(
+        ["1001,3,1024,250,2114", "1002,2,512,80,478"])
+    assert "client" not in json.loads(path.read_text())

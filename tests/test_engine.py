@@ -54,6 +54,18 @@ def test_diff_run_detects_injected_fault():
     assert "encrypted engine has" in report.detail
 
 
+def test_failed_verification_reports_what_the_run_spent():
+    # the flipped gate surfaces as a wrong count, caught at the fetch
+    plan = dsl.parse("select(speed>1, table(pc))")
+    report = engine.diff_run(plan, pc_catalog(), seed=b"s", fault_gate=47)
+    assert not report.passed
+    assert "2 present rows, count said 3" in report.detail
+    stats = report.stats
+    assert (stats.xor_gates, stats.and_gates, stats.refreshes,
+            stats.encryptions) == (350, 173, 3, 8)
+    assert stats.wall_ms > 0
+
+
 def test_fault_sweep_never_crashes():
     plan = dsl.parse("count(table(pc))")
     catalog = pc_catalog()

@@ -65,13 +65,6 @@ def test_slack_widens_fetch():
     assert sorted(out.rows) == [PC_ROWS[0], PC_ROWS[1]]
 
 
-def test_run_query_with_explicit_n_prime():
-    server, client = make_session()
-    out = run_query(client, server, dsl.parse("select(speed>1, table(pc))"),
-                    n_prime=3)
-    assert sorted(out.rows) == [PC_ROWS[0], PC_ROWS[1]]
-
-
 def test_upload_round_trip():
     ladder, keys = keygen(SecurityContext(), seed=b"up")
     server = ServerStore(ladder)

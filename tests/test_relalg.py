@@ -202,12 +202,12 @@ def test_sort_is_stable_at_odd_n(session, n, ascending):
 
 
 def test_compact_rows_every_presence_pattern(session):
-    ladder, keys, pk = session
+    _, keys, pk = session
     for n in range(7):
         plain = PlainTable(Schema((("i", 3),)), [(i,) for i in range(n)])
         for presence in product((0, 1), repeat=n):
             t = encrypt_table(pk, plain, presence=list(presence), name="t")
-            out = compact_rows(t.rows, ladder.state, 1)
+            out = compact_rows(t.rows)
             got = [(decrypt_word(keys, r.cells[0]), keys.decrypt_bit(r.presence))
                    for r in out]
             m = sum(presence)
