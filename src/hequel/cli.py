@@ -95,10 +95,13 @@ def _upload_tables(db: Path, server: ServerStore) -> None:
 
 
 def _read_csvs(paths: list[str], width_default) -> dict:
-    """Each CSV file as the table its stem names; two files with one stem
-    are refused before any is read."""
+    """Each CSV file as the table its stem names; a stem no plan can name,
+    or two files with one stem, are refused before any is read."""
     stems = [Path(path).stem for path in paths]
-    for stem in stems:
+    for path, stem in zip(paths, stems):
+        if not dsl.is_name(stem):
+            raise HequelError(f"CSV file {path} names table {stem!r}, which "
+                              "a plan cannot name; rename the file")
         if stems.count(stem) > 1:
             raise HequelError(f"{stems.count(stem)} CSV files name table "
                               f"{stem!r}; each table needs its own file stem")

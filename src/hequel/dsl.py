@@ -36,6 +36,12 @@ _WORDS = {"groupby" if cls is plans.GroupBySum else plans.NODES[cls].tag: cls
 _WORD_OF = {cls: word for word, cls in _WORDS.items()}
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` is a single name token, so a plan can name it."""
+    m = _TOKEN_RE.match(text)
+    return m is not None and m.lastgroup == "name" and m.end() == len(text)
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0

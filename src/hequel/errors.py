@@ -8,11 +8,11 @@ class HequelError(Exception):
 # -- key / noise layer --------------------------------------------------------
 
 class LadderMismatch(HequelError):
-    """Ciphertexts from different key ladders were combined."""
+    """Ciphertexts or keys from different key ladders were combined."""
 
 
 class EpochMismatch(HequelError):
-    """Secret key epoch does not match the ciphertext epoch."""
+    """An epoch outside the key ladder was asked for or decrypted."""
 
 
 class NoiseOverflow(HequelError):

@@ -95,8 +95,8 @@ class KernelState:
 
 
 class CipherBit:
-    """Opaque encrypted bit. The payload is private; only decryption with a
-    matching secret key (via the crypto layer) reveals it. ``epoch`` and
+    """Opaque encrypted bit. The payload is private; only decryption with
+    its ladder's ``crypto.ClientKeys`` reveals it. ``epoch`` and
     ``depth`` are public metadata. ``_nonce`` is either a wire nonce (a
     decoded bit's, non-negative) or the complement ``~z`` of a splitmix64
     counter ``z`` not yet mixed (a minted bit's, negative); ``_nonce_of``

@@ -1,8 +1,8 @@
 """Client/server roles and the two-step compact result return.
 
 Both roles run in one process but talk only through serialized messages,
-so the trust boundary is the API: the server side holds public keys and
-wrapped secret keys and can never decrypt. Each message is checked once,
+so the trust boundary is the API: the server holds the ladder's public
+half, no ``ClientKeys``, and can never decrypt. Each message is checked once,
 where it enters: ``serial.message_from_bytes`` refuses a message of a type
 its reader does not take, every payload field is read through
 ``serial.field``, and the server typechecks a decoded plan against its
@@ -138,7 +138,7 @@ class ResultHandshake:
 
 @dataclass
 class ClientSession:
-    """Client half: the only holder of secret keys."""
+    """Client half: the only holder of ``ClientKeys``."""
 
     keys: ClientKeys
     pk: PublicKey

@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 from hequel.cli import main
-from hequel.crypto import SecurityContext, keygen
 
 PC_CSV = ("model:12,speed:4,ram:12,hd:10,price:12\n"
           "1001,3,1024,250,2114\n"
@@ -313,6 +312,21 @@ def test_two_csv_files_with_one_stem_exit_2(tmp_path, capsys, verb):
     assert not db.exists()
 
 
+@pytest.mark.parametrize("verb", ["ingest", "diff"])
+def test_csv_stem_a_plan_cannot_name_exits_2(tmp_path, capsys, verb):
+    path = tmp_path / "my-t.csv"
+    path.write_text("x:4\n3\n")
+    db = tmp_path / "db"
+    argv = (["ingest", "--db", str(db)] if verb == "ingest"
+            else ["diff", "count(table(my-t))"])
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert captured.out == ""
+    assert not db.exists()
+
+
 def test_query_refuses_two_table_files_with_one_name(tmp_path, pc_csv,
                                                      capsys):
     db = ingest(tmp_path, pc_csv)
@@ -334,13 +348,16 @@ def test_query_reads_a_session_that_stores_client_keys(tmp_path, pc_csv,
     assert set(session["ladder"]) == {"mode", "depth_budget", "epochs",
                                       "seed", "nonce_state"}
     # the older layout: the client's key tokens and the wrapped keys
-    # stored beside the seed they derive from
-    ladder, keys = keygen(SecurityContext(), seed="cli-test")
-    session["ladder"].update(
-        v=1, wrapped=[w.hex() for w in ladder.wrapped_secret_keys])
-    session["client"] = {"v": 1, "ladder_id": keys.ladder_id, "keys": [
-        {"epoch": sk.epoch, "token": sk.token.hex()}
-        for sk in keys.secret_keys]}
+    # stored beside the seed they derive from, as such a release wrote
+    # them for seed "cli-test"
+    session["ladder"].update(v=1, wrapped=[
+        "bc78d9db8ae01d91a892a441fb2a34bf29ccd0e4073c47cf72faa6dae52eb00e"])
+    session["client"] = {
+        "v": 1,
+        "ladder_id": "a85fb4b51be2ab30439eb2baf3b1f07e"
+                     "a1000996cfc18671296ab02176417096",
+        "keys": [{"epoch": 1, "token": "b3f653e48ebd2acceefd1d0bac320fb6"
+                                       "19819e31d07a624db1f0e44c5fc07041"}]}
     path.write_text(json.dumps(session))
     capsys.readouterr()
     assert main(["query", "--db", db, "select(speed>1, table(pc))"]) == 0

@@ -3,32 +3,35 @@ and the server/client separation contract."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from hequel import kernel
 from hequel.circuits import bit_or
 from hequel.crypto import (MAX_EPOCHS, ClientKeys, SecurityContext,
-                           decrypt_bit, encrypt_bit, keygen)
+                           encrypt_bit, keygen)
 from hequel.errors import (EpochMismatch, LadderExhausted, LadderMismatch,
                            NoiseOverflow)
+from hequel.protocol import ServerStore
 
 
 def test_keygen_circular_shape():
     ladder, keys = keygen(SecurityContext(mode="circular"), seed=b"a")
-    assert len(ladder.public_keys) == 1
-    assert len(ladder.wrapped_secret_keys) == 1
-    assert len(keys.secret_keys) == 1
+    # the client's half is the ladder id and its epoch count, nothing else
+    assert [f.name for f in dataclasses.fields(ClientKeys)] == [
+        "ladder_id", "epochs"]
+    assert keys == ClientKeys(ladder.ladder_id, 1)
+    assert ladder.public_key().epoch == 1
 
 
 def test_keygen_leveled_shape():
     ctx = SecurityContext(mode="leveled", epochs=3)
     ladder, keys = keygen(ctx, seed=b"a")
-    assert len(ladder.public_keys) == 3
-    assert len(ladder.wrapped_secret_keys) == 2
-    assert len(keys.secret_keys) == 3
-    ladder1, _ = keygen(SecurityContext(mode="leveled", epochs=1), seed=b"a")
-    assert len(ladder1.public_keys) == 1
-    assert len(ladder1.wrapped_secret_keys) == 0
+    assert keys == ClientKeys(ladder.ladder_id, 3)
+    assert [ladder.public_key(e).epoch for e in (1, 2, 3)] == [1, 2, 3]
+    _, keys1 = keygen(SecurityContext(mode="leveled", epochs=1), seed=b"a")
+    assert keys1 == ClientKeys(ladder.ladder_id, 1)
 
 
 def test_context_validation():
@@ -61,13 +64,19 @@ def test_round_trip_both_bits():
 
 
 def test_decrypt_needs_matching_epoch():
-    ctx = SecurityContext(mode="leveled", epochs=2)
+    ctx = SecurityContext(mode="leveled", epochs=3)
     ladder, keys = keygen(ctx, seed=b"ep")
-    c = encrypt_bit(ladder.public_key(1), 1)
-    with pytest.raises(EpochMismatch):
-        decrypt_bit(keys.secret_key(2), c)
-    r = kernel.refresh(c)
-    assert decrypt_bit(keys.secret_key(2), r) == 1
+    c1 = encrypt_bit(ladder.public_key(1), 1)
+    c2 = kernel.refresh(c1)
+    c3 = kernel.refresh(c2)
+    assert [(c.epoch, keys.decrypt_bit(c)) for c in (c1, c2, c3)] == [
+        (1, 1), (2, 1), (3, 1)]
+    # an epoch outside the ladder, as a forged bit off the wire would carry
+    for epoch in (0, 4):
+        forged = kernel.bit_from_parts(ladder.state, 1, epoch, 0,
+                                       kernel._nonce_of(c3))
+        with pytest.raises(EpochMismatch):
+            keys.decrypt_bit(forged)
 
 
 def test_decrypt_rejects_foreign_ladder():
@@ -134,20 +143,19 @@ def test_keygen_deterministic_per_seed():
 
 def test_server_visible_material_has_no_plaintext_secret():
     ladder, keys = keygen(SecurityContext(mode="leveled", epochs=3), seed=b"s")
-    tokens = {sk.token for sk in keys.secret_keys}
-    for wrapped in ladder.wrapped_secret_keys:
-        assert wrapped not in tokens
     # computation needs only the ladder; decryption needs ClientKeys
     pk = ladder.public_key()
     c = kernel.and_(encrypt_bit(pk, 1), encrypt_bit(pk, 1))
     assert keys.decrypt_bit(c) == 1
     assert not hasattr(ladder, "secret_keys")
+    assert not hasattr(ladder, "decrypt_bit")
+    server = ServerStore(ladder)
+    assert not any(isinstance(v, ClientKeys) for v in vars(server).values())
 
 
 def test_epoch_out_of_range():
-    ladder, _ = keygen(SecurityContext(), seed=b"e")
-    with pytest.raises(EpochMismatch):
-        ladder.public_key(2)
-    _, keys = keygen(SecurityContext(), seed=b"e")
-    with pytest.raises(EpochMismatch):
-        keys.secret_key(9)
+    for ctx in (SecurityContext(), SecurityContext(mode="leveled", epochs=3)):
+        ladder, _ = keygen(ctx, seed=b"e")
+        for epoch in (0, ctx.epochs + 1):
+            with pytest.raises(EpochMismatch):
+                ladder.public_key(epoch)

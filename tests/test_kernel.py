@@ -9,25 +9,18 @@ import random
 
 import pytest
 
-from hequel import bench, serial
-from hequel import kernel as kernel_mod
+from hequel import bench, kernel, serial
 from hequel.circuits import CipherWord
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import LadderExhausted, LadderMismatch
 
 
 def make_state(mode="circular", budget=8, epochs=1, seed=0):
-    mode_id = kernel_mod.MODE_CIRCULAR if mode == "circular" else kernel_mod.MODE_LEVELED
-    return kernel_mod.KernelState(mode_id, budget, epochs, seed, "test-ladder")
+    mode_id = kernel.MODE_CIRCULAR if mode == "circular" else kernel.MODE_LEVELED
+    return kernel.KernelState(mode_id, budget, epochs, seed, "test-ladder")
 
 
-# parametrized by name so each case id records the kernel it ran on
-@pytest.fixture(params=[kernel_mod.KERNEL_NAME])
-def kernel(request):
-    return kernel_mod
-
-
-def test_truth_tables(kernel):
+def test_truth_tables():
     s = make_state()
     for a in (0, 1):
         for b in (0, 1):
@@ -37,7 +30,7 @@ def test_truth_tables(kernel):
         assert kernel._reveal(kernel.not_(kernel.fresh_bit(s, a, 1))) == 1 - a
 
 
-def test_depth_accounting(kernel):
+def test_depth_accounting():
     s = make_state(budget=8)
     a = kernel.fresh_bit(s, 1, 1)
     b = kernel.fresh_bit(s, 1, 1)
@@ -53,7 +46,7 @@ def test_depth_accounting(kernel):
     assert kernel.not_(d).depth == 2
 
 
-def test_auto_refresh_keeps_depth_legal(kernel):
+def test_auto_refresh_keeps_depth_legal():
     s = make_state(budget=3)
     acc = kernel.fresh_bit(s, 1, 1)
     for _ in range(10):
@@ -63,7 +56,7 @@ def test_auto_refresh_keeps_depth_legal(kernel):
     assert s.refresh_count > 0
 
 
-def test_circular_refresh_same_epoch(kernel):
+def test_circular_refresh_same_epoch():
     s = make_state(mode="circular")
     c = kernel.and_(kernel.fresh_bit(s, 1, 1), kernel.fresh_bit(s, 1, 1))
     r = kernel.refresh(c)
@@ -71,7 +64,7 @@ def test_circular_refresh_same_epoch(kernel):
     assert kernel._reveal(r) == 1
 
 
-def test_leveled_refresh_advances_epoch(kernel):
+def test_leveled_refresh_advances_epoch():
     s = make_state(mode="leveled", epochs=3)
     c = kernel.fresh_bit(s, 1, 1)
     r1 = kernel.refresh(c)
@@ -81,7 +74,7 @@ def test_leveled_refresh_advances_epoch(kernel):
         kernel.refresh(r2)
 
 
-def test_cross_epoch_gate_lifts_lower_operand(kernel):
+def test_cross_epoch_gate_lifts_lower_operand():
     s = make_state(mode="leveled", epochs=3)
     lo = kernel.fresh_bit(s, 1, 1)
     hi = kernel.fresh_bit(s, 1, 3)
@@ -93,7 +86,7 @@ def test_cross_epoch_gate_lifts_lower_operand(kernel):
     assert kernel._reveal(out2) == 1
 
 
-def test_leveled_exhaustion_at_top_epoch(kernel):
+def test_leveled_exhaustion_at_top_epoch():
     # depth forces a refresh but no next key exists
     s = make_state(mode="leveled", budget=1, epochs=1)
     a = kernel.and_(kernel.fresh_bit(s, 1, 1), kernel.fresh_bit(s, 1, 1))
@@ -103,64 +96,64 @@ def test_leveled_exhaustion_at_top_epoch(kernel):
 
 def test_settle_refreshes_only_a_bit_at_the_budget():
     s = make_state(budget=4)
-    below = kernel_mod.bit_from_parts(s, 1, 1, 3, 0)
-    assert kernel_mod.settle(below) is below
+    below = kernel.bit_from_parts(s, 1, 1, 3, 0)
+    assert kernel.settle(below) is below
     assert s.refresh_count == 0
-    settled = kernel_mod.settle(kernel_mod.bit_from_parts(s, 1, 1, 4, 0))
+    settled = kernel.settle(kernel.bit_from_parts(s, 1, 1, 4, 0))
     assert (settled.depth, s.refresh_count) == (0, 1)
-    assert kernel_mod._reveal(settled) == 1
+    assert kernel._reveal(settled) == 1
 
 
 def test_fan_out_refreshes_any_depth_in_circular_mode():
     s = make_state(budget=4)
-    shallow = kernel_mod.bit_from_parts(s, 1, 1, 0, 0)
-    assert kernel_mod.fan_out(shallow) is shallow
+    shallow = kernel.bit_from_parts(s, 1, 1, 0, 0)
+    assert kernel.fan_out(shallow) is shallow
     assert s.refresh_count == 0
-    out = kernel_mod.fan_out(kernel_mod.bit_from_parts(s, 1, 1, 1, 0))
+    out = kernel.fan_out(kernel.bit_from_parts(s, 1, 1, 1, 0))
     assert (out.epoch, out.depth, s.refresh_count) == (1, 0, 1)
-    assert kernel_mod._reveal(out) == 1
+    assert kernel._reveal(out) == 1
 
 
 def test_fan_out_settles_in_leveled_mode():
     s = make_state(mode="leveled", budget=4, epochs=3)
-    below = kernel_mod.bit_from_parts(s, 1, 1, 3, 0)
-    assert kernel_mod.fan_out(below) is below
+    below = kernel.bit_from_parts(s, 1, 1, 3, 0)
+    assert kernel.fan_out(below) is below
     assert s.refresh_count == 0
-    out = kernel_mod.fan_out(kernel_mod.bit_from_parts(s, 1, 1, 4, 0))
+    out = kernel.fan_out(kernel.bit_from_parts(s, 1, 1, 4, 0))
     assert (out.epoch, out.depth, s.refresh_count) == (2, 0, 1)
-    assert kernel_mod._reveal(out) == 1
+    assert kernel._reveal(out) == 1
 
 
 @pytest.mark.parametrize("top_first", [True, False])
 def test_overflowing_and_refreshes_only_the_operand_at_the_budget(top_first):
     s = make_state(budget=4)
-    top = kernel_mod.bit_from_parts(s, 1, 1, 4, 0)
-    mid = kernel_mod.bit_from_parts(s, 1, 1, 2, 0)
-    out = kernel_mod.and_(top, mid) if top_first else kernel_mod.and_(mid, top)
+    top = kernel.bit_from_parts(s, 1, 1, 4, 0)
+    mid = kernel.bit_from_parts(s, 1, 1, 2, 0)
+    out = kernel.and_(top, mid) if top_first else kernel.and_(mid, top)
     assert (s.refresh_count, out.depth) == (1, 3)
-    assert kernel_mod._reveal(out) == 1
+    assert kernel._reveal(out) == 1
 
 
 def test_lift_spends_one_refresh_per_epoch():
     s = make_state(mode="leveled", epochs=5)
-    c = kernel_mod.fresh_bit(s, 1, 2)
-    lifted = kernel_mod.lift(c, 5)
+    c = kernel.fresh_bit(s, 1, 2)
+    lifted = kernel.lift(c, 5)
     assert (lifted.epoch, lifted.depth, s.refresh_count) == (5, 0, 3)
-    assert kernel_mod._reveal(lifted) == 1
-    assert kernel_mod.lift(lifted, 5) is lifted
-    assert kernel_mod.lift(c, 1) is c
+    assert kernel._reveal(lifted) == 1
+    assert kernel.lift(lifted, 5) is lifted
+    assert kernel.lift(c, 1) is c
     assert s.refresh_count == 3
 
 
 def test_lift_is_the_identity_in_circular_mode():
     s = make_state(mode="circular")
-    c = kernel_mod.and_(kernel_mod.fresh_bit(s, 1, 1),
-                        kernel_mod.fresh_bit(s, 1, 1))
-    assert kernel_mod.lift(c, 1) is c
+    c = kernel.and_(kernel.fresh_bit(s, 1, 1),
+                        kernel.fresh_bit(s, 1, 1))
+    assert kernel.lift(c, 1) is c
     assert s.refresh_count == 0
 
 
-def test_ladder_mismatch(kernel):
+def test_ladder_mismatch():
     s1 = make_state()
     s2 = make_state()
     a = kernel.fresh_bit(s1, 1, 1)
@@ -169,7 +162,7 @@ def test_ladder_mismatch(kernel):
         kernel.xor(a, b)
 
 
-def test_counters(kernel):
+def test_counters():
     s = make_state()
     a = kernel.fresh_bit(s, 1, 1)
     b = kernel.fresh_bit(s, 0, 1)
@@ -182,7 +175,7 @@ def test_counters(kernel):
     assert (s.xor_count, s.encrypt_count) == (2, 3)
 
 
-def test_fault_gate_flips_exactly_one_output(kernel):
+def test_fault_gate_flips_exactly_one_output():
     s = make_state()
     s.fault_gate = 2
     a = kernel.fresh_bit(s, 1, 1)
@@ -195,14 +188,14 @@ def test_fault_gate_flips_exactly_one_output(kernel):
     assert kernel._reveal(third) == 0
 
 
-def test_nonce_stream_is_reference_splitmix64(kernel):
+def test_nonce_stream_is_reference_splitmix64():
     # known-answer vector for the splitmix64 generator, seed 0
     s = make_state(seed=0)
     got = [kernel._nonce_of(kernel.fresh_bit(s, 0, 1)) for _ in range(3)]
     assert got == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-def test_nonces_distinct(kernel):
+def test_nonces_distinct():
     s = make_state(seed=7)
     rng = random.Random(7)
     seen = {kernel._nonce_of(kernel.fresh_bit(s, rng.randint(0, 1), 1))
@@ -219,14 +212,13 @@ def gate_ladder():
 
 def gate_outputs(s):
     """One output of each nonce-minting path, in a fixed order."""
-    k = kernel_mod
-    a, b = k.fresh_bit(s, 1, 1), k.fresh_bit(s, 0, 1)
-    x = k.xor(a, b)
-    y = k.and_(a, x)
-    n = k.not_(y)
-    deep = k.and_(y, x)  # at the budget
-    settled = k.and_(deep, y)  # over it: settles deep, lifts y to match
-    lifted = k.lift(settled, 3)
+    a, b = kernel.fresh_bit(s, 1, 1), kernel.fresh_bit(s, 0, 1)
+    x = kernel.xor(a, b)
+    y = kernel.and_(a, x)
+    n = kernel.not_(y)
+    deep = kernel.and_(y, x)  # at the budget
+    settled = kernel.and_(deep, y)  # over it: settles deep, lifts y to match
+    lifted = kernel.lift(settled, 3)
     return [a, b, x, y, n, deep, settled, lifted]
 
 
@@ -259,8 +251,8 @@ GATE_BIT_TUPLES_SHA = (
 def test_gate_minted_bit_tuples_are_pinned():
     ladder = gate_ladder()
     outs = gate_outputs(ladder.state)
-    text = json.dumps([(kernel_mod._nonce_of(c), c.epoch, c.depth,
-                        kernel_mod._reveal(c)) for c in outs])
+    text = json.dumps([(kernel._nonce_of(c), c.epoch, c.depth,
+                        kernel._reveal(c)) for c in outs])
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_BIT_TUPLES_SHA
 
 
@@ -271,28 +263,28 @@ def test_decoded_gate_output_re_encodes_byte_exactly():
         obj = bit_obj(ladder, c)
         (back,) = serial.word_from_obj(ladder, obj).bits
         assert bit_obj(ladder, back) == obj
-        assert kernel_mod._nonce_of(back) == kernel_mod._nonce_of(c)
+        assert kernel._nonce_of(back) == kernel._nonce_of(c)
     # the same bits as one word, whose epochs and depths differ per bit
     obj = serial.word_to_obj(ladder, CipherWord(tuple(outs)))
     assert obj["epoch"] == [1, 1, 1, 1, 1, 1, 2, 3]
     assert isinstance(obj["depth"], list)
     back = serial.word_from_obj(ladder, obj)
     assert serial.word_to_obj(ladder, back) == obj
-    assert [kernel_mod._reveal(b) for b in back.bits] == \
-        [kernel_mod._reveal(c) for c in outs]
+    assert [kernel._reveal(b) for b in back.bits] == \
+        [kernel._reveal(c) for c in outs]
 
 
 def test_gate_outputs_read_distinct_nonces():
     s = make_state(seed=7)
-    a, b = kernel_mod.fresh_bit(s, 1, 1), kernel_mod.fresh_bit(s, 0, 1)
+    a, b = kernel.fresh_bit(s, 1, 1), kernel.fresh_bit(s, 0, 1)
     outs = [gate(a, b) for _ in range(250)
-            for gate in (kernel_mod.xor, kernel_mod.and_)]
-    nonces = {kernel_mod._nonce_of(c) for c in outs}
+            for gate in (kernel.xor, kernel.and_)]
+    nonces = {kernel._nonce_of(c) for c in outs}
     assert len(nonces) == 500
-    assert all(0 <= n <= kernel_mod._MASK64 for n in nonces)
+    assert all(0 <= n <= kernel._MASK64 for n in nonces)
 
 
-def test_cipherbit_is_opaque(kernel):
+def test_cipherbit_is_opaque():
     s = make_state()
     c = kernel.fresh_bit(s, 1, 1)
     assert not hasattr(c, "payload")
@@ -301,7 +293,7 @@ def test_cipherbit_is_opaque(kernel):
 
 
 def test_bench_gates_counts_every_gate():
-    result = bench.bench_gates(kernel_mod.KERNEL_NAME, 10)
+    result = bench.bench_gates(kernel.KERNEL_NAME, 10)
     assert (result.kernel, result.units, result.gates) == ("py", 10, 10)
     assert result.gates_per_sec > 0
     with pytest.raises(ValueError):
@@ -314,30 +306,30 @@ def test_bench_gates_counts_every_gate():
 def _on_top_epoch(composition):
     def run(*bits):
         top = max(b.epoch for b in bits)
-        return composition(*(kernel_mod.lift(b, top) for b in bits))
+        return composition(*(kernel.lift(b, top) for b in bits))
     return run
 
 
 def _swap_composition(f, x, y):
-    t = kernel_mod.and_(f, kernel_mod.xor(x, y))
-    return kernel_mod.xor(x, t), kernel_mod.xor(y, t)
+    t = kernel.and_(f, kernel.xor(x, y))
+    return kernel.xor(x, t), kernel.xor(y, t)
 
 
 def _or_composition(a, b):
     # settled first, then lifted, since each operand feeds two gates
-    a, b = kernel_mod.settle(a), kernel_mod.settle(b)
-    return _on_top_epoch(lambda a, b: kernel_mod.xor(
-        kernel_mod.xor(a, b), kernel_mod.and_(a, b)))(a, b)
+    a, b = kernel.settle(a), kernel.settle(b)
+    return _on_top_epoch(lambda a, b: kernel.xor(
+        kernel.xor(a, b), kernel.and_(a, b)))(a, b)
 
 
 # (name, arity, gates, composition)
 FUSED = [
-    ("bit_mux", 3, 3, _on_top_epoch(lambda f, x, y: kernel_mod.xor(
-        y, kernel_mod.and_(f, kernel_mod.xor(x, y))))),
+    ("bit_mux", 3, 3, _on_top_epoch(lambda f, x, y: kernel.xor(
+        y, kernel.and_(f, kernel.xor(x, y))))),
     ("bit_swap", 3, 4, _on_top_epoch(_swap_composition)),
     ("bit_or", 2, 3, _or_composition),
-    ("bit_and_not", 2, 2, _on_top_epoch(lambda a, b: kernel_mod.xor(
-        a, kernel_mod.and_(a, b)))),
+    ("bit_and_not", 2, 2, _on_top_epoch(lambda a, b: kernel.xor(
+        a, kernel.and_(a, b)))),
 ]
 FUSED_IDS = [name for name, *_ in FUSED]
 BUDGET = 3
@@ -358,7 +350,7 @@ def _spent(s):
 
 def _observe(s, out):
     outs = out if isinstance(out, tuple) else (out,)
-    return ([(kernel_mod._nonce_of(c), c.epoch, c.depth, kernel_mod._reveal(c))
+    return ([(kernel._nonce_of(c), c.epoch, c.depth, kernel._reveal(c))
              for c in outs], *_spent(s))
 
 
@@ -367,8 +359,8 @@ def _run_twins(name, composition, mode, operands, fault=None):
     operands given as (payload, epoch, depth); what each left behind."""
     seen = []
     for s, fn in zip(_twin_states(mode),
-                     (getattr(kernel_mod, name), composition)):
-        bits = [kernel_mod.bit_from_parts(s, p, e, d, 1000 + i)
+                     (getattr(kernel, name), composition)):
+        bits = [kernel.bit_from_parts(s, p, e, d, 1000 + i)
                 for i, (p, e, d) in enumerate(operands)]
         if fault is not None:
             s.fault_gate = fault
@@ -419,47 +411,47 @@ def test_fused_primitive_refuses_mixed_ladders(name, arity, gates,
         for epochs in itertools.product((1, 2), repeat=arity):
             home, away = (make_state(mode="leveled", budget=BUDGET, epochs=3)
                           for _ in range(2))
-            bits = [kernel_mod.fresh_bit(away if i == stranger else home, 1, e)
+            bits = [kernel.fresh_bit(away if i == stranger else home, 1, e)
                     for i, e in enumerate(epochs)]
             before = [_spent(s) for s in (home, away)]
             with pytest.raises(LadderMismatch):
-                getattr(kernel_mod, name)(*bits)
+                getattr(kernel, name)(*bits)
             assert [_spent(s) for s in (home, away)] == before
 
 
 def test_lift_reuses_its_copy_within_a_scope():
     s = make_state(mode="leveled", epochs=4)
-    c = kernel_mod.fresh_bit(s, 1, 1)
-    up = kernel_mod.lift(c, 3)
+    c = kernel.fresh_bit(s, 1, 1)
+    up = kernel.lift(c, 3)
     assert (up.epoch, s.refresh_count) == (3, 2)
     # a second lift, to the same epoch or part of the way, pays nothing
-    assert kernel_mod.lift(c, 3) is up
-    assert kernel_mod.lift(c, 2).epoch == 2
+    assert kernel.lift(c, 3) is up
+    assert kernel.lift(c, 2).epoch == 2
     assert s.refresh_count == 2
     # a longer lift reuses the steps already taken and pays for the rest
-    assert kernel_mod.lift(c, 4).epoch == 4
+    assert kernel.lift(c, 4).epoch == 4
     assert s.refresh_count == 3
 
 
 def test_lift_pays_again_in_a_new_scope():
     s = make_state(mode="leveled", epochs=4)
-    c = kernel_mod.fresh_bit(s, 1, 1)
-    up = kernel_mod.lift(c, 3)
-    kernel_mod.open_scope(s)
-    again = kernel_mod.lift(c, 3)
+    c = kernel.fresh_bit(s, 1, 1)
+    up = kernel.lift(c, 3)
+    kernel.open_scope(s)
+    again = kernel.lift(c, 3)
     assert again is not up
     assert s.refresh_count == 4
-    assert kernel_mod.lift(c, 3) is again
+    assert kernel.lift(c, 3) is again
     assert s.refresh_count == 4
 
 
 def test_settle_and_circular_lift_keep_no_copy():
     s = make_state(mode="leveled", budget=1, epochs=4)
-    a = kernel_mod.fresh_bit(s, 1, 1)
-    deep = kernel_mod.and_(a, a)
-    assert kernel_mod.settle(deep) is not kernel_mod.settle(deep)
+    a = kernel.fresh_bit(s, 1, 1)
+    deep = kernel.and_(a, a)
+    assert kernel.settle(deep) is not kernel.settle(deep)
     assert s.refresh_count == 2
     circ = make_state()
-    c = kernel_mod.fresh_bit(circ, 1, 1)
-    assert kernel_mod.lift(c, 1) is c
+    c = kernel.fresh_bit(circ, 1, 1)
+    assert kernel.lift(c, 1) is c
     assert circ.refresh_count == 0
