@@ -195,8 +195,12 @@ def word_add_bit(a: CipherWord, f) -> CipherWord:
     out = []
     carry = f
     for i, x in enumerate(reversed(a.bits)):
-        out.append(xor(x, carry))
-        if i + 1 < a.width:
+        if i + 1 == a.width:
+            out.append(xor(x, carry))
+        else:
+            # x and the carry each feed this sum bit and the next carry
+            x, carry = settle(x), settle(carry)
+            out.append(xor(x, carry))
             carry = and_(x, carry)
     return CipherWord(tuple(reversed(out)))
 

@@ -15,8 +15,11 @@ gates is bootstrapped once per epoch step; the server opens a new scope
 for each message it handles (``open_scope``), so a repeated request pays
 for its lifts again and spends the same counts. A settle keeps no copy,
 so a caller that feeds one deep bit into several gates settles it once
-itself, and a selector about to feed a gate for every bit of whole rows
-goes through ``fan_out``. These three functions make every refresh
+itself. A bit that feeds a gate for every bit of whole rows, or that a
+gate reads in every round of a loop, goes through ``fan_out`` once
+instead: the sort's compare-swap selectors, the fetch compaction's
+movers and every cell bit entering it, and groupby's boundary flag and
+running sum once per step. These three functions make every refresh
 decision above the gates: no other library module calls ``refresh`` or
 reads the mode.
 

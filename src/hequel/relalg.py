@@ -305,8 +305,13 @@ def compact_rows(rows):
     after round j they sit at i - (c_i mod 2^j) and k - (c_k mod 2^j), and
     (c_k mod 2^j) - (c_i mod 2^j) <= c_k - c_i < k - i. So presence moves
     by XOR alone. Each mover bit passes through ``kernel.fan_out`` once,
-    and its cells, count bits and presence share that copy. The gates
-    depend only on len(rows); fewer than two rows come back untouched.
+    and its cells, count bits and presence share that copy. Every cell bit
+    passes through ``fan_out`` once on entry, so a deep cell (a groupby
+    sum, a sort's keys) is refreshed there and not again in each round's
+    ``word_mux``, which keeps the depth of its XOR side; a fresh cell has
+    no depth and passes as it is. Each round settles the presence a mover
+    reads. The gates depend only on len(rows); fewer than two rows come
+    back untouched.
     The fetch runs it on every result that is not packed; a sort's result
     already holds its present rows in front, so it is not run there.
     """
@@ -319,10 +324,14 @@ def compact_rows(rows):
     for r in rows[:-1]:
         counts.append(word_add_bit(counts[-1], not_(r.presence)))
     # per slot: cells, presence, and the count bits still unused, LSB first
-    slots = [(r.cells, r.presence, c.bits[::-1])
+    slots = [(tuple(CipherWord(tuple(fan_out(b) for b in c.bits))
+                    for c in r.cells), r.presence, c.bits[::-1])
              for r, c in zip(rows, counts)]
     for j in range(width):
         shift = 1 << j
+        # a mover's AND and its slot's XORs read one settled presence
+        slots[shift:] = [(cells, settle(p), bits)
+                         for cells, p, bits in slots[shift:]]
         # a present row below slot 2^j cannot have bit j set: it would
         # have to end before slot 0
         moves = [None] * shift + [fan_out(and_(p, bits[0]))
@@ -486,8 +495,13 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
     f = rows[0].presence
     out = []
     for prev, r in zip(rows, rows[1:]):
-        ne = settle(_row_ne(state, epoch, keys_of(prev), keys_of(r)))
+        # ne feeds a gate for every bit of the sum, and the sum's bits feed
+        # the next step and every round of the fetch compaction: each goes
+        # through fan_out once here. f feeds an AND and an XOR.
+        ne = fan_out(_row_ne(state, epoch, keys_of(prev), keys_of(r)))
+        f = settle(f)
         emit = and_(ne, f)
+        total = CipherWord(tuple(fan_out(x) for x in total.bits))
         out.append(EncRow(keys_of(prev) + (total,), emit))
         f = bit_or(r.presence, xor(f, emit))
         kept = CipherWord(tuple(bit_and_not(x, ne) for x in total.bits))
@@ -521,7 +535,8 @@ def _bag_overlap(t1: EncTable, t2: EncTable, keep_matched: bool) -> EncTable:
     for r1 in t1.rows:
         need = r1.presence
         for j, r2 in enumerate(t2.rows):
-            take = bit_and_not(and_(free[j], need),
+            # both flags feed the AND that both gates of the match read
+            take = bit_and_not(settle(and_(free[j], need)),
                                _row_ne(state, epoch, r1.cells, r2.cells))
             free[j] = xor(free[j], take)
             need = xor(need, take)

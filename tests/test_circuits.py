@@ -274,7 +274,7 @@ def _leveled_cost(state, fn, *args):
 
 @pytest.mark.parametrize("op,ands,refreshes,encryptions,epoch", [
     (lambda t: op_sort("k", True, t), 6876, 21486, 160, 29),
-    (lambda t: op_groupby_sum(("k",), "v", t), 5775, 10752, 0, 25),
+    (lambda t: op_groupby_sum(("k",), "v", t), 5775, 10738, 0, 25),
 ], ids=["sort", "groupby"])
 def test_sort_and_groupby_leveled_cost(op, ands, refreshes, encryptions,
                                        epoch):
@@ -284,7 +284,10 @@ def test_sort_and_groupby_leveled_cost(op, ands, refreshes, encryptions,
     # sort's presence key lengthens every comparator chain by one AND, so
     # its rows climb two more epochs than without it (6,685 / 19,616 at
     # epoch 27), nearly all of it lifts. groupby sorts without the index
-    # key and its 160 encryptions (was 7,685 / 21,204 at epoch 35).
+    # key and its 160 encryptions (was 7,685 / 21,204 at epoch 35); its
+    # running sum settles each bit once per step and its group flag before
+    # the AND and XOR that read it (10,752 refreshes when the gates
+    # settled their own copies).
     ladder, _ = keygen(SecurityContext("leveled", 8, 256), seed=b"circ")
     t = encrypt_table(ladder.public_key(),
                       PlainTable(KV, [((i * 37) % 256, i) for i in range(32)]))

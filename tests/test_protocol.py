@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hequel import dsl, plans, relalg, serial
+from hequel import dsl, oracle, plans, relalg, serial
 from hequel.circuits import encrypt_word
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
@@ -798,9 +798,9 @@ def test_forged_packed_flag_fails_verification(monkeypatch):
         result_fetch(client, server, qid)
 
 
-def _select_phase_counts(ctx):
+def _phase_counts(ctx, text="select(k > 50, table(t))"):
     """(ANDs, refreshes, encryptions) of the query and of the fetch phase
-    of select(k > 50) over 32 rows."""
+    of the plan ``text`` over a table t of 32 rows, k:8, v:8."""
     ladder, keys = keygen(ctx, seed=b"phases")
     server = ServerStore(ladder)
     client = ClientSession(keys, ladder.public_key())
@@ -813,14 +813,14 @@ def _select_phase_counts(ctx):
     def counts():
         return st.and_count, st.refresh_count, st.encrypt_count
 
-    plan = dsl.parse("select(k > 50, table(t))")
+    plan = dsl.parse(text)
     before = counts()
     qid, _ = submit_query(client, server, plan)
     query = counts()
     reply = server.handle(client.fetch_message(qid))
     fetch = counts()
     assert sorted(client.read_rows_and_verify(reply).rows) == sorted(
-        r for r in plain.rows if r[0] > 50)
+        oracle.eval_plan(plan, {"t": plain}).rows)
     return (tuple(b - a for a, b in zip(before, query)),
             tuple(b - a for a, b in zip(query, fetch)))
 
@@ -830,7 +830,7 @@ def test_select_phase_costs():
     so in circular mode it is refreshed to depth 0 before it reaches the
     cells, count bits and presence of its rows: 165 fetch refreshes, where
     settling only an overflowing AND's operands spent 368."""
-    assert _select_phase_counts(SecurityContext(depth_budget=8)) == (
+    assert _phase_counts(SecurityContext(depth_budget=8)) == (
         (319, 32, 8), (2611, 165, 36))
 
 
@@ -841,7 +841,24 @@ def test_select_phase_costs_leveled():
     where lifting in every gate spent 2,034 and settling a copy per
     cell's ``word_mux`` 2,076."""
     ctx = SecurityContext(mode="leveled", depth_budget=8, epochs=24)
-    assert _select_phase_counts(ctx) == ((319, 64, 8), (2611, 1178, 36))
+    assert _phase_counts(ctx) == ((319, 64, 8), (2611, 1178, 36))
+
+
+def test_deep_result_compaction_costs():
+    """groupby hands its sum cells on at the depth budget. The compaction
+    passes each cell bit through ``kernel.fan_out`` once on entry, and the
+    running sum does the same once per step, so no round of the compaction
+    refreshes a cell bit again: 455 fetch refreshes at the gates of any
+    32-row compaction, where refreshing in every round spent 2,276.
+    Under leveled:256 ``fan_out`` only settles, and query plus fetch spend
+    15,339 refreshes, where the gates' own settles spent 15,363."""
+    text = "groupby([k], v, table(t))"
+    assert _phase_counts(SecurityContext(depth_budget=8), text)[1] == (
+        2611, 455, 36)
+    ctx = SecurityContext(mode="leveled", depth_budget=8, epochs=256)
+    query, fetch = _phase_counts(ctx, text)
+    assert (query[0], fetch[0]) == (5806, 2611)
+    assert query[1] + fetch[1] == 15339
 
 
 def test_protocol_in_leveled_mode():
