@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 from hequel.crypto import ClientKeys, PublicKey
 from hequel.errors import ValueOverflow, WidthMismatch
-from hequel.kernel import (and_, bit_and_not, bit_mux, bit_or, bit_swap,
-                           fresh_bit, lift, not_, settle, xor)
+from hequel.kernel import (and_, bit_and_not, bit_mux, bit_or, bits_differ,
+                           bits_gt, bits_mux, bits_swap, fresh_bit, lift,
+                           not_, pairwise, settle, xor)
 
 DEFAULT_WIDTH = 8
 
@@ -81,17 +82,6 @@ def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
         for i in range(width)))
 
 
-def pairwise(fn, items):
-    """Reduce a non-empty sequence with the binary ``fn`` as a balanced
-    tree: each level pairs neighbours in order, and an odd item out moves
-    up a level unchanged. len - 1 calls, ceil(log2 len) levels deep."""
-    items = list(items)
-    while len(items) > 1:
-        paired = [fn(a, b) for a, b in zip(items[::2], items[1::2])]
-        items = paired + items[len(paired) * 2:]
-    return items[0]
-
-
 def any_bit(bits):
     """OR of a non-empty sequence of bits as a ``pairwise`` tree of
     ``bit_or``: len - 1 ANDs at depth ceil(log2 len)."""
@@ -101,7 +91,7 @@ def any_bit(bits):
 def word_ne(a: CipherWord, b: CipherWord):
     """1 iff the words differ: OR tree of the per-bit XORs, w - 1 ANDs."""
     _check_width(a, b)
-    return any_bit(xor(x, y) for x, y in zip(a.bits, b.bits))
+    return bits_differ(a.bits, b.bits)
 
 
 def word_eq(a: CipherWord, b: CipherWord):
@@ -113,21 +103,7 @@ def word_eq(a: CipherWord, b: CipherWord):
 def word_gt(a: CipherWord, b: CipherWord):
     """1 iff a > b (unsigned), one AND per bit and no constants."""
     _check_width(a, b)
-    return gt_chain(a.bits, tuple(xor(x, y) for x, y in zip(a.bits, b.bits)))
-
-
-def gt_chain(xs, ts):
-    """1 iff a > b, given a's bits ``xs`` and the XORs ``ts`` = a ⊕ b,
-    both MSB first; b itself is not read, so a caller that already holds
-    the XORs feeds each bit of b into one gate only.
-
-    LSB first, g is "a > b on the bits seen so far". Where t = 0 it keeps;
-    where t = 1 it becomes x. Both cases are ``bit_mux(t, x, g)``, and the
-    lowest bit seeds g = t ∧ x."""
-    g = and_(ts[-1], xs[-1])
-    for x, t in zip(xs[-2::-1], ts[-2::-1]):
-        g = bit_mux(t, x, settle(g))
-    return g
+    return bits_gt(a.bits, tuple(xor(x, y) for x, y in zip(a.bits, b.bits)))
 
 
 def _ripple(abits, bbits, carry=None):
@@ -169,17 +145,15 @@ def word_mux(f, a: CipherWord, b: CipherWord) -> CipherWord:
     """Word select: a when the encrypted bit f is 1, else b. One AND per
     bit (``bit_mux``)."""
     _check_width(a, b)
-    f = settle(f)
-    return CipherWord(tuple(bit_mux(f, x, y) for x, y in zip(a.bits, b.bits)))
+    return CipherWord(bits_mux(settle(f), a.bits, b.bits))
 
 
 def word_swap(f, a: CipherWord, b: CipherWord):
     """(b, a) when the encrypted bit f is 1, else (a, b): ``bit_swap`` per
     bit, one AND per bit for both outputs."""
     _check_width(a, b)
-    swapped = [bit_swap(f, x, y) for x, y in zip(a.bits, b.bits)]
-    return (CipherWord(tuple(x for x, _ in swapped)),
-            CipherWord(tuple(y for _, y in swapped)))
+    xs, ys = bits_swap(f, a.bits, b.bits)
+    return CipherWord(xs), CipherWord(ys)
 
 
 def word_and_bit(a: CipherWord, f) -> CipherWord:

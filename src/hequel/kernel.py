@@ -71,7 +71,7 @@ class KernelState:
     __slots__ = (
         "mode", "depth_budget", "num_epochs", "ladder_id",
         "xor_count", "and_count", "refresh_count", "encrypt_count",
-        "fault_gate", "nonce_state", "scope", "impl",
+        "fault_gate", "nonce_state", "lifted", "impl",
     )
 
     def __init__(self, mode: int, depth_budget: int, num_epochs: int,
@@ -90,7 +90,7 @@ class KernelState:
         self.encrypt_count = 0
         self.fault_gate = -1
         self.nonce_state = nonce_state & _MASK64
-        self.scope = 0
+        self.lifted = {}
         self.impl = sys.modules[__name__]
 
     def gate_total(self) -> int:
@@ -103,12 +103,9 @@ class CipherBit:
     ``depth`` are public metadata. ``_nonce`` is either a wire nonce (a
     decoded bit's, non-negative) or the complement ``~z`` of a splitmix64
     counter ``z`` not yet mixed (a minted bit's, negative); ``_nonce_of``
-    returns the wire nonce of both. ``_up`` is the copy ``lift`` made of
-    this bit one epoch up, or None, and ``_up_scope`` the scope it was
-    made in; ``_up_scope`` is unset while ``_up`` is None."""
+    returns the wire nonce of both."""
 
-    __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state", "_up",
-                 "_up_scope")
+    __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state")
 
     def __init__(self, state: KernelState, payload: int, epoch: int,
                  depth: int, nonce: int):
@@ -117,7 +114,6 @@ class CipherBit:
         self.depth = depth
         self._nonce = nonce
         self._state = state
-        self._up = None
 
     def __repr__(self):
         return f"CipherBit(epoch={self.epoch}, depth={self.depth})"
@@ -183,22 +179,25 @@ def fan_out(c: CipherBit) -> CipherBit:
 def lift(c: CipherBit, epoch: int) -> CipherBit:
     """``c`` refreshed up to key ``epoch``, one epoch step at a time; the
     identity in circular mode, which has one epoch. A step this bit
-    already took in the current scope reuses its copy, so only the first
-    lift of a bit in a scope pays a refresh per step."""
+    already took in the current scope reuses its copy from the ladder's
+    ``lifted`` table, so only the first lift of a bit in a scope pays a
+    refresh per step. The table keeps every copy until the next
+    ``open_scope``: a server opens one per message, but a library caller
+    that never opens one keeps its lifted copies for the ladder's life."""
     while c.epoch < epoch:
-        up = c._up
-        if up is None or c._up_scope != c._state.scope:
-            up = c._up = refresh(c)
-            c._up_scope = c._state.scope
+        lifted = c._state.lifted
+        up = lifted.get(c)
+        if up is None:
+            up = lifted[c] = refresh(c)
         c = up
     return c
 
 
 def open_scope(s: KernelState) -> None:
     """Start a new lift scope on ``s``: no copy a lift made before is
-    reused after. A server opens one per message, so each request's
-    counts depend on that request alone."""
-    s.scope += 1
+    reused after, and the old copies are dropped. A server opens one per
+    message, so each request's counts depend on that request alone."""
+    s.lifted = {}
 
 
 _MIXED = "operands were encrypted under different ladders"
@@ -345,6 +344,194 @@ def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:
         p = a._payload
         return CipherBit(s, p ^ (p & b._payload), a.epoch, d + 1, ~z)
     return xor(a, and_(a, b))
+
+
+# The word primitives run a whole word circuit of the one-AND primitives in
+# one call. Each refuses a stranger ladder at any position before any gate,
+# lift or settle, and reads the fault switch once. Then every step whose
+# operands share one epoch and need no settle is computed inline: its gates
+# are counted, the nonce stream advances once per gate in gate order, and
+# only the word's output bits are built. A step that would lift or settle
+# goes through its one-AND primitive, at its place in the order, so every
+# output carries the nonce, epoch and depth the composition would give it.
+
+
+def pairwise(fn, items):
+    """Reduce a non-empty sequence with the binary ``fn`` as a balanced
+    tree: each level pairs neighbours in order, and an odd item out moves
+    up a level unchanged. len - 1 calls, ceil(log2 len) levels deep."""
+    items = list(items)
+    while len(items) > 1:
+        paired = [fn(a, b) for a, b in zip(items[::2], items[1::2])]
+        items = paired + items[len(paired) * 2:]
+    return items[0]
+
+
+def _one_ladder(s: KernelState, bits) -> None:
+    for b in bits:
+        if b._state is not s:
+            raise LadderMismatch(_MIXED)
+
+
+def _and_depth(a: int, b: int) -> int:
+    return (a if a >= b else b) + 1
+
+
+def _book(s: KernelState, xors: int, ands: int, refreshes: int,
+          z: int) -> None:
+    # an inline run's counts and nonce counter, written back before a
+    # primitive call reads them and at the end
+    s.xor_count += xors
+    s.and_count += ands
+    s.refresh_count += refreshes
+    s.nonce_state = z
+
+
+def bits_differ(xs, ys) -> CipherBit:
+    """1 iff the equal-length, non-empty bit sequences differ somewhere:
+    the XORs x ⊕ y in order, then a ``pairwise`` tree of ``bit_or`` over
+    them, len - 1 ANDs. The tree is inline as a whole or not at all: when
+    every bit shares one epoch, no fault is armed and the public depths
+    say no OR node settles; otherwise the composition runs."""
+    s = xs[0]._state
+    _one_ladder(s, xs)
+    _one_ladder(s, ys)
+    if s.fault_gate < 0:
+        e, p, depths = xs[0].epoch, 0, []
+        for x, y in zip(xs, ys):
+            if x.epoch != e or y.epoch != e:
+                break
+            depths.append(x.depth if x.depth >= y.depth else y.depth)
+            p |= x._payload ^ y._payload
+        else:
+            # an OR node settles iff its output would pass the budget, and
+            # depth only grows towards the root; over equal depths the
+            # tree's ceil(log2 n) levels add one each
+            d = max(depths)
+            if d == min(depths):
+                d += (len(depths) - 1).bit_length()
+            else:
+                d = pairwise(_and_depth, depths)
+            if d <= s.depth_budget:
+                n = len(depths)
+                z = (s.nonce_state + (4 * n - 3) * _GAMMA) & _MASK64
+                _book(s, 3 * n - 2, n - 1, 0, z)
+                return CipherBit(s, p, e, d, ~z)
+    return pairwise(bit_or, [xor(x, y) for x, y in zip(xs, ys)])
+
+
+def bits_mux(f: CipherBit, xs, ys) -> tuple:
+    """``bit_mux(f, x, y)`` for each bit pair in order: xs where f is 1,
+    else ys."""
+    s = f._state
+    _one_ladder(s, xs)
+    _one_ladder(s, ys)
+    if s.fault_gate >= 0:
+        return tuple(bit_mux(f, x, y) for x, y in zip(xs, ys))
+    e, df, fp, budget = f.epoch, f.depth, f._payload, s.depth_budget
+    z, k, out = s.nonce_state, 0, []
+    for x, y in zip(xs, ys):
+        d = x.depth if x.depth >= y.depth else y.depth
+        if df > d:
+            d = df
+        if d < budget and x.epoch == e and y.epoch == e:
+            z = (z + 3 * _GAMMA) & _MASK64
+            k += 1
+            p = y._payload
+            out.append(CipherBit(s, p ^ (fp & (x._payload ^ p)), e, d + 1,
+                                 ~z))
+        else:
+            _book(s, 2 * k, k, 0, z)
+            out.append(bit_mux(f, x, y))
+            z, k = s.nonce_state, 0
+    _book(s, 2 * k, k, 0, z)
+    return tuple(out)
+
+
+def bits_swap(f: CipherBit, xs, ys):
+    """``bit_swap(f, x, y)`` for each bit pair in order, as two tuples:
+    (ys, xs) where f is 1, else (xs, ys)."""
+    s = f._state
+    _one_ladder(s, xs)
+    _one_ladder(s, ys)
+    if s.fault_gate >= 0:
+        pairs = [bit_swap(f, x, y) for x, y in zip(xs, ys)]
+        return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    e, df, fp, budget = f.epoch, f.depth, f._payload, s.depth_budget
+    z, k, out_x, out_y = s.nonce_state, 0, [], []
+    for x, y in zip(xs, ys):
+        d = x.depth if x.depth >= y.depth else y.depth
+        if df > d:
+            d = df
+        if d < budget and x.epoch == e and y.epoch == e:
+            z = (z + 4 * _GAMMA) & _MASK64
+            k += 1
+            p, q = x._payload, y._payload
+            t = fp & (p ^ q)
+            out_x.append(CipherBit(s, p ^ t, e, d + 1,
+                                   ~((z - _GAMMA) & _MASK64)))
+            out_y.append(CipherBit(s, q ^ t, e, d + 1, ~z))
+        else:
+            _book(s, 3 * k, k, 0, z)
+            a, b = bit_swap(f, x, y)
+            out_x.append(a)
+            out_y.append(b)
+            z, k = s.nonce_state, 0
+    _book(s, 3 * k, k, 0, z)
+    return tuple(out_x), tuple(out_y)
+
+
+def bits_gt(xs, ts) -> CipherBit:
+    """1 iff a > b, given a's bits ``xs`` and the XORs ``ts`` = a ⊕ b,
+    both MSB first; b itself is not read, so a caller that already holds
+    the XORs feeds each bit of b into one gate only.
+
+    LSB first, g is "a > b on the bits seen so far". Where t = 0 it keeps;
+    where t = 1 it becomes x. Both cases are ``bit_mux(t, x, settle(g))``,
+    and the lowest bit seeds g = t ∧ x. In circular mode the settle of g
+    is inline too: one refresh, one nonce step, depth 0. A step whose
+    settle would move g's epoch (leveled mode) or whose operands would
+    need a lift runs as that composition."""
+    s = xs[0]._state
+    _one_ladder(s, xs)
+    _one_ladder(s, ts)
+    budget, circular = s.depth_budget, s.mode == MODE_CIRCULAR
+    inline = s.fault_gate < 0
+    x, t = xs[-1], ts[-1]
+    d = x.depth if x.depth >= t.depth else t.depth
+    if inline and d < budget and x.epoch == t.epoch:
+        # g lives in (gp, ge, gd) and the nonce counter z until a composed
+        # step needs it as a ciphertext
+        g, gp, ge, gd = None, x._payload & t._payload, x.epoch, d + 1
+        z, xors, ands, refreshes = (s.nonce_state + _GAMMA) & _MASK64, 0, 1, 0
+    else:
+        g = and_(t, x)
+        z, gp, ge, gd = s.nonce_state, g._payload, g.epoch, g.depth
+        xors = ands = refreshes = 0
+    for x, t in zip(xs[-2::-1], ts[-2::-1]):
+        settles = gd >= budget
+        d = x.depth if x.depth >= t.depth else t.depth
+        if inline and d < budget and (circular or not settles) and \
+                x.epoch == ge and t.epoch == ge:
+            if settles:
+                z = (z + _GAMMA) & _MASK64
+                refreshes += 1
+                gd = 0
+            z = (z + 3 * _GAMMA) & _MASK64
+            xors += 2
+            ands += 1
+            gp ^= t._payload & (x._payload ^ gp)
+            gd = (d if d >= gd else gd) + 1
+            g = None
+        else:
+            if g is None:
+                g = CipherBit(s, gp, ge, gd, ~z)
+            _book(s, xors, ands, refreshes, z)
+            g = bit_mux(t, x, settle(g))
+            z, gp, ge, gd = s.nonce_state, g._payload, g.epoch, g.depth
+            xors = ands = refreshes = 0
+    _book(s, xors, ands, refreshes, z)
+    return g if g is not None else CipherBit(s, gp, ge, gd, ~z)
 
 
 def _reveal(c: CipherBit) -> int:

@@ -25,7 +25,6 @@ from hequel.circuits import (
     const_word,
     decrypt_word,
     encrypt_word,
-    gt_chain,
     pairwise,
     word_add,
     word_add_bit,
@@ -39,8 +38,8 @@ from hequel.circuits import (
 )
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import LadderMismatch, PlanTypeError, ValueOverflow
-from hequel.kernel import (and_, bit_and_not, bit_or, bit_swap, fan_out,
-                           fresh_bit, not_, settle, xor)
+from hequel.kernel import (and_, bit_and_not, bit_or, bit_swap, bits_differ,
+                           bits_gt, fan_out, fresh_bit, not_, settle, xor)
 from hequel.schema import PlainTable, Schema
 
 
@@ -190,13 +189,19 @@ def _table_epoch(t: EncTable) -> int:
     return max(epochs, default=1)
 
 
-def _row_ne(state, epoch, cells_a, cells_b):
-    """1 iff two rows differ on some listed cell: one balanced OR tree over
-    the XORs of all their bits, one AND per bit but the first. Rows with no
-    cells never differ (an encrypted 0)."""
-    diffs = [xor(x, y) for a, b in zip(cells_a, cells_b)
-             for x, y in zip(a.bits, b.bits)]
-    return any_bit(diffs) if diffs else fresh_bit(state, 0, epoch)
+def _row_bits(cells) -> tuple:
+    """The bits of a row's listed cells, in order, for ``_row_ne``."""
+    return tuple(b for c in cells for b in c.bits)
+
+
+def _row_ne(state, epoch, bits_a, bits_b):
+    """1 iff two rows differ on some listed cell, given the ``_row_bits``
+    of each: one balanced OR tree over the XORs of all their bits, one AND
+    per bit but the first. Rows with no cells never differ (an encrypted
+    0)."""
+    if not bits_a:
+        return fresh_bit(state, 0, epoch)
+    return bits_differ(bits_a, bits_b)
 
 
 def _check_same_ladder(t1: EncTable, t2: EncTable):
@@ -425,7 +430,7 @@ def _match(a, b, want_min: bool):
     w = len(a[0])
     xa, pa, xb, pb = bits[:w], bits[w], bits[w + 1:-1], bits[-1]
     ts = [xor(x, y) for x, y in zip(xa, xb)]
-    keep = and_(pa, gt_chain(xb if want_min else xa, ts))
+    keep = and_(pa, bits_gt(xb if want_min else xa, ts))
     take = settle(bit_and_not(pb, keep))
     value = tuple(xor(x, and_(take, d)) for x, d in zip(xa, ts))
     return value, bit_or(pa, pb)
@@ -448,13 +453,13 @@ def op_distinct(t: EncTable) -> EncTable:
     state = t.state
     epoch = _table_epoch(t)
     rows = list(t.rows)
+    bits = [_row_bits(r.cells) for r in rows]
     for i in range(1, len(rows)):
         # the input presence of row j: p_j AND NOT differ is a copy. The
         # first present copy of a value has no earlier one, so it stays,
         # and no row's test waits on another row's outcome.
         copies = [bit_and_not(t.rows[j].presence,
-                              _row_ne(state, epoch, rows[i].cells,
-                                      rows[j].cells))
+                              _row_ne(state, epoch, bits[i], bits[j]))
                   for j in range(i)]
         rows[i] = EncRow(rows[i].cells,
                          bit_and_not(rows[i].presence, any_bit(copies)))
@@ -498,7 +503,8 @@ def op_groupby_sum(group_cols, sum_col: str, t: EncTable) -> EncTable:
         # ne feeds a gate for every bit of the sum, and the sum's bits feed
         # the next step and every round of the fetch compaction: each goes
         # through fan_out once here. f feeds an AND and an XOR.
-        ne = fan_out(_row_ne(state, epoch, keys_of(prev), keys_of(r)))
+        ne = fan_out(_row_ne(state, epoch, _row_bits(keys_of(prev)),
+                             _row_bits(keys_of(r))))
         f = settle(f)
         emit = and_(ne, f)
         total = CipherWord(tuple(fan_out(x) for x in total.bits))
@@ -531,13 +537,15 @@ def _bag_overlap(t1: EncTable, t2: EncTable, keep_matched: bool) -> EncTable:
     state = t1.state
     epoch = max(_table_epoch(t1), _table_epoch(t2))
     free = [r.presence for r in t2.rows]
+    bits2 = [_row_bits(r.cells) for r in t2.rows]
     out = []
     for r1 in t1.rows:
         need = r1.presence
-        for j, r2 in enumerate(t2.rows):
+        bits1 = _row_bits(r1.cells)
+        for j, bits in enumerate(bits2):
             # both flags feed the AND that both gates of the match read
             take = bit_and_not(settle(and_(free[j], need)),
-                               _row_ne(state, epoch, r1.cells, r2.cells))
+                               _row_ne(state, epoch, bits1, bits))
             free[j] = xor(free[j], take)
             need = xor(need, take)
         p_out = xor(r1.presence, need) if keep_matched else need

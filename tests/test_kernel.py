@@ -455,3 +455,168 @@ def test_settle_and_circular_lift_keep_no_copy():
     c = kernel.fresh_bit(circ, 1, 1)
     assert kernel.lift(c, 1) is c
     assert circ.refresh_count == 0
+
+
+# Each word primitive and the per-bit gate composition that defines it, in
+# the same gate order: the FUSED compositions above, one per bit pair.
+_MUX_COMPOSITION = FUSED[0][3]
+
+
+def _differ_composition(xs, ys):
+    return kernel.pairwise(_or_composition,
+                           [kernel.xor(x, y) for x, y in zip(xs, ys)])
+
+
+def _mux_bits_composition(f, xs, ys):
+    return tuple(_MUX_COMPOSITION(f, x, y) for x, y in zip(xs, ys))
+
+
+def _swap_bits_composition(f, xs, ys):
+    pairs = [_on_top_epoch(_swap_composition)(f, x, y)
+             for x, y in zip(xs, ys)]
+    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+
+
+def _gt_composition(xs, ts):
+    g = kernel.and_(ts[-1], xs[-1])
+    for x, t in zip(xs[-2::-1], ts[-2::-1]):
+        g = _MUX_COMPOSITION(t, x, kernel.settle(g))
+    return g
+
+
+# (name, operand shape: "b" a single bit, "w" a word of n bits, composition)
+WORD = [
+    ("bits_differ", "ww", _differ_composition),
+    ("bits_mux", "bww", _mux_bits_composition),
+    ("bits_swap", "bww", _swap_bits_composition),
+    ("bits_gt", "ww", _gt_composition),
+]
+WORD_IDS = [name for name, *_ in WORD]
+# deep enough that a 16-bit OR tree over shallow bits needs no settle
+WORD_BUDGET = 6
+WORD_LENGTHS = (1, 2, 3, 5, 16)
+
+
+def _flat(out):
+    if isinstance(out, kernel.CipherBit):
+        return (out,)
+    return tuple(c for part in out for c in _flat(part))
+
+
+def _word_spent(s):
+    return ((s.xor_count, s.and_count, s.refresh_count, s.encrypt_count),
+            s.nonce_state)
+
+
+def _run_word_twins(name, composition, mode, groups, fault=None):
+    """The word primitive and its composition on twin ladders, over
+    operand groups of (payload, epoch, depth) triples: one triple for a
+    bit, a list of them for a word. Returns what each left behind."""
+    seen = []
+    epochs = 1 if mode == "circular" else 40
+    for fn in (getattr(kernel, name), composition):
+        s = make_state(mode=mode, budget=WORD_BUDGET, epochs=epochs, seed=11)
+        nonces = itertools.count(1000)
+        args = [kernel.bit_from_parts(s, *g, next(nonces))
+                if isinstance(g, tuple) else
+                tuple(kernel.bit_from_parts(s, *b, next(nonces)) for b in g)
+                for g in groups]
+        if fault is not None:
+            s.fault_gate = fault
+        out = _flat(fn(*args))
+        seen.append(([(kernel._nonce_of(c), c.epoch, c.depth,
+                       kernel._reveal(c)) for c in out], *_word_spent(s)))
+    return seen
+
+
+def _word_cases(shape, n, mode):
+    """Derandomized operand groups for one shape and length: every bit at
+    each depth 0..budget on one epoch (the inline path where it fits), one
+    bit at the budget or a newer epoch at each position, and seeded mixes
+    of depths and, in leveled mode, epochs."""
+    rng = random.Random(f"{shape}-{n}-{mode}")
+    epochs = (1,) if mode == "circular" else (1, 2)
+    size = sum(1 if k == "b" else n for k in shape)
+
+    def groups(bits):
+        it = iter(bits)
+        return [next(it) if k == "b" else [next(it) for _ in range(n)]
+                for k in shape]
+
+    def pay():
+        return rng.randint(0, 1)
+
+    for d in range(WORD_BUDGET + 1):
+        yield groups([(pay(), 1, d) for _ in range(size)])
+    for i in range(size):
+        odd = (pay(), epochs[-1], WORD_BUDGET if len(epochs) == 1 else 0)
+        yield groups([odd if j == i else (pay(), 1, 1) for j in range(size)])
+    for _ in range(12):
+        yield groups([(pay(), rng.choice(epochs),
+                       rng.randint(0, WORD_BUDGET)) for _ in range(size)])
+
+
+@pytest.mark.parametrize("name, shape, composition", WORD, ids=WORD_IDS)
+@pytest.mark.parametrize("mode", ["circular", "leveled"])
+def test_word_primitive_equals_its_gate_composition(name, shape, composition,
+                                                    mode):
+    for n in WORD_LENGTHS:
+        for groups in _word_cases(shape, n, mode):
+            word, reference = _run_word_twins(name, composition, mode, groups)
+            assert word == reference, (n, groups)
+
+
+@pytest.mark.parametrize("name, shape, composition", WORD, ids=WORD_IDS)
+@pytest.mark.parametrize("mode", ["circular", "leveled"])
+def test_word_primitive_with_a_fault_at_each_gate(name, shape, composition,
+                                                  mode):
+    for n in (1, 3, 5):
+        for groups in list(_word_cases(shape, n, mode))[::4]:
+            _, (_, (gates, ands, *_), _) = _run_word_twins(
+                name, composition, mode, groups)
+            for position in range(1, gates + ands + 1):
+                word, reference = _run_word_twins(name, composition, mode,
+                                                  groups, fault=position)
+                assert word == reference, (n, groups, position)
+
+
+@pytest.mark.parametrize("name, shape, composition", WORD, ids=WORD_IDS)
+def test_word_primitive_refuses_a_stranger_bit_anywhere(name, shape,
+                                                        composition):
+    # the refusal comes before any gate, lift or settle on either ladder,
+    # also where the bits before the stranger would lift or settle
+    n = 3
+    size = sum(1 if k == "b" else n for k in shape)
+    for stranger in range(size):
+        home, away = (make_state(mode="leveled", budget=WORD_BUDGET,
+                                 epochs=4) for _ in range(2))
+        bits = [kernel.bit_from_parts(away if i == stranger else home,
+                                      1, 1 + i % 2, WORD_BUDGET * (i % 3 == 0),
+                                      i)
+                for i in range(size)]
+        it = iter(bits)
+        args = [next(it) if k == "b" else tuple(next(it) for _ in range(n))
+                for k in shape]
+        before = [_word_spent(s) for s in (home, away)]
+        with pytest.raises(LadderMismatch):
+            getattr(kernel, name)(*args)
+        assert [_word_spent(s) for s in (home, away)] == before
+
+
+@pytest.mark.parametrize("name, shape, composition", WORD, ids=WORD_IDS)
+def test_word_primitive_inline_path_calls_no_gate(name, shape, composition,
+                                                  monkeypatch):
+    # shallow bits on one epoch, no fault: the whole word is inline, so no
+    # gate or one-AND primitive is called, and the outputs still match
+    s = make_state(budget=WORD_BUDGET)
+    n = 16  # a comparator chain this long settles g inline
+    args = [kernel.fresh_bit(s, 1, 1) if k == "b" else
+            tuple(kernel.fresh_bit(s, i % 2, 1) for i in range(n))
+            for k in shape]
+
+    def refuse(*_):
+        raise AssertionError("the inline path called a gate")
+    for gate in ("xor", "and_", "refresh", "bit_mux", "bit_swap", "bit_or"):
+        monkeypatch.setattr(kernel, gate, refuse)
+    out = _flat(getattr(kernel, name)(*args))
+    assert out and all(c.epoch == 1 and c.depth >= 0 for c in out)
