@@ -14,11 +14,14 @@ AND is the gate that costs depth, and so refreshes; XOR is free. None of
 them calls the kernel's ``not_``, which mints a fresh encryption, except
 ``word_eq``'s single final NOT and ``word_div``'s negated divisor.
 
-Every one-AND step is one of the kernel's four primitives, which build
-only their output bits: ``bit_mux`` (select, the compare step of
-``gt_chain`` and the carries of addition and ``bit_count``), ``bit_swap``,
-``bit_or`` and ``bit_and_not``. They are imported here, so
-``circuits.bit_mux`` and the others name the kernel's functions.
+The loops over whole words are the kernel's word primitives, which build
+only their output bits: ``bits_differ`` (``word_ne``), ``bits_gt`` (the
+comparator chain of ``word_gt``), ``bits_mux`` (``word_mux``) and
+``bits_swap`` (``word_swap``). The other one-AND steps call the kernel's
+one-AND primitives: ``bit_mux`` (the carries of addition and
+``bit_count``), ``bit_or`` and ``bit_and_not``. ``pairwise`` and these
+are imported here, so ``circuits.bit_mux`` and the others name the
+kernel's functions.
 """
 
 from __future__ import annotations

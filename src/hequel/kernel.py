@@ -34,6 +34,21 @@ stream once per gate, in gate order, so each output carries the nonce,
 epoch and depth that the composition would give it. On any other input
 it runs the composition itself.
 
+The word primitives run a whole word circuit of those in one call:
+``bits_differ`` (the XORs of two bit sequences and a ``pairwise`` OR tree
+over them), ``bits_mux`` and ``bits_swap`` (``bit_mux`` and ``bit_swap``
+over each bit pair) and ``bits_gt`` (the comparator chain). Each refuses
+a stranger-ladder bit at any position before any gate, lift or settle,
+and reads the fault switch once. Then it computes inline every step whose
+operands share one epoch and need no settle, counting its gates and
+advancing the nonce stream in gate order, and builds only the word's
+output bits. The rest runs as the composition: ``bits_differ`` inlines
+its whole tree or none of it; ``bits_mux`` and ``bits_swap`` pass a bit
+that would lift or settle to their one-AND primitive, in its place; and
+``bits_gt`` settles its running bit inline in circular mode, where a
+refresh keeps the epoch, and composes the rest of the chain from the
+first step that would lift or move an epoch.
+
 Every gate output, refresh and encryption is a fresh ciphertext with its
 own nonce, the next value of a splitmix64 stream (Steele, Lea and Flood,
 OOPSLA 2014). A gate only advances the stream's counter; the finalizer
@@ -71,7 +86,7 @@ class KernelState:
     __slots__ = (
         "mode", "depth_budget", "num_epochs", "ladder_id",
         "xor_count", "and_count", "refresh_count", "encrypt_count",
-        "fault_gate", "nonce_state", "lifted", "impl",
+        "fault_gate", "nonce_state", "scope", "impl",
     )
 
     def __init__(self, mode: int, depth_budget: int, num_epochs: int,
@@ -90,7 +105,7 @@ class KernelState:
         self.encrypt_count = 0
         self.fault_gate = -1
         self.nonce_state = nonce_state & _MASK64
-        self.lifted = {}
+        self.scope = 0
         self.impl = sys.modules[__name__]
 
     def gate_total(self) -> int:
@@ -103,9 +118,12 @@ class CipherBit:
     ``depth`` are public metadata. ``_nonce`` is either a wire nonce (a
     decoded bit's, non-negative) or the complement ``~z`` of a splitmix64
     counter ``z`` not yet mixed (a minted bit's, negative); ``_nonce_of``
-    returns the wire nonce of both."""
+    returns the wire nonce of both. ``_up`` is the copy ``lift`` made of
+    this bit one epoch up, or None, and ``_up_scope`` the scope it was
+    made in; ``_up_scope`` is unset while ``_up`` is None."""
 
-    __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state")
+    __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state", "_up",
+                 "_up_scope")
 
     def __init__(self, state: KernelState, payload: int, epoch: int,
                  depth: int, nonce: int):
@@ -114,6 +132,7 @@ class CipherBit:
         self.depth = depth
         self._nonce = nonce
         self._state = state
+        self._up = None
 
     def __repr__(self):
         return f"CipherBit(epoch={self.epoch}, depth={self.depth})"
@@ -179,25 +198,22 @@ def fan_out(c: CipherBit) -> CipherBit:
 def lift(c: CipherBit, epoch: int) -> CipherBit:
     """``c`` refreshed up to key ``epoch``, one epoch step at a time; the
     identity in circular mode, which has one epoch. A step this bit
-    already took in the current scope reuses its copy from the ladder's
-    ``lifted`` table, so only the first lift of a bit in a scope pays a
-    refresh per step. The table keeps every copy until the next
-    ``open_scope``: a server opens one per message, but a library caller
-    that never opens one keeps its lifted copies for the ladder's life."""
+    already took in the current scope reuses its copy, so only the first
+    lift of a bit in a scope pays a refresh per step."""
     while c.epoch < epoch:
-        lifted = c._state.lifted
-        up = lifted.get(c)
-        if up is None:
-            up = lifted[c] = refresh(c)
+        up = c._up
+        if up is None or c._up_scope != c._state.scope:
+            up = c._up = refresh(c)
+            c._up_scope = c._state.scope
         c = up
     return c
 
 
 def open_scope(s: KernelState) -> None:
     """Start a new lift scope on ``s``: no copy a lift made before is
-    reused after, and the old copies are dropped. A server opens one per
-    message, so each request's counts depend on that request alone."""
-    s.lifted = {}
+    reused after. A server opens one per message, so each request's
+    counts depend on that request alone."""
+    s.scope += 1
 
 
 _MIXED = "operands were encrypted under different ladders"
@@ -346,14 +362,9 @@ def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:
     return xor(a, and_(a, b))
 
 
-# The word primitives run a whole word circuit of the one-AND primitives in
-# one call. Each refuses a stranger ladder at any position before any gate,
-# lift or settle, and reads the fault switch once. Then every step whose
-# operands share one epoch and need no settle is computed inline: its gates
-# are counted, the nonce stream advances once per gate in gate order, and
-# only the word's output bits are built. A step that would lift or settle
-# goes through its one-AND primitive, at its place in the order, so every
-# output carries the nonce, epoch and depth the composition would give it.
+# The word primitives (see the module docstring). An inline run keeps its
+# gate counts and nonce counter in locals and writes them back with
+# ``_book`` before a composed step reads them, and at its end.
 
 
 def pairwise(fn, items):
@@ -367,10 +378,11 @@ def pairwise(fn, items):
     return items[0]
 
 
-def _one_ladder(s: KernelState, bits) -> None:
-    for b in bits:
-        if b._state is not s:
-            raise LadderMismatch(_MIXED)
+def _one_ladder(s: KernelState, xs, ys) -> None:
+    for bits in (xs, ys):
+        for b in bits:
+            if b._state is not s:
+                raise LadderMismatch(_MIXED)
 
 
 def _and_depth(a: int, b: int) -> int:
@@ -379,8 +391,6 @@ def _and_depth(a: int, b: int) -> int:
 
 def _book(s: KernelState, xors: int, ands: int, refreshes: int,
           z: int) -> None:
-    # an inline run's counts and nonce counter, written back before a
-    # primitive call reads them and at the end
     s.xor_count += xors
     s.and_count += ands
     s.refresh_count += refreshes
@@ -394,8 +404,7 @@ def bits_differ(xs, ys) -> CipherBit:
     every bit shares one epoch, no fault is armed and the public depths
     say no OR node settles; otherwise the composition runs."""
     s = xs[0]._state
-    _one_ladder(s, xs)
-    _one_ladder(s, ys)
+    _one_ladder(s, xs, ys)
     if s.fault_gate < 0:
         e, p, depths = xs[0].epoch, 0, []
         for x, y in zip(xs, ys):
@@ -424,11 +433,10 @@ def bits_mux(f: CipherBit, xs, ys) -> tuple:
     """``bit_mux(f, x, y)`` for each bit pair in order: xs where f is 1,
     else ys."""
     s = f._state
-    _one_ladder(s, xs)
-    _one_ladder(s, ys)
-    if s.fault_gate >= 0:
-        return tuple(bit_mux(f, x, y) for x, y in zip(xs, ys))
-    e, df, fp, budget = f.epoch, f.depth, f._payload, s.depth_budget
+    _one_ladder(s, xs, ys)
+    # an armed fault sends every bit through the composition
+    budget = s.depth_budget if s.fault_gate < 0 else 0
+    e, df, fp = f.epoch, f.depth, f._payload
     z, k, out = s.nonce_state, 0, []
     for x, y in zip(xs, ys):
         d = x.depth if x.depth >= y.depth else y.depth
@@ -441,7 +449,8 @@ def bits_mux(f: CipherBit, xs, ys) -> tuple:
             out.append(CipherBit(s, p ^ (fp & (x._payload ^ p)), e, d + 1,
                                  ~z))
         else:
-            _book(s, 2 * k, k, 0, z)
+            if k:
+                _book(s, 2 * k, k, 0, z)
             out.append(bit_mux(f, x, y))
             z, k = s.nonce_state, 0
     _book(s, 2 * k, k, 0, z)
@@ -452,12 +461,9 @@ def bits_swap(f: CipherBit, xs, ys):
     """``bit_swap(f, x, y)`` for each bit pair in order, as two tuples:
     (ys, xs) where f is 1, else (xs, ys)."""
     s = f._state
-    _one_ladder(s, xs)
-    _one_ladder(s, ys)
-    if s.fault_gate >= 0:
-        pairs = [bit_swap(f, x, y) for x, y in zip(xs, ys)]
-        return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
-    e, df, fp, budget = f.epoch, f.depth, f._payload, s.depth_budget
+    _one_ladder(s, xs, ys)
+    budget = s.depth_budget if s.fault_gate < 0 else 0
+    e, df, fp = f.epoch, f.depth, f._payload
     z, k, out_x, out_y = s.nonce_state, 0, [], []
     for x, y in zip(xs, ys):
         d = x.depth if x.depth >= y.depth else y.depth
@@ -472,7 +478,8 @@ def bits_swap(f: CipherBit, xs, ys):
                                    ~((z - _GAMMA) & _MASK64)))
             out_y.append(CipherBit(s, q ^ t, e, d + 1, ~z))
         else:
-            _book(s, 3 * k, k, 0, z)
+            if k:
+                _book(s, 3 * k, k, 0, z)
             a, b = bit_swap(f, x, y)
             out_x.append(a)
             out_y.append(b)
@@ -489,49 +496,43 @@ def bits_gt(xs, ts) -> CipherBit:
     LSB first, g is "a > b on the bits seen so far". Where t = 0 it keeps;
     where t = 1 it becomes x. Both cases are ``bit_mux(t, x, settle(g))``,
     and the lowest bit seeds g = t ∧ x. In circular mode the settle of g
-    is inline too: one refresh, one nonce step, depth 0. A step whose
-    settle would move g's epoch (leveled mode) or whose operands would
-    need a lift runs as that composition."""
+    is inline too: one refresh, one nonce step, depth 0. From the first
+    step whose settle would move g's epoch (leveled mode) or whose
+    operands would need a lift or a settle, the rest of the chain runs as
+    that composition."""
     s = xs[0]._state
-    _one_ladder(s, xs)
-    _one_ladder(s, ts)
+    _one_ladder(s, xs, ts)
     budget, circular = s.depth_budget, s.mode == MODE_CIRCULAR
-    inline = s.fault_gate < 0
     x, t = xs[-1], ts[-1]
     d = x.depth if x.depth >= t.depth else t.depth
-    if inline and d < budget and x.epoch == t.epoch:
-        # g lives in (gp, ge, gd) and the nonce counter z until a composed
-        # step needs it as a ciphertext
-        g, gp, ge, gd = None, x._payload & t._payload, x.epoch, d + 1
-        z, xors, ands, refreshes = (s.nonce_state + _GAMMA) & _MASK64, 0, 1, 0
-    else:
-        g = and_(t, x)
-        z, gp, ge, gd = s.nonce_state, g._payload, g.epoch, g.depth
-        xors = ands = refreshes = 0
-    for x, t in zip(xs[-2::-1], ts[-2::-1]):
-        settles = gd >= budget
-        d = x.depth if x.depth >= t.depth else t.depth
-        if inline and d < budget and (circular or not settles) and \
-                x.epoch == ge and t.epoch == ge:
+    i = len(xs) - 2  # the next step's bit
+    if d < budget and x.epoch == t.epoch and s.fault_gate < 0:
+        # g lives in (gp, ge, gd) and the nonce counter z
+        gp, ge, gd = x._payload & t._payload, x.epoch, d + 1
+        z, ands, refreshes = (s.nonce_state + _GAMMA) & _MASK64, 1, 0
+        while i >= 0:
+            x, t = xs[i], ts[i]
+            d = x.depth if x.depth >= t.depth else t.depth
+            settles = gd >= budget
+            if d >= budget or (settles and not circular) or \
+                    x.epoch != ge or t.epoch != ge:
+                break
             if settles:
                 z = (z + _GAMMA) & _MASK64
                 refreshes += 1
                 gd = 0
             z = (z + 3 * _GAMMA) & _MASK64
-            xors += 2
             ands += 1
             gp ^= t._payload & (x._payload ^ gp)
             gd = (d if d >= gd else gd) + 1
-            g = None
-        else:
-            if g is None:
-                g = CipherBit(s, gp, ge, gd, ~z)
-            _book(s, xors, ands, refreshes, z)
-            g = bit_mux(t, x, settle(g))
-            z, gp, ge, gd = s.nonce_state, g._payload, g.epoch, g.depth
-            xors = ands = refreshes = 0
-    _book(s, xors, ands, refreshes, z)
-    return g if g is not None else CipherBit(s, gp, ge, gd, ~z)
+            i -= 1
+        _book(s, 2 * ands - 2, ands, refreshes, z)
+        g = CipherBit(s, gp, ge, gd, ~z)
+    else:
+        g = and_(t, x)
+    for i in range(i, -1, -1):
+        g = bit_mux(ts[i], xs[i], settle(g))
+    return g
 
 
 def _reveal(c: CipherBit) -> int:

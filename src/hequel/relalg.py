@@ -189,9 +189,9 @@ def _table_epoch(t: EncTable) -> int:
     return max(epochs, default=1)
 
 
-def _row_bits(cells) -> tuple:
-    """The bits of a row's listed cells, in order, for ``_row_ne``."""
-    return tuple(b for c in cells for b in c.bits)
+def _row_bits(words) -> tuple:
+    """The bits of a row's listed cells (or any words), in order."""
+    return tuple(b for w in words for b in w.bits)
 
 
 def _row_ne(state, epoch, bits_a, bits_b):
@@ -210,7 +210,7 @@ def _check_same_ladder(t1: EncTable, t2: EncTable):
 
 
 def _concat(words) -> CipherWord:
-    return CipherWord(tuple(b for w in words for b in w.bits))
+    return CipherWord(_row_bits(words))
 
 
 def _settled_row(r: EncRow) -> EncRow:
