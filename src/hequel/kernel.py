@@ -385,10 +385,6 @@ def _one_ladder(s: KernelState, xs, ys) -> None:
                 raise LadderMismatch(_MIXED)
 
 
-def _and_depth(a: int, b: int) -> int:
-    return (a if a >= b else b) + 1
-
-
 def _book(s: KernelState, xors: int, ands: int, refreshes: int,
           z: int) -> None:
     s.xor_count += xors
@@ -420,7 +416,7 @@ def bits_differ(xs, ys) -> CipherBit:
             if d == min(depths):
                 d += (len(depths) - 1).bit_length()
             else:
-                d = pairwise(_and_depth, depths)
+                d = pairwise(lambda a, b: (a if a >= b else b) + 1, depths)
             if d <= s.depth_budget:
                 n = len(depths)
                 z = (s.nonce_state + (4 * n - 3) * _GAMMA) & _MASK64
