@@ -503,11 +503,6 @@ def _flat(out):
     return tuple(c for part in out for c in _flat(part))
 
 
-def _word_spent(s):
-    return ((s.xor_count, s.and_count, s.refresh_count, s.encrypt_count),
-            s.nonce_state)
-
-
 def _run_word_twins(name, composition, mode, groups, fault=None):
     """The word primitive and its composition on twin ladders, over
     operand groups of (payload, epoch, depth) triples: one triple for a
@@ -523,9 +518,7 @@ def _run_word_twins(name, composition, mode, groups, fault=None):
                 for g in groups]
         if fault is not None:
             s.fault_gate = fault
-        out = _flat(fn(*args))
-        seen.append(([(kernel._nonce_of(c), c.epoch, c.depth,
-                       kernel._reveal(c)) for c in out], *_word_spent(s)))
+        seen.append(_observe(s, _flat(fn(*args))))
     return seen
 
 
@@ -572,9 +565,9 @@ def test_word_primitive_with_a_fault_at_each_gate(name, shape, composition,
                                                   mode):
     for n in (1, 3, 5):
         for groups in list(_word_cases(shape, n, mode))[::4]:
-            _, (_, (gates, ands, *_), _) = _run_word_twins(
+            _, (_, (xors, ands, *_), _) = _run_word_twins(
                 name, composition, mode, groups)
-            for position in range(1, gates + ands + 1):
+            for position in range(1, xors + ands + 1):
                 word, reference = _run_word_twins(name, composition, mode,
                                                   groups, fault=position)
                 assert word == reference, (n, groups, position)
@@ -597,10 +590,10 @@ def test_word_primitive_refuses_a_stranger_bit_anywhere(name, shape,
         it = iter(bits)
         args = [next(it) if k == "b" else tuple(next(it) for _ in range(n))
                 for k in shape]
-        before = [_word_spent(s) for s in (home, away)]
+        before = [_spent(s) for s in (home, away)]
         with pytest.raises(LadderMismatch):
             getattr(kernel, name)(*args)
-        assert [_word_spent(s) for s in (home, away)] == before
+        assert [_spent(s) for s in (home, away)] == before
 
 
 @pytest.mark.parametrize("name, shape, composition", WORD, ids=WORD_IDS)
