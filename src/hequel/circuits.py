@@ -15,9 +15,9 @@ them calls the kernel's ``not_``, which mints a fresh encryption, except
 ``word_eq``'s single final NOT and ``word_div``'s negated divisor.
 
 The loops over whole words are the kernel's word primitives, which build
-only their output bits: ``bits_differ`` (``word_ne``), ``bits_gt`` (the
-comparator chain of ``word_gt``), ``bits_mux`` (``word_mux``) and
-``bits_swap`` (``word_swap``). The other one-AND steps call the kernel's
+only their output bits: ``bits_differ`` (``word_ne``), ``bits_xor`` and
+``bits_gt`` (``word_gt``'s operand XORs and its comparator chain) and
+``bits_mux`` (``word_mux``). The other one-AND steps call the kernel's
 one-AND primitives: ``bit_mux`` (the carries of addition and
 ``bit_count``), ``bit_or`` and ``bit_and_not``. ``pairwise`` and these
 are imported here, so ``circuits.bit_mux`` and the others name the
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from hequel.crypto import ClientKeys, PublicKey
 from hequel.errors import ValueOverflow, WidthMismatch
 from hequel.kernel import (and_, bit_and_not, bit_mux, bit_or, bits_differ,
-                           bits_gt, bits_mux, bits_swap, fresh_bit, lift,
+                           bits_gt, bits_mux, bits_xor, fresh_bit, lift,
                            not_, pairwise, settle, xor)
 
 DEFAULT_WIDTH = 8
@@ -106,7 +106,7 @@ def word_eq(a: CipherWord, b: CipherWord):
 def word_gt(a: CipherWord, b: CipherWord):
     """1 iff a > b (unsigned), one AND per bit and no constants."""
     _check_width(a, b)
-    return bits_gt(a.bits, tuple(xor(x, y) for x, y in zip(a.bits, b.bits)))
+    return bits_gt(a.bits, bits_xor(a.bits, b.bits))
 
 
 def _ripple(abits, bbits, carry=None):
@@ -149,14 +149,6 @@ def word_mux(f, a: CipherWord, b: CipherWord) -> CipherWord:
     bit (``bit_mux``)."""
     _check_width(a, b)
     return CipherWord(bits_mux(settle(f), a.bits, b.bits))
-
-
-def word_swap(f, a: CipherWord, b: CipherWord):
-    """(b, a) when the encrypted bit f is 1, else (a, b): ``bit_swap`` per
-    bit, one AND per bit for both outputs."""
-    _check_width(a, b)
-    xs, ys = bits_swap(f, a.bits, b.bits)
-    return CipherWord(xs), CipherWord(ys)
 
 
 def word_and_bit(a: CipherWord, f) -> CipherWord:

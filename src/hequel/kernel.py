@@ -19,9 +19,10 @@ itself. A bit that feeds a gate for every bit of whole rows, or that a
 gate reads in every round of a loop, goes through ``fan_out`` once
 instead: the sort's compare-swap selectors, the fetch compaction's
 movers and every cell bit entering it, and groupby's boundary flag and
-running sum once per step. These three functions make every refresh
-decision above the gates: no other library module calls ``refresh`` or
-reads the mode.
+running sum once per step. These three functions, with ``bits_settle``
+for a whole row of settles, make every refresh decision above the gates:
+no other library module calls ``refresh`` or reads the mode, which
+``tests/test_kernel_boundary.py`` checks.
 
 The one-AND primitives live here too: ``bit_mux``, ``bit_swap``,
 ``bit_or`` and ``bit_and_not``. Each is defined by a short composition of
@@ -34,17 +35,19 @@ stream once per gate, in gate order, so each output carries the nonce,
 epoch and depth that the composition would give it. On any other input
 it runs the composition itself.
 
-The word primitives run a whole word circuit of those in one call:
-``bits_differ`` (the XORs of two bit sequences and a ``pairwise`` OR tree
-over them), ``bits_mux`` and ``bits_swap`` (``bit_mux`` and ``bit_swap``
-over each bit pair) and ``bits_gt`` (the comparator chain). Each refuses
-a stranger-ladder bit at any position before any gate, lift or settle,
-and reads the fault switch once. Then it computes inline every step whose
-operands share one epoch and need no settle, counting its gates and
-advancing the nonce stream in gate order, and builds only the word's
-output bits. The rest runs as the composition: ``bits_differ`` inlines
-its whole tree or none of it; ``bits_mux`` and ``bits_swap`` pass a bit
-that would lift or settle to their one-AND primitive, in its place; and
+The word primitives run a whole word, or a whole row, in one call:
+``bits_settle`` (``settle`` per bit), ``bits_xor`` (``xor`` per bit
+pair), ``bits_differ`` (the XORs of two bit sequences and a ``pairwise``
+OR tree over them), ``bits_mux`` and ``bits_swap`` (``bit_mux`` and
+``bit_swap`` over each bit pair) and ``bits_gt`` (the comparator chain).
+Each refuses a stranger-ladder bit at any position before any gate, lift
+or settle, and reads the fault switch once. Then it computes inline every
+step whose operands share one epoch and need no settle, counting its
+gates and advancing the nonce stream in gate order, and builds only the
+output bits. The rest runs as the composition: ``bits_settle`` refreshes
+only the bits at the budget; ``bits_xor`` and ``bits_differ`` are inline
+as a whole or not at all; ``bits_mux`` and ``bits_swap`` pass a bit that
+would lift or settle to their one-AND primitive, in its place; and
 ``bits_gt`` settles its running bit inline in circular mode, where a
 refresh keeps the epoch, and composes the rest of the chain from the
 first step that would lift or move an epoch.
@@ -378,8 +381,8 @@ def pairwise(fn, items):
     return items[0]
 
 
-def _one_ladder(s: KernelState, xs, ys) -> None:
-    for bits in (xs, ys):
+def _one_ladder(s: KernelState, *seqs) -> None:
+    for bits in seqs:
         for b in bits:
             if b._state is not s:
                 raise LadderMismatch(_MIXED)
@@ -391,6 +394,38 @@ def _book(s: KernelState, xors: int, ands: int, refreshes: int,
     s.and_count += ands
     s.refresh_count += refreshes
     s.nonce_state = z
+
+
+def bits_settle(bits) -> tuple:
+    """``settle`` for each bit of a non-empty sequence, in order: a bit at
+    the depth budget is refreshed, every other bit comes back as it is."""
+    s = bits[0]._state
+    _one_ladder(s, bits)
+    budget = s.depth_budget
+    return tuple([refresh(b) if b.depth >= budget else b for b in bits])
+
+
+def bits_xor(xs, ys) -> tuple:
+    """``xor`` for each pair of the equal-length, non-empty bit sequences,
+    in order. Inline as a whole when every bit shares one epoch and no
+    fault is armed; otherwise the per-bit composition from the first
+    bit."""
+    s = xs[0]._state
+    _one_ladder(s, xs, ys)
+    if s.fault_gate < 0:
+        e, z, out = xs[0].epoch, s.nonce_state, []
+        for x, y in zip(xs, ys):
+            if x.epoch != e or y.epoch != e:
+                break
+            z = (z + _GAMMA) & _MASK64
+            out.append(CipherBit(s, x._payload ^ y._payload, e,
+                                 x.depth if x.depth >= y.depth else y.depth,
+                                 ~z))
+        else:
+            s.xor_count += len(out)
+            s.nonce_state = z
+            return tuple(out)
+    return tuple([xor(x, y) for x, y in zip(xs, ys)])
 
 
 def bits_differ(xs, ys) -> CipherBit:

@@ -16,6 +16,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from hequel.circuits import (
     CipherWord,
@@ -32,14 +33,13 @@ from hequel.circuits import (
     word_div,
     word_eq,
     word_gt,
-    word_mux,
     word_ne,
-    word_swap,
 )
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import LadderMismatch, PlanTypeError, ValueOverflow
-from hequel.kernel import (and_, bit_and_not, bit_or, bit_swap, bits_differ,
-                           bits_gt, fan_out, fresh_bit, not_, settle, xor)
+from hequel.kernel import (and_, bit_and_not, bit_or, bits_differ, bits_gt,
+                           bits_mux, bits_settle, bits_swap, bits_xor, fan_out,
+                           fresh_bit, not_, settle, xor)
 from hequel.schema import PlainTable, Schema
 
 
@@ -209,25 +209,23 @@ def _check_same_ladder(t1: EncTable, t2: EncTable):
         raise LadderMismatch("operands use different ladders")
 
 
-def _concat(words) -> CipherWord:
-    return CipherWord(_row_bits(words))
+def _cell_starts(cells) -> list:
+    """The bit offset of each cell in its row's ``_row_bits``, then the
+    number of cell bits."""
+    return list(accumulate((c.width for c in cells), initial=0))
 
 
-def _settled_row(r: EncRow) -> EncRow:
-    """The row with every bit at the depth budget refreshed once, before a
-    comparator reads its bits into several gates."""
-    return EncRow(tuple(CipherWord(tuple(settle(b) for b in c.bits))
-                        for c in r.cells), settle(r.presence))
+def _cells_of(bits, starts) -> tuple:
+    """The cells of a flat row, split at ``_cell_starts``; any bits after
+    the cells are not read."""
+    return tuple(CipherWord(bits[s:e]) for s, e in zip(starts, starts[1:]))
 
 
-def _swap_rows(f, a: EncRow, b: EncRow):
-    """Compare-and-swap: when f is 1 the rows trade places, presence bits
-    included; when 0 both pass through. Same circuit either way, one AND
-    per bit for both rows. f comes through ``fan_out``."""
-    cells = [word_swap(f, ca, cb) for ca, cb in zip(a.cells, b.cells)]
-    pa, pb = bit_swap(f, a.presence, b.presence)
-    return (EncRow(tuple(ca for ca, _ in cells), pa),
-            EncRow(tuple(cb for _, cb in cells), pb))
+def _cell_index(cells, word) -> int:
+    for i, c in enumerate(cells):
+        if c is word:
+            return i
+    raise ValueError("a sort key must be one of the row's own cells")
 
 
 def merge_exchange(n: int) -> list[tuple[int, int]]:
@@ -253,9 +251,18 @@ def merge_exchange(n: int) -> list[tuple[int, int]]:
 def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
                         adjacent_only: bool = False):
     """Sort rows with encrypted compare-and-swaps on the fixed
-    ``merge_exchange`` schedule. ``key_fn(row)`` returns the tuple of
-    CipherWords to compare. Each selector reaches every bit of both rows,
-    so it passes through ``kernel.fan_out`` first.
+    ``merge_exchange`` schedule. ``key_fn(row)`` returns the tuple of the
+    row's own cells to compare, at the same column positions in every
+    row: it is called once, on the first row, and each returned cell is
+    found among that row's cells by identity, which fixes the key's bit
+    positions for the whole network.
+
+    Each row travels as one flat bit tuple, its cell bits then its
+    presence, so a comparator makes one kernel call per step:
+    ``bits_settle`` on each row, ``bits_xor`` and ``bits_gt`` over the
+    gathered key bits, ``fan_out`` on the selector, which reaches every
+    bit of both rows, and one ``bits_swap`` over both whole rows. The
+    rows are rebuilt as ``EncRow`` values at the end.
 
     By default the order is total: presence leads, so the present rows
     form a prefix in both directions, then the keys, then each row's
@@ -271,30 +278,38 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
     together in some order and absent rows among the present ones. With
     no key either, every order will do and no gate runs."""
     n = len(rows)
-    if n < 2 or (adjacent_only and not key_fn(rows[0])):
+    if n < 2:
         return list(rows)
-    rows = list(rows)
-    if not adjacent_only:
+    keys = key_fn(rows[0])
+    if adjacent_only and not keys:
+        return list(rows)
+    cells = rows[0].cells
+    starts = _cell_starts(cells)
+    pos = []
+    for k in keys:
+        i = _cell_index(cells, k)
+        pos.extend(range(starts[i], starts[i + 1]))
+    if adjacent_only:
+        flat = [_row_bits(r.cells) + (r.presence,) for r in rows]
+    else:
+        # the index bits ride between the cells and the presence
         width = (n - 1).bit_length()
-        # the index rides as a trailing cell, so key_fn's cell indices
-        # still hold
-        rows = [EncRow(r.cells + (const_word(state, i, width, epoch),),
-                       r.presence) for i, r in enumerate(rows)]
+        idx = range(starts[-1], starts[-1] + width)
+        flat = [_row_bits(r.cells) + const_word(state, i, width, epoch).bits
+                + (r.presence,) for i, r in enumerate(rows)]
     for i, j in merge_exchange(n):
-        a, b = _settled_row(rows[i]), _settled_row(rows[j])
-        ka, kb = key_fn(a), key_fn(b)
+        a, b = bits_settle(flat[i]), bits_settle(flat[j])
+        ka, kb = [a[p] for p in pos], [b[p] for p in pos]
         if not ascending:
             ka, kb = kb, ka
         if not adjacent_only:
-            ka = (CipherWord((b.presence,)), *ka, a.cells[-1])
-            kb = (CipherWord((a.presence,)), *kb, b.cells[-1])
+            ka = [b[-1], *ka, *[a[p] for p in idx]]
+            kb = [a[-1], *kb, *[b[p] for p in idx]]
         # keys have public widths, so lexicographic order over them is the
         # unsigned order of their concatenation: one comparator chain
-        f = word_gt(_concat(ka), _concat(kb))
-        rows[i], rows[j] = _swap_rows(fan_out(f), a, b)
-    if not adjacent_only:
-        rows = [EncRow(r.cells[:-1], r.presence) for r in rows]
-    return rows
+        f = fan_out(bits_gt(ka, bits_xor(ka, kb)))
+        flat[i], flat[j] = bits_swap(f, a, b)
+    return [EncRow(_cells_of(bits, starts), bits[-1]) for bits in flat]
 
 
 def compact_rows(rows):
@@ -309,14 +324,19 @@ def compact_rows(rows):
     and its remaining count bits along. Present rows i < k never meet:
     after round j they sit at i - (c_i mod 2^j) and k - (c_k mod 2^j), and
     (c_k mod 2^j) - (c_i mod 2^j) <= c_k - c_i < k - i. So presence moves
-    by XOR alone. Each mover bit passes through ``kernel.fan_out`` once,
-    and its cells, count bits and presence share that copy. Every cell bit
-    passes through ``fan_out`` once on entry, so a deep cell (a groupby
-    sum, a sort's keys) is refreshed there and not again in each round's
-    ``word_mux``, which keeps the depth of its XOR side; a fresh cell has
-    no depth and passes as it is. Each round settles the presence a mover
-    reads. The gates depend only on len(rows); fewer than two rows come
-    back untouched.
+    by XOR alone.
+
+    A slot holds one flat bit tuple, its cell bits followed by its unused
+    count bits, least significant first, beside its presence; each round
+    drops the count bit it used and moves the rest with one ``bits_mux``
+    per slot. Each mover bit passes through ``kernel.fan_out`` once, and
+    its slot's bits and presence share that copy. Every cell bit passes
+    through ``fan_out`` once on entry, so a deep cell (a groupby sum, a
+    sort's keys) is refreshed there and not again in each round's mux,
+    which keeps the depth of its XOR side; a fresh cell has no depth and
+    passes as it is. Each round settles the presence a mover reads. The
+    gates depend only on len(rows); fewer than two rows come back
+    untouched.
     The fetch runs it on every result that is not packed; a sort's result
     already holds its present rows in front, so it is not run there.
     """
@@ -328,36 +348,32 @@ def compact_rows(rows):
     counts = [const_word(rows[0].presence._state, 0, width, epoch)]
     for r in rows[:-1]:
         counts.append(word_add_bit(counts[-1], not_(r.presence)))
-    # per slot: cells, presence, and the count bits still unused, LSB first
-    slots = [(tuple(CipherWord(tuple(fan_out(b) for b in c.bits))
-                    for c in r.cells), r.presence, c.bits[::-1])
+    starts = _cell_starts(rows[0].cells)
+    m = starts[-1]  # the cell bits; the next count bit sits at m
+    slots = [(tuple([fan_out(b) for b in _row_bits(r.cells)]) + c.bits[::-1],
+              r.presence)
              for r, c in zip(rows, counts)]
     for j in range(width):
         shift = 1 << j
         # a mover's AND and its slot's XORs read one settled presence
-        slots[shift:] = [(cells, settle(p), bits)
-                         for cells, p, bits in slots[shift:]]
+        slots[shift:] = [(bits, settle(p)) for bits, p in slots[shift:]]
         # a present row below slot 2^j cannot have bit j set: it would
         # have to end before slot 0
-        moves = [None] * shift + [fan_out(and_(p, bits[0]))
-                                  for _, p, bits in slots[shift:]]
+        moves = [None] * shift + [fan_out(and_(p, bits[m]))
+                                  for bits, p in slots[shift:]]
+        kept = [bits[:m] + bits[m + 1:] for bits, _ in slots]
         out = []
-        for t, (cells, p, bits) in enumerate(slots):
+        for t, (_, p) in enumerate(slots):
             if moves[t] is not None:
                 p = xor(p, moves[t])
-            bits = bits[1:]
+            bits = kept[t]
             if t + shift < n:
                 f = moves[t + shift]
-                src_cells, _, src_bits = slots[t + shift]
-                cells = tuple(word_mux(f, a, b)
-                              for a, b in zip(src_cells, cells))
-                if bits:
-                    bits = word_mux(f, CipherWord(src_bits[1:]),
-                                    CipherWord(bits)).bits
+                bits = bits_mux(f, kept[t + shift], bits)
                 p = xor(f, p)
-            out.append((cells, p, bits))
+            out.append((bits, p))
         slots = out
-    return [EncRow(cells, p) for cells, p, _ in slots]
+    return [EncRow(_cells_of(bits, starts), p) for bits, p in slots]
 
 
 # --- operators --------------------------------------------------------------
@@ -429,7 +445,7 @@ def _match(a, b, want_min: bool):
     bits = [settle(x) for x in (*a[0], a[1], *b[0], b[1])]
     w = len(a[0])
     xa, pa, xb, pb = bits[:w], bits[w], bits[w + 1:-1], bits[-1]
-    ts = [xor(x, y) for x, y in zip(xa, xb)]
+    ts = bits_xor(xa, xb)
     keep = and_(pa, bits_gt(xb if want_min else xa, ts))
     take = settle(bit_and_not(pb, keep))
     value = tuple(xor(x, and_(take, d)) for x, d in zip(xa, ts))

@@ -477,6 +477,14 @@ def _swap_bits_composition(f, xs, ys):
     return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
 
+def _xor_bits_composition(xs, ys):
+    return tuple(kernel.xor(x, y) for x, y in zip(xs, ys))
+
+
+def _settle_bits_composition(bits):
+    return tuple(kernel.settle(b) for b in bits)
+
+
 def _gt_composition(xs, ts):
     g = kernel.and_(ts[-1], xs[-1])
     for x, t in zip(xs[-2::-1], ts[-2::-1]):
@@ -490,6 +498,8 @@ WORD = [
     ("bits_mux", "bww", _mux_bits_composition),
     ("bits_swap", "bww", _swap_bits_composition),
     ("bits_gt", "ww", _gt_composition),
+    ("bits_xor", "ww", _xor_bits_composition),
+    ("bits_settle", "w", _settle_bits_composition),
 ]
 WORD_IDS = [name for name, *_ in WORD]
 # deep enough that a 16-bit OR tree over shallow bits needs no settle

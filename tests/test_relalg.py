@@ -14,7 +14,7 @@ from hequel.crypto import SecurityContext, keygen
 from hequel.errors import DuplicateColumn, LadderMismatch, PlanTypeError
 from hequel.relalg import (Cmp, ColRef, EncLit, Lit, compact_rows,
                            decrypt_table, decrypt_table_full, encrypt_table,
-                           merge_exchange, op_avg,
+                           merge_exchange, oblivious_sort_rows, op_avg,
                            op_bag_diff, op_bag_intersect, op_bag_union,
                            op_count, op_cross, op_distinct, op_groupby_sum,
                            op_max, op_min, op_project, op_select, op_sort,
@@ -214,6 +214,66 @@ def test_compact_rows_every_presence_pattern(session):
             kept = [i for i, p in enumerate(presence) if p]
             assert [i for i, _ in got[:m]] == kept, presence
             assert [p for _, p in got] == [1] * m + [0] * (n - m), presence
+
+
+def test_compact_rows_keeps_rows_whole_over_unequal_widths(session):
+    # two cells of unequal widths: a wrong split of a slot's cell bits and
+    # count bits shows in either cell
+    _, keys, pk = session
+    for n in range(7):
+        plain = PlainTable(Schema((("i", 3), ("v", 5))),
+                           [(i, 31 - 3 * i) for i in range(n)])
+        for presence in product((0, 1), repeat=n):
+            t = encrypt_table(pk, plain, presence=list(presence), name="t")
+            out = compact_rows(t.rows)
+            rows = [tuple(decrypt_word(keys, c) for c in r.cells) for r in out]
+            m = sum(presence)
+            kept = [r for r, p in zip(plain.rows, presence) if p]
+            assert rows[:m] == kept, presence
+            assert [keys.decrypt_bit(r.presence) for r in out] == \
+                [1] * m + [0] * (n - m), presence
+
+
+@pytest.mark.parametrize("col", ["a", "k", "b"])
+def test_sort_descending_is_stable_over_unequal_widths(session, col):
+    _, keys, pk = session
+    schema = Schema((("a", 2), ("k", 4), ("b", 1)))
+    plain = [(1, 9, 0), (3, 3, 1), (1, 9, 1), (0, 14, 0), (2, 3, 1),
+             (3, 9, 0), (1, 0, 1)]
+    presence = [1, 1, 0, 1, 1, 0, 1]
+    t = encrypt_table(pk, PlainTable(schema, plain), presence=presence,
+                      name="t")
+    ci = schema.index_of(col)
+    # present rows first, each part by the key descending, ties in input
+    # order; every physical row keeps its cells and presence
+    order = sorted(range(len(plain)),
+                   key=lambda i: (-presence[i], -plain[i][ci], i))
+    rows, got = decrypt_table_full(keys, op_sort(col, False, t))
+    assert rows == [plain[i] for i in order]
+    assert got == [presence[i] for i in order]
+
+
+def test_adjacent_only_sort_on_the_second_cell(session):
+    # the key's bits sit after the 3-bit first cell in the flat row
+    _, keys, pk = session
+    ks = [2, 0, 3, 2, 0, 1, 2, 3]
+    presence = [1, 0, 1, 1, 1, 0, 1, 1]
+    plain = PlainTable(Schema((("v", 3), ("k", 2))), list(enumerate(ks)))
+    t = encrypt_table(pk, plain, presence=presence, name="t")
+    out = oblivious_sort_rows(t.rows, lambda r: (r.cells[1],), True, t.state,
+                              1, adjacent_only=True)
+    got = [(decrypt_word(keys, r.cells[0]), decrypt_word(keys, r.cells[1]),
+            keys.decrypt_bit(r.presence)) for r in out]
+    assert sorted(got) == list(zip(range(len(ks)), ks, presence))
+    assert [k for _, k, _ in got] == sorted(ks)
+
+
+def test_sort_key_must_be_a_cell_of_the_row(session):
+    _, _, pk = session
+    t = encrypt_table(pk, PlainTable(Schema((("k", 2),)), [(1,), (2,)]))
+    with pytest.raises(ValueError):
+        oblivious_sort_rows(t.rows, lambda r: (encrypt_word(pk, 1, 2),),
+                            True, t.state, 1)
 
 
 def test_distinct_counts_absent_rows_as_absent(session):
