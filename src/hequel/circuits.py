@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from hequel.crypto import ClientKeys, PublicKey
 from hequel.errors import ValueOverflow, WidthMismatch
 from hequel.kernel import (and_, bit_and_not, bit_mux, bit_or, bits_differ,
-                           bits_gt, bits_mux, bits_xor, fresh_bit, lift,
-                           not_, pairwise, settle, xor)
+                           bits_gt, bits_mux, bits_xor, fresh_bit,
+                           fresh_word, lift, not_, pairwise, settle, xor)
 
 DEFAULT_WIDTH = 8
 
@@ -80,9 +80,7 @@ def const_word(state, value: int, width: int, epoch: int) -> CipherWord:
         raise WidthMismatch("width must be >= 1")
     if not 0 <= value < (1 << width):
         raise ValueOverflow(f"{value} does not fit in {width} unsigned bits")
-    return CipherWord(tuple(
-        fresh_bit(state, (value >> (width - 1 - i)) & 1, epoch)
-        for i in range(width)))
+    return CipherWord(fresh_word(state, value, width, epoch))
 
 
 def any_bit(bits):

@@ -21,7 +21,6 @@ from hequel import dsl, engine, randgen, serial
 from hequel.crypto import MAX_EPOCHS, SecurityContext, keygen
 from hequel.errors import HequelError, ProtocolError
 from hequel.protocol import ClientSession, ServerStore
-from hequel.relalg import encrypt_table
 from hequel.schema import csv_text, read_csv
 
 
@@ -133,10 +132,9 @@ def cmd_ingest(args) -> int:
     pk = ladder.public_key()
     summaries = []
     for name, plain in plains.items():
-        enc = encrypt_table(pk, plain, name=name)
         (tables_dir / f"{name}.json").write_text(
-            _dumps(serial.table_to_obj(ladder, enc)))
-        summaries.append((name, enc.capacity, len(enc.schema.columns)))
+            _dumps(serial.encrypt_table_obj(pk, plain, name)))
+        summaries.append((name, len(plain.rows), len(plain.schema.columns)))
     # session is saved after encryption so the nonce stream continues
     _save_session(db, ladder)
     for name, capacity, ncols in summaries:

@@ -55,9 +55,21 @@ first step that would lift or move an epoch.
 Every gate output, refresh and encryption is a fresh ciphertext with its
 own nonce, the next value of a splitmix64 stream (Steele, Lea and Flood,
 OOPSLA 2014). A gate only advances the stream's counter; the finalizer
-that mixes a counter into the nonce runs when ``_nonce_of`` reads it,
-which only serialization does, so the few bits that reach the wire pay
-for it and the rest never do.
+that mixes a counter into the nonce runs when serialization reads the
+bit (``_wire_parts``, or ``_nonce_of`` for one bit), so the few bits
+that reach the wire pay for it and the rest never do.
+
+The mint and wire helpers take a whole word, or a whole table, per call.
+``fresh_word`` mints a word's bits as ``fresh_bit`` per bit would, and
+``_fresh_wire_nonces`` draws the wire nonces of n fresh encryptions,
+mixed at once, for an encoder that writes a plaintext table straight to
+the wire and builds no bit. Both step the stream through ``_counters``
+and move ``encrypt_count`` as the per-bit calls would. ``_wire_parts``
+reads a word's bits as the parts the wire holds (nonces, payload bits,
+epochs and depths), and ``word_from_parts`` builds the bits back from
+them as ``bit_from_parts`` per bit would. Only the kernel and
+serialization use the two that read payloads or wire nonces,
+``_wire_parts`` and ``_fresh_wire_nonces``.
 """
 
 from __future__ import annotations
@@ -148,6 +160,15 @@ def _next_nonce(s: KernelState) -> int:
     return ~z
 
 
+def _counters(s: KernelState, n: int) -> list:
+    """The next ``n`` counter values of ``s``'s nonce stream, in order; the
+    stream moves on by ``n`` steps, as ``n`` calls of ``_next_nonce``
+    would move it."""
+    z = s.nonce_state
+    s.nonce_state = (z + n * _GAMMA) & _MASK64
+    return [(z + i * _GAMMA) & _MASK64 for i in range(1, n + 1)]
+
+
 def _mix(z: int) -> int:
     # splitmix64's finalizer: the nonce of counter value ``z``
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -161,10 +182,50 @@ def fresh_bit(s: KernelState, payload: int, epoch: int) -> CipherBit:
     return CipherBit(s, payload & 1, epoch, 0, _next_nonce(s))
 
 
+def fresh_word(s: KernelState, value: int, width: int, epoch: int) -> tuple:
+    """``fresh_bit`` for each of the ``width`` low bits of ``value``, most
+    significant first, in one call: the same payloads, epoch, nonces and
+    ``encrypt_count``."""
+    s.encrypt_count += width
+    return tuple([CipherBit(s, value >> i & 1, epoch, 0, ~z) for i, z in
+                  zip(range(width - 1, -1, -1), _counters(s, width))])
+
+
+def _fresh_wire_nonces(s: KernelState, n: int) -> list:
+    """The wire nonces of ``n`` fresh encryptions, in order, for a caller
+    that writes them straight to the wire and builds no bit: the stream
+    and ``encrypt_count`` move as ``n`` calls of ``fresh_bit`` move them.
+    Each counter is mixed here, since every one of them reaches the
+    wire."""
+    s.encrypt_count += n
+    return [_mix(z) for z in _counters(s, n)]
+
+
 def bit_from_parts(s: KernelState, payload: int, epoch: int, depth: int,
                    nonce: int) -> CipherBit:
     """Rebuild a ciphertext from its serialized parts (no counter bump)."""
     return CipherBit(s, payload & 1, epoch, depth, nonce & _MASK64)
+
+
+def word_from_parts(s: KernelState, payload: int, epochs, depths,
+                    nonces) -> tuple:
+    """``bit_from_parts`` for each bit of a word in one call: bit i takes
+    bit i of ``payload`` (LSB first), ``epochs[i]``, ``depths[i]`` and
+    ``nonces[i]``."""
+    return tuple([CipherBit(s, payload >> i & 1, e, d, x & _MASK64)
+                  for i, (x, e, d) in enumerate(zip(nonces, epochs, depths))])
+
+
+def _wire_parts(bits) -> tuple:
+    """A word's bits as its wire parts: (wire nonces, payloads packed LSB
+    first in bit order, epochs, depths), the inverse of
+    ``word_from_parts``. A minted bit's counter is mixed here."""
+    nonces, payload = [], 0
+    for i, b in enumerate(bits):
+        n = b._nonce
+        nonces.append(n if n >= 0 else _mix(~n))
+        payload |= b._payload << i
+    return nonces, payload, [b.epoch for b in bits], [b.depth for b in bits]
 
 
 def refresh(c: CipherBit) -> CipherBit:

@@ -6,7 +6,11 @@ half, no ``ClientKeys``, and can never decrypt. Each message is checked once,
 where it enters: ``serial.message_from_bytes`` refuses a message of a type
 its reader does not take, every payload field is read through
 ``serial.field``, and the server typechecks a decoded plan against its
-stored schemas with the client's own rules before any gate runs.
+stored schemas with the client's own rules before any gate runs. The
+server's state is bounded: it refuses an upload of more than
+``MAX_UPLOAD_ROWS`` rows, or once it stores ``MAX_STORED_TABLES`` tables,
+before any word is decoded, and a query once ``MAX_PENDING_RESULTS``
+results await their fetch.
 
 Result return is two round trips. The server first answers a query with
 the encrypted presence-count of the result table plus its public capacity.
@@ -40,7 +44,6 @@ from hequel.kernel import open_scope
 from hequel.relalg import (
     EncTable,
     compact_rows,
-    encrypt_table,
     oblivious_sort_rows,  # noqa: F401
     op_count,
 )
@@ -49,6 +52,10 @@ from hequel.schema import PlainTable, Schema
 # results counted but not yet fetched that one server holds at most; a
 # query past the cap is refused before its plan is evaluated
 MAX_PENDING_RESULTS = 64
+# rows one upload may hold, and tables one server stores at most; an
+# upload past either is refused before any of its words is decoded
+MAX_UPLOAD_ROWS = 4096
+MAX_STORED_TABLES = 256
 
 
 class ServerStore:
@@ -72,8 +79,16 @@ class ServerStore:
             msg["query_id"], msg["payload"])
 
     def _handle_upload(self, qid: str, payload) -> bytes:
-        table = serial.table_from_obj(
-            self.ladder, serial.field(payload, "table", dict, "upload_table"))
+        obj = serial.field(payload, "table", dict, "upload_table")
+        rows = len(serial.field(obj, "rows", list, "table"))
+        if rows > MAX_UPLOAD_ROWS:
+            raise ProtocolError(
+                f"upload of {rows} rows, at most {MAX_UPLOAD_ROWS} allowed")
+        if len(self.tables) >= MAX_STORED_TABLES:
+            raise ProtocolError(
+                f"{len(self.tables)} tables are stored, the most one server "
+                "holds")
+        table = serial.table_from_obj(self.ladder, obj)
         if not table.name:
             raise ProtocolError("uploaded table needs a name")
         if table.name in self.tables:
@@ -157,11 +172,10 @@ class ClientSession:
 
     def upload_message(self, name: str, plain: PlainTable) -> bytes:
         """Step 1.a: encrypt a table for upload; every row present."""
-        enc = encrypt_table(self.pk, plain, name=name)
+        table = serial.encrypt_table_obj(self.pk, plain, name)
         self.catalog[name] = plain.schema
-        return serial.message_to_bytes(
-            "upload_table", self._new_qid(),
-            {"table": serial.table_to_obj(self._ladder, enc)})
+        return serial.message_to_bytes("upload_table", self._new_qid(),
+                                       {"table": table})
 
     def query_message(self, plan) -> tuple[str, bytes]:
         """Step 2.a: typecheck, encrypt literals, send the plan."""

@@ -63,9 +63,11 @@ class PlainTable:
 
     def __post_init__(self):
         for row in self.rows:
-            self._check_row(row)
+            self.check_row(row)
 
-    def _check_row(self, row: tuple[int, ...]):
+    def check_row(self, row: tuple[int, ...]):
+        """Raise ValueOverflow unless ``row`` holds one value per column,
+        each fitting its column's width."""
         if len(row) != len(self.schema.columns):
             raise ValueOverflow(
                 f"row has {len(row)} cells, schema has {len(self.schema.columns)}")
@@ -75,7 +77,7 @@ class PlainTable:
                     f"{value} does not fit column {name!r} of width {width}")
 
     def append(self, row: tuple[int, ...]):
-        self._check_row(row)
+        self.check_row(row)
         self.rows.append(row)
 
 

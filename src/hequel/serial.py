@@ -12,6 +12,14 @@ nonces and the 2-byte epochs. Every payload bit is masked by a keyed
 pseudorandom bit that depends on its own unique nonce, so without the mask
 key the blob does not reveal the plaintext; round-trips are byte-exact
 because the nonces are preserved.
+
+One writer, ``_word_obj``, holds that layout. ``word_to_obj`` feeds it a
+word's bits as the kernel reads them off (``kernel._wire_parts``), and
+``encrypt_table_obj`` feeds it straight from a plaintext table, with wire
+nonces drawn from the kernel's stream: the client's upload builds no
+ciphertext object, yet its bytes, nonces and counts are those of
+``table_to_obj`` over ``relalg.encrypt_table``. ``word_from_obj`` builds
+a decoded word's bits in one kernel call (``kernel.word_from_parts``).
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ import struct
 
 from hequel import kernel
 from hequel.circuits import CipherWord
-from hequel.crypto import ClientKeys, KeyLadder, SecurityContext, keygen
+from hequel.crypto import (ClientKeys, KeyLadder, PublicKey, SecurityContext,
+                           keygen)
 from hequel.errors import LadderMismatch, ProtocolError
 from hequel.relalg import EncRow, EncTable
-from hequel.schema import Schema
+from hequel.schema import PlainTable, Schema
 
 WIRE_VERSION = 2
 
@@ -42,16 +51,22 @@ def _uniform(values: list):
     return values[0] if values.count(values[0]) == len(values) else values
 
 
-def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
-    bits, width = w.bits, w.width
-    epochs = [b.epoch for b in bits]
-    head = struct.pack(f">{width}Q", *map(kernel._nonce_of, bits))
-    payload = sum(kernel._reveal(b) << i for i, b in enumerate(bits))
+def _word_obj(ladder: KeyLadder, nonces, payload: int, epochs: list,
+              depths: list) -> dict:
+    """The v2 object of one word from its wire parts: the bits' wire
+    nonces, their payloads packed LSB first in bit order, and their
+    per-bit epochs and depths. The word layout is written here alone."""
+    width = len(nonces)
+    head = struct.pack(f">{width}Q", *nonces)
     payload ^= _mask(ladder, head, epochs)
     blob = head + payload.to_bytes((width + 7) // 8, "little")
     return {"v": WIRE_VERSION, "width": width, "epoch": _uniform(epochs),
-            "depth": _uniform([b.depth for b in bits]),
+            "depth": _uniform(depths),
             "blob": base64.b64encode(blob).decode("ascii")}
+
+
+def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
+    return _word_obj(ladder, *kernel._wire_parts(w.bits))
 
 
 def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
@@ -93,11 +108,9 @@ def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
     payload ^= _mask(ladder, head, epochs)
     if payload >> width:
         raise ProtocolError("ciphertext blob has padding bits set")
-    state = ladder.state
-    return CipherWord(tuple(
-        kernel.bit_from_parts(state, payload >> i, e, d, n)
-        for i, (n, e, d) in enumerate(
-            zip(struct.unpack(f">{width}Q", head), epochs, depths))))
+    return CipherWord(kernel.word_from_parts(
+        ladder.state, payload, epochs, depths,
+        struct.unpack(f">{width}Q", head)))
 
 
 def field(obj, key: str, kind: type, what: str):
@@ -145,6 +158,36 @@ def table_to_obj(ladder: KeyLadder, t: EncTable) -> dict:
     return {"v": WIRE_VERSION, "name": t.name,
             "schema": schema_to_obj(t.schema),
             "rows": [row_to_obj(ladder, r) for r in t.rows]}
+
+
+def encrypt_table_obj(pk: PublicKey, plain: PlainTable,
+                      name: str = "") -> dict:
+    """The wire object of ``plain`` encrypted under ``pk`` with every row
+    present, built straight from the plaintext: byte for byte
+    ``table_to_obj(ladder, relalg.encrypt_table(pk, plain, name=name))``,
+    with the same nonces drawn in the same order, and no ciphertext
+    object made. A row that does not fit the schema raises ValueOverflow
+    (``PlainTable.check_row``) before any nonce is drawn."""
+    for row in plain.rows:
+        plain.check_row(row)
+    widths = [w for _, w in plain.schema.columns]
+    ladder, epoch = pk.ladder, pk.epoch
+    nonces = kernel._fresh_wire_nonces(
+        ladder.state, len(plain.rows) * (sum(widths) + 1))
+    at, rows = 0, []
+    for row in plain.rows:
+        cells = []
+        for value, width in zip(row, widths):
+            # bit i of the payload is bit i of the word, MSB first
+            payload = int(f"{value:0{width}b}"[::-1], 2)
+            cells.append(_word_obj(ladder, nonces[at:at + width], payload,
+                                   [epoch] * width, [0] * width))
+            at += width
+        rows.append({"cells": cells, "p": _word_obj(
+            ladder, nonces[at:at + 1], 1, [epoch], [0])})
+        at += 1
+    return {"v": WIRE_VERSION, "name": name,
+            "schema": schema_to_obj(plain.schema), "rows": rows}
 
 
 def table_rows_from_obj(ladder: KeyLadder, obj: dict):

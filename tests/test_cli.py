@@ -7,7 +7,11 @@ from collections import Counter
 
 import pytest
 
+from hequel import serial
 from hequel.cli import main
+from hequel.crypto import SecurityContext, keygen
+from hequel.relalg import encrypt_table
+from hequel.schema import read_csv
 
 PC_CSV = ("model:12,speed:4,ram:12,hd:10,price:12\n"
           "1001,3,1024,250,2114\n"
@@ -37,6 +41,23 @@ def test_ingest_and_query_round_trip(tmp_path, pc_csv, capsys):
     got = capsys.readouterr().out.splitlines()
     assert got[0] == "model:12,speed:4,ram:12,hd:10,price:12"
     assert Counter(got[1:]) == Counter(PC_CSV.splitlines()[1:])
+
+
+def test_ingest_writes_what_the_object_path_writes(tmp_path, pc_csv):
+    other = tmp_path / "laptop.csv"
+    other.write_text("model:12,screen:5\n2001,17\n2002,15\n")
+    db = tmp_path / "db"
+    assert main(["ingest", "--db", str(db), "--seed", "cli-test", pc_csv,
+                 str(other)]) == 0
+    # the object path under the same seed, table by table in argument order
+    ladder, _ = keygen(SecurityContext(), seed="cli-test")
+    for name, path in (("pc", pc_csv), ("laptop", other)):
+        table = encrypt_table(ladder.public_key(), read_csv(path), name=name)
+        want = json.dumps(serial.table_to_obj(ladder, table),
+                          separators=(",", ":"))
+        assert (db / "tables" / f"{name}.json").read_text() == want
+    session = json.loads((db / "session.json").read_text())
+    assert session["ladder"]["nonce_state"] == ladder.state.nonce_state
 
 
 def test_query_select_and_stats(tmp_path, pc_csv, capsys):

@@ -623,3 +623,64 @@ def test_word_primitive_inline_path_calls_no_gate(name, shape, composition,
         monkeypatch.setattr(kernel, gate, refuse)
     out = _flat(getattr(kernel, name)(*args))
     assert out and all(c.epoch == 1 and c.depth >= 0 for c in out)
+
+
+# The minting and wire helpers do in one call what the per-bit functions
+# do bit by bit, and are held equal to them here.
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 12, 64])
+def test_fresh_word_equals_fresh_bit_per_bit(width):
+    rng = random.Random(width)
+    for value in (0, (1 << width) - 1, rng.randrange(1 << width)):
+        for epoch in (1, 3):
+            seed = rng.getrandbits(64)
+            word_s, bit_s = (make_state(mode="leveled", epochs=3, seed=seed)
+                             for _ in range(2))
+            word = kernel.fresh_word(word_s, value, width, epoch)
+            bits = tuple(kernel.fresh_bit(bit_s, value >> i & 1, epoch)
+                         for i in reversed(range(width)))
+            assert _observe(word_s, word) == _observe(bit_s, bits)
+            assert word_s.encrypt_count == width
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 300])
+def test_fresh_wire_nonces_equal_fresh_bits_read_off(n):
+    seed = random.Random(n).getrandbits(64)
+    wire_s, bit_s = (make_state(seed=seed) for _ in range(2))
+    nonces = kernel._fresh_wire_nonces(wire_s, n)
+    bits = [kernel.fresh_bit(bit_s, 0, 1) for _ in range(n)]
+    assert nonces == [kernel._nonce_of(c) for c in bits]
+    assert _spent(wire_s) == _spent(bit_s)
+
+
+def test_word_from_parts_equals_bit_from_parts_per_bit():
+    rng = random.Random(5)
+    s = make_state(mode="leveled", epochs=9)
+    for width in (1, 3, 8, 64):
+        payload = rng.getrandbits(width)
+        nonces = [rng.getrandbits(64) for _ in range(width)]
+        # one epoch and depth for every bit, as most words have, and mixes
+        uniform = ([4] * width, [2] * width)
+        mixed = ([rng.randint(1, 9) for _ in range(width)],
+                 [rng.randint(0, 8) for _ in range(width)])
+        for epochs, depths in (uniform, (mixed[0], uniform[1]),
+                               (uniform[0], mixed[1]), mixed):
+            want = tuple(kernel.bit_from_parts(s, payload >> i, epochs[i],
+                                               depths[i], nonces[i])
+                         for i in range(width))
+            got = kernel.word_from_parts(s, payload, epochs, depths, nonces)
+            assert _observe(s, got) == _observe(s, want)
+
+
+def test_wire_parts_read_what_word_from_parts_takes():
+    ladder = gate_ladder()
+    outs = tuple(gate_outputs(ladder.state))
+    nonces, payload, epochs, depths = kernel._wire_parts(outs)
+    assert nonces == [kernel._nonce_of(c) for c in outs]
+    assert payload == sum(kernel._reveal(c) << i for i, c in enumerate(outs))
+    assert (epochs, depths) == ([c.epoch for c in outs],
+                                [c.depth for c in outs])
+    back = kernel.word_from_parts(ladder.state, payload, epochs, depths,
+                                  nonces)
+    assert _observe(ladder.state, back) == _observe(ladder.state, outs)

@@ -4,8 +4,11 @@ mode stay inside ``hequel.kernel``.
 Every module of ``src/hequel`` is parsed, and a use of a guarded name
 outside the modules allowed it fails the test: a call to ``refresh`` or a
 read of ``_payload`` outside the kernel, ``_reveal`` outside the kernel,
-decryption and serialization, and ``MODE_CIRCULAR`` or ``MODE_LEVELED``
-outside the kernel and ``crypto``, which maps mode names to them.
+decryption and serialization, ``MODE_CIRCULAR`` or ``MODE_LEVELED``
+outside the kernel and ``crypto``, which maps mode names to them, and
+the wire helpers that read payloads or mint wire nonces,
+``_fresh_wire_nonces`` and ``_wire_parts``, outside the kernel and
+serialization.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ RULES = {
     "_reveal": ({"kernel.py", "crypto.py", "serial.py"}, False),
     "MODE_CIRCULAR": ({"kernel.py", "crypto.py"}, False),
     "MODE_LEVELED": ({"kernel.py", "crypto.py"}, False),
+    "_fresh_wire_nonces": ({"kernel.py", "serial.py"}, False),
+    "_wire_parts": ({"kernel.py", "serial.py"}, False),
 }
 
 
@@ -64,8 +69,11 @@ def test_the_walk_sees_each_guarded_use(tmp_path):
         "kernel.refresh(b)\n"
         "b._payload\n"
         "kernel.MODE_CIRCULAR\n"
-        "refresh = kernel.settle\n")
+        "refresh = kernel.settle\n"
+        "kernel._fresh_wire_nonces(s, 3)\n"
+        "from hequel.kernel import _wire_parts\n")
     assert sorted(_breaches(probe)) == [
         "relalg.py:1: MODE_LEVELED", "relalg.py:1: _reveal",
         "relalg.py:3: refresh", "relalg.py:4: _payload",
-        "relalg.py:5: MODE_CIRCULAR"]
+        "relalg.py:5: MODE_CIRCULAR", "relalg.py:7: _fresh_wire_nonces",
+        "relalg.py:8: _wire_parts"]

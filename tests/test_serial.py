@@ -7,11 +7,13 @@ import base64
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hequel import kernel, serial
 from hequel.circuits import CipherWord, decrypt_word, encrypt_word
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
-from hequel.errors import LadderMismatch, ProtocolError
+from hequel.errors import LadderMismatch, ProtocolError, ValueOverflow
 from hequel.relalg import decrypt_table, encrypt_table, op_sort
 from hequel.schema import PlainTable, Schema
 
@@ -184,3 +186,52 @@ def test_decoded_table_is_never_packed(session):
     back = serial.table_from_obj(ladder, serial.table_to_obj(ladder, ordered))
     assert not back.packed
     assert decrypt_table(keys, back).rows == [(1,), (2,)]
+
+
+# --- the upload encoder, held equal to the object path ------------------------
+
+@st.composite
+def plain_tables(draw):
+    widths = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    values = [st.sampled_from([0, (1 << w) - 1]) | st.integers(0, (1 << w) - 1)
+              for w in widths]
+    rows = draw(st.lists(st.tuples(*values), max_size=5))
+    return PlainTable(Schema(tuple((f"c{i}", w)
+                                   for i, w in enumerate(widths))), rows)
+
+
+# (context, public-key epoch): the encoder writes the key's epoch
+CONTEXTS = [(SecurityContext(), 1),
+            (SecurityContext(mode="leveled", epochs=3), 2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plain_tables(), st.integers(0, 2**64 - 1), st.sampled_from(CONTEXTS))
+def test_encrypt_table_obj_equals_the_object_path(plain, nonce_state, ctx):
+    context, epoch = ctx
+    sides = []
+    for encode in (
+            lambda pk: serial.encrypt_table_obj(pk, plain, "t"),
+            lambda pk: serial.table_to_obj(
+                pk.ladder, encrypt_table(pk, plain, name="t"))):
+        ladder, _ = keygen(context, seed=b"encoder")
+        ladder.state.nonce_state = nonce_state
+        table = encode(ladder.public_key(epoch))
+        sides.append((serial.message_to_bytes("upload_table", "q",
+                                              {"table": table}),
+                      ladder.state.encrypt_count, ladder.state.nonce_state))
+    assert sides[0] == sides[1]
+
+
+@pytest.mark.parametrize("row", [(16, 0), (3, 64), (-1, 0), (3,)])
+def test_encrypt_table_obj_refuses_a_row_past_its_schema(session, row):
+    ladder, _, pk = session
+    plain = PlainTable(Schema((("a", 4), ("b", 6))), [(3, 9)])
+    plain.rows.append(row)  # past the checks of PlainTable.append
+    state = ladder.state
+    before = (state.encrypt_count, state.nonce_state)
+    with pytest.raises(ValueOverflow):
+        serial.encrypt_table_obj(pk, plain, "t")
+    # refused before any nonce is drawn
+    assert (state.encrypt_count, state.nonce_state) == before

@@ -6,7 +6,8 @@ Inputs are arbitrary bytes, byte-level corruptions of valid messages, and
 structural mutations of valid ``upload_table`` / ``query`` /
 ``fetch_rows_request`` messages (one JSON value replaced, one key or list
 item dropped). Examples are derandomized so Tier-1 runs the same inputs on
-every run, and nothing is written to a hypothesis database.
+every run, and nothing is written to a hypothesis database. Two further
+tests send an upload past each of the server's upload bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from hequel import dsl, serial
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import HequelError
-from hequel.protocol import ClientSession, ServerStore
+from hequel.protocol import (MAX_STORED_TABLES, MAX_UPLOAD_ROWS,
+                             ClientSession, ServerStore, setup_upload)
 from hequel.relalg import encrypt_table
 from hequel.schema import PlainTable, Schema
 
@@ -131,3 +133,36 @@ def test_mutated_messages(mtype, data):
     else:
         parent.pop(key)
     handle_or_hequel_error(json.dumps(msg).encode())
+
+
+def test_upload_past_the_row_bound_is_refused_before_any_decode():
+    msg = json.loads(UPLOAD)
+    server = fresh_server()
+    tables = dict(server.tables)
+    before = counters(LADDER.state), LADDER.state.nonce_state
+    # rows no decoder accepts, so only the bound can refuse them first
+    msg["payload"]["table"]["rows"] = [0] * (MAX_UPLOAD_ROWS + 1)
+    with pytest.raises(HequelError, match=f"at most {MAX_UPLOAD_ROWS}"):
+        server.handle(json.dumps(msg).encode())
+    # at the bound the rows reach the row decoder, which refuses them
+    msg["payload"]["table"]["rows"].pop()
+    with pytest.raises(HequelError, match="row lacks"):
+        server.handle(json.dumps(msg).encode())
+    assert server.tables == tables
+    assert (counters(LADDER.state), LADDER.state.nonce_state) == before
+
+
+def test_upload_past_the_table_bound_is_refused():
+    ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"bounds")
+    server = ServerStore(ladder)
+    client = ClientSession(keys, ladder.public_key())
+    tiny = PlainTable(Schema((("a", 1),)), [(1,)])
+    for i in range(MAX_STORED_TABLES):
+        setup_upload(client, server, f"t{i}", tiny)
+    msg = client.upload_message("last", tiny)
+    before = counters(ladder.state), ladder.state.nonce_state
+    with pytest.raises(HequelError, match=f"{MAX_STORED_TABLES} tables"):
+        server.handle(msg)
+    assert len(server.tables) == MAX_STORED_TABLES
+    assert "last" not in server.tables
+    assert (counters(ladder.state), ladder.state.nonce_state) == before
