@@ -9,8 +9,9 @@ its reader does not take, every payload field is read through
 stored schemas with the client's own rules before any gate runs. The
 server's state is bounded: it refuses an upload of more than
 ``MAX_UPLOAD_ROWS`` rows, or once it stores ``MAX_STORED_TABLES`` tables,
-before any word is decoded, and a query once ``MAX_PENDING_RESULTS``
-results await their fetch.
+before any row is decoded, and a query once ``MAX_PENDING_RESULTS``
+results await their fetch. An upload without a name, or under a name
+already stored, is refused before any row is decoded too.
 
 Result return is two round trips. The server first answers a query with
 the encrypted presence-count of the result table plus its public capacity.
@@ -80,6 +81,11 @@ class ServerStore:
 
     def _handle_upload(self, qid: str, payload) -> bytes:
         obj = serial.field(payload, "table", dict, "upload_table")
+        name = serial.field(obj, "name", str, "table")
+        if not name:
+            raise ProtocolError("uploaded table needs a name")
+        if name in self.tables:
+            raise ProtocolError(f"table {name!r} is already stored")
         rows = len(serial.field(obj, "rows", list, "table"))
         if rows > MAX_UPLOAD_ROWS:
             raise ProtocolError(
@@ -89,11 +95,7 @@ class ServerStore:
                 f"{len(self.tables)} tables are stored, the most one server "
                 "holds")
         table = serial.table_from_obj(self.ladder, obj)
-        if not table.name:
-            raise ProtocolError("uploaded table needs a name")
-        if table.name in self.tables:
-            raise ProtocolError(f"table {table.name!r} is already stored")
-        self.tables[table.name] = table
+        self.tables[name] = table
         return serial.message_to_bytes(
             "upload_ok", qid, {"name": table.name, "capacity": table.capacity})
 

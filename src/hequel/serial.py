@@ -3,23 +3,33 @@
 Everything serializes to JSON with fixed key insertion order and compact
 separators, so equal values produce byte-identical messages (golden tests
 rely on this). A ciphertext word of w bits is one object,
-``{"v": 2, "width": w, "epoch": e, "depth": d, "blob": b64}``; a presence
-bit is a width-1 word. ``epoch`` and ``depth`` are one int when every bit
-agrees, else a w-long list. The base64 blob holds the w 8-byte big-endian
-nonces in bit order, then ceil(w/8) bytes of payload bits packed LSB-first
-and XORed with one shake-256 digest keyed by the ladder's mask key, the
-nonces and the 2-byte epochs. Every payload bit is masked by a keyed
-pseudorandom bit that depends on its own unique nonce, so without the mask
-key the blob does not reveal the plaintext; round-trips are byte-exact
-because the nonces are preserved.
+``{"v": 2, "width": w, "epoch": e, "depth": d, "blob": b64}``.
+``epoch`` and ``depth`` are one int when every bit agrees, else a w-long
+list. The base64 blob holds the w 8-byte big-endian nonces in bit order,
+then ceil(w/8) bytes of payload bits packed LSB-first and XORed with one
+shake-256 digest keyed by the ladder's mask key, the nonces and the 2-byte
+epochs. Every payload bit is masked by a keyed pseudorandom bit that
+depends on its own unique nonce, so without the mask key the blob does not
+reveal the plaintext; round-trips are byte-exact because the nonces are
+preserved.
 
-One writer, ``_word_obj``, holds that layout. ``word_to_obj`` feeds it a
-word's bits as the kernel reads them off (``kernel._wire_parts``), and
-``encrypt_table_obj`` feeds it straight from a plaintext table, with wire
-nonces drawn from the kernel's stream: the client's upload builds no
-ciphertext object, yet its bytes, nonces and counts are those of
-``table_to_obj`` over ``relalg.encrypt_table``. ``word_from_obj`` builds
-a decoded word's bits in one kernel call (``kernel.word_from_parts``).
+A table row travels as one such word over its flat bits: the cells in
+column order, each MSB first, then the presence bit. The row's object adds
+one key, ``"cells"``, the list of cell widths, which sum to the word's
+width less one. Every bit keeps its own nonce, epoch and depth, so a row
+record is still one ciphertext per bit; it only shares one header, one
+blob and one digest among them. A table object (``TABLE_VERSION`` 3) holds
+its name, schema and row records; version 2 made each cell and each
+presence bit its own word, and is refused with its version.
+
+One writer, ``_word_obj``, holds the word layout. ``word_to_obj`` and
+``row_to_obj`` feed it bits as the kernel reads them off
+(``kernel._wire_parts``), and ``encrypt_table_obj`` feeds it straight from
+a plaintext table, with wire nonces drawn from the kernel's stream: the
+client's upload builds no ciphertext object, yet its bytes, nonces and
+counts are those of ``table_to_obj`` over ``relalg.encrypt_table``.
+``word_from_obj`` and ``row_from_obj`` build a decoded word's or row's
+bits in one kernel call (``kernel.word_from_parts``).
 """
 
 from __future__ import annotations
@@ -37,7 +47,9 @@ from hequel.errors import LadderMismatch, ProtocolError
 from hequel.relalg import EncRow, EncTable
 from hequel.schema import PlainTable, Schema
 
+# the word layout, and the table object whose rows are one word each
 WIRE_VERSION = 2
+TABLE_VERSION = 3
 
 
 def _mask(ladder: KeyLadder, head: bytes, epochs: list) -> int:
@@ -125,18 +137,34 @@ def field(obj, key: str, kind: type, what: str):
     return value
 
 
+def _row_obj(ladder: KeyLadder, widths: list, *parts) -> dict:
+    """The record of one row: the word of its flat bits' wire parts, and
+    its cell widths."""
+    obj = _word_obj(ladder, *parts)
+    obj["cells"] = list(widths)
+    return obj
+
+
 def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
-    return {"cells": [word_to_obj(ladder, c) for c in row.cells],
-            "p": word_to_obj(ladder, CipherWord((row.presence,)))}
+    return _row_obj(ladder, [c.width for c in row.cells], *kernel._wire_parts(
+        [b for c in row.cells for b in c.bits] + [row.presence]))
 
 
 def row_from_obj(ladder: KeyLadder, obj: dict) -> EncRow:
-    cells = field(obj, "cells", list, "row")
-    presence = word_from_obj(ladder, field(obj, "p", dict, "row"))
-    if presence.width != 1:
-        raise ProtocolError(f"presence word has width {presence.width}, want 1")
-    return EncRow(tuple(word_from_obj(ladder, c) for c in cells),
-                  presence.bits[0])
+    """A row record decoded with every check of a word, split by its cell
+    widths; it needs no schema."""
+    widths = field(obj, "cells", list, "row")
+    bits = word_from_obj(ladder, obj).bits
+    if not all(type(w) is int and w > 0 for w in widths) or (
+            sum(widths) != len(bits) - 1):
+        raise ProtocolError(
+            f"row cells do not split its {len(bits)} bits into cells of "
+            "positive width and one presence bit")
+    cells, at = [], 0
+    for w in widths:
+        cells.append(CipherWord(bits[at:at + w]))
+        at += w
+    return EncRow(tuple(cells), bits[at])
 
 
 def schema_to_obj(schema: Schema) -> list:
@@ -155,7 +183,7 @@ def schema_from_obj(obj: list) -> Schema:
 def table_to_obj(ladder: KeyLadder, t: EncTable) -> dict:
     if t.state is not ladder.state:
         raise LadderMismatch("table belongs to a different ladder")
-    return {"v": WIRE_VERSION, "name": t.name,
+    return {"v": TABLE_VERSION, "name": t.name,
             "schema": schema_to_obj(t.schema),
             "rows": [row_to_obj(ladder, r) for r in t.rows]}
 
@@ -172,21 +200,17 @@ def encrypt_table_obj(pk: PublicKey, plain: PlainTable,
         plain.check_row(row)
     widths = [w for _, w in plain.schema.columns]
     ladder, epoch = pk.ladder, pk.epoch
-    nonces = kernel._fresh_wire_nonces(
-        ladder.state, len(plain.rows) * (sum(widths) + 1))
-    at, rows = 0, []
-    for row in plain.rows:
-        cells = []
-        for value, width in zip(row, widths):
-            # bit i of the payload is bit i of the word, MSB first
-            payload = int(f"{value:0{width}b}"[::-1], 2)
-            cells.append(_word_obj(ladder, nonces[at:at + width], payload,
-                                   [epoch] * width, [0] * width))
-            at += width
-        rows.append({"cells": cells, "p": _word_obj(
-            ladder, nonces[at:at + 1], 1, [epoch], [0])})
-        at += 1
-    return {"v": WIRE_VERSION, "name": name,
+    width = sum(widths) + 1
+    nonces = kernel._fresh_wire_nonces(ladder.state, len(plain.rows) * width)
+    epochs, depths = [epoch] * width, [0] * width
+    rows = []
+    for at, row in zip(range(0, len(nonces), width), plain.rows):
+        # the row's bits in order, each cell MSB first, then presence 1;
+        # bit i of the payload is bit i of the row
+        bits = "".join([f"{v:0{w}b}" for v, w in zip(row, widths)]) + "1"
+        rows.append(_row_obj(ladder, widths, nonces[at:at + width],
+                             int(bits[::-1], 2), epochs, depths))
+    return {"v": TABLE_VERSION, "name": name,
             "schema": schema_to_obj(plain.schema), "rows": rows}
 
 
@@ -207,8 +231,8 @@ def table_rows_from_obj(ladder: KeyLadder, obj: dict):
 
 def table_from_obj(ladder: KeyLadder, obj: dict) -> EncTable:
     version = field(obj, "v", int, "table")
-    if version != WIRE_VERSION:
-        raise ProtocolError(f"table version {version}, want {WIRE_VERSION}")
+    if version != TABLE_VERSION:
+        raise ProtocolError(f"table version {version}, want {TABLE_VERSION}")
     name = field(obj, "name", str, "table")
     schema, rows = table_rows_from_obj(ladder, obj)
     return EncTable(name, schema, rows, ladder.state)

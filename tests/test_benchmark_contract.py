@@ -10,9 +10,12 @@ import importlib
 import sys
 from pathlib import Path
 
-from hequel import kernel
+from hequel import dsl, kernel, serial
+from hequel.circuits import decrypt_word
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
-from hequel.protocol import ServerStore
+from hequel.protocol import (ClientSession, ServerStore, setup_upload,
+                             submit_query)
+from hequel.schema import PlainTable, Schema
 
 BENCHMARK = str(Path(__file__).resolve().parent.parent / "benchmark")
 
@@ -47,3 +50,22 @@ def test_state_exposes_the_kernel_and_server_results_clear():
     assert (bit.depth, keys.decrypt_bit(bit)) == (0, 1)
     server = ServerStore(ladder)
     server.results.clear()
+
+
+def test_a_fetched_row_decodes_without_its_schema():
+    # the benchmark's wire accounting decodes each fetch_rows row alone
+    ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"contract")
+    server = ServerStore(ladder)
+    client = ClientSession(keys, ladder.public_key())
+    setup_upload(client, server, "t", PlainTable(
+        Schema((("a", 4), ("b", 6))), [(3, 9), (1, 40), (7, 2)]))
+    qid, n = submit_query(client, server, dsl.parse("select(a<7, table(t))"))
+    reply = serial.message_from_bytes(
+        server.handle(client.fetch_message(qid, n_prime=3)), "fetch_rows")
+    rows = [serial.row_from_obj(ladder, r) for r in reply["payload"]["rows"]]
+    assert [[decrypt_word(keys, c) for c in r.cells] for r in rows[:n]] == [
+        [3, 9], [1, 40]]
+    assert [keys.decrypt_bit(r.presence) for r in rows] == [1, 1, 0]
+    loop = benchmark_module("loop")
+    bits = loop._cipher_bits(ladder, "fetch_rows", reply["payload"])
+    assert len(bits) == 3 * (4 + 6 + 1)

@@ -247,13 +247,18 @@ def test_query_refuses_a_v1_table(tmp_path, pc_csv, capsys):
     bit = {"v": 1, "epoch": 1, "depth": 0, "blob": "00" * 9}
     v1 = {"v": 1, "name": "t", "schema": [["a", 1]],
           "rows": [{"cells": [{"v": 1, "width": 1, "bits": [bit]}], "p": bit}]}
-    (tmp_path / "db" / "tables" / "t.json").write_text(json.dumps(v1))
-    capsys.readouterr()
-    assert main(["query", "--db", db, "table(pc)"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "t.json" in err and "version 1, want 2" in err
-    assert "Traceback" not in err
+    # and as table version 2 wrote it: a word per cell and per presence bit
+    word = {"v": 2, "width": 1, "epoch": 1, "depth": 0, "blob": "A" * 12}
+    v2 = {"v": 2, "name": "t", "schema": [["a", 1]],
+          "rows": [{"cells": [word], "p": word}]}
+    for version, table in ((1, v1), (2, v2)):
+        (tmp_path / "db" / "tables" / "t.json").write_text(json.dumps(table))
+        capsys.readouterr()
+        assert main(["query", "--db", db, "table(pc)"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "t.json" in err and f"version {version}, want 3" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -218,12 +218,14 @@ def pinned_messages(runs=PINNED_RUNS, ctx=None):
     return out
 
 
-# sha256 over the bytes of every pinned message, in wire format v2. The
-# presence-first sort moved the sort runs' result_count and fetch_rows
-# replies, here and in both pins below; every upload, every query and the
-# select run's messages kept their bytes.
+# sha256 over the bytes of every pinned message, in wire format v2 with
+# table version 3. The presence-first sort moved the sort runs'
+# result_count and fetch_rows replies, here and in both pins below. One
+# word per row record moved the fetch_rows replies here alone: every
+# query, result_count and fetch_rows_request kept its bytes, and every
+# bit its nonce, epoch, depth and payload (the two pins below).
 SERVER_MESSAGES_SHA = (
-    "5ef5edb4af5aecba2011efad7080d211b80880edfa3c39cc79986f8329ec2983")
+    "d2443334f319742192f6dbc9e52085ff4de819d4f61e12a8839a8f4aea36bfc5")
 
 
 def test_server_messages_are_pinned():

@@ -11,7 +11,7 @@ import pytest
 
 from hequel import dsl, oracle, plans, relalg, serial
 from hequel.circuits import encrypt_word
-from hequel.crypto import SecurityContext, keygen
+from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
                            VerificationFailure)
 from hequel.protocol import (MAX_PENDING_RESULTS, ClientSession, ServerStore,
@@ -317,10 +317,12 @@ def test_present_row_made_absent_fails_verification():
                           dsl.parse("select(speed>1, table(pc))"))
     reply = server.handle(client.fetch_message(qid))
     ladder = server.ladder
-    zero = serial.word_to_obj(ladder, encrypt_word(ladder.public_key(), 0, 1))
+    zero = encrypt_bit(ladder.public_key(), 0)
 
     def drop_presence(m):
-        m["payload"]["rows"][0]["p"] = zero
+        rows = m["payload"]["rows"]
+        cells = serial.row_from_obj(ladder, rows[0]).cells
+        rows[0] = serial.row_to_obj(ladder, relalg.EncRow(cells, zero))
 
     with pytest.raises(VerificationFailure, match=f"count said {n}"):
         client.read_rows_and_verify(tamper(reply, drop_presence))
@@ -564,13 +566,9 @@ def test_server_rejects_deeply_nested_json():
         server.handle(b"[" * 100000)
 
 
-def _cell(t):
-    return t["rows"][0]["cells"][0]
-
-
-def _bit(t):
-    """The first row's presence bit, a width-1 word."""
-    return t["rows"][0]["p"]
+def _row(t):
+    """The first row's record: one word over its cells and presence bit."""
+    return t["rows"][0]
 
 
 def _blob(word, edit):
@@ -580,59 +578,88 @@ def _blob(word, edit):
     word["blob"] = base64.b64encode(bytes(raw)).decode()
 
 
-def _wide_presence(t):
-    """Make the first row's presence a valid 2-bit word under the ladder
-    of ``make_session``."""
-    ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"proto")
-    t["rows"][0]["p"] = serial.word_to_obj(
-        ladder, encrypt_word(ladder.public_key(), 1, 2))
+def _record(width, cells):
+    """An edit making the first row a well-formed ``width``-bit word under
+    the ladder of ``make_session``, with ``cells`` as its cell widths."""
+    def edit(t):
+        ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"proto")
+        t["rows"][0] = dict(serial.word_to_obj(
+            ladder, encrypt_word(ladder.public_key(), 1, width)), cells=cells)
+    return edit
 
 
 # each edit forges one part of an otherwise valid upload of a table with
-# two 4-bit columns, under a circular ladder with depth budget 8
+# two 4-bit columns, under a circular ladder with depth budget 8; a row is
+# one 9-bit word, its cells' 8 bits and then the presence bit. The cases
+# from table version 2, which made each cell and each presence bit its own
+# word, keep their names and forge the same part of the row record.
 FORGED_UPLOADS = {
-    "row without presence": lambda t: t["rows"][0].pop("p"),
-    "presence not an object": lambda t: t["rows"][0].update(p="1"),
-    "word not an object": lambda t: t["rows"][0]["cells"].__setitem__(0, 5),
-    "blob not base64": lambda t: _cell(t).update(blob="z!" * 30),
-    "blob not a string": lambda t: _bit(t).update(blob=7),
-    "blob a list": lambda t: _cell(t).update(blob=[_cell(t)["blob"]]),
-    "bit without epoch": lambda t: _bit(t).pop("epoch"),
-    "epoch 99": lambda t: _cell(t).update(epoch=99),
-    "epoch 0": lambda t: _cell(t).update(epoch=0),
-    "epoch a bool": lambda t: _cell(t).update(epoch=True),
-    "depth -5": lambda t: _cell(t).update(depth=-5),
-    "depth past budget": lambda t: _cell(t).update(depth=9),
-    "width not an int": lambda t: _cell(t).update(width="4"),
-    "1-bit cell in a 4-bit column": lambda t: t["rows"][0]["cells"].__setitem__(
-        0, dict(_bit(t))),
-    "cell missing": lambda t: t["rows"][0]["cells"].pop(),
-    "cells not a list": lambda t: t["rows"][0].update(cells=None),
+    # a well-formed word whose cells take every bit
+    "row without presence": _record(8, [4, 4]),
+    "presence not an object": lambda t: t["rows"].__setitem__(0, "1"),
+    "word not an object": lambda t: t["rows"].__setitem__(0, 5),
+    "blob not base64": lambda t: _row(t).update(blob="z!" * 30),
+    "blob not a string": lambda t: _row(t).update(blob=7),
+    "blob a list": lambda t: _row(t).update(blob=[_row(t)["blob"]]),
+    "bit without epoch": lambda t: _row(t).pop("epoch"),
+    "epoch 99": lambda t: _row(t).update(epoch=99),
+    "epoch 0": lambda t: _row(t).update(epoch=0),
+    "epoch a bool": lambda t: _row(t).update(epoch=True),
+    "depth -5": lambda t: _row(t).update(depth=-5),
+    "depth past budget": lambda t: _row(t).update(depth=9),
+    "width not an int": lambda t: _row(t).update(width="9"),
+    "1-bit cell in a 4-bit column": _record(6, [1, 4]),
+    "cell missing": _record(5, [4]),
+    "cells not a list": lambda t: _row(t).update(cells=None),
     "rows not a list": lambda t: t.update(rows={"0": t["rows"][0]}),
     "schema entry [a]": lambda t: t["schema"].__setitem__(0, ["a"]),
     "schema width a string": lambda t: t["schema"][0].__setitem__(1, "4"),
     "name not a string": lambda t: t.update(name=["pc"]),
-    "bit version 7": lambda t: _bit(t).update(v=7),
-    "bit without version": lambda t: _bit(t).pop("v"),
-    "bit version a bool": lambda t: _bit(t).update(v=True),
-    "word version 1": lambda t: _cell(t).update(v=1),
-    "word without version": lambda t: _cell(t).pop("v"),
+    "bit version 7": lambda t: _row(t).update(v=7),
+    "bit without version": lambda t: _row(t).pop("v"),
+    "bit version a bool": lambda t: _row(t).update(v=True),
+    "word version 1": lambda t: _row(t).update(v=1),
+    "word without version": lambda t: _row(t).pop("v"),
     "table version 0": lambda t: t.update(v=0),
     # wire format v2: per-bit metadata lists, blob size, padding, width
     "table version 1": lambda t: t.update(v=1),
-    "epoch list too short": lambda t: _cell(t).update(epoch=[1, 1, 1]),
-    "epoch list holding a bool": lambda t: _cell(t).update(
-        epoch=[1, True, 1, 1]),
-    "depth list too long": lambda t: _cell(t).update(depth=[0] * 5),
-    "depth list holding a bool": lambda t: _cell(t).update(
-        depth=[0, 0, False, 0]),
-    "blob one byte short": lambda t: _blob(_cell(t), bytearray.pop),
-    # a 4-bit word's payload byte has 4 padding bits, and flipping a masked
-    # bit flips the same bit after unmasking
+    "epoch list too short": lambda t: _row(t).update(epoch=[1] * 8),
+    "epoch list holding a bool": lambda t: _row(t).update(
+        epoch=[1, True] + [1] * 7),
+    "depth list too long": lambda t: _row(t).update(depth=[0] * 10),
+    "depth list holding a bool": lambda t: _row(t).update(
+        depth=[0, 0, False] + [0] * 6),
+    "blob one byte short": lambda t: _blob(_row(t), bytearray.pop),
+    # a 9-bit word's last payload byte has 7 padding bits, and flipping a
+    # masked bit flips the same bit after unmasking
     "padding bit set": lambda t: _blob(
-        _cell(t), lambda raw: raw.__setitem__(-1, raw[-1] ^ 0x10)),
-    "presence word of width 2": _wide_presence,
-    "width 2**40": lambda t: _cell(t).update(width=2 ** 40),
+        _row(t), lambda raw: raw.__setitem__(-1, raw[-1] ^ 0x10)),
+    # a well-formed word whose cells leave two bits over
+    "presence word of width 2": _record(10, [4, 4]),
+    "width 2**40": lambda t: _row(t).update(width=2 ** 40),
+    # table version 3: one record per row, split by its cell widths
+    "table version 2": lambda t: t.update(v=2),
+    "row word version 3": lambda t: _row(t).update(v=3),
+    "cells missing": lambda t: _row(t).pop("cells"),
+    "cells a string": lambda t: _row(t).update(cells="44"),
+    "cells an object": lambda t: _row(t).update(cells={"a": 4, "b": 4}),
+    "cell width a string": lambda t: _row(t).update(cells=["4", 4]),
+    "cell width a float": lambda t: _row(t).update(cells=[4.0, 4]),
+    "cell width null": lambda t: _row(t).update(cells=[None, 4]),
+    # the widths below sum to 8, so only the kind of one width refuses them
+    "cell width a bool": lambda t: _row(t).update(cells=[True, 3, 4]),
+    "cell width 0": lambda t: _row(t).update(cells=[0, 4, 4]),
+    "cell width -1": lambda t: _row(t).update(cells=[-1, 5, 4]),
+    "cells short of the width": lambda t: _row(t).update(cells=[4, 3]),
+    "cells past the width": lambda t: _row(t).update(cells=[4, 5, 1]),
+    "no cells": lambda t: _row(t).update(cells=[]),
+    # the row splits cleanly, but not as the schema's columns
+    "cells [2, 6] for columns [4, 4]": lambda t: _row(t).update(cells=[2, 6]),
+    "cells [8] for columns [4, 4]": lambda t: _row(t).update(cells=[8]),
+    "cells [4, 2, 2] for columns [4, 4]": lambda t: _row(t).update(
+        cells=[4, 2, 2]),
+    "second row's cells [4, 3, 1]": lambda t: t["rows"][1].update(
+        cells=[4, 3, 1]),
 }
 
 
@@ -658,7 +685,7 @@ def test_server_refuses_a_column_wider_than_the_bound():
 
     def upload(width):
         return serial.message_to_bytes("upload_table", "q1", {"table": {
-            "v": serial.WIRE_VERSION, "name": f"w{width}",
+            "v": serial.TABLE_VERSION, "name": f"w{width}",
             "schema": [["a", width]], "rows": []}})
 
     with pytest.raises(HequelError):
@@ -678,6 +705,25 @@ def test_server_refuses_to_replace_a_stored_table():
     assert server.tables["pc"] is original
     setup_upload(client, server, "pc2", plain)
     assert server.tables["pc2"].capacity == 2
+
+
+@pytest.mark.parametrize("name, refusal", [("pc", "'pc' is already stored"),
+                                           ("", "needs a name")])
+def test_upload_name_is_refused_before_any_row_is_decoded(name, refusal):
+    server, client = make_session()
+    original = server.tables["pc"]
+    upload = client.upload_message(
+        name, PlainTable(Schema((("a", 4), ("b", 4))), [(3, 9), (1, 2)]))
+
+    def corrupt(m):
+        m["payload"]["table"]["rows"] = [0, {"cells": "x"}]
+
+    state = server.ladder.state
+    before = (state.encrypt_count, state.nonce_state)
+    with pytest.raises(ProtocolError, match=refusal):
+        server.handle(tamper(upload, corrupt))
+    assert set(server.tables) == {"pc"} and server.tables["pc"] is original
+    assert (state.encrypt_count, state.nonce_state) == before
 
 
 def test_compact_fetch_is_smaller_than_full_table():

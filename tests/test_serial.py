@@ -11,10 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hequel import kernel, serial
-from hequel.circuits import CipherWord, decrypt_word, encrypt_word
+from hequel.circuits import CipherWord, decrypt_word, encrypt_word, word_add
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import LadderMismatch, ProtocolError, ValueOverflow
-from hequel.relalg import decrypt_table, encrypt_table, op_sort
+from hequel.relalg import EncRow, decrypt_table, encrypt_table, op_sort
 from hequel.schema import PlainTable, Schema
 
 
@@ -125,6 +125,51 @@ def test_table_round_trip_byte_exact(session):
     assert decrypt_table(keys, back).rows == [(1, 200)]
     assert json.dumps(serial.table_to_obj(ladder, back),
                       separators=(",", ":")) == data
+
+
+def _bit_tuples(row) -> list:
+    """(nonce, epoch, depth, payload) of a row's bits, cells then presence."""
+    return [(kernel._nonce_of(b), b.epoch, b.depth, kernel._reveal(b))
+            for b in (*(b for c in row.cells for b in c.bits), row.presence)]
+
+
+@pytest.mark.parametrize("context", [
+    SecurityContext(depth_budget=4),
+    SecurityContext(mode="leveled", depth_budget=4, epochs=6)],
+    ids=["circular", "leveled"])
+def test_row_record_keeps_every_bit(context):
+    ladder, keys = keygen(context, seed=b"row")
+    pk = ladder.public_key()
+    a, b = encrypt_word(pk, 9, width=4), encrypt_word(pk, 3, width=4)
+    total = word_add(a, b)
+    # refreshed bits sit a depth (and, leveled, an epoch) apart from the rest
+    mixed = CipherWord(tuple(kernel.refresh(x) if i % 2 else x
+                             for i, x in enumerate(total.bits)))
+    presence = kernel.and_(a.bits[0], kernel.refresh(b.bits[1]))
+    row = EncRow((a, mixed, encrypt_word(pk, 5, width=3)), presence)
+    obj = json.loads(json.dumps(serial.row_to_obj(ladder, row)))
+    assert (obj["v"], obj["width"], obj["cells"]) == (2, 12, [4, 4, 3])
+    assert isinstance(obj["depth"], list)
+    assert isinstance(obj["epoch"], list) == (context.mode == "leveled")
+    back = serial.row_from_obj(ladder, obj)
+    assert [c.width for c in back.cells] == [4, 4, 3]
+    assert _bit_tuples(back) == _bit_tuples(row)
+    assert [decrypt_word(keys, c) for c in back.cells] == [9, 12, 5]
+    assert serial.row_to_obj(ladder, back) == obj
+
+
+def test_row_record_is_one_word(session):
+    # the row's bits read as one word: cells in column order, then presence
+    ladder, keys, pk = session
+    t = encrypt_table(pk, PlainTable(Schema((("a", 4), ("b", 8))),
+                                     [(9, 200)]), presence=[0], name="t")
+    obj = serial.table_to_obj(ladder, t)
+    (row,) = obj["rows"]
+    assert obj["v"] == serial.TABLE_VERSION == 3
+    assert list(row) == ["v", "width", "epoch", "depth", "blob", "cells"]
+    assert len(base64.b64decode(row["blob"])) == 13 * 8 + 2
+    word = serial.word_from_obj(ladder, row)
+    assert decrypt_word(keys, word) == (9 << 9) | (200 << 1)
 
 
 def test_table_to_obj_rejects_foreign_ladder(session):

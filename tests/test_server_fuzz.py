@@ -2,12 +2,14 @@
 or raises a ``HequelError``; no other exception escapes, and a refused
 message spends no gate, refresh or encryption.
 
-Inputs are arbitrary bytes, byte-level corruptions of valid messages, and
+Inputs are arbitrary bytes, byte-level corruptions of valid messages,
 structural mutations of valid ``upload_table`` / ``query`` /
 ``fetch_rows_request`` messages (one JSON value replaced, one key or list
-item dropped). Examples are derandomized so Tier-1 runs the same inputs on
-every run, and nothing is written to a hypothesis database. Two further
-tests send an upload past each of the server's upload bounds.
+item dropped), and uploads whose row records carry forged cell widths. A
+refused message also leaves the server's tables and results as they were.
+Examples are derandomized so Tier-1 runs the same inputs on every run, and
+nothing is written to a hypothesis database. Two further tests send an
+upload past each of the server's upload bounds.
 """
 
 from __future__ import annotations
@@ -72,10 +74,12 @@ def counters(state) -> tuple[int, int, int, int]:
 def handle_or_hequel_error(data: bytes):
     server = fresh_server()
     before = counters(LADDER.state)
+    held = dict(server.tables), dict(server.results)
     try:
         reply = server.handle(data)
     except HequelError:
         assert counters(LADDER.state) == before
+        assert (server.tables, server.results) == held
         return
     assert isinstance(reply, bytes)
 
@@ -132,6 +136,22 @@ def test_mutated_messages(mtype, data):
         del parent[key]
     else:
         parent.pop(key)
+    handle_or_hequel_error(json.dumps(msg).encode())
+
+
+# cell widths of a row record over columns of 4 and 6 bits: the schema's
+# own, near misses, lists of small ints with bools among them, and any JSON
+CELL_WIDTHS = (st.sampled_from([[4, 6], [6, 4], [10], [4, 5], [True, 3, 6],
+                                [0, 4, 6], [4, 6, 0]])
+               | st.lists(st.integers(-1, 11) | st.booleans(), max_size=4)
+               | JSON_VALUES)
+
+
+@FUZZ
+@given(st.integers(0, 1), CELL_WIDTHS)
+def test_forged_row_cells(row, cells):
+    msg = json.loads(UPLOAD)
+    msg["payload"]["table"]["rows"][row]["cells"] = cells
     handle_or_hequel_error(json.dumps(msg).encode())
 
 
