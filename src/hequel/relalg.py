@@ -442,7 +442,7 @@ def _match(a, b, want_min: bool):
     """One tournament node: 2w + 3 ANDs at value width w."""
     # most inputs feed several gates: settle each input once, not inside
     # each gate; a gate's lift of a stale input is reused by the next
-    bits = [settle(x) for x in (*a[0], a[1], *b[0], b[1])]
+    bits = bits_settle((*a[0], a[1], *b[0], b[1]))
     w = len(a[0])
     xa, pa, xb, pb = bits[:w], bits[w], bits[w + 1:-1], bits[-1]
     ts = bits_xor(xa, xb)

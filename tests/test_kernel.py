@@ -326,7 +326,6 @@ def _or_composition(a, b):
 FUSED = [
     ("bit_mux", 3, 3, _on_top_epoch(lambda f, x, y: kernel.xor(
         y, kernel.and_(f, kernel.xor(x, y))))),
-    ("bit_swap", 3, 4, _on_top_epoch(_swap_composition)),
     ("bit_or", 2, 3, _or_composition),
     ("bit_and_not", 2, 2, _on_top_epoch(lambda a, b: kernel.xor(
         a, kernel.and_(a, b)))),
@@ -416,6 +415,63 @@ def test_fused_primitive_refuses_mixed_ladders(name, arity, gates,
             before = [_spent(s) for s in (home, away)]
             with pytest.raises(LadderMismatch):
                 getattr(kernel, name)(*bits)
+            assert [_spent(s) for s in (home, away)] == before
+
+
+# ``bits_swap`` at length 1 is the one-bit swap, held to the FUSED checks:
+# the exhaustive operand grid at BUDGET against its composition on
+# operands lifted to their top epoch, a fault at each of its four gates,
+# and refusal of a mixed-ladder call. The twins also compare the copy each
+# operand's lift leaves in the scope, which a later lift returns: the
+# composition lifts f, x and y, in that order, before its first gate.
+def _swap_one_bit(f, x, y):
+    (a,), (b,) = kernel.bits_swap(f, (x,), (y,))
+    return a, b
+
+
+def _run_swap_twins(mode, operands, fault=None):
+    seen = []
+    for s, fn in zip(_twin_states(mode),
+                     (_swap_one_bit, _on_top_epoch(_swap_composition))):
+        bits = [kernel.bit_from_parts(s, p, e, d, 1000 + i)
+                for i, (p, e, d) in enumerate(operands)]
+        if fault is not None:
+            s.fault_gate = fault
+        out = _observe(s, fn(*bits))
+        top = max(b.epoch for b in bits)
+        copies = [kernel._nonce_of(kernel.lift(b, top)) for b in bits]
+        seen.append((*out, copies))
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["circular", "leveled"])
+def test_one_bit_swap_equals_its_gate_composition(mode):
+    epochs = (1,) if mode == "circular" else (1, 2)
+    for operands in _operand_grid(3, epochs):
+        swapped, reference = _run_swap_twins(mode, operands)
+        assert swapped == reference, (operands, swapped, reference)
+
+
+@pytest.mark.parametrize("mode", ["circular", "leveled"])
+def test_one_bit_swap_with_a_fault_at_each_gate(mode):
+    epochs = (1,) if mode == "circular" else (1, 2)
+    for operands in _operand_grid(3, epochs):
+        for position in range(1, 5):
+            swapped, reference = _run_swap_twins(mode, operands,
+                                                 fault=position)
+            assert swapped == reference, (operands, position)
+
+
+def test_one_bit_swap_refuses_mixed_ladders():
+    for stranger in range(3):
+        for epochs in itertools.product((1, 2), repeat=3):
+            home, away = (make_state(mode="leveled", budget=BUDGET, epochs=3)
+                          for _ in range(2))
+            bits = [kernel.fresh_bit(away if i == stranger else home, 1, e)
+                    for i, e in enumerate(epochs)]
+            before = [_spent(s) for s in (home, away)]
+            with pytest.raises(LadderMismatch):
+                _swap_one_bit(*bits)
             assert [_spent(s) for s in (home, away)] == before
 
 
@@ -619,7 +675,7 @@ def test_word_primitive_inline_path_calls_no_gate(name, shape, composition,
 
     def refuse(*_):
         raise AssertionError("the inline path called a gate")
-    for gate in ("xor", "and_", "refresh", "bit_mux", "bit_swap", "bit_or"):
+    for gate in ("xor", "and_", "refresh", "lift", "bit_mux", "bit_or"):
         monkeypatch.setattr(kernel, gate, refuse)
     out = _flat(getattr(kernel, name)(*args))
     assert out and all(c.epoch == 1 and c.depth >= 0 for c in out)
