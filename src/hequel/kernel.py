@@ -45,31 +45,34 @@ chain). Each refuses a stranger-ladder bit at any position before any
 gate, lift or settle. ``bits_settle`` then refreshes only the bits at
 the budget. The gate-running ones but ``bits_gt`` follow one rule:
 when no fault is armed and every step's operands share one epoch and
-need no settle, the whole call is inline, counting its gates and
-advancing the nonce stream in gate order and building only the output
-bits; otherwise the composition runs from the first bit. ``bits_gt``
+need no settle (for ``bits_differ``, every XOR shares one depth too),
+the whole call is inline, counting its gates and advancing the nonce
+stream in gate order and building only the output bits; otherwise the
+composition runs from the first bit. ``bits_gt``
 alone keeps an inline prefix and a composed tail (its docstring says
 why): in 4 aggregate-leveled cycles, 628 of its 1,012 calls compose part
 of the chain, 3,444 of 9,596 steps.
 
 Every gate output, refresh and encryption is a fresh ciphertext with its
-own nonce, the next value of a splitmix64 stream (Steele, Lea and Flood,
-OOPSLA 2014). A gate only advances the stream's counter; the finalizer
-that mixes a counter into the nonce runs when serialization reads the
-bit (``_wire_parts``, or ``_nonce_of`` for one bit), so the few bits
-that reach the wire pay for it and the rest never do.
+own nonce: the next value of its ladder's counter, which steps by
+splitmix64's golden-gamma increment (Steele, Lea and Flood, OOPSLA 2014)
+modulo 2^64. The increment is odd, so one ladder's stream repeats no
+nonce within 2^64 steps. The wire holds each nonce as it is: the mask that
+hides a word's payloads is keyed over its nonces (``serial``), so a nonce
+needs only to be unique, and a public mixing step over it would hide
+nothing.
 
 The mint and wire helpers take a whole word, or a whole table, per call.
 ``fresh_word`` mints a word's bits as ``fresh_bit`` per bit would, and
-``_fresh_wire_nonces`` draws the wire nonces of n fresh encryptions,
-mixed at once, for an encoder that writes a plaintext table straight to
-the wire and builds no bit. Both step the stream through ``_counters``
-and move ``encrypt_count`` as the per-bit calls would. ``_wire_parts``
-reads a word's bits as the parts the wire holds (nonces, payload bits,
-epochs and depths), and ``word_from_parts`` builds the bits back from
-them as ``bit_from_parts`` per bit would. Only the kernel and
-serialization use the two that read payloads or wire nonces,
-``_wire_parts`` and ``_fresh_wire_nonces``.
+``_fresh_wire_nonces`` draws the wire nonces of n fresh encryptions for
+an encoder that writes a plaintext table straight to the wire and builds
+no bit. Both step the stream through ``_counters`` and move
+``encrypt_count`` as the per-bit calls would. ``_wire_parts`` reads a
+word's bits as the parts the wire holds (nonces, payload bits, epochs and
+depths), and ``word_from_parts`` builds the bits back from them as
+``bit_from_parts`` per bit would. Only the kernel and serialization use
+the two that read payloads or wire nonces, ``_wire_parts`` and
+``_fresh_wire_nonces``.
 """
 
 from __future__ import annotations
@@ -130,12 +133,11 @@ class KernelState:
 class CipherBit:
     """Opaque encrypted bit. The payload is private; only decryption with
     its ladder's ``crypto.ClientKeys`` reveals it. ``epoch`` and
-    ``depth`` are public metadata. ``_nonce`` is either a wire nonce (a
-    decoded bit's, non-negative) or the complement ``~z`` of a splitmix64
-    counter ``z`` not yet mixed (a minted bit's, negative); ``_nonce_of``
-    returns the wire nonce of both. ``_up`` is the copy ``lift`` made of
-    this bit one epoch up, or None, and ``_up_scope`` the scope it was
-    made in; ``_up_scope`` is unset while ``_up`` is None."""
+    ``depth`` are public metadata. ``_nonce`` is its wire nonce: the
+    value of its ladder's counter when the bit was minted, unique in that
+    ladder's stream, or the nonce it was decoded with. ``_up`` is the copy
+    ``lift`` made of this bit one epoch up, or None, and ``_up_scope`` the
+    scope it was made in; ``_up_scope`` is unset while ``_up`` is None."""
 
     __slots__ = ("_payload", "epoch", "depth", "_nonce", "_state", "_up",
                  "_up_scope")
@@ -154,10 +156,10 @@ class CipherBit:
 
 
 def _next_nonce(s: KernelState) -> int:
-    # splitmix64's counter step: deterministic per ladder seed, 64-bit
-    # period; the complement marks the counter as not yet mixed
+    # the golden-gamma counter step: deterministic per ladder seed, and
+    # unique for 2^64 steps since the increment is odd
     s.nonce_state = z = (s.nonce_state + _GAMMA) & _MASK64
-    return ~z
+    return z
 
 
 def _counters(s: KernelState, n: int) -> list:
@@ -167,13 +169,6 @@ def _counters(s: KernelState, n: int) -> list:
     z = s.nonce_state
     s.nonce_state = (z + n * _GAMMA) & _MASK64
     return [(z + i * _GAMMA) & _MASK64 for i in range(1, n + 1)]
-
-
-def _mix(z: int) -> int:
-    # splitmix64's finalizer: the nonce of counter value ``z``
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def fresh_bit(s: KernelState, payload: int, epoch: int) -> CipherBit:
@@ -187,18 +182,17 @@ def fresh_word(s: KernelState, value: int, width: int, epoch: int) -> tuple:
     significant first, in one call: the same payloads, epoch, nonces and
     ``encrypt_count``."""
     s.encrypt_count += width
-    return tuple([CipherBit(s, value >> i & 1, epoch, 0, ~z) for i, z in
+    return tuple([CipherBit(s, value >> i & 1, epoch, 0, z) for i, z in
                   zip(range(width - 1, -1, -1), _counters(s, width))])
 
 
 def _fresh_wire_nonces(s: KernelState, n: int) -> list:
     """The wire nonces of ``n`` fresh encryptions, in order, for a caller
-    that writes them straight to the wire and builds no bit: the stream
-    and ``encrypt_count`` move as ``n`` calls of ``fresh_bit`` move them.
-    Each counter is mixed here, since every one of them reaches the
-    wire."""
+    that writes them straight to the wire and builds no bit: the next
+    ``n`` counter values, with the stream and ``encrypt_count`` moved as
+    ``n`` calls of ``fresh_bit`` move them."""
     s.encrypt_count += n
-    return [_mix(z) for z in _counters(s, n)]
+    return _counters(s, n)
 
 
 def bit_from_parts(s: KernelState, payload: int, epoch: int, depth: int,
@@ -219,13 +213,12 @@ def word_from_parts(s: KernelState, payload: int, epochs, depths,
 def _wire_parts(bits) -> tuple:
     """A word's bits as its wire parts: (wire nonces, payloads packed LSB
     first in bit order, epochs, depths), the inverse of
-    ``word_from_parts``. A minted bit's counter is mixed here."""
-    nonces, payload = [], 0
+    ``word_from_parts``. Each nonce goes to the wire as the bit holds it."""
+    payload = 0
     for i, b in enumerate(bits):
-        n = b._nonce
-        nonces.append(n if n >= 0 else _mix(~n))
         payload |= b._payload << i
-    return nonces, payload, [b.epoch for b in bits], [b.depth for b in bits]
+    return ([b._nonce for b in bits], payload, [b.epoch for b in bits],
+            [b.depth for b in bits])
 
 
 def refresh(c: CipherBit) -> CipherBit:
@@ -357,7 +350,7 @@ def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
         s.and_count += 1
         s.nonce_state = z = (s.nonce_state + 3 * _GAMMA) & _MASK64
         p = y._payload
-        return CipherBit(s, p ^ (f._payload & (x._payload ^ p)), e, d + 1, ~z)
+        return CipherBit(s, p ^ (f._payload & (x._payload ^ p)), e, d + 1, z)
     return xor(y, and_(f, xor(x, y)))
 
 
@@ -377,7 +370,7 @@ def bit_or(a: CipherBit, b: CipherBit) -> CipherBit:
         s.xor_count += 2
         s.and_count += 1
         s.nonce_state = z = (s.nonce_state + 3 * _GAMMA) & _MASK64
-        return CipherBit(s, a._payload | b._payload, a.epoch, d + 1, ~z)
+        return CipherBit(s, a._payload | b._payload, a.epoch, d + 1, z)
     return xor(xor(a, b), and_(a, b))
 
 
@@ -395,7 +388,7 @@ def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:
         s.and_count += 1
         s.nonce_state = z = (s.nonce_state + 2 * _GAMMA) & _MASK64
         p = a._payload
-        return CipherBit(s, p ^ (p & b._payload), a.epoch, d + 1, ~z)
+        return CipherBit(s, p ^ (p & b._payload), a.epoch, d + 1, z)
     return xor(a, and_(a, b))
 
 
@@ -454,7 +447,7 @@ def bits_xor(xs, ys) -> tuple:
             z = (z + _GAMMA) & _MASK64
             out.append(CipherBit(s, x._payload ^ y._payload, e,
                                  x.depth if x.depth >= y.depth else y.depth,
-                                 ~z))
+                                 z))
         else:
             s.xor_count += len(out)
             s.nonce_state = z
@@ -466,31 +459,30 @@ def bits_differ(xs, ys) -> CipherBit:
     """1 iff the equal-length, non-empty bit sequences differ somewhere:
     the XORs x ⊕ y in order, then a ``pairwise`` tree of ``bit_or`` over
     them, len - 1 ANDs. The tree is inline as a whole or not at all: when
-    every bit shares one epoch, no fault is armed and the public depths
-    say no OR node settles; otherwise the composition runs."""
+    every bit shares one epoch, every XOR one depth, no fault is armed
+    and the tree's top stays within the budget, so no OR node settles;
+    otherwise the composition runs. Every workload's calls that share
+    one epoch also share one XOR depth."""
     s = xs[0]._state
     _one_ladder(s, xs, ys)
     if s.fault_gate < 0:
-        e, p, depths = xs[0].epoch, 0, []
+        x, y = xs[0], ys[0]
+        e, d, p = x.epoch, x.depth if x.depth >= y.depth else y.depth, 0
         for x, y in zip(xs, ys):
-            if x.epoch != e or y.epoch != e:
+            if x.epoch != e or y.epoch != e or \
+                    (x.depth if x.depth >= y.depth else y.depth) != d:
                 break
-            depths.append(x.depth if x.depth >= y.depth else y.depth)
             p |= x._payload ^ y._payload
         else:
             # an OR node settles iff its output would pass the budget, and
-            # depth only grows towards the root; over equal depths the
-            # tree's ceil(log2 n) levels add one each
-            d = max(depths)
-            if d == min(depths):
-                d += (len(depths) - 1).bit_length()
-            else:
-                d = pairwise(lambda a, b: (a if a >= b else b) + 1, depths)
+            # depth only grows towards the root: the tree's ceil(log2 n)
+            # levels add one each
+            d += (len(xs) - 1).bit_length()
             if d <= s.depth_budget:
-                n = len(depths)
+                n = len(xs)
                 z = (s.nonce_state + (4 * n - 3) * _GAMMA) & _MASK64
                 _book(s, 3 * n - 2, n - 1, 0, z)
-                return CipherBit(s, p, e, d, ~z)
+                return CipherBit(s, p, e, d, z)
     return pairwise(bit_or, [xor(x, y) for x, y in zip(xs, ys)])
 
 
@@ -511,7 +503,7 @@ def bits_mux(f: CipherBit, xs, ys) -> tuple:
             z = (z + 3 * _GAMMA) & _MASK64
             p = y._payload
             out.append(CipherBit(s, p ^ (fp & (x._payload ^ p)), e, d + 1,
-                                 ~z))
+                                 z))
         else:
             _book(s, 2 * len(out), len(out), 0, z)
             return tuple(out)
@@ -538,8 +530,8 @@ def bits_swap(f: CipherBit, xs, ys):
             p, q = x._payload, y._payload
             t = fp & (p ^ q)
             out_x.append(CipherBit(s, p ^ t, e, d + 1,
-                                   ~((z - _GAMMA) & _MASK64)))
-            out_y.append(CipherBit(s, q ^ t, e, d + 1, ~z))
+                                   (z - _GAMMA) & _MASK64))
+            out_y.append(CipherBit(s, q ^ t, e, d + 1, z))
         else:
             _book(s, 3 * len(out_x), len(out_x), 0, z)
             return tuple(out_x), tuple(out_y)
@@ -598,7 +590,7 @@ def bits_gt(xs, ts) -> CipherBit:
             gd = (d if d >= gd else gd) + 1
             i -= 1
         _book(s, 2 * ands - 2, ands, refreshes, z)
-        g = CipherBit(s, gp, ge, gd, ~z)
+        g = CipherBit(s, gp, ge, gd, z)
     else:
         g = and_(t, x)
     for i in range(i, -1, -1):
@@ -613,6 +605,5 @@ def _reveal(c: CipherBit) -> int:
 
 
 def _nonce_of(c: CipherBit) -> int:
-    """The 64-bit wire nonce of ``c``, mixed here if ``c`` was minted."""
-    n = c._nonce
-    return n if n >= 0 else _mix(~n)
+    """The 64-bit wire nonce of ``c``, as the wire holds it."""
+    return c._nonce

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from hequel import serial
+from hequel import dsl, oracle, serial
 from hequel.cli import main
 from hequel.crypto import SecurityContext, keygen
 from hequel.relalg import encrypt_table
 from hequel.schema import read_csv
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PC_CSV = ("model:12,speed:4,ram:12,hd:10,price:12\n"
           "1001,3,1024,250,2114\n"
           "1002,2,512,80,478\n"
@@ -390,3 +393,21 @@ def test_query_reads_a_session_that_stores_client_keys(tmp_path, pc_csv,
     assert Counter(capsys.readouterr().out.splitlines()[1:]) == Counter(
         ["1001,3,1024,250,2114", "1002,2,512,80,478"])
     assert "client" not in json.loads(path.read_text())
+
+
+def test_query_reads_a_session_whose_tables_hold_finalized_nonces(
+        tmp_path, capsys):
+    # written by ``hequel ingest --db <dir> --seed compat fixtures/pc.csv``
+    # at a release that wrote each wire nonce as splitmix64's finalizer
+    # over its counter value. The kernel mints the counter value itself
+    # under the same table version, so the query mixes both kinds of
+    # nonce. It rewrites the session, so it runs on a copy.
+    db = tmp_path / "db"
+    shutil.copytree(FIXTURES / "finalized_nonces_db", db)
+    text = "select(speed>1, table(pc))"
+    assert main(["query", "--db", str(db), text]) == 0
+    want = oracle.eval_plan(dsl.parse(text),
+                            {"pc": read_csv(str(FIXTURES / "pc.csv"))})
+    assert Counter(capsys.readouterr().out.splitlines()[1:]) == Counter(
+        ",".join(map(str, row)) for row in want.rows)
+    assert len(want.rows) == 2

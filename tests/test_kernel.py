@@ -188,11 +188,27 @@ def test_fault_gate_flips_exactly_one_output():
     assert kernel._reveal(third) == 0
 
 
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z: int) -> int:
+    """splitmix64's output function (Steele, Lea and Flood, OOPSLA 2014),
+    a bijection on 64-bit ints. The bit-tuple pins hash each nonce through
+    it, so they pin every counter value all the same."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
 def test_nonce_stream_is_reference_splitmix64():
-    # known-answer vector for the splitmix64 generator, seed 0
+    # the nonces are splitmix64's counter values at seed 0, and its
+    # finalizer maps them to the generator's known-answer vector
     s = make_state(seed=0)
     got = [kernel._nonce_of(kernel.fresh_bit(s, 0, 1)) for _ in range(3)]
-    assert got == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert got == [i * GAMMA & MASK64 for i in (1, 2, 3)]
+    assert [splitmix64_finalizer(n) for n in got] == \
+        [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_nonces_distinct():
@@ -230,7 +246,7 @@ def bit_obj(ladder, c) -> dict:
 # sha256 of the gate_outputs of gate_ladder, each serialized as a width-1
 # word in wire format v2
 GATE_NONCES_SHA = (
-    "d909380ceaf5a0f62960769d9db1e9a3a01fa5c8383b1ce6a58aa3d3e0de1358")
+    "2f63b4e345c61f75a0bb21f6acd759bde075190f9d74f3cb45e85f2075bf8f0b")
 
 
 def test_gate_minted_nonces_are_pinned():
@@ -242,8 +258,9 @@ def test_gate_minted_nonces_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_NONCES_SHA
 
 
-# sha256 of (nonce, epoch, depth, payload) of every gate_outputs bit: read
-# from the kernel alone, so it pins the nonce stream whatever the wire form
+# sha256 of (finalized nonce, epoch, depth, payload) of every gate_outputs
+# bit: read from the kernel alone, so it pins the nonce stream whatever the
+# wire form
 GATE_BIT_TUPLES_SHA = (
     "3a886ed734ec8bafd7c8a60051536a764c57792d8f54f94b5b712da28d4e8eb8")
 
@@ -251,8 +268,8 @@ GATE_BIT_TUPLES_SHA = (
 def test_gate_minted_bit_tuples_are_pinned():
     ladder = gate_ladder()
     outs = gate_outputs(ladder.state)
-    text = json.dumps([(kernel._nonce_of(c), c.epoch, c.depth,
-                        kernel._reveal(c)) for c in outs])
+    text = json.dumps([(splitmix64_finalizer(kernel._nonce_of(c)), c.epoch,
+                        c.depth, kernel._reveal(c)) for c in outs])
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_BIT_TUPLES_SHA
 
 
@@ -353,17 +370,22 @@ def _observe(s, out):
              for c in outs], *_spent(s))
 
 
-def _run_twins(name, composition, mode, operands, fault=None):
+def _run_twins(primitive, composition, mode, operands, fault=None):
     """The fused primitive and its composition on twin ladders, over
-    operands given as (payload, epoch, depth); what each left behind."""
+    operands given as (payload, epoch, depth); what each left behind,
+    with the copy each operand's lift leaves in the scope, which a later
+    lift returns. The compositions lift their operands in argument order
+    before their first gate."""
     seen = []
-    for s, fn in zip(_twin_states(mode),
-                     (getattr(kernel, name), composition)):
+    for s, fn in zip(_twin_states(mode), (primitive, composition)):
         bits = [kernel.bit_from_parts(s, p, e, d, 1000 + i)
                 for i, (p, e, d) in enumerate(operands)]
         if fault is not None:
             s.fault_gate = fault
-        seen.append(_observe(s, fn(*bits)))
+        out = _observe(s, fn(*bits))
+        top = max(b.epoch for b in bits)
+        copies = [kernel._nonce_of(kernel.lift(b, top)) for b in bits]
+        seen.append((*out, copies))
     return seen
 
 
@@ -383,7 +405,8 @@ def test_fused_primitive_equals_its_gate_composition(name, arity, gates,
     # equal and unequal epochs; circular mode has one epoch, so only equal
     epochs = (1,) if mode == "circular" else (1, 2)
     for operands in _operand_grid(arity, epochs):
-        fused, reference = _run_twins(name, composition, mode, operands)
+        fused, reference = _run_twins(getattr(kernel, name), composition,
+                                      mode, operands)
         assert fused == reference, (operands, fused, reference)
 
 
@@ -395,7 +418,8 @@ def test_fused_primitive_with_a_fault_at_each_gate(name, arity, gates,
     epochs = (1,) if mode == "circular" else (1, 2)
     for operands in _operand_grid(arity, epochs):
         for position in range(1, gates + 1):
-            fused, reference = _run_twins(name, composition, mode, operands,
+            fused, reference = _run_twins(getattr(kernel, name),
+                                          composition, mode, operands,
                                           fault=position)
             assert fused == reference, (operands, position)
 
@@ -421,34 +445,18 @@ def test_fused_primitive_refuses_mixed_ladders(name, arity, gates,
 # ``bits_swap`` at length 1 is the one-bit swap, held to the FUSED checks:
 # the exhaustive operand grid at BUDGET against its composition on
 # operands lifted to their top epoch, a fault at each of its four gates,
-# and refusal of a mixed-ladder call. The twins also compare the copy each
-# operand's lift leaves in the scope, which a later lift returns: the
-# composition lifts f, x and y, in that order, before its first gate.
+# and refusal of a mixed-ladder call.
 def _swap_one_bit(f, x, y):
     (a,), (b,) = kernel.bits_swap(f, (x,), (y,))
     return a, b
-
-
-def _run_swap_twins(mode, operands, fault=None):
-    seen = []
-    for s, fn in zip(_twin_states(mode),
-                     (_swap_one_bit, _on_top_epoch(_swap_composition))):
-        bits = [kernel.bit_from_parts(s, p, e, d, 1000 + i)
-                for i, (p, e, d) in enumerate(operands)]
-        if fault is not None:
-            s.fault_gate = fault
-        out = _observe(s, fn(*bits))
-        top = max(b.epoch for b in bits)
-        copies = [kernel._nonce_of(kernel.lift(b, top)) for b in bits]
-        seen.append((*out, copies))
-    return seen
 
 
 @pytest.mark.parametrize("mode", ["circular", "leveled"])
 def test_one_bit_swap_equals_its_gate_composition(mode):
     epochs = (1,) if mode == "circular" else (1, 2)
     for operands in _operand_grid(3, epochs):
-        swapped, reference = _run_swap_twins(mode, operands)
+        swapped, reference = _run_twins(
+            _swap_one_bit, _on_top_epoch(_swap_composition), mode, operands)
         assert swapped == reference, (operands, swapped, reference)
 
 
@@ -457,8 +465,9 @@ def test_one_bit_swap_with_a_fault_at_each_gate(mode):
     epochs = (1,) if mode == "circular" else (1, 2)
     for operands in _operand_grid(3, epochs):
         for position in range(1, 5):
-            swapped, reference = _run_swap_twins(mode, operands,
-                                                 fault=position)
+            swapped, reference = _run_twins(
+                _swap_one_bit, _on_top_epoch(_swap_composition), mode,
+                operands, fault=position)
             assert swapped == reference, (operands, position)
 
 

@@ -32,7 +32,7 @@ GOLDEN_TEXT = (
     "intersect(distinct(table(a)), diff(table(b), project([k, v], "
     "select(d != 2, cross(table(b), table(c))))))))), table(c))))))))")
 GOLDEN_ENC_WIRE_SHA = (
-    "625a49b8f45195ae0b212877fa0f1f38d18add0d6394ed39ebe83e94377207af")
+    "d57b8b35bc1ded988265c2164c939f6656fdafc1c7b1241fa8d752ca20445e23")
 
 
 def golden_plan(seven):
