@@ -8,12 +8,16 @@ The wire form has no plaintext literal: encoding a plan that still holds
 a ``Lit`` raises ``PlanTypeError``, and decoding a ``lit`` node raises
 ``ProtocolError``.
 
-One table, ``NODES``, gives each node class its wire tag and, for plan
-nodes, its typing rule and encrypted evaluator. The walkers here and the
-text form in ``dsl`` are generic over the dataclass fields, declared in
-wire order: ``child``/``left``/``right`` hold sub-nodes, ``pred`` a
-predicate, the rest are leaves. Adding a plan node means adding its
-dataclass plus one ``NODES`` entry; the plaintext oracle gets its own
+One table, ``NODES``, gives each node class, plan or predicate, its wire
+tag, typing rule and encrypted evaluator. The walkers here and the text
+form in ``dsl`` are generic over the dataclass fields, declared in wire
+order: ``child``/``left``/``right`` hold sub-nodes of the node's own
+family, ``pred`` a predicate, the rest are leaves. A plan walks its
+catalog or table map, a predicate the selected table's schema. An
+operand's type is its width (None for a plaintext ``Lit``), any other
+predicate's is ``TRUTH``; a predicate compiles, once per select, to a
+function from one row to its encrypted bit. Adding a node means adding
+its dataclass plus one ``NODES`` entry; the plaintext oracle gets its own
 branch by design, so that it stays an independent check.
 """
 
@@ -27,7 +31,7 @@ from hequel import relalg, serial
 from hequel.circuits import DEFAULT_WIDTH, encrypt_word
 from hequel.errors import (PlanTypeError, ProtocolError, SchemaMismatch,
                            UnknownTable)
-from hequel.kernel import fresh_bit
+from hequel.kernel import and_, bit_or, fresh_bit, not_
 from hequel.relalg import And, Cmp, ColRef, EncLit, EncTable, Lit, Not, Or
 from hequel.schema import Schema
 
@@ -125,11 +129,11 @@ class Avg:
 
 
 class Node(NamedTuple):
-    """A ``NODES`` entry. Rules take the node, then its child results in
-    field order; a leaf gets the catalog (or the table map) instead."""
-    tag: str
-    schema: Callable | None = None    # (node, *child schemas) -> Schema
-    evaluate: Callable | None = None  # (node, *child tables) -> EncTable
+    """A ``NODES`` entry. Rules take the node, then its own family's child
+    results in field order; a leaf gets the walk's env instead."""
+    tag: str | None
+    schema: Callable | None = None    # -> Schema, or a predicate's type
+    evaluate: Callable | None = None  # -> EncTable, or a function of a row
 
 
 # --- typing rules -----------------------------------------------------------
@@ -140,42 +144,31 @@ def _lookup(node, env: dict):
     return env[node.name]
 
 
-def _pred_width(node, schema: Schema) -> int | None:
-    """A comparison operand's width; None for a plaintext ``Lit``."""
-    if isinstance(node, ColRef):
-        return schema.width_of(node.name)
-    if isinstance(node, EncLit):
-        return node.word.width
-    if isinstance(node, Lit):
-        return None
-    raise PlanTypeError(f"bad comparison operand {node!r}")
+# a predicate that yields one bit; an operand's type is its width instead
+TRUTH = "truth"
 
 
-def _map_pred(pred, on_cmp):
-    """Rebuild an And/Or/Not tree, left before right, with ``on_cmp``
-    applied to each comparison."""
-    if isinstance(pred, Cmp):
-        return on_cmp(pred)
-    if not isinstance(pred, (And, Or, Not)):
-        raise PlanTypeError(f"bad predicate node {pred!r}")
-    return type(pred)(*(_map_pred(getattr(pred, f.name), on_cmp)
-                        for f in fields(pred)))
-
-
-def _check_cmp(cmp: Cmp, schema: Schema) -> Cmp:
-    if cmp.op not in CMP_OPS:
-        raise PlanTypeError(f"unknown comparison operator {cmp.op!r}")
-    wl = _pred_width(cmp.left, schema)
-    wr = _pred_width(cmp.right, schema)
-    if wl is None and wr is None:
+def _cmp_type(node: Cmp, left, right) -> str:
+    if node.op not in CMP_OPS:
+        raise PlanTypeError(f"unknown comparison operator {node.op!r}")
+    if TRUTH in (left, right):
+        raise PlanTypeError(f"comparison of a truth value in {node!r}")
+    if left is None and right is None:
         raise PlanTypeError("comparison needs at least one column")
-    if wl is not None and wr is not None and wl != wr:
-        raise PlanTypeError(f"comparison mixes widths {wl} and {wr}")
-    return cmp
+    if None not in (left, right) and left != right:
+        raise PlanTypeError(f"comparison mixes widths {left} and {right}")
+    return TRUTH
+
+
+def _truth(node, *types) -> str:
+    """And, Or, Not and a select's predicate take truth values only."""
+    if any(t != TRUTH for t in types):
+        raise PlanTypeError(f"{node!r} takes truth values only")
+    return TRUTH
 
 
 def _select_schema(node: Select, schema: Schema) -> Schema:
-    _map_pred(node.pred, lambda cmp: _check_cmp(cmp, schema))
+    _truth(node, typecheck(node.pred, schema))
     return schema
 
 
@@ -210,6 +203,16 @@ def _wrap_scalar(word, name: str, state) -> EncTable:
     return EncTable("", schema, (relalg.EncRow((word,), presence),), state)
 
 
+def _cell(node: ColRef, schema: Schema):
+    i = schema.index_of(node.name)
+    return lambda row: row.cells[i]
+
+
+def _compare(node: Cmp, left, right):
+    circuit = relalg.CMP_CIRCUITS[node.op]
+    return lambda row: circuit(left(row), right(row))
+
+
 def _aggregate(tag: str) -> Node:
     """Entry of a one-column aggregate: ``relalg.op_<tag>`` over ``col``,
     returned as the column ``<tag>_<col>``."""
@@ -222,8 +225,8 @@ def _aggregate(tag: str) -> Node:
 
 NODES = {
     TableRef: Node("table", _lookup, _lookup),
-    Select: Node("select", _select_schema,
-                 lambda n, t: relalg.op_select(n.pred, t)),
+    Select: Node("select", _select_schema, lambda n, t: relalg.op_select(
+        eval_encrypted(n.pred, t.schema), t)),
     Project: Node("project", lambda n, s: s.project(n.cols),
                   lambda n, t: relalg.op_project(n.cols, t)),
     Cross: Node("cross", lambda n, l, r: Schema(l.columns + r.columns),
@@ -246,18 +249,21 @@ NODES = {
     Min: _aggregate("min"),
     Max: _aggregate("max"),
     Avg: _aggregate("avg"),
-    # predicate nodes carry a wire tag only: Select's typing rule checks
-    # them and relalg.eval_predicate evaluates them. A plaintext Lit has
-    # no tag, so the wire form carries no query constant in clear.
-    Cmp: Node("cmp"),
-    ColRef: Node("col"),
-    EncLit: Node("enclit"),
-    And: Node("and"),
-    Or: Node("or"),
-    Not: Node("not"),
+    Cmp: Node("cmp", _cmp_type, _compare),
+    ColRef: Node("col", lambda n, s: s.width_of(n.name), _cell),
+    EncLit: Node("enclit", lambda n, s: n.word.width,
+                 lambda n, s: lambda row: n.word),
+    And: Node("and", _truth,
+              lambda n, l, r: lambda row: and_(l(row), r(row))),
+    Or: Node("or", _truth,
+             lambda n, l, r: lambda row: bit_or(l(row), r(row))),
+    Not: Node("not", _truth, lambda n, c: lambda row: not_(c(row))),
+    # a plaintext Lit is typed only: with no tag and no evaluator, neither
+    # the wire form nor the server holds a query constant in clear
+    Lit: Node(None, lambda n, s: None),
 }
-PLAN_NODES = tuple(cls for cls, node in NODES.items() if node.evaluate)
-_BY_TAG = {node.tag: cls for cls, node in NODES.items()}
+PLAN_NODES = tuple(cls for cls in NODES if cls.__module__ == __name__)
+_BY_TAG = {node.tag: cls for cls, node in NODES.items() if node.tag}
 
 
 @functools.cache
@@ -271,57 +277,67 @@ def node_fields(cls) -> tuple[tuple[str, str], ...]:
                  for f in fields(cls))
 
 
-def _kind(node, plan: bool = True) -> Node:
+def _rule(node, plan: bool, role: str):
+    """The ``role`` field of ``node``'s ``NODES`` entry. A node of the other
+    family (plan or predicate), or one without that rule, raises
+    ``PlanTypeError``."""
     kind = NODES.get(type(node))
-    if kind is None or (kind.evaluate is not None) != plan:
+    rule = (getattr(kind, role) if kind and (type(node) in PLAN_NODES) == plan
+            else None)
+    if rule is None:
         what = "plan" if plan else "predicate"
         raise PlanTypeError(f"bad {what} node {node!r}")
-    return kind
+    return rule
 
 
-def _inputs(plan, env: dict, walk) -> list:
-    """``walk`` of each child in field order, or ``[env]`` for a leaf."""
-    return [walk(getattr(plan, name), env)
-            for name, kind in node_fields(type(plan)) if kind == "plan"] or [env]
+def _inputs(node, env, walk) -> list:
+    """``walk`` of each child of the node's own family in field order, or
+    ``[env]`` for a leaf."""
+    return [walk(getattr(node, name), env)
+            for name, _ in node_fields(type(node))
+            if name in CHILD_FIELDS] or [env]
 
 
 # --- walkers ----------------------------------------------------------------
 # Each recurses through its module-level name, so that a wrapper put on
 # ``plans.<walker>`` sees nested calls too.
 
-def typecheck(plan, catalog: dict[str, Schema]) -> Schema:
-    """Validate a plan against table schemas; returns the result schema."""
-    return _kind(plan).schema(plan, *_inputs(plan, catalog, typecheck))
+def typecheck(node, env):
+    """Type a plan against its catalog of table schemas, returning its
+    result schema, or a predicate against the selected table's schema."""
+    rule = _rule(node, not isinstance(env, Schema), "schema")
+    return rule(node, *_inputs(node, env, typecheck))
 
 
-def _encrypt_cmp(cmp: Cmp, schema: Schema, pk) -> Cmp:
-    width = _pred_width(cmp.left, schema) or _pred_width(cmp.right, schema)
-    left, right = (EncLit(encrypt_word(pk, side.value, width))
-                   if isinstance(side, Lit) else side
-                   for side in (cmp.left, cmp.right))
-    return Cmp(cmp.op, left, right)
-
-
-def encrypt_plan_literals(plan, catalog: dict[str, Schema], pk):
-    """Rewrite every plaintext literal in the plan to a ciphertext under
-    ``pk``; the plan shape stays public. A predicate's literals are
-    encrypted before its child's."""
-    _kind(plan)
+def encrypt_plan_literals(node, env, pk):
+    """Rewrite every plaintext literal in a plan (or predicate, see
+    ``typecheck``) to a ciphertext under ``pk``; the shape stays public.
+    Literals are encrypted in field order, so a predicate's come before its
+    child's, and a ``Lit`` takes the width of its comparison's other side."""
+    plan = not isinstance(env, Schema)
+    _rule(node, plan, "schema")
     changes = {}
-    for name, kind in node_fields(type(plan)):
-        if kind == "pred":
-            schema = typecheck(plan.child, catalog)
-            changes[name] = _map_pred(getattr(plan, name),
-                                      lambda cmp: _encrypt_cmp(cmp, schema, pk))
-        elif kind == "plan":
-            changes[name] = encrypt_plan_literals(getattr(plan, name), catalog, pk)
-    return replace(plan, **changes)
+    for name, kind in node_fields(type(node)):
+        value = getattr(node, name)
+        if kind == "plan":
+            changes[name] = encrypt_plan_literals(value, env, pk)
+        elif type(value) is Lit and not plan:
+            typecheck(node, env)  # so the Lit is one side of a comparison
+            width = typecheck(node.right if name == "left" else node.left, env)
+            changes[name] = EncLit(encrypt_word(pk, value.value, width))
+        elif kind == "pred":
+            scope = typecheck(node.child, env) if plan else env
+            changes[name] = encrypt_plan_literals(value, scope, pk)
+    return replace(node, **changes) if changes else node
 
 
-def eval_encrypted(plan, tables: dict[str, EncTable]) -> EncTable:
-    """Evaluate a plan over encrypted tables, left child before right.
-    Aggregates come back as one-row tables with an always-present row."""
-    return _kind(plan).evaluate(plan, *_inputs(plan, tables, eval_encrypted))
+def eval_encrypted(node, env):
+    """Evaluate a plan over its encrypted tables, left child before right;
+    aggregates come back as one-row tables with an always-present row. A
+    predicate, given the selected table's schema, compiles to a function
+    from one row to its encrypted bit."""
+    rule = _rule(node, not isinstance(env, Schema), "evaluate")
+    return rule(node, *_inputs(node, env, eval_encrypted))
 
 
 # --- wire form --------------------------------------------------------------
@@ -334,7 +350,7 @@ def plan_to_obj(plan, ladder=None) -> dict:
 
 
 def _to_obj(node, ladder, plan: bool) -> dict:
-    obj = {"node": _kind(node, plan).tag}
+    obj = {"node": _rule(node, plan, "tag")}
     for name, kind in node_fields(type(node)):
         value = getattr(node, name)
         if kind == "plan":

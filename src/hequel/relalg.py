@@ -9,8 +9,7 @@ the only control flow is over public capacities.
 Operators return new tables; inputs are never mutated. They trust a
 typechecked plan: ``plans.typecheck``, run by the client and again by the
 server, checks column names, widths, operators and set-operation schemas,
-so only what typing cannot see (ladders, plaintext literals) is checked
-here.
+so only what typing cannot see (ladders) is checked here.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from hequel.circuits import (
     word_ne,
 )
 from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
-from hequel.errors import LadderMismatch, PlanTypeError, ValueOverflow
+from hequel.errors import LadderMismatch, ValueOverflow
 from hequel.kernel import (and_, bit_and_not, bit_or, bits_differ, bits_gt,
                            bits_mux, bits_settle, bits_swap, bits_xor, fan_out,
                            fresh_bit, not_, settle, xor)
@@ -66,11 +65,13 @@ class EncTable:
 
 # --- predicates -------------------------------------------------------------
 #
-# Expression tree evaluated per row to one encrypted bit. A comparison
-# reads columns and ``EncLit`` words only: the client turns every plaintext
-# ``Lit`` into an ``EncLit`` (``plans.encrypt_plan_literals``) before a plan
-# leaves it, and the server evaluates no query constant in clear. ``Lit``
-# lives here for the plan language, the oracle and the client.
+# The predicate nodes and the comparison circuits only: ``plans.NODES``
+# types each node and compiles a predicate, once per select, to a function
+# from one row to its encrypted bit. A comparison reads columns and
+# ``EncLit`` words only: the client turns every plaintext ``Lit`` into an
+# ``EncLit`` (``plans.encrypt_plan_literals``) before a plan leaves it, and
+# the server evaluates no query constant in clear. ``Lit`` lives here for
+# the plan language, the oracle and the client.
 
 @dataclass(frozen=True)
 class ColRef:
@@ -120,32 +121,6 @@ CMP_CIRCUITS = {
     ">=": lambda a, b: not_(word_gt(b, a)),
     "<=": lambda a, b: not_(word_gt(a, b)),
 }
-
-
-def _operand_word(node, schema: Schema, row: EncRow) -> CipherWord:
-    """A comparison operand's word: the row's cell or the client's
-    ciphertext."""
-    if isinstance(node, ColRef):
-        return row.cells[schema.index_of(node.name)]
-    if isinstance(node, EncLit):
-        return node.word
-    raise PlanTypeError(f"bad comparison operand {node!r}")
-
-
-def eval_predicate(pred, schema: Schema, row: EncRow):
-    """Evaluate a predicate tree on one row, returning an encrypted bit."""
-    if isinstance(pred, Cmp):
-        return CMP_CIRCUITS[pred.op](_operand_word(pred.left, schema, row),
-                                     _operand_word(pred.right, schema, row))
-    if isinstance(pred, And):
-        return and_(eval_predicate(pred.left, schema, row),
-                    eval_predicate(pred.right, schema, row))
-    if isinstance(pred, Or):
-        return bit_or(eval_predicate(pred.left, schema, row),
-                      eval_predicate(pred.right, schema, row))
-    if isinstance(pred, Not):
-        return not_(eval_predicate(pred.child, schema, row))
-    raise PlanTypeError(f"bad predicate node {pred!r}")
 
 
 # --- encrypt / decrypt ------------------------------------------------------
@@ -378,10 +353,10 @@ def compact_rows(rows):
 
 # --- operators --------------------------------------------------------------
 
-def op_select(pred, t: EncTable) -> EncTable:
-    rows = tuple(
-        EncRow(r.cells, and_(r.presence, eval_predicate(pred, t.schema, r)))
-        for r in t.rows)
+def op_select(keep, t: EncTable) -> EncTable:
+    """Each row stays present iff it was and ``keep``, a predicate compiled
+    by ``plans.eval_encrypted``, gives 1 on it."""
+    rows = tuple(EncRow(r.cells, and_(r.presence, keep(r))) for r in t.rows)
     return EncTable("", t.schema, rows, t.state)
 
 

@@ -163,8 +163,9 @@ def check_select(rng, keys, pk):
     # sends it; the oracle reads the plaintext one
     enc_pred = plans.encrypt_plan_literals(
         plans.Select(pred, plans.TableRef("t")), {"t": schema}, pk).pred
-    got = decrypt_table(keys, op_select(enc_pred, enc(pk, schema, rows,
-                                                      presence, "t"))).rows
+    keep = plans.eval_encrypted(enc_pred, schema)
+    got = decrypt_table(keys, op_select(keep, enc(pk, schema, rows,
+                                                  presence, "t"))).rows
     want = [r for r in present(rows, presence)
             if eval_pred_plain(pred, schema, r)]
     return Counter(got), Counter(want)
@@ -358,7 +359,8 @@ def test_criterion_4_oblivious_shapes():
     def select_a_gt_50(t):
         # the literal encrypted under the table's ladder, as a client would
         fifty = EncLit(const_word(t.state, 50, 8, 1))
-        return op_select(Cmp(">", ColRef("a"), fifty), t)
+        return op_select(
+            plans.eval_encrypted(Cmp(">", ColRef("a"), fifty), t.schema), t)
 
     single = [
         ("select", select_a_gt_50),

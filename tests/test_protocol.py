@@ -499,6 +499,11 @@ ILL_TYPED = {
                            "right": _cmp("<", _enclit(ladder, 8))})),
     "operator ~": lambda ladder: _select_after_valid(
         ladder, _cmp("~", _enclit(ladder, 8))),
+    "col node as the select predicate": lambda ladder: {
+        "node": "select", "pred": COL_K, "child": TABLE_A},
+    "col node under and": lambda ladder: _select_after_valid(ladder, COL_K),
+    "cmp node as an operand": lambda ladder: _select_after_valid(
+        ladder, _cmp("=", _cmp(">", _enclit(ladder, 8)))),
 }
 
 

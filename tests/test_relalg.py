@@ -59,8 +59,9 @@ def test_table_round_trip_with_presence(session):
 def test_select_marks_presence(session):
     _, keys, pk = session
     t = enc_pc(pk, presence=[1, 1, 0])
-    out = op_select(Cmp(">", ColRef("speed"), EncLit(encrypt_word(pk, 1, 4))),
-                    t)
+    keep = plans.eval_encrypted(
+        Cmp(">", ColRef("speed"), EncLit(encrypt_word(pk, 1, 4))), t.schema)
+    out = op_select(keep, t)
     assert out.capacity == 3  # shape is data-independent
     _, presences = decrypt_table_full(keys, out)
     # speeds 3,2,1: predicate keeps rows 1,2; row 3 was already absent
@@ -71,16 +72,20 @@ def test_select_marks_presence(session):
 def test_select_on_absent_row_stays_absent(session):
     _, keys, pk = session
     t = enc_pc(pk, presence=[0, 0, 0])
-    out = op_select(
-        Cmp(">=", ColRef("model"), EncLit(encrypt_word(pk, 0, 12))), t)
+    out = op_select(plans.eval_encrypted(
+        Cmp(">=", ColRef("model"), EncLit(encrypt_word(pk, 0, 12))), t.schema),
+        t)
     assert bag(keys, out) == Counter()
 
 
 def test_select_literal_only_predicate_rejected(session):
     _, _, pk = session
     t = enc_pc(pk)
+    before = (t.state.and_count, t.state.refresh_count)
     with pytest.raises(PlanTypeError):
-        op_select(Cmp("=", Lit(1), Lit(1)), t)
+        op_select(plans.eval_encrypted(Cmp("=", Lit(1), Lit(1)), t.schema), t)
+    # refused while compiling, before any gate
+    assert (t.state.and_count, t.state.refresh_count) == before
 
 
 def test_project(session):
