@@ -34,6 +34,8 @@ _CMP_CANON = {"=": "=", "==": "=", "!=": "!=", "<>": "!=",
 _WORDS = {"groupby" if cls is plans.GroupBySum else plans.NODES[cls].tag: cls
           for cls in plans.PLAN_NODES}
 _WORD_OF = {cls: word for word, cls in _WORDS.items()}
+# the binary predicate connectives, loosest first; each word is its wire tag
+_BINARY = (Or, And)
 
 
 def is_name(text: str) -> bool:
@@ -129,25 +131,20 @@ class _Parser:
 
     # predicates ----------------------------------------------------------
 
-    def pred(self):
-        node = self.pred_and()
-        while self.peek()[1] == "or":
+    def pred(self, level: int = 0):
+        """A predicate whose connectives bind at least as tight as
+        ``_BINARY[level]``; past the table's end, ``not`` and then an atom."""
+        if level == len(_BINARY):
+            if self.peek()[1] == "not":
+                self.next()
+                return Not(self.pred(level))
+            return self.pred_atom()
+        cls = _BINARY[level]
+        node = self.pred(level + 1)
+        while self.peek()[1] == plans.NODES[cls].tag:
             self.next()
-            node = Or(node, self.pred_and())
+            node = cls(node, self.pred(level + 1))
         return node
-
-    def pred_and(self):
-        node = self.pred_not()
-        while self.peek()[1] == "and":
-            self.next()
-            node = And(node, self.pred_not())
-        return node
-
-    def pred_not(self):
-        if self.peek()[1] == "not":
-            self.next()
-            return Not(self.pred_not())
-        return self.pred_atom()
 
     def pred_atom(self):
         if self.peek()[1] == "(":
@@ -189,22 +186,19 @@ def parse_plan(text: str, catalog: dict[str, Schema]):
     return plan
 
 
-_PRED_LEVEL = {Or: 1, And: 2, Not: 3}  # binding strength; comparisons 4
-
-
 def _pred_to_text(pred, parent_level: int = 0, right_side: bool = False) -> str:
-    level = _PRED_LEVEL.get(type(pred), 4)
+    # binding strength: _BINARY's connectives 1.., then not, then comparisons
     if isinstance(pred, Cmp):
         left, right = (side.name if isinstance(side, ColRef) else str(side.value)
                        for side in (pred.left, pred.right))
-        text = f"{left} {pred.op} {right}"
-    elif isinstance(pred, Not):
-        text = f"not {_pred_to_text(pred.child, level)}"
-    elif isinstance(pred, (And, Or)):
-        text = (f"{_pred_to_text(pred.left, level)} {plans.NODES[type(pred)].tag} "
-                f"{_pred_to_text(pred.right, level, right_side=True)}")
-    else:
+        return f"{left} {pred.op} {right}"
+    if isinstance(pred, Not):
+        return f"not {_pred_to_text(pred.child, len(_BINARY) + 1)}"
+    if type(pred) not in _BINARY:
         raise ValueError(f"cannot render predicate {pred!r}")
+    level = _BINARY.index(type(pred)) + 1
+    text = (f"{_pred_to_text(pred.left, level)} {plans.NODES[type(pred)].tag} "
+            f"{_pred_to_text(pred.right, level, right_side=True)}")
     # the parser is left-associative, so a same-level right child needs parens
     if level < parent_level or (level == parent_level and right_side):
         return f"({text})"

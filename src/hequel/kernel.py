@@ -24,7 +24,7 @@ for a whole row of settles, make every refresh decision above the gates:
 no other library module calls ``refresh`` or reads the mode, which
 ``tests/test_kernel_boundary.py`` checks.
 
-The one-AND primitives live here too: ``bit_mux``, ``bit_or`` and
+The two fused one-AND primitives live here too: ``bit_mux`` and
 ``bit_and_not``. Each is defined by a short composition of ``xor`` and
 ``and_``. It refuses operands from two ladders before any gate, and
 lifts operands of unequal epochs to their top epoch first, each once.
@@ -33,7 +33,9 @@ armed, it computes the payloads inline and builds only its output bits.
 It still counts every gate of the composition and advances the nonce
 stream once per gate, in gate order, so each output carries the nonce,
 epoch and depth that the composition would give it. On any other input
-it runs the composition itself.
+it runs the composition itself. An OR is a select, a ∨ b = (a ? a : b):
+``bit_or`` refuses two ladders, settles both operands, since each feeds
+two gates, and returns ``bit_mux(a, a, b)``.
 
 The word primitives run a whole word, or a whole row, in one call:
 ``bits_settle`` (``settle`` per bit), ``bits_xor`` (``xor`` per bit
@@ -325,8 +327,8 @@ def not_(a: CipherBit) -> CipherBit:
     return xor(a, fresh_bit(a._state, 1, a.epoch))
 
 
-# The one-AND primitives. Each first refuses a stranger ladder and lifts
-# operands of unequal epochs to their top one, so a mixed-ladder call
+# The fused one-AND primitives. Each first refuses a stranger ladder and
+# lifts operands of unequal epochs to their top one, so a mixed-ladder call
 # refreshes nothing. Then ``d`` is the deepest operand's depth; the inline
 # path needs d < budget, so the AND lands at d + 1 with no settle, and
 # every later XOR of the composition keeps that depth.
@@ -355,23 +357,13 @@ def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
 
 
 def bit_or(a: CipherBit, b: CipherBit) -> CipherBit:
-    """a ∨ b = a ⊕ b ⊕ (a ∧ b): one AND and no fresh encryption, three
-    gates. The operands are settled first, since each feeds two gates."""
-    s = a._state
-    if b._state is not s:
+    """a ∨ b as a select: (a ? a : b) = b ⊕ (a ∧ (a ⊕ b)), one AND and no
+    fresh encryption, three gates, run by ``bit_mux``. The operands are
+    settled first, after the ladder check, since each feeds two gates."""
+    if b._state is not a._state:
         raise LadderMismatch(_MIXED)
-    d = a.depth if a.depth >= b.depth else b.depth
-    if d >= s.depth_budget or a.epoch != b.epoch:
-        a, b = settle(a), settle(b)
-        if a.epoch != b.epoch:
-            a, b = _align(a, b)
-        d = a.depth if a.depth >= b.depth else b.depth
-    if s.fault_gate < 0:
-        s.xor_count += 2
-        s.and_count += 1
-        s.nonce_state = z = (s.nonce_state + 3 * _GAMMA) & _MASK64
-        return CipherBit(s, a._payload | b._payload, a.epoch, d + 1, z)
-    return xor(xor(a, b), and_(a, b))
+    a = settle(a)
+    return bit_mux(a, a, settle(b))
 
 
 def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:

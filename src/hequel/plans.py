@@ -345,7 +345,7 @@ def eval_encrypted(node, env):
 # A node is ``{"node": tag, <field>: <value>, ...}`` in field order; tuples
 # travel as lists and ciphertext words in ``serial``'s word form.
 
-def plan_to_obj(plan, ladder=None) -> dict:
+def plan_to_obj(plan, ladder) -> dict:
     return _to_obj(plan, ladder, True)
 
 

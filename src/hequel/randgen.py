@@ -68,11 +68,9 @@ def random_pred(rng: random.Random, schema: Schema, depth: int = 0):
     return Cmp(op, ColRef(name), Lit(rng.randint(0, (1 << width) - 1)))
 
 
-def random_plan(rng: random.Random, catalog: dict[str, PlainTable],
-                n_ops: int | None = None):
+def random_plan(rng: random.Random, catalog: dict[str, PlainTable]):
     """A plan of 2-4 relational operators, well typed by construction."""
-    if n_ops is None:
-        n_ops = rng.randint(2, 4)
+    n_ops = rng.randint(2, 4)
     schemas = {name: t.schema for name, t in catalog.items()}
     start = rng.choice(("a", "b"))
     plan = plans.TableRef(start)

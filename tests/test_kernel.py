@@ -333,10 +333,11 @@ def _swap_composition(f, x, y):
 
 
 def _or_composition(a, b):
-    # settled first, then lifted, since each operand feeds two gates
+    # the select a ? a : b, settled first, then lifted, since each operand
+    # feeds two gates
     a, b = kernel.settle(a), kernel.settle(b)
     return _on_top_epoch(lambda a, b: kernel.xor(
-        kernel.xor(a, b), kernel.and_(a, b)))(a, b)
+        b, kernel.and_(a, kernel.xor(a, b))))(a, b)
 
 
 # (name, arity, gates, composition)
@@ -428,18 +429,22 @@ def test_fused_primitive_with_a_fault_at_each_gate(name, arity, gates,
                          ids=FUSED_IDS)
 def test_fused_primitive_refuses_mixed_ladders(name, arity, gates,
                                                composition):
-    # at one epoch and at several, the refusal comes before any gate,
-    # lift or settle on either ladder
+    # at one epoch and at several, with no operand or one at the depth
+    # budget, the refusal comes before any gate, lift or settle on either
+    # ladder
     for stranger in range(arity):
-        for epochs in itertools.product((1, 2), repeat=arity):
-            home, away = (make_state(mode="leveled", budget=BUDGET, epochs=3)
-                          for _ in range(2))
-            bits = [kernel.fresh_bit(away if i == stranger else home, 1, e)
-                    for i, e in enumerate(epochs)]
-            before = [_spent(s) for s in (home, away)]
-            with pytest.raises(LadderMismatch):
-                getattr(kernel, name)(*bits)
-            assert [_spent(s) for s in (home, away)] == before
+        for deep in (None, *range(arity)):
+            for epochs in itertools.product((1, 2), repeat=arity):
+                home, away = (make_state(mode="leveled", budget=BUDGET,
+                                         epochs=3) for _ in range(2))
+                bits = [kernel.bit_from_parts(
+                            away if i == stranger else home, 1, e,
+                            BUDGET if i == deep else 0, 1000 + i)
+                        for i, e in enumerate(epochs)]
+                before = [_spent(s) for s in (home, away)]
+                with pytest.raises(LadderMismatch):
+                    getattr(kernel, name)(*bits)
+                assert [_spent(s) for s in (home, away)] == before
 
 
 # ``bits_swap`` at length 1 is the one-bit swap, held to the FUSED checks:

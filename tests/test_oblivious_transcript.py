@@ -8,6 +8,10 @@ than any result's capacity, so the client asks for every row either way.
 Per message, the two transcripts must agree on the request and reply byte
 lengths, the counters moved since the previous reply (client work
 included), and the width, epoch and depth of every word in the reply.
+
+Beside the random plans, five fixed plans take the shapes of the
+benchmark's relational-fetch templates at n=32, under its circular ladder
+and under aggregate-leveled's ``leveled:128`` at depth budget 8.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import random
 
 import pytest
 
-from hequel import randgen, serial
+from hequel import dsl, randgen, serial
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import HequelError
 from hequel.protocol import ClientSession, ServerStore
-from hequel.schema import PlainTable
+from hequel.schema import PlainTable, Schema
 
 PLANS = 40
 SLACK = 1 << 16  # more than any randgen plan's capacity
@@ -94,4 +98,44 @@ def test_transcript_depends_on_shapes_only(mode):
             at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                       min(len(a), len(b)))
             differ.append(f"seed {seed}, message {at}: {plan!r}")
+    assert not differ, "\n".join(differ)
+
+
+SHAPED_CONTEXTS = {
+    "circular": SecurityContext(),
+    "leveled:128": SecurityContext(mode="leveled", depth_budget=8,
+                                   epochs=128),
+}
+KV = Schema((("k", 8), ("v", 8)))
+SHAPED_PLANS = (
+    "select(k > 100 or v = 7, table(a))",
+    "sort(v, desc, table(a))",
+    "groupby([k], v, table(a))",
+    "distinct(table(a))",  # its duplicate test is an OR tree
+    "intersect(table(b), table(c))",
+)
+
+
+def _pooled_catalog(rng: random.Random) -> dict:
+    """32 rows in a and 16 each in b and c, drawn from small value pools
+    so duplicates, groups and bag overlaps occur, as in the benchmark."""
+    kpool, vpool = rng.sample(range(256), 6), rng.sample(range(256), 5)
+    return {name: PlainTable(KV, [(rng.choice(kpool), rng.choice(vpool))
+                                  for _ in range(n)])
+            for name, n in (("a", 32), ("b", 16), ("c", 16))}
+
+
+@pytest.mark.parametrize("mode", SHAPED_CONTEXTS)
+def test_benchmark_shaped_transcript_depends_on_shapes_only(mode):
+    differ = []
+    for text in SHAPED_PLANS:
+        rng = random.Random(text)
+        catalog = _pooled_catalog(rng)
+        plan = dsl.parse(text)
+        a, b = (_transcript(SHAPED_CONTEXTS[mode], cat, plan)
+                for cat in (catalog, _redrawn(catalog, rng)))
+        if a != b:
+            differ.append(text)
+        elif isinstance(a[-1], str):
+            differ.append(f"{text}: refused with {a[-1]}")
     assert not differ, "\n".join(differ)
