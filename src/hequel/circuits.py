@@ -18,11 +18,11 @@ The loops over whole words are the kernel's word primitives, which build
 only their output bits: ``bits_differ`` (``word_ne``), ``bits_xor`` and
 ``bits_gt`` (``word_gt``'s operand XORs and its comparator chain) and
 ``bits_mux`` (``word_mux``). The other one-AND steps call the kernel's
-two fused one-AND primitives, ``bit_mux`` (the carries of addition and
-``bit_count``) and ``bit_and_not``, or ``bit_or`` (``any_bit``), which
-is the select ``bit_mux(a, a, b)`` on settled operands. ``pairwise`` and
-these are imported here, so ``circuits.bit_mux`` and the others name the
-kernel's functions.
+fused one-AND primitive ``bit_mux`` (the carries of addition and
+``bit_count``), ``bit_or`` (``any_bit``), the select ``bit_mux(a, a, b)``
+on settled operands, or ``bit_and_not``, the two gates a ⊕ (a ∧ b).
+``pairwise`` and these are imported here, so ``circuits.bit_mux`` and
+the others name the kernel's functions.
 """
 
 from __future__ import annotations

@@ -189,6 +189,8 @@ def parse_plan(text: str, catalog: dict[str, Schema]):
 def _pred_to_text(pred, parent_level: int = 0, right_side: bool = False) -> str:
     # binding strength: _BINARY's connectives 1.., then not, then comparisons
     if isinstance(pred, Cmp):
+        if not {type(pred.left), type(pred.right)} <= {ColRef, Lit}:
+            raise ValueError(f"cannot render an operand of {pred!r}")
         left, right = (side.name if isinstance(side, ColRef) else str(side.value)
                        for side in (pred.left, pred.right))
         return f"{left} {pred.op} {right}"

@@ -24,18 +24,17 @@ for a whole row of settles, make every refresh decision above the gates:
 no other library module calls ``refresh`` or reads the mode, which
 ``tests/test_kernel_boundary.py`` checks.
 
-The two fused one-AND primitives live here too: ``bit_mux`` and
-``bit_and_not``. Each is defined by a short composition of ``xor`` and
-``and_``. It refuses operands from two ladders before any gate, and
-lifts operands of unequal epochs to their top epoch first, each once.
-Then, when no AND in it would pass the depth budget and no fault is
-armed, it computes the payloads inline and builds only its output bits.
-It still counts every gate of the composition and advances the nonce
-stream once per gate, in gate order, so each output carries the nonce,
-epoch and depth that the composition would give it. On any other input
-it runs the composition itself. An OR is a select, a ∨ b = (a ? a : b):
-``bit_or`` refuses two ladders, settles both operands, since each feeds
-two gates, and returns ``bit_mux(a, a, b)``.
+One fused one-AND primitive lives here too: ``bit_mux``, the select
+y ⊕ (f ∧ (x ⊕ y)). It refuses operands from two ladders before any gate
+and lifts operands of unequal epochs to their top epoch first, each once.
+Then, when its AND would not pass the depth budget and no fault is armed,
+it computes the payload inline and builds only its output bit, counting
+all three gates and advancing the nonce stream once per gate, so the
+output carries the nonce, epoch and depth the composition would give it;
+otherwise it runs the composition. An OR is a select, a ∨ b = (a ? a : b):
+``bit_or`` settles both operands, since each feeds two gates, lifts the
+lower one and returns ``bit_mux(a, a, b)``. ``bit_and_not`` runs its two
+gates, a ⊕ (a ∧ b), as ``not_`` runs an XOR with a fresh E(1).
 
 The word primitives run a whole word, or a whole row, in one call:
 ``bits_settle`` (``settle`` per bit), ``bits_xor`` (``xor`` per bit
@@ -327,11 +326,16 @@ def not_(a: CipherBit) -> CipherBit:
     return xor(a, fresh_bit(a._state, 1, a.epoch))
 
 
-# The fused one-AND primitives. Each first refuses a stranger ladder and
-# lifts operands of unequal epochs to their top one, so a mixed-ladder call
-# refreshes nothing. Then ``d`` is the deepest operand's depth; the inline
-# path needs d < budget, so the AND lands at d + 1 with no settle, and
-# every later XOR of the composition keeps that depth.
+def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:
+    """a ∧ ¬b = a ⊕ (a ∧ b): one AND and no NOT, so no fresh encryption,
+    two gates; the XOR reuses the copy the AND's lift made of a lower a."""
+    return xor(a, and_(a, b))
+
+
+# The fused one-AND primitive refuses a stranger ladder before it lifts,
+# so a mixed-ladder call refreshes nothing. Its inline path needs the
+# deepest operand's depth d < budget, so the AND lands at d + 1 with no
+# settle, and the last XOR keeps that depth.
 
 
 def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
@@ -358,30 +362,15 @@ def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
 
 def bit_or(a: CipherBit, b: CipherBit) -> CipherBit:
     """a ∨ b as a select: (a ? a : b) = b ⊕ (a ∧ (a ⊕ b)), one AND and no
-    fresh encryption, three gates, run by ``bit_mux``. The operands are
-    settled first, after the ladder check, since each feeds two gates."""
+    fresh encryption, three gates, run by ``bit_mux``. After the ladder
+    check the operands are settled, since each feeds two gates, and the
+    lower-epoch one is lifted once, so ``bit_mux`` finds one epoch."""
     if b._state is not a._state:
         raise LadderMismatch(_MIXED)
-    a = settle(a)
-    return bit_mux(a, a, settle(b))
-
-
-def bit_and_not(a: CipherBit, b: CipherBit) -> CipherBit:
-    """a ∧ ¬b = a ⊕ (a ∧ b): one AND and no NOT, so no fresh encryption,
-    two gates."""
-    s = a._state
-    if b._state is not s:
-        raise LadderMismatch(_MIXED)
+    a, b = settle(a), settle(b)
     if a.epoch != b.epoch:
         a, b = _align(a, b)
-    d = a.depth if a.depth >= b.depth else b.depth
-    if d < s.depth_budget and s.fault_gate < 0:
-        s.xor_count += 1
-        s.and_count += 1
-        s.nonce_state = z = (s.nonce_state + 2 * _GAMMA) & _MASK64
-        p = a._payload
-        return CipherBit(s, p ^ (p & b._payload), a.epoch, d + 1, z)
-    return xor(a, and_(a, b))
+    return bit_mux(a, a, b)
 
 
 # The word primitives (see the module docstring). An inline run keeps its

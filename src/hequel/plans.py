@@ -8,17 +8,18 @@ The wire form has no plaintext literal: encoding a plan that still holds
 a ``Lit`` raises ``PlanTypeError``, and decoding a ``lit`` node raises
 ``ProtocolError``.
 
-One table, ``NODES``, gives each node class, plan or predicate, its wire
-tag, typing rule and encrypted evaluator. The walkers here and the text
-form in ``dsl`` are generic over the dataclass fields, declared in wire
-order: ``child``/``left``/``right`` hold sub-nodes of the node's own
-family, ``pred`` a predicate, the rest are leaves. A plan walks its
-catalog or table map, a predicate the selected table's schema. An
-operand's type is its width (None for a plaintext ``Lit``), any other
-predicate's is ``TRUTH``; a predicate compiles, once per select, to a
-function from one row to its encrypted bit. Adding a node means adding
-its dataclass plus one ``NODES`` entry; the plaintext oracle gets its own
-branch by design, so that it stays an independent check.
+Two tables, ``PLAN_NODES`` and ``PRED_NODES`` (``NODES`` is their
+union), give each node class its wire tag, typing rule and encrypted
+evaluator. The walkers here and the text form in ``dsl`` are generic over
+the dataclass fields, declared in wire order: ``child``/``left``/``right``
+hold sub-nodes of the node's own family, ``pred`` a predicate, the rest
+are leaves. A plan walks its catalog or table map, a predicate the
+selected table's schema. An operand's type is its width (None for a
+plaintext ``Lit``), any other predicate's is ``TRUTH``; a predicate
+compiles, once per select, to a function from one row to its encrypted
+bit. Adding a node means adding its dataclass plus one entry in its
+family's table; the plaintext oracle gets its own branch by design, so
+that it stays an independent check.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _aggregate(tag: str) -> Node:
                                   f"{tag}_{n.col}", t.state))
 
 
-NODES = {
+PLAN_NODES = {
     TableRef: Node("table", _lookup, _lookup),
     Select: Node("select", _select_schema, lambda n, t: relalg.op_select(
         eval_encrypted(n.pred, t.schema), t)),
@@ -249,6 +250,8 @@ NODES = {
     Min: _aggregate("min"),
     Max: _aggregate("max"),
     Avg: _aggregate("avg"),
+}
+PRED_NODES = {
     Cmp: Node("cmp", _cmp_type, _compare),
     ColRef: Node("col", lambda n, s: s.width_of(n.name), _cell),
     EncLit: Node("enclit", lambda n, s: n.word.width,
@@ -262,7 +265,7 @@ NODES = {
     # the wire form nor the server holds a query constant in clear
     Lit: Node(None, lambda n, s: None),
 }
-PLAN_NODES = tuple(cls for cls in NODES if cls.__module__ == __name__)
+NODES = PLAN_NODES | PRED_NODES
 _BY_TAG = {node.tag: cls for cls, node in NODES.items() if node.tag}
 
 
@@ -278,12 +281,11 @@ def node_fields(cls) -> tuple[tuple[str, str], ...]:
 
 
 def _rule(node, plan: bool, role: str):
-    """The ``role`` field of ``node``'s ``NODES`` entry. A node of the other
-    family (plan or predicate), or one without that rule, raises
-    ``PlanTypeError``."""
-    kind = NODES.get(type(node))
-    rule = (getattr(kind, role) if kind and (type(node) in PLAN_NODES) == plan
-            else None)
+    """The ``role`` field of ``node``'s entry in the table of its family,
+    ``PLAN_NODES`` or ``PRED_NODES``. A node of the other family, or one
+    without that rule, raises ``PlanTypeError``."""
+    kind = (PLAN_NODES if plan else PRED_NODES).get(type(node))
+    rule = getattr(kind, role) if kind else None
     if rule is None:
         what = "plan" if plan else "predicate"
         raise PlanTypeError(f"bad {what} node {node!r}")
@@ -312,23 +314,28 @@ def typecheck(node, env):
 def encrypt_plan_literals(node, env, pk):
     """Rewrite every plaintext literal in a plan (or predicate, see
     ``typecheck``) to a ciphertext under ``pk``; the shape stays public.
-    Literals are encrypted in field order, so a predicate's come before its
-    child's, and a ``Lit`` takes the width of its comparison's other side."""
-    plan = not isinstance(env, Schema)
-    _rule(node, plan, "schema")
-    changes = {}
-    for name, kind in node_fields(type(node)):
-        value = getattr(node, name)
-        if kind == "plan":
-            changes[name] = encrypt_plan_literals(value, env, pk)
-        elif type(value) is Lit and not plan:
-            typecheck(node, env)  # so the Lit is one side of a comparison
-            width = typecheck(node.right if name == "left" else node.left, env)
-            changes[name] = EncLit(encrypt_word(pk, value.value, width))
-        elif kind == "pred":
-            scope = typecheck(node.child, env) if plan else env
-            changes[name] = encrypt_plan_literals(value, scope, pk)
-    return replace(node, **changes) if changes else node
+    One post-order walk types each node by its ``NODES`` rule as it goes,
+    and a ``Lit``, which the rules admit only as one side of a comparison,
+    takes the other side's width. Literals are encrypted in walk order, so
+    those under a select's child come before the select's own."""
+    return _encrypt_typed(node, env, pk)[0]
+
+
+def _encrypt_typed(node, env, pk):
+    """``encrypt_plan_literals`` of ``node``, and its type."""
+    rule = _rule(node, not isinstance(env, Schema), "schema")
+    if type(node) is Select:  # the predicate is typed against the child
+        child, schema = _encrypt_typed(node.child, env, pk)
+        pred, truth = _encrypt_typed(node.pred, schema, pk)
+        _truth(node, truth)
+        return Select(pred, child), schema
+    subs = {name: _encrypt_typed(getattr(node, name), env, pk)
+            for name, _ in node_fields(type(node)) if name in CHILD_FIELDS}
+    types = [t for _, t in subs.values()]
+    result = rule(node, *types or [env])
+    changes = {name: EncLit(encrypt_word(pk, sub.value, types[name == "left"]))
+               if type(sub) is Lit else sub for name, (sub, _) in subs.items()}
+    return (replace(node, **changes) if changes else node), result
 
 
 def eval_encrypted(node, env):
