@@ -32,8 +32,8 @@ it computes the payload inline and builds only its output bit, counting
 all three gates and advancing the nonce stream once per gate, so the
 output carries the nonce, epoch and depth the composition would give it;
 otherwise it runs the composition. An OR is a select, a ∨ b = (a ? a : b):
-``bit_or`` settles both operands, since each feeds two gates, lifts the
-lower one and returns ``bit_mux(a, a, b)``. ``bit_and_not`` runs its two
+``bit_or`` refuses two ladders, settles both operands, since each feeds
+two gates, and returns ``bit_mux(a, a, b)``. ``bit_and_not`` runs its two
 gates, a ⊕ (a ∧ b), as ``not_`` runs an XOR with a fresh E(1).
 
 The word primitives run a whole word, or a whole row, in one call:
@@ -284,7 +284,7 @@ def _align(a: CipherBit, b: CipherBit):
     return a, lift(b, a.epoch)
 
 
-# The gates and the one-AND primitives each write their ladder guard out
+# The gates, ``bit_mux`` and ``bit_or`` each write their ladder guard out
 # in full: a shared helper would cost a call on every gate.
 
 
@@ -362,15 +362,12 @@ def bit_mux(f: CipherBit, x: CipherBit, y: CipherBit) -> CipherBit:
 
 def bit_or(a: CipherBit, b: CipherBit) -> CipherBit:
     """a ∨ b as a select: (a ? a : b) = b ⊕ (a ∧ (a ⊕ b)), one AND and no
-    fresh encryption, three gates, run by ``bit_mux``. After the ladder
-    check the operands are settled, since each feeds two gates, and the
-    lower-epoch one is lifted once, so ``bit_mux`` finds one epoch."""
+    fresh encryption, three gates, run by ``bit_mux``. The operands are
+    settled first, after the ladder check, since each feeds two gates."""
     if b._state is not a._state:
         raise LadderMismatch(_MIXED)
-    a, b = settle(a), settle(b)
-    if a.epoch != b.epoch:
-        a, b = _align(a, b)
-    return bit_mux(a, a, b)
+    a = settle(a)
+    return bit_mux(a, a, settle(b))
 
 
 # The word primitives (see the module docstring). An inline run keeps its

@@ -314,28 +314,23 @@ def typecheck(node, env):
 def encrypt_plan_literals(node, env, pk):
     """Rewrite every plaintext literal in a plan (or predicate, see
     ``typecheck``) to a ciphertext under ``pk``; the shape stays public.
-    One post-order walk types each node by its ``NODES`` rule as it goes,
-    and a ``Lit``, which the rules admit only as one side of a comparison,
-    takes the other side's width. Literals are encrypted in walk order, so
-    those under a select's child come before the select's own."""
-    return _encrypt_typed(node, env, pk)[0]
-
-
-def _encrypt_typed(node, env, pk):
-    """``encrypt_plan_literals`` of ``node``, and its type."""
-    rule = _rule(node, not isinstance(env, Schema), "schema")
-    if type(node) is Select:  # the predicate is typed against the child
-        child, schema = _encrypt_typed(node.child, env, pk)
-        pred, truth = _encrypt_typed(node.pred, schema, pk)
-        _truth(node, truth)
-        return Select(pred, child), schema
-    subs = {name: _encrypt_typed(getattr(node, name), env, pk)
-            for name, _ in node_fields(type(node)) if name in CHILD_FIELDS}
-    types = [t for _, t in subs.values()]
-    result = rule(node, *types or [env])
-    changes = {name: EncLit(encrypt_word(pk, sub.value, types[name == "left"]))
-               if type(sub) is Lit else sub for name, (sub, _) in subs.items()}
-    return (replace(node, **changes) if changes else node), result
+    Literals are encrypted in field order, so a predicate's come before its
+    child's, and a ``Lit`` takes the width of its comparison's other side."""
+    plan = not isinstance(env, Schema)
+    _rule(node, plan, "schema")
+    changes = {}
+    for name, kind in node_fields(type(node)):
+        value = getattr(node, name)
+        if kind == "plan":
+            changes[name] = encrypt_plan_literals(value, env, pk)
+        elif type(value) is Lit and not plan:
+            typecheck(node, env)  # so the Lit is one side of a comparison
+            width = typecheck(node.right if name == "left" else node.left, env)
+            changes[name] = EncLit(encrypt_word(pk, value.value, width))
+        elif kind == "pred":
+            scope = typecheck(node.child, env) if plan else env
+            changes[name] = encrypt_plan_literals(value, scope, pk)
+    return replace(node, **changes) if changes else node
 
 
 def eval_encrypted(node, env):

@@ -754,28 +754,3 @@ def test_wire_parts_read_what_word_from_parts_takes():
     back = kernel.word_from_parts(ladder.state, payload, epochs, depths,
                                   nonces)
     assert _observe(ladder.state, back) == _observe(ladder.state, outs)
-
-
-@pytest.mark.parametrize("lower", [0, 1], ids=["a_lower", "b_lower"])
-def test_cross_epoch_or_lifts_its_lower_operand_once(monkeypatch, lower):
-    # bit_or lifts the lower settled operand itself, so the select it runs
-    # finds one epoch and lifts nothing; the refreshes and the output are
-    # the composition's, at every payload and depth
-    calls = []
-    lift = kernel.lift
-
-    def counted_or(a, b):
-        calls.clear()
-        with monkeypatch.context() as m:
-            m.setattr(kernel, "lift",
-                      lambda c, e: calls.append(e) or lift(c, e))
-            return kernel.bit_or(a, b)
-
-    epochs = (1, 3) if lower == 0 else (3, 1)
-    for payloads in itertools.product((0, 1), repeat=2):
-        for depths in itertools.product(range(BUDGET + 1), repeat=2):
-            operands = list(zip(payloads, epochs, depths))
-            fused, reference = _run_twins(counted_or, _or_composition,
-                                          "leveled", operands)
-            assert len(calls) == 1, (operands, calls)
-            assert fused == reference, (operands, fused, reference)

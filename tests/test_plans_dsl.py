@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from hequel import dsl, engine, kernel, plans, randgen
+from hequel import dsl, plans, randgen
 from hequel.circuits import encrypt_word
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import (ParseError, PlanTypeError, SchemaMismatch,
@@ -186,52 +186,6 @@ def test_eval_encrypted_all_node_types():
     out = plans.eval_encrypted(plan, tables)
     assert decrypt_table(keys, out).rows == [(478 + 600,)]
     assert out.schema.columns == (("sum_price", 12),)
-
-
-def test_encrypt_plan_literals_types_in_one_walk(monkeypatch):
-    # the literal walk types each node once as it goes, so k nested selects
-    # cost no typecheck call at all, where typing every select's child again
-    # made the walk quadratic
-    plan = plans.TableRef("pc")
-    for i in range(40):
-        plan = plans.Select(Cmp(">", ColRef("speed"), Lit(i % 16)), plan)
-    calls = []
-    typecheck = plans.typecheck
-    monkeypatch.setattr(plans, "typecheck",
-                        lambda *args: calls.append(args) or typecheck(*args))
-    ladder, _ = keygen(SecurityContext(), seed=b"nest")
-    enc = plans.encrypt_plan_literals(plan, CATALOG, ladder.public_key())
-    assert calls == []
-    for _ in range(40):
-        assert enc.pred.right.word.width == 4
-        enc = enc.child
-    assert enc == plans.TableRef("pc")
-
-
-def test_encrypt_plan_literals_order_puts_the_child_first():
-    # a select's predicate is rewritten after its child, so the inner
-    # select's literal draws its nonces before the outer one's
-    plan = dsl.parse("select(speed > 1, select(ram = 512, table(pc)))")
-    ladder, _ = keygen(SecurityContext(), seed=b"order")
-    enc = plans.encrypt_plan_literals(plan, CATALOG, ladder.public_key())
-    twin, _ = keygen(SecurityContext(), seed=b"order")
-    inner = encrypt_word(twin.public_key(), 512, 12)
-    outer = encrypt_word(twin.public_key(), 1, 4)
-    def nonces(word):
-        return [kernel._nonce_of(b) for b in word.bits]
-    assert nonces(enc.child.pred.right.word) == nonces(inner)
-    assert nonces(enc.pred.right.word) == nonces(outer)
-
-
-@pytest.mark.parametrize("ctx", [SecurityContext(), SecurityContext(
-    mode="leveled", depth_budget=3, epochs=64)], ids=["circular", "leveled"])
-def test_nested_select_with_not_matches_the_oracle(ctx):
-    kv = Schema((("k", 8), ("v", 8)))
-    rows = [(k, v) for k in (1, 3, 4, 7, 9) for v in (2, 8, 9)]
-    plan = dsl.parse("select(k > 3, select(v < 9 and not k = 7, table(t)))")
-    report = engine.diff_run(plan, {"t": PlainTable(kv, rows)}, ctx=ctx,
-                             seed=b"nested")
-    assert report.passed, report.detail
 
 
 def test_render_refuses_an_operand_it_cannot_write():
