@@ -5,24 +5,3 @@ every row-presence flag is an encrypted bit vector, operators are fixed
 gate circuits with no data-dependent control flow, and results come back
 through a compact two-step fetch the client can verify.
 """
-
-from hequel.errors import (
-    DuplicateColumn,
-    EpochMismatch,
-    FetchTooLarge,
-    HequelError,
-    LadderExhausted,
-    LadderMismatch,
-    NoiseOverflow,
-    ParseError,
-    PlanTypeError,
-    ProtocolError,
-    SchemaMismatch,
-    UnknownColumn,
-    UnknownTable,
-    ValueOverflow,
-    VerificationFailure,
-    WidthMismatch,
-)
-
-__version__ = "0.1.0"

@@ -151,11 +151,14 @@ def cmd_query(args) -> int:
     client = ClientSession(keys, ladder.public_key(), slack=args.slack,
                            catalog=catalog)
     plan = dsl.parse_plan(args.plan, catalog)
-    result, stats = engine.run_encrypted(plan, server, client)
+    try:
+        result, stats = engine.run_encrypted(plan, server, client)
+    finally:
+        # a failed query's nonces are spent too: the next draws none again
+        _save_session(db, ladder)
     sys.stdout.write(csv_text(result))
     if args.stats:
         _emit_stats(stats)
-    _save_session(db, ladder)
     return 0
 
 

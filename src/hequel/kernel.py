@@ -70,8 +70,8 @@ an encoder that writes a plaintext table straight to the wire and builds
 no bit. Both step the stream through ``_counters`` and move
 ``encrypt_count`` as the per-bit calls would. ``_wire_parts`` reads a
 word's bits as the parts the wire holds (nonces, payload bits, epochs and
-depths), and ``word_from_parts`` builds the bits back from them as
-``bit_from_parts`` per bit would. Only the kernel and serialization use
+depths), and ``word_from_parts``, the one builder from wire parts to
+bits, builds the bits back from them. Only the kernel and serialization use
 the two that read payloads or wire nonces, ``_wire_parts`` and
 ``_fresh_wire_nonces``.
 """
@@ -196,17 +196,11 @@ def _fresh_wire_nonces(s: KernelState, n: int) -> list:
     return _counters(s, n)
 
 
-def bit_from_parts(s: KernelState, payload: int, epoch: int, depth: int,
-                   nonce: int) -> CipherBit:
-    """Rebuild a ciphertext from its serialized parts (no counter bump)."""
-    return CipherBit(s, payload & 1, epoch, depth, nonce & _MASK64)
-
-
 def word_from_parts(s: KernelState, payload: int, epochs, depths,
                     nonces) -> tuple:
-    """``bit_from_parts`` for each bit of a word in one call: bit i takes
-    bit i of ``payload`` (LSB first), ``epochs[i]``, ``depths[i]`` and
-    ``nonces[i]``."""
+    """Rebuild a word's bits from their serialized parts, with no counter
+    bump: bit i takes bit i of ``payload`` (LSB first), ``epochs[i]``,
+    ``depths[i]`` and ``nonces[i]``."""
     return tuple([CipherBit(s, payload >> i & 1, e, d, x & _MASK64)
                   for i, (x, e, d) in enumerate(zip(nonces, epochs, depths))])
 
@@ -580,8 +574,3 @@ def _reveal(c: CipherBit) -> int:
     """Internal: raw payload access for decryption and serialization. Not
     part of the public surface."""
     return c._payload
-
-
-def _nonce_of(c: CipherBit) -> int:
-    """The 64-bit wire nonce of ``c``, as the wire holds it."""
-    return c._nonce

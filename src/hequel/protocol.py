@@ -11,7 +11,8 @@ server's state is bounded: it refuses an upload of more than
 ``MAX_UPLOAD_ROWS`` rows, or once it stores ``MAX_STORED_TABLES`` tables,
 before any row is decoded, and a query once ``MAX_PENDING_RESULTS``
 results await their fetch. An upload without a name, or under a name
-already stored, is refused before any row is decoded too.
+already stored, is refused before any row is decoded too; a client
+refuses a name already in its catalog before it draws a nonce.
 
 Result return is two round trips. The server first answers a query with
 the encrypted presence-count of the result table plus its public capacity.
@@ -174,6 +175,8 @@ class ClientSession:
 
     def upload_message(self, name: str, plain: PlainTable) -> bytes:
         """Step 1.a: encrypt a table for upload; every row present."""
+        if name in self.catalog:
+            raise ProtocolError(f"table {name!r} is already in the catalog")
         table = serial.encrypt_table_obj(self.pk, plain, name)
         self.catalog[name] = plain.schema
         return serial.message_to_bytes("upload_table", self._new_qid(),
@@ -254,8 +257,12 @@ class ClientSession:
 
 def setup_upload(client: ClientSession, server: ServerStore,
                  name: str, plain: PlainTable) -> None:
-    serial.message_from_bytes(
-        server.handle(client.upload_message(name, plain)), "upload_ok")
+    msg = client.upload_message(name, plain)
+    try:
+        serial.message_from_bytes(server.handle(msg), "upload_ok")
+    except HequelError:
+        del client.catalog[name]  # the server stored no table of that name
+        raise
 
 
 def submit_query(client: ClientSession, server: ServerStore, plan) -> tuple[str, int]:

@@ -142,11 +142,8 @@ def encrypt_table(pk: PublicKey, plain: PlainTable,
 
 def decrypt_table(keys: ClientKeys, t: EncTable) -> PlainTable:
     """Decrypt to the logical table: present rows only."""
-    out = PlainTable(t.schema)
-    for row in t.rows:
-        if keys.decrypt_bit(row.presence):
-            out.append(tuple(decrypt_word(keys, c) for c in row.cells))
-    return out
+    rows, pres = decrypt_table_full(keys, t)
+    return PlainTable(t.schema, [r for r, p in zip(rows, pres) if p])
 
 
 def decrypt_table_full(keys: ClientKeys, t: EncTable):

@@ -124,18 +124,9 @@ def read_csv(path: str, default_width: int | None = None) -> PlainTable:
     return table
 
 
-def write_csv(path: str, table: PlainTable) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_rows(fh, table)
-
-
 def csv_text(table: PlainTable) -> str:
     out = io.StringIO(newline="")
-    _write_rows(out, table)
-    return out.getvalue()
-
-
-def _write_rows(fh, table: PlainTable) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(f"{name}:{width}" for name, width in table.schema.columns)
     writer.writerows(table.rows)
+    return out.getvalue()

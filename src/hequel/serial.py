@@ -218,15 +218,14 @@ def table_rows_from_obj(ladder: KeyLadder, obj: dict):
     """Decode the ``schema`` and ``rows`` of a table or fetch payload into
     (Schema, rows); every row needs one cell per column at its width."""
     schema = schema_from_obj(field(obj, "schema", list, "table"))
-    rows = tuple(row_from_obj(ladder, r)
-                 for r in field(obj, "rows", list, "table"))
+    records = field(obj, "rows", list, "table")
     widths = [w for _, w in schema.columns]
-    for row in rows:
-        if [c.width for c in row.cells] != widths:
+    for r in records:
+        cells = field(r, "cells", list, "row")
+        if cells != widths:
             raise ProtocolError(
-                f"row cell widths {[c.width for c in row.cells]} do not "
-                f"match schema widths {widths}")
-    return schema, rows
+                f"row cell widths {cells} do not match schema widths {widths}")
+    return schema, tuple(row_from_obj(ladder, r) for r in records)
 
 
 def table_from_obj(ladder: KeyLadder, obj: dict) -> EncTable:

@@ -102,6 +102,30 @@ def test_query_parse_error_exits_2(tmp_path, pc_csv, capsys):
     assert main(["query", "--db", db, "sum(nope, table(pc))"]) == 2
 
 
+def test_failed_query_saves_the_nonce_cursor(tmp_path, capsys):
+    # a 2-epoch ladder at depth budget 2 runs out partway through these
+    # selects, after their literals and first gates have drawn nonces
+    path = tmp_path / "t.csv"
+    path.write_text("k:8,v:8\n1,2\n5,6\n200,3\n7,9\n")
+    db = tmp_path / "db"
+    assert main(["ingest", "--db", str(db), "--seed", "cli-test", "--mode",
+                 "leveled:2", "--depth-budget", "2", str(path)]) == 0
+    session = db / "session.json"
+    cursors = [json.loads(session.read_text())["ladder"]["nonce_state"]]
+    for plan in ("select(k > 3, table(t))", "select(k > 200, table(t))"):
+        capsys.readouterr()
+        assert main(["query", "--db", str(db), plan]) == 2
+        assert "past epoch 2" in capsys.readouterr().err
+        cursors.append(json.loads(session.read_text())["ladder"]["nonce_state"])
+    # each failed query moved the cursor on, so the second drew none of the
+    # first's nonces for its own literal
+    assert len(set(cursors)) == 3
+    # a refusal that draws no nonce leaves the session file as it was
+    before = session.read_text()
+    assert main(["query", "--db", str(db), "table(nope)"]) == 2
+    assert session.read_text() == before
+
+
 def test_diff_pass_and_exit_codes(pc_csv, capsys):
     assert main(["diff", "select(ram=512, table(pc))", pc_csv]) == 0
     assert "PASS" in capsys.readouterr().out

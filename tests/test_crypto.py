@@ -73,8 +73,7 @@ def test_decrypt_needs_matching_epoch():
         (1, 1), (2, 1), (3, 1)]
     # an epoch outside the ladder, as a forged bit off the wire would carry
     for epoch in (0, 4):
-        forged = kernel.bit_from_parts(ladder.state, 1, epoch, 0,
-                                       kernel._nonce_of(c3))
+        forged = kernel.CipherBit(ladder.state, 1, epoch, 0, c3._nonce)
         with pytest.raises(EpochMismatch):
             keys.decrypt_bit(forged)
 
@@ -94,8 +93,8 @@ def test_decrypt_refuses_bit_past_depth_budget():
     c = encrypt_bit(ladder.public_key(), 1)
 
     def at_depth(depth):
-        return kernel.bit_from_parts(ladder.state, kernel._reveal(c), c.epoch,
-                                     depth, kernel._nonce_of(c))
+        return kernel.CipherBit(ladder.state, kernel._reveal(c), c.epoch,
+                                depth, c._nonce)
 
     assert keys.decrypt_bit(at_depth(2)) == 1
     with pytest.raises(NoiseOverflow):

@@ -274,7 +274,7 @@ SERVER_BIT_TUPLES_SHA = (
 
 
 def _bit_tuples(messages):
-    return [(splitmix64_finalizer(kernel._nonce_of(b)), b.epoch, b.depth,
+    return [(splitmix64_finalizer(b._nonce), b.epoch, b.depth,
              kernel._reveal(b))
             for ladder, data in messages for b in _message_bits(ladder, data)]
 

@@ -96,30 +96,30 @@ def test_leveled_exhaustion_at_top_epoch():
 
 def test_settle_refreshes_only_a_bit_at_the_budget():
     s = make_state(budget=4)
-    below = kernel.bit_from_parts(s, 1, 1, 3, 0)
+    below = kernel.CipherBit(s, 1, 1, 3, 0)
     assert kernel.settle(below) is below
     assert s.refresh_count == 0
-    settled = kernel.settle(kernel.bit_from_parts(s, 1, 1, 4, 0))
+    settled = kernel.settle(kernel.CipherBit(s, 1, 1, 4, 0))
     assert (settled.depth, s.refresh_count) == (0, 1)
     assert kernel._reveal(settled) == 1
 
 
 def test_fan_out_refreshes_any_depth_in_circular_mode():
     s = make_state(budget=4)
-    shallow = kernel.bit_from_parts(s, 1, 1, 0, 0)
+    shallow = kernel.CipherBit(s, 1, 1, 0, 0)
     assert kernel.fan_out(shallow) is shallow
     assert s.refresh_count == 0
-    out = kernel.fan_out(kernel.bit_from_parts(s, 1, 1, 1, 0))
+    out = kernel.fan_out(kernel.CipherBit(s, 1, 1, 1, 0))
     assert (out.epoch, out.depth, s.refresh_count) == (1, 0, 1)
     assert kernel._reveal(out) == 1
 
 
 def test_fan_out_settles_in_leveled_mode():
     s = make_state(mode="leveled", budget=4, epochs=3)
-    below = kernel.bit_from_parts(s, 1, 1, 3, 0)
+    below = kernel.CipherBit(s, 1, 1, 3, 0)
     assert kernel.fan_out(below) is below
     assert s.refresh_count == 0
-    out = kernel.fan_out(kernel.bit_from_parts(s, 1, 1, 4, 0))
+    out = kernel.fan_out(kernel.CipherBit(s, 1, 1, 4, 0))
     assert (out.epoch, out.depth, s.refresh_count) == (2, 0, 1)
     assert kernel._reveal(out) == 1
 
@@ -127,8 +127,8 @@ def test_fan_out_settles_in_leveled_mode():
 @pytest.mark.parametrize("top_first", [True, False])
 def test_overflowing_and_refreshes_only_the_operand_at_the_budget(top_first):
     s = make_state(budget=4)
-    top = kernel.bit_from_parts(s, 1, 1, 4, 0)
-    mid = kernel.bit_from_parts(s, 1, 1, 2, 0)
+    top = kernel.CipherBit(s, 1, 1, 4, 0)
+    mid = kernel.CipherBit(s, 1, 1, 2, 0)
     out = kernel.and_(top, mid) if top_first else kernel.and_(mid, top)
     assert (s.refresh_count, out.depth) == (1, 3)
     assert kernel._reveal(out) == 1
@@ -205,7 +205,7 @@ def test_nonce_stream_is_reference_splitmix64():
     # the nonces are splitmix64's counter values at seed 0, and its
     # finalizer maps them to the generator's known-answer vector
     s = make_state(seed=0)
-    got = [kernel._nonce_of(kernel.fresh_bit(s, 0, 1)) for _ in range(3)]
+    got = [kernel.fresh_bit(s, 0, 1)._nonce for _ in range(3)]
     assert got == [i * GAMMA & MASK64 for i in (1, 2, 3)]
     assert [splitmix64_finalizer(n) for n in got] == \
         [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -214,7 +214,7 @@ def test_nonce_stream_is_reference_splitmix64():
 def test_nonces_distinct():
     s = make_state(seed=7)
     rng = random.Random(7)
-    seen = {kernel._nonce_of(kernel.fresh_bit(s, rng.randint(0, 1), 1))
+    seen = {kernel.fresh_bit(s, rng.randint(0, 1), 1)._nonce
             for _ in range(500)}
     assert len(seen) == 500
 
@@ -268,7 +268,7 @@ GATE_BIT_TUPLES_SHA = (
 def test_gate_minted_bit_tuples_are_pinned():
     ladder = gate_ladder()
     outs = gate_outputs(ladder.state)
-    text = json.dumps([(splitmix64_finalizer(kernel._nonce_of(c)), c.epoch,
+    text = json.dumps([(splitmix64_finalizer(c._nonce), c.epoch,
                         c.depth, kernel._reveal(c)) for c in outs])
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_BIT_TUPLES_SHA
 
@@ -280,7 +280,7 @@ def test_decoded_gate_output_re_encodes_byte_exactly():
         obj = bit_obj(ladder, c)
         (back,) = serial.word_from_obj(ladder, obj).bits
         assert bit_obj(ladder, back) == obj
-        assert kernel._nonce_of(back) == kernel._nonce_of(c)
+        assert back._nonce == c._nonce
     # the same bits as one word, whose epochs and depths differ per bit
     obj = serial.word_to_obj(ladder, CipherWord(tuple(outs)))
     assert obj["epoch"] == [1, 1, 1, 1, 1, 1, 2, 3]
@@ -296,7 +296,7 @@ def test_gate_outputs_read_distinct_nonces():
     a, b = kernel.fresh_bit(s, 1, 1), kernel.fresh_bit(s, 0, 1)
     outs = [gate(a, b) for _ in range(250)
             for gate in (kernel.xor, kernel.and_)]
-    nonces = {kernel._nonce_of(c) for c in outs}
+    nonces = {c._nonce for c in outs}
     assert len(nonces) == 500
     assert all(0 <= n <= kernel._MASK64 for n in nonces)
 
@@ -367,7 +367,7 @@ def _spent(s):
 
 def _observe(s, out):
     outs = out if isinstance(out, tuple) else (out,)
-    return ([(kernel._nonce_of(c), c.epoch, c.depth, kernel._reveal(c))
+    return ([(c._nonce, c.epoch, c.depth, kernel._reveal(c))
              for c in outs], *_spent(s))
 
 
@@ -379,13 +379,13 @@ def _run_twins(primitive, composition, mode, operands, fault=None):
     before their first gate."""
     seen = []
     for s, fn in zip(_twin_states(mode), (primitive, composition)):
-        bits = [kernel.bit_from_parts(s, p, e, d, 1000 + i)
+        bits = [kernel.CipherBit(s, p, e, d, 1000 + i)
                 for i, (p, e, d) in enumerate(operands)]
         if fault is not None:
             s.fault_gate = fault
         out = _observe(s, fn(*bits))
         top = max(b.epoch for b in bits)
-        copies = [kernel._nonce_of(kernel.lift(b, top)) for b in bits]
+        copies = [kernel.lift(b, top)._nonce for b in bits]
         seen.append((*out, copies))
     return seen
 
@@ -437,7 +437,7 @@ def test_fused_primitive_refuses_mixed_ladders(name, arity, gates,
             for epochs in itertools.product((1, 2), repeat=arity):
                 home, away = (make_state(mode="leveled", budget=BUDGET,
                                          epochs=3) for _ in range(2))
-                bits = [kernel.bit_from_parts(
+                bits = [kernel.CipherBit(
                             away if i == stranger else home, 1, e,
                             BUDGET if i == deep else 0, 1000 + i)
                         for i, e in enumerate(epochs)]
@@ -592,9 +592,9 @@ def _run_word_twins(name, composition, mode, groups, fault=None):
     for fn in (getattr(kernel, name), composition):
         s = make_state(mode=mode, budget=WORD_BUDGET, epochs=epochs, seed=11)
         nonces = itertools.count(1000)
-        args = [kernel.bit_from_parts(s, *g, next(nonces))
+        args = [kernel.CipherBit(s, *g, next(nonces))
                 if isinstance(g, tuple) else
-                tuple(kernel.bit_from_parts(s, *b, next(nonces)) for b in g)
+                tuple(kernel.CipherBit(s, *b, next(nonces)) for b in g)
                 for g in groups]
         if fault is not None:
             s.fault_gate = fault
@@ -663,9 +663,8 @@ def test_word_primitive_refuses_a_stranger_bit_anywhere(name, shape,
     for stranger in range(size):
         home, away = (make_state(mode="leveled", budget=WORD_BUDGET,
                                  epochs=4) for _ in range(2))
-        bits = [kernel.bit_from_parts(away if i == stranger else home,
-                                      1, 1 + i % 2, WORD_BUDGET * (i % 3 == 0),
-                                      i)
+        bits = [kernel.CipherBit(away if i == stranger else home,
+                                 1, 1 + i % 2, WORD_BUDGET * (i % 3 == 0), i)
                 for i in range(size)]
         it = iter(bits)
         args = [next(it) if k == "b" else tuple(next(it) for _ in range(n))
@@ -720,11 +719,11 @@ def test_fresh_wire_nonces_equal_fresh_bits_read_off(n):
     wire_s, bit_s = (make_state(seed=seed) for _ in range(2))
     nonces = kernel._fresh_wire_nonces(wire_s, n)
     bits = [kernel.fresh_bit(bit_s, 0, 1) for _ in range(n)]
-    assert nonces == [kernel._nonce_of(c) for c in bits]
+    assert nonces == [c._nonce for c in bits]
     assert _spent(wire_s) == _spent(bit_s)
 
 
-def test_word_from_parts_equals_bit_from_parts_per_bit():
+def test_word_from_parts_equals_the_constructor_per_bit():
     rng = random.Random(5)
     s = make_state(mode="leveled", epochs=9)
     for width in (1, 3, 8, 64):
@@ -736,8 +735,8 @@ def test_word_from_parts_equals_bit_from_parts_per_bit():
                  [rng.randint(0, 8) for _ in range(width)])
         for epochs, depths in (uniform, (mixed[0], uniform[1]),
                                (uniform[0], mixed[1]), mixed):
-            want = tuple(kernel.bit_from_parts(s, payload >> i, epochs[i],
-                                               depths[i], nonces[i])
+            want = tuple(kernel.CipherBit(s, payload >> i & 1, epochs[i],
+                                          depths[i], nonces[i])
                          for i in range(width))
             got = kernel.word_from_parts(s, payload, epochs, depths, nonces)
             assert _observe(s, got) == _observe(s, want)
@@ -747,7 +746,7 @@ def test_wire_parts_read_what_word_from_parts_takes():
     ladder = gate_ladder()
     outs = tuple(gate_outputs(ladder.state))
     nonces, payload, epochs, depths = kernel._wire_parts(outs)
-    assert nonces == [kernel._nonce_of(c) for c in outs]
+    assert nonces == [c._nonce for c in outs]
     assert payload == sum(kernel._reveal(c) << i for i, c in enumerate(outs))
     assert (epochs, depths) == ([c.epoch for c in outs],
                                 [c.depth for c in outs])

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hequel import dsl, oracle, plans, relalg, serial
+from hequel import dsl, kernel, oracle, plans, protocol, relalg, serial
 from hequel.circuits import encrypt_word
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
@@ -705,8 +705,11 @@ def test_server_refuses_to_replace_a_stored_table():
     server, client = make_session()
     original = server.tables["pc"]
     plain = PlainTable(Schema((("a", 4), ("b", 4))), [(3, 9), (1, 2)])
-    with pytest.raises(ProtocolError):
-        server.handle(client.upload_message("pc", plain))
+    # a second client on the same keys, whose catalog lacks "pc", so the
+    # duplicate reaches the server
+    other = ClientSession(client.keys, client.pk)
+    with pytest.raises(ProtocolError, match="'pc' is already stored"):
+        server.handle(other.upload_message("pc", plain))
     assert server.tables["pc"] is original
     setup_upload(client, server, "pc2", plain)
     assert server.tables["pc2"].capacity == 2
@@ -717,7 +720,8 @@ def test_server_refuses_to_replace_a_stored_table():
 def test_upload_name_is_refused_before_any_row_is_decoded(name, refusal):
     server, client = make_session()
     original = server.tables["pc"]
-    upload = client.upload_message(
+    # a second client on the same keys, so "pc" reaches the server
+    upload = ClientSession(client.keys, client.pk).upload_message(
         name, PlainTable(Schema((("a", 4), ("b", 4))), [(3, 9), (1, 2)]))
 
     def corrupt(m):
@@ -729,6 +733,51 @@ def test_upload_name_is_refused_before_any_row_is_decoded(name, refusal):
         server.handle(tamper(upload, corrupt))
     assert set(server.tables) == {"pc"} and server.tables["pc"] is original
     assert (state.encrypt_count, state.nonce_state) == before
+
+
+def test_row_widths_are_refused_before_any_row_is_decoded(monkeypatch):
+    server, client = make_session()
+    upload = client.upload_message(
+        "t", PlainTable(Schema((("a", 8),)), [(1,), (2,), (3,)]))
+    # a valid 9-bit word, as a's 8 bits and presence would be, split [4, 4]
+    last = serial.encrypt_table_obj(
+        client.pk, PlainTable(Schema((("x", 4), ("y", 4))), [(5, 6)]))
+    word_from_parts, calls = kernel.word_from_parts, []
+
+    def counted(*args):
+        calls.append(args)
+        return word_from_parts(*args)
+
+    def append(m):
+        m["payload"]["table"]["rows"].append(last["rows"][0])
+
+    monkeypatch.setattr(kernel, "word_from_parts", counted)
+    with pytest.raises(ProtocolError, match=r"\[4, 4\] do not match .*\[8\]"):
+        server.handle(tamper(upload, append))
+    assert calls == [] and set(server.tables) == {"pc"}
+
+
+def test_client_refuses_a_name_it_already_uploaded():
+    server, client = make_session()
+    plain = PlainTable(Schema((("a", 4),)), [(3,), (9,)])
+    setup_upload(client, server, "t", plain)
+    state = server.ladder.state
+    before = (state.encrypt_count, state.nonce_state)
+    with pytest.raises(ProtocolError):
+        setup_upload(client, server, "t",
+                     PlainTable(Schema((("b", 8),)), [(200,)]))
+    assert client.catalog["t"] == plain.schema
+    assert (state.encrypt_count, state.nonce_state) == before
+    assert run_query(client, server, dsl.parse("table(t)")).rows == plain.rows
+
+
+def test_upload_the_server_refuses_leaves_no_catalog_entry(monkeypatch):
+    server, client = make_session()
+    monkeypatch.setattr(protocol, "MAX_STORED_TABLES", 1)
+    with pytest.raises(ProtocolError, match="1 tables are stored"):
+        setup_upload(client, server, "t",
+                     PlainTable(Schema((("a", 4),)), [(3,)]))
+    assert set(client.catalog) == {"pc"} and set(server.tables) == {"pc"}
 
 
 def test_compact_fetch_is_smaller_than_full_table():

@@ -129,7 +129,7 @@ def test_table_round_trip_byte_exact(session):
 
 def _bit_tuples(row) -> list:
     """(nonce, epoch, depth, payload) of a row's bits, cells then presence."""
-    return [(kernel._nonce_of(b), b.epoch, b.depth, kernel._reveal(b))
+    return [(b._nonce, b.epoch, b.depth, kernel._reveal(b))
             for b in (*(b for c in row.cells for b in c.bits), row.presence)]
 
 
@@ -204,7 +204,7 @@ def test_ladder_persistence_continues_nonce_stream(session):
     assert keys.decrypt_bit(back) == 1
     # new encryptions continue the stream rather than repeating nonces
     after = encrypt_bit(reloaded.public_key(), 1)
-    assert kernel._nonce_of(after) != kernel._nonce_of(before)
+    assert after._nonce != before._nonce
 
 
 def test_plan_wire_objects_are_json(session):
