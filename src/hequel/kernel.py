@@ -67,13 +67,16 @@ The mint and wire helpers take a whole word, or a whole table, per call.
 ``fresh_word`` mints a word's bits as ``fresh_bit`` per bit would, and
 ``_fresh_wire_nonces`` draws the wire nonces of n fresh encryptions for
 an encoder that writes a plaintext table straight to the wire and builds
-no bit. Both step the stream through ``_counters`` and move
-``encrypt_count`` as the per-bit calls would. ``_wire_parts`` reads a
-word's bits as the parts the wire holds (nonces, payload bits, epochs and
-depths), and ``word_from_parts``, the one builder from wire parts to
-bits, builds the bits back from them. Only the kernel and serialization use
-the two that read payloads or wire nonces, ``_wire_parts`` and
-``_fresh_wire_nonces``.
+no bit. Both move the stream and ``encrypt_count`` as the per-bit calls
+would. ``_wire_parts`` reads a word's bits as the parts the wire holds
+(nonces, payload bits, epochs and depths), and ``word_from_parts``, the
+one builder from wire parts to bits, builds the bits back from them.
+Beside them, ``_nonce_run`` gives the nonces of one run of the stream,
+z, z + γ, z + 2γ, …, from its first nonce: the bits a client encrypts in
+one call are such a run, and the wire writes them as their first nonce
+(``serial``'s seeded words). Only the kernel and serialization use the
+three that read payloads or wire nonces or know the increment,
+``_wire_parts``, ``_fresh_wire_nonces`` and ``_nonce_run``.
 """
 
 from __future__ import annotations
@@ -187,13 +190,25 @@ def fresh_word(s: KernelState, value: int, width: int, epoch: int) -> tuple:
                   zip(range(width - 1, -1, -1), _counters(s, width))])
 
 
-def _fresh_wire_nonces(s: KernelState, n: int) -> list:
+def _nonce_run(first: int, n: int) -> range:
+    """The wire nonces of ``n`` encryptions drawn in one run of the
+    stream, the first of them ``first``: item i is first + i·γ, which
+    names the nonce (first + i·γ) mod 2^64. ``word_from_parts`` masks
+    each item to 64 bits, so a decoder builds a run's bits from it as it
+    is, and an encoder tests whether a word's nonces are one run against
+    it."""
+    return range(first, first + n * _GAMMA, _GAMMA)
+
+
+def _fresh_wire_nonces(s: KernelState, n: int) -> range:
     """The wire nonces of ``n`` fresh encryptions, in order, for a caller
-    that writes them straight to the wire and builds no bit: the next
-    ``n`` counter values, with the stream and ``encrypt_count`` moved as
-    ``n`` calls of ``fresh_bit`` move them."""
+    that writes them straight to the wire and builds no bit: the run
+    (``_nonce_run``) of the next ``n`` counter values, with the stream and
+    ``encrypt_count`` moved as ``n`` calls of ``fresh_bit`` move them."""
     s.encrypt_count += n
-    return _counters(s, n)
+    z = s.nonce_state
+    s.nonce_state = (z + n * _GAMMA) & _MASK64
+    return _nonce_run((z + _GAMMA) & _MASK64, n)
 
 
 def word_from_parts(s: KernelState, payload: int, epochs, depths,

@@ -345,7 +345,8 @@ def eval_encrypted(node, env):
 # --- wire form --------------------------------------------------------------
 #
 # A node is ``{"node": tag, <field>: <value>, ...}`` in field order; tuples
-# travel as lists and ciphertext words in ``serial``'s word form.
+# travel as lists and ciphertext words in ``serial``'s word form, a
+# literal the client encrypted in one run as a seeded word.
 
 def plan_to_obj(plan, ladder) -> dict:
     return _to_obj(plan, ladder, True)
@@ -360,7 +361,7 @@ def _to_obj(node, ladder, plan: bool) -> dict:
         elif kind == "pred":
             value = _to_obj(value, ladder, False)
         elif kind == "CipherWord":
-            value = serial.word_to_obj(ladder, value)
+            value = serial.word_to_obj(ladder, value, seeded=True)
         elif kind == "tuple[str, ...]":
             value = list(value)
         obj[name] = value

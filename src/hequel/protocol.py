@@ -12,7 +12,8 @@ server's state is bounded: it refuses an upload of more than
 before any row is decoded, and a query once ``MAX_PENDING_RESULTS``
 results await their fetch. An upload without a name, or under a name
 already stored, is refused before any row is decoded too; a client
-refuses a name already in its catalog before it draws a nonce.
+refuses a name already in its catalog before it draws a nonce, and adds a
+name to its catalog only once it reads the server's ``upload_ok`` for it.
 
 Result return is two round trips. The server first answers a query with
 the encrypted presence-count of the result table plus its public capacity.
@@ -162,6 +163,8 @@ class ClientSession:
     pk: PublicKey
     slack: int = 0
     catalog: dict[str, Schema] = field(default_factory=dict)
+    # schemas of uploads sent, by name, until the server accepts them
+    uploading: dict[str, Schema] = field(default_factory=dict)
     pending: dict[str, ResultHandshake] = field(default_factory=dict)
     _next_qid: int = 0
 
@@ -174,13 +177,25 @@ class ClientSession:
         return f"q{self._next_qid}"
 
     def upload_message(self, name: str, plain: PlainTable) -> bytes:
-        """Step 1.a: encrypt a table for upload; every row present."""
+        """Step 1.a: encrypt a table for upload; every row present. The
+        name enters the catalog once ``read_upload`` reads its reply."""
         if name in self.catalog:
             raise ProtocolError(f"table {name!r} is already in the catalog")
         table = serial.encrypt_table_obj(self.pk, plain, name)
-        self.catalog[name] = plain.schema
+        self.uploading[name] = plain.schema
         return serial.message_to_bytes("upload_table", self._new_qid(),
                                        {"table": table})
+
+    def read_upload(self, reply: bytes) -> str:
+        """Step 1.b: record the schema of the table the server says it
+        stored, and return its name."""
+        payload = serial.message_from_bytes(reply, "upload_ok")["payload"]
+        name = serial.field(payload, "name", str, "upload_ok")
+        if name not in self.uploading:
+            raise ProtocolError(f"upload_ok for {name!r}, not an upload "
+                                "this client awaits")
+        self.catalog[name] = self.uploading.pop(name)
+        return name
 
     def query_message(self, plan) -> tuple[str, bytes]:
         """Step 2.a: typecheck, encrypt literals, send the plan."""
@@ -257,12 +272,7 @@ class ClientSession:
 
 def setup_upload(client: ClientSession, server: ServerStore,
                  name: str, plain: PlainTable) -> None:
-    msg = client.upload_message(name, plain)
-    try:
-        serial.message_from_bytes(server.handle(msg), "upload_ok")
-    except HequelError:
-        del client.catalog[name]  # the server stored no table of that name
-        raise
+    client.read_upload(server.handle(client.upload_message(name, plain)))
 
 
 def submit_query(client: ClientSession, server: ServerStore, plan) -> tuple[str, int]:

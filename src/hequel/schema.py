@@ -1,9 +1,10 @@
 """Plaintext table model and CSV serialization.
 
-A schema is an ordered list of (column name, bit width), each width in
-1..``MAX_WIDTH``. Cell values are unsigned ints that must fit their column
-width. The CSV dialect is deliberately small: header cells are
-``name:width``, data cells are unsigned decimals, no quoting or escapes.
+A schema is an ordered list of at most ``MAX_COLUMNS`` (column name, bit
+width) pairs, each width in 1..``MAX_WIDTH``. Cell values are unsigned
+ints that must fit their column width. The CSV dialect is deliberately
+small: header cells are ``name:width``, data cells are unsigned decimals,
+no quoting or escapes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from hequel.errors import DuplicateColumn, ParseError, UnknownColumn, ValueOverf
 # ciphertext per bit of its column, so a forged upload of a few bytes could
 # otherwise make the server build a word of any width
 MAX_WIDTH = 64
+# most columns a schema holds, so a row word is at most
+# MAX_COLUMNS * MAX_WIDTH + 1 bits; a cross past it fails its typecheck
+MAX_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,9 @@ class Schema:
     columns: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        if len(self.columns) > MAX_COLUMNS:
+            raise ValueOverflow(f"schema has {len(self.columns)} columns, "
+                                f"at most {MAX_COLUMNS} allowed")
         names = [name for name, _ in self.columns]
         for name in names:
             if names.count(name) > 1:

@@ -2,16 +2,39 @@
 
 Everything serializes to JSON with fixed key insertion order and compact
 separators, so equal values produce byte-identical messages (golden tests
-rely on this). A ciphertext word of w bits is one object,
-``{"v": 2, "width": w, "epoch": e, "depth": d, "blob": b64}``.
-``epoch`` and ``depth`` are one int when every bit agrees, else a w-long
-list. The base64 blob holds the w 8-byte big-endian nonces in bit order,
-then ceil(w/8) bytes of payload bits packed LSB-first and XORed with one
-shake-256 digest keyed by the ladder's mask key, the nonces and the 2-byte
-epochs. Every payload bit is masked by a keyed pseudorandom bit that
-depends on its own unique nonce, so without the mask key the blob does not
-reveal the plaintext; round-trips are byte-exact because the nonces are
-preserved.
+rely on this). A ciphertext word of w bits is one object in one of two
+layouts.
+
+- **Per bit (v2):** ``{"v": 2, "width": w, "epoch": e, "depth": d,
+  "blob": b64}``. ``epoch`` and ``depth`` are one int when every bit
+  agrees, else a w-long list. The base64 blob holds the w 8-byte
+  big-endian nonces in bit order, then ceil(w/8) bytes of payload bits
+  packed LSB-first and XORed with one shake-256 digest keyed by the
+  ladder's mask key, the nonces and the 2-byte epochs.
+- **Seeded (v3):** ``{"v": 3, "width": w, "epoch": e, "blob": b64}``, for
+  a word whose bits are fresh encryptions the client drew in one run of
+  its nonce stream. Bit i has nonce (z + i·γ) mod 2^64 (the kernel's
+  ``_nonce_run``), epoch e and depth 0, so the blob holds the first
+  nonce z alone, 8 bytes big-endian, then the payload bytes, masked by a
+  digest keyed by the mask key, z, e and w. A 45-bit row takes 20
+  base64 characters where v2 takes 488.
+
+Every payload bit is masked by a keyed pseudorandom bit whose key
+material fixes its own nonce, unique in its ladder's stream (a seeded
+word's first nonce and width fix all of its bits'), so without the mask
+key the blob does not reveal the plaintext; round-trips are byte-exact
+because the nonces are preserved.
+
+Only the client's encoders write seeded words: ``encrypt_table_obj``, its
+object-path twin ``table_to_obj``, and the literal words of
+``plans.plan_to_obj`` (``word_to_obj`` with ``seeded``). They seed a
+word when its bits form one run at depth 0 under one epoch, and write v2
+otherwise. A gate output or a refreshed bit has no seed, so the server's
+writers, ``word_to_obj`` for ``result_count`` and ``row_to_obj`` for
+``fetch_rows``, keep a nonce per bit. ``word_from_obj`` reads both
+layouts, and refuses a word wider than ``MAX_WORD_WIDTH`` (a row of the
+widest schema) before it decodes the blob, since a seeded blob no longer
+bounds the width.
 
 A table row travels as one such word over its flat bits: the cells in
 column order, each MSB first, then the presence bit. The row's object adds
@@ -22,14 +45,15 @@ blob and one digest among them. A table object (``TABLE_VERSION`` 3) holds
 its name, schema and row records; version 2 made each cell and each
 presence bit its own word, and is refused with its version.
 
-One writer, ``_word_obj``, holds the word layout. ``word_to_obj`` and
+One writer, ``_word_obj``, holds both word layouts. ``word_to_obj`` and
 ``row_to_obj`` feed it bits as the kernel reads them off
 (``kernel._wire_parts``), and ``encrypt_table_obj`` feeds it straight from
-a plaintext table, with wire nonces drawn from the kernel's stream: the
-client's upload builds no ciphertext object, yet its bytes, nonces and
-counts are those of ``table_to_obj`` over ``relalg.encrypt_table``.
-``word_from_obj`` and ``row_from_obj`` build a decoded word's or row's
-bits in one kernel call (``kernel.word_from_parts``).
+a plaintext table, each row's nonces a slice of the run it draws from the
+kernel's stream: the client's upload builds no ciphertext object, yet its
+bytes, nonces and counts are those of ``table_to_obj`` over
+``relalg.encrypt_table``. ``word_from_obj`` and ``row_from_obj`` build a
+decoded word's or row's bits in one kernel call
+(``kernel.word_from_parts``).
 """
 
 from __future__ import annotations
@@ -45,17 +69,28 @@ from hequel.crypto import (ClientKeys, KeyLadder, PublicKey, SecurityContext,
                            keygen)
 from hequel.errors import LadderMismatch, ProtocolError
 from hequel.relalg import EncRow, EncTable
-from hequel.schema import PlainTable, Schema
+from hequel.schema import MAX_COLUMNS, MAX_WIDTH, PlainTable, Schema
 
-# the word layout, and the table object whose rows are one word each
+# the per-bit word layout, the seeded one, and the table object whose rows
+# are one word each
 WIRE_VERSION = 2
+SEEDED_VERSION = 3
 TABLE_VERSION = 3
+# the widest word a decoder builds: a row of the widest schema, its cells
+# and its presence bit. A seeded word's blob holds about 1/8 byte per bit,
+# so its length does not bound the width.
+MAX_WORD_WIDTH = MAX_COLUMNS * MAX_WIDTH + 1
+_MASK64 = (1 << 64) - 1  # a wire nonce is 8 bytes
 
 
-def _mask(ladder: KeyLadder, head: bytes, epochs: list) -> int:
-    """Shake-256 mask of one word, keyed by mask key, nonces and epochs."""
-    material = ladder.mask_key + head + struct.pack(f">{len(epochs)}H", *epochs)
-    digest = hashlib.shake_256(material).digest((len(epochs) + 7) // 8)
+def _mask(ladder: KeyLadder, head: bytes, keys, width: int) -> int:
+    """Shake-256 mask of one word's ``width`` payload bits, keyed by the
+    mask key, ``head`` and the 2-byte ``keys``: a v2 word's nonces and
+    per-bit epochs, or a seeded word's first nonce, epoch and width. The
+    material after the mask key is 10·w bytes long for a v2 word and 12
+    for a seeded one, so the two layouts never key a mask alike."""
+    material = ladder.mask_key + head + struct.pack(f">{len(keys)}H", *keys)
+    digest = hashlib.shake_256(material).digest((width + 7) // 8)
     return int.from_bytes(digest, "little")
 
 
@@ -65,20 +100,48 @@ def _uniform(values: list):
 
 def _word_obj(ladder: KeyLadder, nonces, payload: int, epochs: list,
               depths: list) -> dict:
-    """The v2 object of one word from its wire parts: the bits' wire
+    """The object of one word from its wire parts: the bits' wire
     nonces, their payloads packed LSB first in bit order, and their
-    per-bit epochs and depths. The word layout is written here alone."""
+    per-bit epochs and depths. Nonces given as a run (a ``range``, see
+    ``kernel._nonce_run``) are those of fresh encryptions at depth 0
+    under ``epochs[0]``, and the word is written seeded (v3); any other
+    word keeps a nonce per bit (v2). Both layouts are written here
+    alone."""
     width = len(nonces)
-    head = struct.pack(f">{width}Q", *nonces)
-    payload ^= _mask(ladder, head, epochs)
+    if type(nonces) is range:
+        first, epoch = nonces[0] & _MASK64, epochs[0]
+        head = struct.pack(">Q", first)
+        payload ^= _mask(ladder, head, (epoch, width), width)
+        obj = {"v": SEEDED_VERSION, "width": width, "epoch": epoch}
+    else:
+        head = struct.pack(f">{width}Q", *nonces)
+        payload ^= _mask(ladder, head, epochs, width)
+        obj = {"v": WIRE_VERSION, "width": width, "epoch": _uniform(epochs),
+               "depth": _uniform(depths)}
     blob = head + payload.to_bytes((width + 7) // 8, "little")
-    return {"v": WIRE_VERSION, "width": width, "epoch": _uniform(epochs),
-            "depth": _uniform(depths),
-            "blob": base64.b64encode(blob).decode("ascii")}
+    obj["blob"] = base64.b64encode(blob).decode("ascii")
+    return obj
 
 
-def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
-    return _word_obj(ladder, *kernel._wire_parts(w.bits))
+def _parts(bits, seeded: bool) -> tuple:
+    """The wire parts of a word's bits (``kernel._wire_parts``). With
+    ``seeded``, nonces that are one run of the stream, on bits at depth 0
+    under one epoch, come back as that run, so ``_word_obj`` seeds the
+    word: the client's encoders ask for it, the server's writers do not."""
+    nonces, payload, epochs, depths = parts = kernel._wire_parts(bits)
+    if seeded and depths.count(0) == len(depths) and (
+            epochs.count(epochs[0]) == len(epochs)):
+        run = kernel._nonce_run(nonces[0], len(nonces))
+        if nonces == [z & _MASK64 for z in run]:
+            return run, payload, epochs, depths
+    return parts
+
+
+def word_to_obj(ladder: KeyLadder, w: CipherWord,
+                seeded: bool = False) -> dict:
+    """The object of ``w``, seeded when ``seeded`` asks and its bits allow
+    (``_parts``)."""
+    return _word_obj(ladder, *_parts(w.bits, seeded))
 
 
 def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
@@ -94,35 +157,44 @@ def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
 
 
 def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
+    """A word of either layout; a malformed one raises ProtocolError
+    before any bit is built."""
     what = "ciphertext word"
     version = field(obj, "v", int, what)
-    if version != WIRE_VERSION:
-        raise ProtocolError(
-            f"ciphertext word version {version!r}, want {WIRE_VERSION}")
+    if version not in (WIRE_VERSION, SEEDED_VERSION):
+        raise ProtocolError(f"ciphertext word version {version!r}, want "
+                            f"{WIRE_VERSION} or {SEEDED_VERSION}")
+    seeded = version == SEEDED_VERSION
     width = field(obj, "width", int, what)
-    if width < 1:
-        raise ProtocolError(f"ciphertext word width {width!r}")
+    if not 1 <= width <= MAX_WORD_WIDTH:
+        raise ProtocolError(
+            f"ciphertext word width {width!r}, not in 1..{MAX_WORD_WIDTH}")
     blob = field(obj, "blob", str, what)
-    epoch = field(obj, "epoch", object, what)
-    depth = field(obj, "depth", object, what)
-    # the blob's length bounds the width before any list is built
+    # a seeded word is fresh: one epoch, depth 0 and no depth key
+    epoch = field(obj, "epoch", int if seeded else object, what)
+    depth = 0 if seeded else field(obj, "depth", object, what)
     try:
         raw = base64.b64decode(blob, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII character
         raise ProtocolError("ciphertext blob is not base64") from None
-    size = 8 * width + (width + 7) // 8
+    at = 8 if seeded else 8 * width
+    size = at + (width + 7) // 8
     if len(raw) != size:
         raise ProtocolError(f"ciphertext blob has {len(raw)} bytes, want {size}")
     epochs = _per_bit(epoch, width, 1, ladder.ctx.epochs, "epoch")
     depths = _per_bit(depth, width, 0, ladder.ctx.depth_budget, "depth")
-    head = raw[:8 * width]
-    payload = int.from_bytes(raw[8 * width:], "little")
-    payload ^= _mask(ladder, head, epochs)
+    head = raw[:at]
+    payload = int.from_bytes(raw[at:], "little")
+    if seeded:
+        payload ^= _mask(ladder, head, (epoch, width), width)
+        nonces = kernel._nonce_run(int.from_bytes(head, "big"), width)
+    else:
+        payload ^= _mask(ladder, head, epochs, width)
+        nonces = struct.unpack(f">{width}Q", head)
     if payload >> width:
         raise ProtocolError("ciphertext blob has padding bits set")
     return CipherWord(kernel.word_from_parts(
-        ladder.state, payload, epochs, depths,
-        struct.unpack(f">{width}Q", head)))
+        ladder.state, payload, epochs, depths, nonces))
 
 
 def field(obj, key: str, kind: type, what: str):
@@ -145,9 +217,10 @@ def _row_obj(ladder: KeyLadder, widths: list, *parts) -> dict:
     return obj
 
 
-def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
-    return _row_obj(ladder, [c.width for c in row.cells], *kernel._wire_parts(
-        [b for c in row.cells for b in c.bits] + [row.presence]))
+def row_to_obj(ladder: KeyLadder, row: EncRow, seeded: bool = False) -> dict:
+    """The record of ``row``, seeded as ``word_to_obj`` seeds a word."""
+    return _row_obj(ladder, [c.width for c in row.cells], *_parts(
+        [b for c in row.cells for b in c.bits] + [row.presence], seeded))
 
 
 def row_from_obj(ladder: KeyLadder, obj: dict) -> EncRow:
@@ -185,7 +258,7 @@ def table_to_obj(ladder: KeyLadder, t: EncTable) -> dict:
         raise LadderMismatch("table belongs to a different ladder")
     return {"v": TABLE_VERSION, "name": t.name,
             "schema": schema_to_obj(t.schema),
-            "rows": [row_to_obj(ladder, r) for r in t.rows]}
+            "rows": [row_to_obj(ladder, r, seeded=True) for r in t.rows]}
 
 
 def encrypt_table_obj(pk: PublicKey, plain: PlainTable,
@@ -201,14 +274,15 @@ def encrypt_table_obj(pk: PublicKey, plain: PlainTable,
     widths = [w for _, w in plain.schema.columns]
     ladder, epoch = pk.ladder, pk.epoch
     width = sum(widths) + 1
-    nonces = kernel._fresh_wire_nonces(ladder.state, len(plain.rows) * width)
+    run = kernel._fresh_wire_nonces(ladder.state, len(plain.rows) * width)
     epochs, depths = [epoch] * width, [0] * width
     rows = []
-    for at, row in zip(range(0, len(nonces), width), plain.rows):
+    for at, row in zip(range(0, len(run), width), plain.rows):
         # the row's bits in order, each cell MSB first, then presence 1;
-        # bit i of the payload is bit i of the row
+        # bit i of the payload is bit i of the row, and its nonces are the
+        # row's slice of the run, itself a run
         bits = "".join([f"{v:0{w}b}" for v, w in zip(row, widths)]) + "1"
-        rows.append(_row_obj(ladder, widths, nonces[at:at + width],
+        rows.append(_row_obj(ladder, widths, run[at:at + width],
                              int(bits[::-1], 2), epochs, depths))
     return {"v": TABLE_VERSION, "name": name,
             "schema": schema_to_obj(plain.schema), "rows": rows}

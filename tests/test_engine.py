@@ -219,16 +219,17 @@ def pinned_messages(runs=PINNED_RUNS, ctx=None):
     return out
 
 
-# sha256 over the bytes of every pinned message, in wire format v2 with
-# table version 3. The presence-first sort moved the sort runs'
+# sha256 over the bytes of every pinned message, in word layouts v2 and v3
+# with table version 3. The presence-first sort moved the sort runs'
 # result_count and fetch_rows replies, here and in both pins below. One
 # word per row record moved the fetch_rows replies here alone: every
 # query, result_count and fetch_rows_request kept its bytes, and every
 # bit its nonce, epoch, depth and payload (the two pins below). Writing
 # each nonce as its counter value moved every blob, and the two pins below
-# kept theirs.
+# kept theirs. Seeded literal words (v3) moved the one query with a
+# literal; every reply kept its bytes, and the two pins below theirs.
 SERVER_MESSAGES_SHA = (
-    "a9184ed43f1934aa5b491239c6154a19087c01edaa1de8228b7300ab245eca22")
+    "f462cac4496b8e0c73eaa311d46785ae16f562ebce219e22e62b99579e6e4f4e")
 
 
 def test_server_messages_are_pinned():

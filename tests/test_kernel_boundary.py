@@ -6,9 +6,9 @@ outside the modules allowed it fails the test: a call to ``refresh`` or a
 read of ``_payload`` outside the kernel, ``_reveal`` outside the kernel,
 decryption and serialization, ``MODE_CIRCULAR`` or ``MODE_LEVELED``
 outside the kernel and ``crypto``, which maps mode names to them, and
-the wire helpers that read payloads or mint wire nonces,
-``_fresh_wire_nonces`` and ``_wire_parts``, outside the kernel and
-serialization.
+the wire helpers that read payloads, mint wire nonces or know the nonce
+stream's increment, ``_fresh_wire_nonces``, ``_wire_parts`` and
+``_nonce_run``, outside the kernel and serialization.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ RULES = {
     "MODE_LEVELED": ({"kernel.py", "crypto.py"}, False),
     "_fresh_wire_nonces": ({"kernel.py", "serial.py"}, False),
     "_wire_parts": ({"kernel.py", "serial.py"}, False),
+    "_nonce_run": ({"kernel.py", "serial.py"}, False),
 }
 
 
@@ -71,9 +72,10 @@ def test_the_walk_sees_each_guarded_use(tmp_path):
         "kernel.MODE_CIRCULAR\n"
         "refresh = kernel.settle\n"
         "kernel._fresh_wire_nonces(s, 3)\n"
-        "from hequel.kernel import _wire_parts\n")
+        "from hequel.kernel import _wire_parts\n"
+        "kernel._nonce_run(z, 8)\n")
     assert sorted(_breaches(probe)) == [
         "relalg.py:1: MODE_LEVELED", "relalg.py:1: _reveal",
         "relalg.py:3: refresh", "relalg.py:4: _payload",
         "relalg.py:5: MODE_CIRCULAR", "relalg.py:7: _fresh_wire_nonces",
-        "relalg.py:8: _wire_parts"]
+        "relalg.py:8: _wire_parts", "relalg.py:9: _nonce_run"]

@@ -7,16 +7,20 @@ through ``ServerStore.handle`` under the same key seed, with a slack larger
 than any result's capacity, so the client asks for every row either way.
 Per message, the two transcripts must agree on the request and reply byte
 lengths, the counters moved since the previous reply (client work
-included), and the width, epoch and depth of every word in the reply.
+included), and the layout, width, epoch and depth of every word in the
+request and in the reply.
 
 Beside the random plans, five fixed plans take the shapes of the
 benchmark's relational-fetch templates at n=32, under its circular ladder
-and under aggregate-leveled's ``leveled:128`` at depth budget 8.
+and under aggregate-leveled's ``leveled:128`` at depth budget 8. A census
+over the same plans checks the word layouts: every word the client sends
+is seeded (v3), and every word the server sends keeps a nonce per bit.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,10 +44,11 @@ def _counters(state) -> tuple[int, ...]:
 
 
 def _words(obj) -> list:
-    """(width, epoch, depth) of every ciphertext word in a decoded message."""
+    """(layout version, width, epoch, depth) of every ciphertext word in a
+    decoded message; a seeded word has no depth key, so None."""
     if isinstance(obj, dict):
         if "blob" in obj:
-            return [(obj["width"], obj["epoch"], obj["depth"])]
+            return [(obj["v"], obj["width"], obj["epoch"], obj.get("depth"))]
         return [w for value in obj.values() for w in _words(value)]
     if isinstance(obj, list):
         return [w for value in obj for w in _words(value)]
@@ -51,8 +56,8 @@ def _words(obj) -> list:
 
 
 def _transcript(ctx: SecurityContext, catalog: dict, plan) -> list:
-    """One entry per message: its lengths, counter deltas and reply words;
-    a refusal ends the transcript with its error class."""
+    """One entry per message: its lengths, counter deltas, request words
+    and reply words; a refusal ends the transcript with its error class."""
     ladder, keys = keygen(ctx, seed=b"transcript")
     server = ServerStore(ladder)
     client = ClientSession(keys, ladder.public_key(1), slack=SLACK)
@@ -64,13 +69,14 @@ def _transcript(ctx: SecurityContext, catalog: dict, plan) -> list:
         now = _counters(ladder.state)
         out.append((len(request), len(reply),
                     tuple(b - a for a, b in zip(last, now)),
+                    _words(serial.message_from_bytes(request)),
                     _words(serial.message_from_bytes(reply))))
         last = now
         return reply
 
     try:
         for name, plain in catalog.items():
-            send(client.upload_message(name, plain))
+            client.read_upload(send(client.upload_message(name, plain)))
         qid, query = client.query_message(plan)
         client.read_count(send(query))
         client.read_rows_and_verify(send(client.fetch_message(qid)))
@@ -98,6 +104,9 @@ def test_transcript_depends_on_shapes_only(mode):
             at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                       min(len(a), len(b)))
             differ.append(f"seed {seed}, message {at}: {plan!r}")
+        elif isinstance(a[-1], str):
+            # two equal refusals would compare equal and check nothing
+            differ.append(f"seed {seed}: refused with {a[-1]}: {plan!r}")
     assert not differ, "\n".join(differ)
 
 
@@ -139,3 +148,28 @@ def test_benchmark_shaped_transcript_depends_on_shapes_only(mode):
         elif isinstance(a[-1], str):
             differ.append(f"{text}: refused with {a[-1]}")
     assert not differ, "\n".join(differ)
+
+
+@pytest.mark.parametrize("mode", ["circular", "leveled"])
+def test_only_the_client_sends_seeded_words(mode):
+    random_ctx, shaped_ctx = {
+        "circular": (CONTEXTS["circular"], SHAPED_CONTEXTS["circular"]),
+        "leveled": (CONTEXTS["leveled:64"], SHAPED_CONTEXTS["leveled:128"]),
+    }[mode]
+    runs = []
+    for seed in range(PLANS):
+        rng = random.Random(seed)
+        catalog = randgen.random_catalog(rng)
+        runs.append((random_ctx, catalog,
+                     randgen.random_plan(rng, catalog)))
+    for text in SHAPED_PLANS:
+        runs.append((shaped_ctx, _pooled_catalog(random.Random(text)),
+                     dsl.parse(text)))
+    sent, replied = Counter(), Counter()
+    for ctx, catalog, plan in runs:
+        for entry in _transcript(ctx, catalog, plan):
+            if not isinstance(entry, str):
+                sent.update(word[0] for word in entry[3])
+                replied.update(word[0] for word in entry[4])
+    assert set(sent) == {serial.SEEDED_VERSION}, sent
+    assert set(replied) == {serial.WIRE_VERSION}, replied

@@ -31,8 +31,9 @@ GOLDEN_TEXT = (
     "union(select(k > 3 and (not v = 7 or k <= v), table(a)), "
     "intersect(distinct(table(a)), diff(table(b), project([k, v], "
     "select(d != 2, cross(table(b), table(c))))))))), table(c))))))))")
+# its literals travel as seeded words (word layout v3)
 GOLDEN_ENC_WIRE_SHA = (
-    "d57b8b35bc1ded988265c2164c939f6656fdafc1c7b1241fa8d752ca20445e23")
+    "12a645ad7c5693fed4ec9249bfcbdbe0a6740a47f402b7768b134b1c7787556a")
 
 
 def golden_plan(seven):

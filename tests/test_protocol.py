@@ -583,6 +583,15 @@ def _blob(word, edit):
     word["blob"] = base64.b64encode(bytes(raw)).decode()
 
 
+def _v2_row(t):
+    """The first row's record rewritten in the per-bit layout (v2), as the
+    server writes rows, so an edit forges a field of that layout."""
+    ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"proto")
+    t["rows"][0] = serial.row_to_obj(
+        ladder, serial.row_from_obj(ladder, t["rows"][0]))
+    return t["rows"][0]
+
+
 def _record(width, cells):
     """An edit making the first row a well-formed ``width``-bit word under
     the ladder of ``make_session``, with ``cells`` as its cell widths."""
@@ -595,9 +604,11 @@ def _record(width, cells):
 
 # each edit forges one part of an otherwise valid upload of a table with
 # two 4-bit columns, under a circular ladder with depth budget 8; a row is
-# one 9-bit word, its cells' 8 bits and then the presence bit. The cases
-# from table version 2, which made each cell and each presence bit its own
-# word, keep their names and forge the same part of the row record.
+# one 9-bit word, its cells' 8 bits and then the presence bit, seeded as
+# the client writes it; an edit of a field only the per-bit layout has
+# rewrites the row in that layout first. The cases from table version 2,
+# which made each cell and each presence bit its own word, keep their
+# names and forge the same part of the row record.
 FORGED_UPLOADS = {
     # a well-formed word whose cells take every bit
     "row without presence": _record(8, [4, 4]),
@@ -610,8 +621,8 @@ FORGED_UPLOADS = {
     "epoch 99": lambda t: _row(t).update(epoch=99),
     "epoch 0": lambda t: _row(t).update(epoch=0),
     "epoch a bool": lambda t: _row(t).update(epoch=True),
-    "depth -5": lambda t: _row(t).update(depth=-5),
-    "depth past budget": lambda t: _row(t).update(depth=9),
+    "depth -5": lambda t: _v2_row(t).update(depth=-5),
+    "depth past budget": lambda t: _v2_row(t).update(depth=9),
     "width not an int": lambda t: _row(t).update(width="9"),
     "1-bit cell in a 4-bit column": _record(6, [1, 4]),
     "cell missing": _record(5, [4]),
@@ -626,13 +637,14 @@ FORGED_UPLOADS = {
     "word version 1": lambda t: _row(t).update(v=1),
     "word without version": lambda t: _row(t).pop("v"),
     "table version 0": lambda t: t.update(v=0),
-    # wire format v2: per-bit metadata lists, blob size, padding, width
+    # wire format v2 (the server's row layout) and v3 (the client's seeded
+    # one): per-bit metadata lists, blob size, padding, width
     "table version 1": lambda t: t.update(v=1),
-    "epoch list too short": lambda t: _row(t).update(epoch=[1] * 8),
-    "epoch list holding a bool": lambda t: _row(t).update(
+    "epoch list too short": lambda t: _v2_row(t).update(epoch=[1] * 8),
+    "epoch list holding a bool": lambda t: _v2_row(t).update(
         epoch=[1, True] + [1] * 7),
-    "depth list too long": lambda t: _row(t).update(depth=[0] * 10),
-    "depth list holding a bool": lambda t: _row(t).update(
+    "depth list too long": lambda t: _v2_row(t).update(depth=[0] * 10),
+    "depth list holding a bool": lambda t: _v2_row(t).update(
         depth=[0, 0, False] + [0] * 6),
     "blob one byte short": lambda t: _blob(_row(t), bytearray.pop),
     # a 9-bit word's last payload byte has 7 padding bits, and flipping a
@@ -644,7 +656,8 @@ FORGED_UPLOADS = {
     "width 2**40": lambda t: _row(t).update(width=2 ** 40),
     # table version 3: one record per row, split by its cell widths
     "table version 2": lambda t: t.update(v=2),
-    "row word version 3": lambda t: _row(t).update(v=3),
+    # a v2 record relabelled seeded: its blob is 8 bytes a bit too long
+    "row word version 3": lambda t: _v2_row(t).update(v=3),
     "cells missing": lambda t: _row(t).pop("cells"),
     "cells a string": lambda t: _row(t).update(cells="44"),
     "cells an object": lambda t: _row(t).update(cells={"a": 4, "b": 4}),
@@ -780,13 +793,43 @@ def test_upload_the_server_refuses_leaves_no_catalog_entry(monkeypatch):
     assert set(client.catalog) == {"pc"} and set(server.tables) == {"pc"}
 
 
+def test_a_refused_direct_upload_leaves_no_catalog_entry(monkeypatch):
+    # the message goes through ServerStore.handle itself, not setup_upload
+    server, client = make_session()
+    monkeypatch.setattr(protocol, "MAX_STORED_TABLES", 0)
+    upload = client.upload_message("t", PlainTable(Schema((("a", 4),)),
+                                                   [(3,)]))
+    with pytest.raises(ProtocolError, match="1 tables are stored"):
+        server.handle(upload)
+    assert set(client.catalog) == {"pc"} and set(server.tables) == {"pc"}
+
+
+def test_the_client_records_an_upload_once_the_server_accepts_it():
+    server, client = make_session()
+    plain = PlainTable(Schema((("a", 4),)), [(3,), (9,)])
+    reply = server.handle(client.upload_message("t", plain))
+    assert "t" not in client.catalog
+    assert client.read_upload(reply) == "t"
+    assert client.catalog["t"] == plain.schema
+    assert run_query(client, server, dsl.parse("table(t)")).rows == plain.rows
+    # a reply for a name this client is not uploading records nothing
+    for forged in (reply, tamper(reply, lambda m: m["payload"].update(
+            name="pc2"))):
+        with pytest.raises(ProtocolError, match="not an upload"):
+            client.read_upload(forged)
+    assert set(client.catalog) == {"pc", "t"}
+
+
 def test_compact_fetch_is_smaller_than_full_table():
     server, client = make_session()
     qid, n = submit_query(client, server,
                           dsl.parse("select(speed>1, table(pc))"))
     reply = server.handle(client.fetch_message(qid))
-    full = serial.message_to_bytes("upload_table", "x", {
-        "table": serial.table_to_obj(server.ladder, server.tables["pc"])})
+    # the whole table as the server writes rows, a nonce per bit
+    full = serial.message_to_bytes("fetch_rows", qid, {
+        "schema": serial.schema_to_obj(server.tables["pc"].schema),
+        "rows": [serial.row_to_obj(server.ladder, r)
+                 for r in server.tables["pc"].rows]})
     assert n == 2
     assert len(reply) < len(full)
 

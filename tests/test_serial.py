@@ -113,6 +113,96 @@ def test_word_round_trip(session):
         serial.word_from_obj(ladder, obj)
 
 
+def test_seeded_word_round_trip(session):
+    # a literal the client encrypted in one run travels as its first nonce
+    ladder, keys, pk = session
+    w = encrypt_word(pk, 202, width=8)
+    obj = serial.word_to_obj(ladder, w, seeded=True)
+    assert list(obj) == ["v", "width", "epoch", "blob"]
+    assert (obj["v"], obj["width"], obj["epoch"]) == (3, 8, 1)
+    assert base64.b64decode(obj["blob"])[:8] == w.bits[0]._nonce.to_bytes(
+        8, "big")
+    assert len(base64.b64decode(obj["blob"])) == 8 + 1
+    back = serial.word_from_obj(ladder, obj)
+    assert [(b._nonce, b.epoch, b.depth, kernel._reveal(b))
+            for b in back.bits] == [(b._nonce, b.epoch, b.depth,
+                                     kernel._reveal(b)) for b in w.bits]
+    assert decrypt_word(keys, back) == 202
+    assert serial.word_to_obj(ladder, back, seeded=True) == obj
+    # the server's writer keeps a nonce per bit for the same bits
+    assert serial.word_to_obj(ladder, back) == serial.word_to_obj(ladder, w)
+
+
+def test_a_run_past_2_to_the_64_is_seeded(session):
+    ladder, keys, pk = session
+    ladder.state.nonce_state = 2**64 - 3 * 0x9E3779B97F4A7C15 % 2**64
+    w = encrypt_word(pk, 5, width=6)
+    nonces = [b._nonce for b in w.bits]
+    assert nonces != sorted(nonces)  # the run wraps modulo 2^64
+    obj = serial.word_to_obj(ladder, w, seeded=True)
+    assert obj["v"] == serial.SEEDED_VERSION
+    back = serial.word_from_obj(ladder, obj)
+    assert [b._nonce for b in back.bits] == nonces
+    assert decrypt_word(keys, back) == 5
+
+
+def test_only_fresh_runs_are_seeded():
+    ladder, _ = keygen(SecurityContext(mode="leveled", depth_budget=4,
+                                       epochs=6), seed=b"runs")
+    pk = ladder.public_key()
+    a, b = encrypt_word(pk, 9, width=4), encrypt_word(pk, 3, width=4)
+    lifted = CipherWord(a.bits[:2] + tuple(kernel.lift(x, 2)
+                                           for x in a.bits[2:]))
+    words = {
+        "a gate output": word_add(a, b),
+        "two runs": CipherWord(a.bits[:2] + b.bits[:2]),
+        "a run out of order": CipherWord(a.bits[::-1]),
+        "mixed epochs": lifted,
+    }
+    for name, w in words.items():
+        obj = serial.word_to_obj(ladder, w, seeded=True)
+        assert obj["v"] == serial.WIRE_VERSION, name
+        assert obj == serial.word_to_obj(ladder, w), name
+    # a row whose presence bit comes from another run is written per bit
+    # by the client's row writer too
+    t = encrypt_table(pk, PlainTable(Schema((("a", 4),)), [(1,)]), name="t")
+    mixed = EncRow(t.rows[0].cells, b.bits[0])
+    assert serial.row_to_obj(ladder, mixed, seeded=True)["v"] == 2
+    assert serial.row_to_obj(ladder, t.rows[0], seeded=True)["v"] == 3
+
+
+def test_seeded_blob_does_not_expose_payload(session):
+    ladder, _, pk = session
+    seen = [set() for _ in range(8)]
+    for _ in range(64):
+        obj = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8),
+                                 seeded=True)
+        masked = base64.b64decode(obj["blob"])[8]
+        for i in range(8):
+            seen[i].add(masked >> i & 1)
+    assert seen == [{0, 1}] * 8
+
+
+def test_bad_seeded_word_rejected(session):
+    ladder, _, pk = session
+    obj = serial.word_to_obj(ladder, encrypt_word(pk, 9, width=4),
+                             seeded=True)
+    bad = [_blob_edit(obj, lambda raw: raw.pop()),  # one byte short
+           _blob_edit(obj, lambda raw: raw.append(0)),  # one byte long
+           _blob_edit(obj, lambda raw: raw.__setitem__(-1, raw[-1] ^ 0x10)),
+           _blob_edit(obj, lambda raw: raw.extend(bytes(8 * 3))),  # v2 size
+           dict(obj, epoch=[1, 1, 1, 1]), dict(obj, epoch=True),
+           dict(obj, epoch=0), dict(obj, epoch=2),
+           dict(obj, v=4), dict(obj, width=serial.MAX_WORD_WIDTH + 1),
+           dict(obj, width=0)]
+    for forged in bad:
+        with pytest.raises(ProtocolError):
+            serial.word_from_obj(ladder, forged)
+    # a depth key is not read: a seeded word is at depth 0
+    (b,) = serial.word_from_obj(ladder, dict(obj, depth=5)).bits[:1]
+    assert b.depth == 0
+
+
 def test_table_round_trip_byte_exact(session):
     ladder, keys, pk = session
     plain = PlainTable(Schema((("a", 4), ("b", 8))), [(1, 200), (15, 0)])
@@ -159,17 +249,22 @@ def test_row_record_keeps_every_bit(context):
 
 
 def test_row_record_is_one_word(session):
-    # the row's bits read as one word: cells in column order, then presence
+    # the row's bits read as one word: cells in column order, then presence;
+    # the client's table writes it seeded, the server's row writer per bit
     ladder, keys, pk = session
     t = encrypt_table(pk, PlainTable(Schema((("a", 4), ("b", 8))),
                                      [(9, 200)]), presence=[0], name="t")
     obj = serial.table_to_obj(ladder, t)
     (row,) = obj["rows"]
     assert obj["v"] == serial.TABLE_VERSION == 3
-    assert list(row) == ["v", "width", "epoch", "depth", "blob", "cells"]
-    assert len(base64.b64decode(row["blob"])) == 13 * 8 + 2
-    word = serial.word_from_obj(ladder, row)
-    assert decrypt_word(keys, word) == (9 << 9) | (200 << 1)
+    assert list(row) == ["v", "width", "epoch", "blob", "cells"]
+    assert len(base64.b64decode(row["blob"])) == 8 + 2
+    per_bit = serial.row_to_obj(ladder, t.rows[0])
+    assert list(per_bit) == ["v", "width", "epoch", "depth", "blob", "cells"]
+    assert len(base64.b64decode(per_bit["blob"])) == 13 * 8 + 2
+    for record in (row, per_bit):
+        word = serial.word_from_obj(ladder, record)
+        assert decrypt_word(keys, word) == (9 << 9) | (200 << 1)
 
 
 def test_table_to_obj_rejects_foreign_ladder(session):

@@ -9,24 +9,28 @@ item dropped), and uploads whose row records carry forged cell widths. A
 refused message also leaves the server's tables and results as they were.
 Examples are derandomized so Tier-1 runs the same inputs on every run, and
 nothing is written to a hypothesis database. Two further tests send an
-upload past each of the server's upload bounds.
+upload past each of the server's upload bounds. The valid upload and
+query carry seeded words (word layout v3), so the mutations cover that
+layout; fixed forgeries of it, and a schema past ``MAX_COLUMNS``, are
+each refused before ``kernel.word_from_parts`` builds a bit.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hequel import dsl, serial
+from hequel import dsl, kernel, plans, serial
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import HequelError
 from hequel.protocol import (MAX_STORED_TABLES, MAX_UPLOAD_ROWS,
                              ClientSession, ServerStore, setup_upload)
 from hequel.relalg import encrypt_table
-from hequel.schema import PlainTable, Schema
+from hequel.schema import MAX_COLUMNS, PlainTable, Schema
 
 SCHEMA = Schema((("a", 4), ("b", 6)))
 ROWS = [(3, 9), (1, 40), (7, 2)]
@@ -185,4 +189,121 @@ def test_upload_past_the_table_bound_is_refused():
         server.handle(msg)
     assert len(server.tables) == MAX_STORED_TABLES
     assert "last" not in server.tables
+    assert (counters(ladder.state), ladder.state.nonce_state) == before
+
+
+def _seeded_blob(word: dict, width: int, extra: int = 0) -> dict:
+    """``word`` made ``width`` bits wide, its blob the first nonce and
+    ``extra`` bytes past the payload bytes of that width."""
+    raw = base64.b64decode(word["blob"])[:8]
+    raw += bytes((width + 7) // 8 + extra)
+    return dict(word, width=width, blob=base64.b64encode(raw).decode())
+
+
+def _literal(msg: dict) -> dict:
+    """The first literal word the server decodes from the query's plan:
+    the first in field order, depth first."""
+    def first(node):
+        if isinstance(node, dict):
+            if "blob" in node:
+                return node
+            return next(filter(None, map(first, node.values())), None)
+    return first(msg["payload"]["plan"])
+
+
+def _upload_row(msg: dict) -> dict:
+    return msg["payload"]["table"]["rows"][0]
+
+
+WIDEST = serial.MAX_WORD_WIDTH
+# each edit forges the seeded word it is given in place; beside it, the
+# refusal it must meet
+SEEDED_FORGERIES = {
+    "blob one byte long": (
+        lambda w: w.update(_seeded_blob(w, w["width"], 1)), "blob has"),
+    "blob one byte short": (lambda w: w.update(blob=base64.b64encode(
+        base64.b64decode(w["blob"])[:-1]).decode()), "blob has"),
+    "blob of a per-bit word": (lambda w: w.update(blob=base64.b64encode(
+        bytes(8 * w["width"] + (w["width"] + 7) // 8)).decode()), "blob has"),
+    "epoch a list": (lambda w: w.update(epoch=[1] * w["width"]),
+                     "'epoch' is not int"),
+    "epoch a one-item list": (lambda w: w.update(epoch=[1]),
+                              "'epoch' is not int"),
+    "epoch a bool": (lambda w: w.update(epoch=True), "'epoch' is not int"),
+    "version 4": (lambda w: w.update(v=4), "version 4"),
+    "wider than a row of the widest schema": (
+        lambda w: w.update(_seeded_blob(w, WIDEST + 1)), f"{WIDEST + 1}"),
+}
+
+
+@pytest.mark.parametrize("where", ["upload row", "query literal"])
+@pytest.mark.parametrize("forgery, refusal", SEEDED_FORGERIES.values(),
+                         ids=SEEDED_FORGERIES.keys())
+def test_seeded_forgeries_are_refused_before_any_bit(where, forgery, refusal,
+                                                     monkeypatch):
+    valid, find = {"upload row": (UPLOAD, _upload_row),
+                   "query literal": (FUZZED_QUERY, _literal)}[where]
+    msg = json.loads(valid)
+    word = find(msg)
+    assert word["v"] == serial.SEEDED_VERSION
+    forgery(word)
+    if where == "upload row" and word["width"] == WIDEST + 1:
+        # a lone row under the widest schema, so the row check before any
+        # decode passes it on to the word decoder
+        word["cells"] = [64] * MAX_COLUMNS
+        msg["payload"]["table"].update(
+            schema=[[f"c{i}", 64] for i in range(MAX_COLUMNS)], rows=[word])
+    server = fresh_server()
+    built = []
+    monkeypatch.setattr(kernel, "word_from_parts",
+                        lambda *args: built.append(args))
+    before = counters(LADDER.state), LADDER.state.nonce_state
+    with pytest.raises(HequelError, match=refusal):
+        server.handle(json.dumps(msg).encode())
+    assert built == []
+    assert (counters(LADDER.state), LADDER.state.nonce_state) == before
+
+
+def test_widest_seeded_row_is_decoded():
+    # the width bound admits a row of the widest schema
+    ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"widest")
+    plain = PlainTable(Schema(tuple((f"c{i}", 64)
+                                    for i in range(MAX_COLUMNS))),
+                       [tuple(range(MAX_COLUMNS))])
+    obj = serial.encrypt_table_obj(ladder.public_key(), plain, "w")
+    assert obj["rows"][0]["width"] == WIDEST
+    table = serial.table_from_obj(ladder, obj)
+    assert len(table.rows[0].cells) == MAX_COLUMNS
+
+
+def test_a_schema_past_the_column_bound_is_refused_before_any_row():
+    msg = json.loads(UPLOAD)
+    table = msg["payload"]["table"]
+    table["schema"] = [[f"c{i}", 1] for i in range(MAX_COLUMNS + 1)]
+    # rows no decoder accepts, so only the schema can refuse them first
+    table["rows"] = [0]
+    server = fresh_server()
+    tables = dict(server.tables)
+    before = counters(LADDER.state), LADDER.state.nonce_state
+    with pytest.raises(HequelError, match=f"at most {MAX_COLUMNS}"):
+        server.handle(json.dumps(msg).encode())
+    assert server.tables == tables
+    assert (counters(LADDER.state), LADDER.state.nonce_state) == before
+
+
+def test_a_cross_past_the_column_bound_is_refused_before_any_gate():
+    ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"cross")
+    server = ServerStore(ladder)
+    client = ClientSession(keys, ladder.public_key())
+    for name in "tu":
+        schema = Schema(tuple((f"{name}{i}", 1) for i in range(33)))
+        setup_upload(client, server, name, PlainTable(schema, [(0,) * 33]))
+    plan = dsl.parse("cross(table(t), table(u))")  # 66 columns
+    with pytest.raises(HequelError, match=f"at most {MAX_COLUMNS}"):
+        client.query_message(plan)
+    before = counters(ladder.state), ladder.state.nonce_state
+    with pytest.raises(HequelError, match=f"at most {MAX_COLUMNS}"):
+        server.handle(serial.message_to_bytes(
+            "query", "q", {"plan": plans.plan_to_obj(plan, ladder)}))
+    assert server.results == {}
     assert (counters(ladder.state), ladder.state.nonce_state) == before
