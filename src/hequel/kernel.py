@@ -64,19 +64,18 @@ needs only to be unique, and a public mixing step over it would hide
 nothing.
 
 The mint and wire helpers take a whole word, or a whole table, per call.
-``fresh_word`` mints a word's bits as ``fresh_bit`` per bit would, and
-``_fresh_wire_nonces`` draws the wire nonces of n fresh encryptions for
-an encoder that writes a plaintext table straight to the wire and builds
-no bit. Both move the stream and ``encrypt_count`` as the per-bit calls
-would. ``_wire_parts`` reads a word's bits as the parts the wire holds
-(nonces, payload bits, epochs and depths), and ``word_from_parts``, the
-one builder from wire parts to bits, builds the bits back from them.
-Beside them, ``_nonce_run`` gives the nonces of one run of the stream,
-z, z + γ, z + 2γ, …, from its first nonce: the bits a client encrypts in
-one call are such a run, and the wire writes them as their first nonce
-(``serial``'s seeded words). Only the kernel and serialization use the
-three that read payloads or wire nonces or know the increment,
-``_wire_parts``, ``_fresh_wire_nonces`` and ``_nonce_run``.
+``_fresh_wire_nonces`` draws the nonces of n fresh encryptions as one run
+(``_nonce_run``: z, z + γ, z + 2γ, …), moving the stream and
+``encrypt_count`` as n calls of ``fresh_bit`` would: ``fresh_word``
+mints a word's bits on it, and ``serial`` writes a plaintext table's
+upload from it. ``_wire_parts`` reads a word's bits as the wire's parts
+(nonces, payload bits, epochs, depths), giving the nonces as a run when
+the bits are one run at depth 0 under one epoch, whoever wrote them: the
+one place a run is recognised, which the wire writes as its first nonce
+(``serial``'s seeded words). ``word_from_parts`` builds the bits back.
+Only the kernel and serialization use the three that read payloads or
+wire nonces or know the increment, ``_wire_parts``,
+``_fresh_wire_nonces`` and ``_nonce_run``.
 """
 
 from __future__ import annotations
@@ -166,15 +165,6 @@ def _next_nonce(s: KernelState) -> int:
     return z
 
 
-def _counters(s: KernelState, n: int) -> list:
-    """The next ``n`` counter values of ``s``'s nonce stream, in order; the
-    stream moves on by ``n`` steps, as ``n`` calls of ``_next_nonce``
-    would move it."""
-    z = s.nonce_state
-    s.nonce_state = (z + n * _GAMMA) & _MASK64
-    return [(z + i * _GAMMA) & _MASK64 for i in range(1, n + 1)]
-
-
 def fresh_bit(s: KernelState, payload: int, epoch: int) -> CipherBit:
     """Encrypt a literal bit under the key of ``epoch``; depth starts at 0."""
     s.encrypt_count += 1
@@ -185,9 +175,9 @@ def fresh_word(s: KernelState, value: int, width: int, epoch: int) -> tuple:
     """``fresh_bit`` for each of the ``width`` low bits of ``value``, most
     significant first, in one call: the same payloads, epoch, nonces and
     ``encrypt_count``."""
-    s.encrypt_count += width
-    return tuple([CipherBit(s, value >> i & 1, epoch, 0, z) for i, z in
-                  zip(range(width - 1, -1, -1), _counters(s, width))])
+    run = _fresh_wire_nonces(s, width)
+    return tuple([CipherBit(s, value >> i & 1, epoch, 0, z & _MASK64)
+                  for i, z in zip(range(width - 1, -1, -1), run)])
 
 
 def _nonce_run(first: int, n: int) -> range:
@@ -195,14 +185,13 @@ def _nonce_run(first: int, n: int) -> range:
     stream, the first of them ``first``: item i is first + i·γ, which
     names the nonce (first + i·γ) mod 2^64. ``word_from_parts`` masks
     each item to 64 bits, so a decoder builds a run's bits from it as it
-    is, and an encoder tests whether a word's nonces are one run against
-    it."""
+    is, and ``_wire_parts`` tests whether a word's nonces are one run
+    against it."""
     return range(first, first + n * _GAMMA, _GAMMA)
 
 
 def _fresh_wire_nonces(s: KernelState, n: int) -> range:
-    """The wire nonces of ``n`` fresh encryptions, in order, for a caller
-    that writes them straight to the wire and builds no bit: the run
+    """The wire nonces of ``n`` fresh encryptions, in order: the run
     (``_nonce_run``) of the next ``n`` counter values, with the stream and
     ``encrypt_count`` moved as ``n`` calls of ``fresh_bit`` move them."""
     s.encrypt_count += n
@@ -223,12 +212,19 @@ def word_from_parts(s: KernelState, payload: int, epochs, depths,
 def _wire_parts(bits) -> tuple:
     """A word's bits as its wire parts: (wire nonces, payloads packed LSB
     first in bit order, epochs, depths), the inverse of
-    ``word_from_parts``. Each nonce goes to the wire as the bit holds it."""
+    ``word_from_parts``. The nonces are a run (``_nonce_run``) when the
+    bits are one run of the stream at depth 0 under one epoch, as fresh
+    encryptions drawn in one call are, and a list otherwise."""
     payload = 0
     for i, b in enumerate(bits):
         payload |= b._payload << i
-    return ([b._nonce for b in bits], payload, [b.epoch for b in bits],
-            [b.depth for b in bits])
+    nonces = [b._nonce for b in bits]
+    epochs, depths = [b.epoch for b in bits], [b.depth for b in bits]
+    if not any(depths) and epochs.count(epochs[0]) == len(epochs):
+        run = _nonce_run(nonces[0], len(nonces))
+        if nonces == [z & _MASK64 for z in run]:
+            nonces = run
+    return nonces, payload, epochs, depths
 
 
 def refresh(c: CipherBit) -> CipherBit:

@@ -361,7 +361,7 @@ def _to_obj(node, ladder, plan: bool) -> dict:
         elif kind == "pred":
             value = _to_obj(value, ladder, False)
         elif kind == "CipherWord":
-            value = serial.word_to_obj(ladder, value, seeded=True)
+            value = serial.word_to_obj(ladder, value)
         elif kind == "tuple[str, ...]":
             value = list(value)
         obj[name] = value

@@ -12,11 +12,11 @@ layouts.
   packed LSB-first and XORed with one shake-256 digest keyed by the
   ladder's mask key, the nonces and the 2-byte epochs.
 - **Seeded (v3):** ``{"v": 3, "width": w, "epoch": e, "blob": b64}``, for
-  a word whose bits are fresh encryptions the client drew in one run of
-  its nonce stream. Bit i has nonce (z + i·γ) mod 2^64 (the kernel's
-  ``_nonce_run``), epoch e and depth 0, so the blob holds the first
-  nonce z alone, 8 bytes big-endian, then the payload bytes, masked by a
-  digest keyed by the mask key, z, e and w. A 45-bit row takes 20
+  a word whose bits are one run of the nonce stream, as fresh encryptions
+  drawn in one call are. Bit i has nonce (z + i·γ) mod 2^64 (the
+  kernel's ``_nonce_run``), epoch e and depth 0, so the blob holds the
+  first nonce z alone, 8 bytes big-endian, then the payload bytes, masked
+  by a digest keyed by the mask key, z, e and w. A 45-bit row takes 20
   base64 characters where v2 takes 488.
 
 Every payload bit is masked by a keyed pseudorandom bit whose key
@@ -25,16 +25,17 @@ word's first nonce and width fix all of its bits'), so without the mask
 key the blob does not reveal the plaintext; round-trips are byte-exact
 because the nonces are preserved.
 
-Only the client's encoders write seeded words: ``encrypt_table_obj``, its
-object-path twin ``table_to_obj``, and the literal words of
-``plans.plan_to_obj`` (``word_to_obj`` with ``seeded``). They seed a
-word when its bits form one run at depth 0 under one epoch, and write v2
-otherwise. A gate output or a refreshed bit has no seed, so the server's
-writers, ``word_to_obj`` for ``result_count`` and ``row_to_obj`` for
-``fetch_rows``, keep a nonce per bit. ``word_from_obj`` reads both
-layouts, and refuses a word wider than ``MAX_WORD_WIDTH`` (a row of the
-widest schema) before it decodes the blob, since a seeded blob no longer
-bounds the width.
+A word's layout follows its bits, whoever writes it: the kernel's
+``_wire_parts`` gives a word's nonces as a run when its bits are one run
+at depth 0 under one epoch, and ``_word_obj`` writes such a word seeded
+and any other word per bit. The client's uploads and query literals are
+fresh runs, and so is the one-bit count word of a scalar aggregate, which
+is the server's own fresh presence bit; fetched rows, and the count word
+of a result of two or more rows, hold gate outputs above depth 0 and
+keep a nonce per bit. ``word_from_obj`` reads both layouts, and
+refuses a word wider than ``MAX_WORD_WIDTH`` (a row of the widest schema)
+before it decodes the blob, since a seeded blob no longer bounds the
+width.
 
 A table row travels as one such word over its flat bits: the cells in
 column order, each MSB first, then the presence bit. The row's object adds
@@ -103,9 +104,9 @@ def _word_obj(ladder: KeyLadder, nonces, payload: int, epochs: list,
     """The object of one word from its wire parts: the bits' wire
     nonces, their payloads packed LSB first in bit order, and their
     per-bit epochs and depths. Nonces given as a run (a ``range``, see
-    ``kernel._nonce_run``) are those of fresh encryptions at depth 0
-    under ``epochs[0]``, and the word is written seeded (v3); any other
-    word keeps a nonce per bit (v2). Both layouts are written here
+    ``kernel._nonce_run``) are those of bits at depth 0 under
+    ``epochs[0]``, and the word is written seeded (v3); nonces given as a
+    list keep a nonce per bit (v2). Both layouts are written here
     alone."""
     width = len(nonces)
     if type(nonces) is range:
@@ -123,25 +124,10 @@ def _word_obj(ladder: KeyLadder, nonces, payload: int, epochs: list,
     return obj
 
 
-def _parts(bits, seeded: bool) -> tuple:
-    """The wire parts of a word's bits (``kernel._wire_parts``). With
-    ``seeded``, nonces that are one run of the stream, on bits at depth 0
-    under one epoch, come back as that run, so ``_word_obj`` seeds the
-    word: the client's encoders ask for it, the server's writers do not."""
-    nonces, payload, epochs, depths = parts = kernel._wire_parts(bits)
-    if seeded and depths.count(0) == len(depths) and (
-            epochs.count(epochs[0]) == len(epochs)):
-        run = kernel._nonce_run(nonces[0], len(nonces))
-        if nonces == [z & _MASK64 for z in run]:
-            return run, payload, epochs, depths
-    return parts
-
-
-def word_to_obj(ladder: KeyLadder, w: CipherWord,
-                seeded: bool = False) -> dict:
-    """The object of ``w``, seeded when ``seeded`` asks and its bits allow
-    (``_parts``)."""
-    return _word_obj(ladder, *_parts(w.bits, seeded))
+def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
+    """The object of ``w``, seeded when its bits are one run (read off by
+    ``kernel._wire_parts``) and per bit otherwise."""
+    return _word_obj(ladder, *kernel._wire_parts(w.bits))
 
 
 def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
@@ -217,10 +203,11 @@ def _row_obj(ladder: KeyLadder, widths: list, *parts) -> dict:
     return obj
 
 
-def row_to_obj(ladder: KeyLadder, row: EncRow, seeded: bool = False) -> dict:
-    """The record of ``row``, seeded as ``word_to_obj`` seeds a word."""
-    return _row_obj(ladder, [c.width for c in row.cells], *_parts(
-        [b for c in row.cells for b in c.bits] + [row.presence], seeded))
+def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
+    """The record of ``row``, laid out as ``word_to_obj`` lays out a
+    word."""
+    return _row_obj(ladder, [c.width for c in row.cells], *kernel._wire_parts(
+        [b for c in row.cells for b in c.bits] + [row.presence]))
 
 
 def row_from_obj(ladder: KeyLadder, obj: dict) -> EncRow:
@@ -258,7 +245,7 @@ def table_to_obj(ladder: KeyLadder, t: EncTable) -> dict:
         raise LadderMismatch("table belongs to a different ladder")
     return {"v": TABLE_VERSION, "name": t.name,
             "schema": schema_to_obj(t.schema),
-            "rows": [row_to_obj(ladder, r, seeded=True) for r in t.rows]}
+            "rows": [row_to_obj(ladder, r) for r in t.rows]}
 
 
 def encrypt_table_obj(pk: PublicKey, plain: PlainTable,

@@ -239,8 +239,10 @@ def gate_outputs(s):
 
 
 def bit_obj(ladder, c) -> dict:
-    """``c`` in its wire form, a width-1 word."""
-    return serial.word_to_obj(ladder, CipherWord((c,)))
+    """``c`` in the per-bit wire form (v2), a width-1 word, whatever its
+    depth: the nonce goes to ``serial._word_obj`` as a list."""
+    _, payload, epochs, depths = kernel._wire_parts((c,))
+    return serial._word_obj(ladder, [c._nonce], payload, epochs, depths)
 
 
 # sha256 of the gate_outputs of gate_ladder, each serialized as a width-1

@@ -13,8 +13,10 @@ request and in the reply.
 Beside the random plans, five fixed plans take the shapes of the
 benchmark's relational-fetch templates at n=32, under its circular ladder
 and under aggregate-leveled's ``leveled:128`` at depth budget 8. A census
-over the same plans checks the word layouts: every word the client sends
-is seeded (v3), and every word the server sends keeps a nonce per bit.
+over the same plans checks the word layouts: a word in either direction
+is seeded (v3) exactly when its decoded bits are one run of the nonce
+stream at depth 0 under one epoch, and keeps a nonce per bit (v2)
+otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import Counter
 
 import pytest
 
-from hequel import dsl, randgen, serial
+from hequel import dsl, kernel, randgen, serial
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import HequelError
 from hequel.protocol import ClientSession, ServerStore
@@ -43,21 +45,29 @@ def _counters(state) -> tuple[int, ...]:
             state.encrypt_count)
 
 
-def _words(obj) -> list:
-    """(layout version, width, epoch, depth) of every ciphertext word in a
-    decoded message; a seeded word has no depth key, so None."""
+def _word_objs(obj) -> list:
+    """Every ciphertext word object in a decoded message, in order."""
     if isinstance(obj, dict):
         if "blob" in obj:
-            return [(obj["v"], obj["width"], obj["epoch"], obj.get("depth"))]
-        return [w for value in obj.values() for w in _words(value)]
+            return [obj]
+        return [w for value in obj.values() for w in _word_objs(value)]
     if isinstance(obj, list):
-        return [w for value in obj for w in _words(value)]
+        return [w for value in obj for w in _word_objs(value)]
     return []
 
 
-def _transcript(ctx: SecurityContext, catalog: dict, plan) -> list:
+def _words(ladder, obj) -> list:
+    """(layout version, width, epoch, depth) of every ciphertext word in a
+    decoded message; a seeded word has no depth key, so None."""
+    return [(w["v"], w["width"], w["epoch"], w.get("depth"))
+            for w in _word_objs(obj)]
+
+
+def _transcript(ctx: SecurityContext, catalog: dict, plan,
+                words=_words) -> list:
     """One entry per message: its lengths, counter deltas, request words
-    and reply words; a refusal ends the transcript with its error class."""
+    and reply words, as ``words`` reads them off each decoded message; a
+    refusal ends the transcript with its error class."""
     ladder, keys = keygen(ctx, seed=b"transcript")
     server = ServerStore(ladder)
     client = ClientSession(keys, ladder.public_key(1), slack=SLACK)
@@ -69,8 +79,8 @@ def _transcript(ctx: SecurityContext, catalog: dict, plan) -> list:
         now = _counters(ladder.state)
         out.append((len(request), len(reply),
                     tuple(b - a for a, b in zip(last, now)),
-                    _words(serial.message_from_bytes(request)),
-                    _words(serial.message_from_bytes(reply))))
+                    words(ladder, serial.message_from_bytes(request)),
+                    words(ladder, serial.message_from_bytes(reply))))
         last = now
         return reply
 
@@ -150,8 +160,24 @@ def test_benchmark_shaped_transcript_depends_on_shapes_only(mode):
     assert not differ, "\n".join(differ)
 
 
+def _layouts(ladder, obj) -> list:
+    """(layout version, whether the decoded bits are one fresh run) of
+    every ciphertext word in a decoded message. A fresh run is what
+    ``fresh_word`` mints: bit i has nonce (z + i·γ) mod 2^64, every bit
+    sits at depth 0, and all share one epoch."""
+    out = []
+    for w in _word_objs(obj):
+        bits = serial.word_from_obj(ladder, w).bits
+        z, e = bits[0]._nonce, bits[0].epoch
+        run = all(b._nonce == (z + i * kernel._GAMMA) % 2**64
+                  and b.depth == 0 and b.epoch == e
+                  for i, b in enumerate(bits))
+        out.append((w["v"], run))
+    return out
+
+
 @pytest.mark.parametrize("mode", ["circular", "leveled"])
-def test_only_the_client_sends_seeded_words(mode):
+def test_a_word_is_seeded_exactly_when_its_bits_are_one_fresh_run(mode):
     random_ctx, shaped_ctx = {
         "circular": (CONTEXTS["circular"], SHAPED_CONTEXTS["circular"]),
         "leveled": (CONTEXTS["leveled:64"], SHAPED_CONTEXTS["leveled:128"]),
@@ -165,11 +191,15 @@ def test_only_the_client_sends_seeded_words(mode):
     for text in SHAPED_PLANS:
         runs.append((shaped_ctx, _pooled_catalog(random.Random(text)),
                      dsl.parse(text)))
-    sent, replied = Counter(), Counter()
+    census = Counter()
     for ctx, catalog, plan in runs:
-        for entry in _transcript(ctx, catalog, plan):
+        for entry in _transcript(ctx, catalog, plan, _layouts):
             if not isinstance(entry, str):
-                sent.update(word[0] for word in entry[3])
-                replied.update(word[0] for word in entry[4])
-    assert set(sent) == {serial.SEEDED_VERSION}, sent
-    assert set(replied) == {serial.WIRE_VERSION}, replied
+                census.update(("sent", *word) for word in entry[3])
+                census.update(("replied", *word) for word in entry[4])
+    seeded, per_bit = serial.SEEDED_VERSION, serial.WIRE_VERSION
+    # the client's uploads and literals are fresh runs; the server's fetched
+    # rows are gate outputs, and a scalar result's count word is its own
+    # fresh presence bit
+    assert set(census) == {("sent", seeded, True), ("replied", seeded, True),
+                           ("replied", per_bit, False)}, census

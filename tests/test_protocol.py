@@ -587,8 +587,11 @@ def _v2_row(t):
     """The first row's record rewritten in the per-bit layout (v2), as the
     server writes rows, so an edit forges a field of that layout."""
     ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"proto")
-    t["rows"][0] = serial.row_to_obj(
-        ladder, serial.row_from_obj(ladder, t["rows"][0]))
+    row = t["rows"][0]
+    bits = serial.word_from_obj(ladder, row).bits
+    _, *parts = kernel._wire_parts(bits)
+    t["rows"][0] = serial._row_obj(ladder, row["cells"],
+                                   [b._nonce for b in bits], *parts)
     return t["rows"][0]
 
 
@@ -825,13 +828,41 @@ def test_compact_fetch_is_smaller_than_full_table():
     qid, n = submit_query(client, server,
                           dsl.parse("select(speed>1, table(pc))"))
     reply = server.handle(client.fetch_message(qid))
-    # the whole table as the server writes rows, a nonce per bit
+    # the whole table as the server writes gate-output rows, a nonce per
+    # bit; the stored rows are fresh runs, so their nonces go to
+    # ``serial._word_obj`` as a list
+    rows = []
+    for r in server.tables["pc"].rows:
+        bits = [b for c in r.cells for b in c.bits] + [r.presence]
+        _, *parts = kernel._wire_parts(bits)
+        rows.append(serial._row_obj(server.ladder, [c.width for c in r.cells],
+                                    [b._nonce for b in bits], *parts))
     full = serial.message_to_bytes("fetch_rows", qid, {
         "schema": serial.schema_to_obj(server.tables["pc"].schema),
-        "rows": [serial.row_to_obj(server.ladder, r)
-                 for r in server.tables["pc"].rows]})
+        "rows": rows})
     assert n == 2
     assert len(reply) < len(full)
+
+
+def test_scalar_count_word_travels_seeded():
+    # a scalar aggregate's result is one row whose presence bit the server
+    # encrypts fresh; its count is that bit, a one-bit run at depth 0, so it
+    # travels seeded, while the fetched row holds gate outputs
+    server, client = make_session()
+    qid, query = client.query_message(dsl.parse("sum(price, table(pc))"))
+    reply = server.handle(query)
+    (row,) = server.results[qid].rows
+    count = serial.message_from_bytes(reply)["payload"]["count"]
+    assert (count["v"], count["width"]) == (serial.SEEDED_VERSION, 1)
+    (bit,) = serial.word_from_obj(server.ladder, count).bits
+    p = row.presence
+    assert (bit._nonce, bit.epoch, bit.depth, kernel._reveal(bit)) == \
+        (p._nonce, p.epoch, 0, kernel._reveal(p))
+    assert client.read_count(reply) == (qid, 1)
+    fetched = server.handle(client.fetch_message(qid))
+    (record,) = serial.message_from_bytes(fetched)["payload"]["rows"]
+    assert record["v"] == serial.WIRE_VERSION
+    assert client.read_rows_and_verify(fetched).rows == [(2114 + 478,)]
 
 
 FETCH_SCHEMA = Schema((("a", 4), ("b", 4)))

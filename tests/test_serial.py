@@ -29,6 +29,13 @@ def bit_obj(ladder, c) -> dict:
     return serial.word_to_obj(ladder, CipherWord((c,)))
 
 
+def per_bit_obj(ladder, bits) -> dict:
+    """``bits`` written as a per-bit word (v2) whatever their nonces: the
+    nonces go to ``serial._word_obj`` as a list, not as a run."""
+    _, *parts = kernel._wire_parts(bits)
+    return serial._word_obj(ladder, [b._nonce for b in bits], *parts)
+
+
 def test_bit_round_trip_byte_exact(session):
     ladder, keys, pk = session
     for b in (0, 1):
@@ -54,7 +61,7 @@ def test_blob_does_not_expose_payload(session):
     # both values, so the blob alone does not determine the plaintext
     seen = [set() for _ in range(8)]
     for _ in range(64):
-        obj = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8))
+        obj = per_bit_obj(ladder, encrypt_word(pk, 202, width=8).bits)
         masked = base64.b64decode(obj["blob"])[8 * 8]
         for i in range(8):
             seen[i].add(masked >> i & 1)
@@ -89,7 +96,7 @@ def test_bad_blob_rejected(session):
 def test_word_metadata_lists(session):
     ladder, keys, pk = session
     w = encrypt_word(pk, 5, width=3)
-    obj = serial.word_to_obj(ladder, w)
+    obj = per_bit_obj(ladder, w.bits)
     assert (obj["v"], obj["width"], obj["epoch"], obj["depth"]) == (2, 3, 1, 0)
     assert len(base64.b64decode(obj["blob"])) == 3 * 8 + 1
     listed = dict(obj, epoch=[1, 1, 1], depth=[0, 0, 0])
@@ -117,7 +124,7 @@ def test_seeded_word_round_trip(session):
     # a literal the client encrypted in one run travels as its first nonce
     ladder, keys, pk = session
     w = encrypt_word(pk, 202, width=8)
-    obj = serial.word_to_obj(ladder, w, seeded=True)
+    obj = serial.word_to_obj(ladder, w)
     assert list(obj) == ["v", "width", "epoch", "blob"]
     assert (obj["v"], obj["width"], obj["epoch"]) == (3, 8, 1)
     assert base64.b64decode(obj["blob"])[:8] == w.bits[0]._nonce.to_bytes(
@@ -128,9 +135,7 @@ def test_seeded_word_round_trip(session):
             for b in back.bits] == [(b._nonce, b.epoch, b.depth,
                                      kernel._reveal(b)) for b in w.bits]
     assert decrypt_word(keys, back) == 202
-    assert serial.word_to_obj(ladder, back, seeded=True) == obj
-    # the server's writer keeps a nonce per bit for the same bits
-    assert serial.word_to_obj(ladder, back) == serial.word_to_obj(ladder, w)
+    assert serial.word_to_obj(ladder, back) == obj
 
 
 def test_a_run_past_2_to_the_64_is_seeded(session):
@@ -139,7 +144,7 @@ def test_a_run_past_2_to_the_64_is_seeded(session):
     w = encrypt_word(pk, 5, width=6)
     nonces = [b._nonce for b in w.bits]
     assert nonces != sorted(nonces)  # the run wraps modulo 2^64
-    obj = serial.word_to_obj(ladder, w, seeded=True)
+    obj = serial.word_to_obj(ladder, w)
     assert obj["v"] == serial.SEEDED_VERSION
     back = serial.word_from_obj(ladder, obj)
     assert [b._nonce for b in back.bits] == nonces
@@ -153,30 +158,54 @@ def test_only_fresh_runs_are_seeded():
     a, b = encrypt_word(pk, 9, width=4), encrypt_word(pk, 3, width=4)
     lifted = CipherWord(a.bits[:2] + tuple(kernel.lift(x, 2)
                                            for x in a.bits[2:]))
+    # nonces in one run, but above depth 0 or over two epochs
+    deep = tuple(kernel.and_(x, x) for x in a.bits)
+    deep_run = CipherWord(kernel.bits_xor(deep, b.bits))
+    f = kernel.fresh_bit(ladder.state, 1, 1)
+    two_epochs = CipherWord((f, kernel.refresh(f)))
+    for w in (deep_run, two_epochs):
+        z = w.bits[0]._nonce
+        assert [x._nonce for x in w.bits] == [
+            (z + i * kernel._GAMMA) % 2**64 for i in range(w.width)]
     words = {
         "a gate output": word_add(a, b),
         "two runs": CipherWord(a.bits[:2] + b.bits[:2]),
         "a run out of order": CipherWord(a.bits[::-1]),
         "mixed epochs": lifted,
+        "a run above depth 0": deep_run,
+        "a run over two epochs": two_epochs,
     }
     for name, w in words.items():
-        obj = serial.word_to_obj(ladder, w, seeded=True)
-        assert obj["v"] == serial.WIRE_VERSION, name
-        assert obj == serial.word_to_obj(ladder, w), name
+        assert serial.word_to_obj(ladder, w)["v"] == serial.WIRE_VERSION, name
     # a row whose presence bit comes from another run is written per bit
-    # by the client's row writer too
     t = encrypt_table(pk, PlainTable(Schema((("a", 4),)), [(1,)]), name="t")
     mixed = EncRow(t.rows[0].cells, b.bits[0])
-    assert serial.row_to_obj(ladder, mixed, seeded=True)["v"] == 2
-    assert serial.row_to_obj(ladder, t.rows[0], seeded=True)["v"] == 3
+    assert serial.row_to_obj(ladder, mixed)["v"] == 2
+    assert serial.row_to_obj(ladder, t.rows[0])["v"] == 3
+
+
+def test_a_run_of_gate_outputs_at_depth_0_is_seeded(session):
+    # XORs of fresh bits sit at depth 0 and take consecutive nonces: the
+    # bits are one run, so the word travels seeded whoever writes it, and
+    # decodes to the same bits
+    ladder, keys, pk = session
+    a, b = encrypt_word(pk, 202, width=8), encrypt_word(pk, 77, width=8)
+    w = CipherWord(kernel.bits_xor(a.bits, b.bits))
+    assert {x.depth for x in w.bits} == {0}
+    obj = serial.word_to_obj(ladder, w)
+    assert obj["v"] == serial.SEEDED_VERSION
+    back = serial.word_from_obj(ladder, obj)
+    assert [(x._nonce, x.epoch, x.depth) for x in back.bits] == \
+        [(x._nonce, x.epoch, x.depth) for x in w.bits]
+    assert decrypt_word(keys, back) == 202 ^ 77
+    assert json.dumps(serial.word_to_obj(ladder, back)) == json.dumps(obj)
 
 
 def test_seeded_blob_does_not_expose_payload(session):
     ladder, _, pk = session
     seen = [set() for _ in range(8)]
     for _ in range(64):
-        obj = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8),
-                                 seeded=True)
+        obj = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8))
         masked = base64.b64decode(obj["blob"])[8]
         for i in range(8):
             seen[i].add(masked >> i & 1)
@@ -185,8 +214,7 @@ def test_seeded_blob_does_not_expose_payload(session):
 
 def test_bad_seeded_word_rejected(session):
     ladder, _, pk = session
-    obj = serial.word_to_obj(ladder, encrypt_word(pk, 9, width=4),
-                             seeded=True)
+    obj = serial.word_to_obj(ladder, encrypt_word(pk, 9, width=4))
     bad = [_blob_edit(obj, lambda raw: raw.pop()),  # one byte short
            _blob_edit(obj, lambda raw: raw.append(0)),  # one byte long
            _blob_edit(obj, lambda raw: raw.__setitem__(-1, raw[-1] ^ 0x10)),
@@ -250,7 +278,8 @@ def test_row_record_keeps_every_bit(context):
 
 def test_row_record_is_one_word(session):
     # the row's bits read as one word: cells in column order, then presence;
-    # the client's table writes it seeded, the server's row writer per bit
+    # a fresh row travels seeded, and the same bits written per bit (v2)
+    # decode to the same word
     ladder, keys, pk = session
     t = encrypt_table(pk, PlainTable(Schema((("a", 4), ("b", 8))),
                                      [(9, 200)]), presence=[0], name="t")
@@ -259,7 +288,8 @@ def test_row_record_is_one_word(session):
     assert obj["v"] == serial.TABLE_VERSION == 3
     assert list(row) == ["v", "width", "epoch", "blob", "cells"]
     assert len(base64.b64decode(row["blob"])) == 8 + 2
-    per_bit = serial.row_to_obj(ladder, t.rows[0])
+    per_bit = dict(per_bit_obj(ladder, serial.word_from_obj(ladder, row).bits),
+                   cells=row["cells"])
     assert list(per_bit) == ["v", "width", "epoch", "depth", "blob", "cells"]
     assert len(base64.b64decode(per_bit["blob"])) == 13 * 8 + 2
     for record in (row, per_bit):
