@@ -69,18 +69,23 @@ The mint and wire helpers take a whole word, or a whole table, per call.
 ``encrypt_count`` as n calls of ``fresh_bit`` would: ``fresh_word``
 mints a word's bits on it, and ``serial`` writes a plaintext table's
 upload from it. ``_wire_parts`` reads a word's bits as the wire's parts
-(nonces, payload bits, epochs, depths), giving the nonces as a run when
-the bits are one run at depth 0 under one epoch, whoever wrote them: the
-one place a run is recognised, which the wire writes as its first nonce
-(``serial``'s seeded words). ``word_from_parts`` builds the bits back.
-Only the kernel and serialization use the three that read payloads or
-wire nonces or know the increment, ``_wire_parts``,
-``_fresh_wire_nonces`` and ``_nonce_run``.
+(nonces, the stream steps between them, payload bits, epochs, depths).
+When the bits are one run at depth 0 under one epoch, whoever wrote
+them, it gives the nonces as the run and no steps: the one place a run
+is recognised, which the wire writes as its first nonce (``serial``'s
+seeded words). Any other word's wire form holds its first nonce and the
+steps between its nonces (``_nonce_steps``: k_i with z_{i+1} = z_i +
+k_i·γ mod 2^64, ``serial``'s stepped words), which ``_nonce_walk`` walks
+back to the nonces; ``word_from_parts`` builds the bits back. Only the
+kernel and serialization use the five that read payloads or wire nonces
+or know the increment, ``_wire_parts``, ``_fresh_wire_nonces``,
+``_nonce_run``, ``_nonce_steps`` and ``_nonce_walk``.
 """
 
 from __future__ import annotations
 
 import sys
+from operator import sub
 
 from hequel.errors import LadderExhausted, LadderMismatch
 
@@ -91,6 +96,14 @@ MODE_LEVELED = 1
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter increment
+_GAMMA_INV = pow(_GAMMA, -1, 1 << 64)  # γ⁻¹ mod 2^64: γ is odd
+_HALF = 1 << 63
+# the steps of -128..127 by the difference z_{i+1} - z_i of the two wire
+# nonces they join: k·γ mod 2^64, or that less 2^64 where the stream wraps
+_SHORT_STEPS = {(k * _GAMMA & _MASK64) - wrap: k
+                for k in range(-128, 128) for wrap in (0, 1 << 64)}
+# the differences of one run's consecutive nonces: the step 1
+_RUN_DIFFS = frozenset(d for d, k in _SHORT_STEPS.items() if k == 1)
 
 
 class KernelState:
@@ -183,10 +196,7 @@ def fresh_word(s: KernelState, value: int, width: int, epoch: int) -> tuple:
 def _nonce_run(first: int, n: int) -> range:
     """The wire nonces of ``n`` encryptions drawn in one run of the
     stream, the first of them ``first``: item i is first + i·γ, which
-    names the nonce (first + i·γ) mod 2^64. ``word_from_parts`` masks
-    each item to 64 bits, so a decoder builds a run's bits from it as it
-    is, and ``_wire_parts`` tests whether a word's nonces are one run
-    against it."""
+    names the nonce (first + i·γ) mod 2^64."""
     return range(first, first + n * _GAMMA, _GAMMA)
 
 
@@ -204,27 +214,55 @@ def word_from_parts(s: KernelState, payload: int, epochs, depths,
                     nonces) -> tuple:
     """Rebuild a word's bits from their serialized parts, with no counter
     bump: bit i takes bit i of ``payload`` (LSB first), ``epochs[i]``,
-    ``depths[i]`` and ``nonces[i]``."""
-    return tuple([CipherBit(s, payload >> i & 1, e, d, x & _MASK64)
-                  for i, (x, e, d) in enumerate(zip(nonces, epochs, depths))])
+    ``depths[i]`` and ``nonces[i]``, a wire nonce in 0..2^64 - 1.
+    ``nonces`` may be any iterable of them."""
+    n = len(epochs)
+    return tuple(map(CipherBit, [s] * n, [payload >> i & 1 for i in range(n)],
+                     epochs, depths, nonces))
+
+
+def _nonce_steps(nonces) -> list:
+    """The signed stream steps between consecutive wire nonces: k_i, in
+    -2^63..2^63 - 1, with nonces[i + 1] = nonces[i] + k_i·γ mod 2^64. The
+    nonces of one run step by 1; ``bit_mux`` draws three nonces per
+    output, so a row of its outputs steps by about 3. A one-byte step is
+    looked up by its difference of nonces (``_SHORT_STEPS``); only a
+    wider one is computed with γ⁻¹."""
+    steps = list(map(_SHORT_STEPS.get, map(sub, nonces[1:], nonces)))
+    at = -1
+    for _ in range(steps.count(None)):
+        at = steps.index(None, at + 1)
+        d = nonces[at + 1] - nonces[at]
+        steps[at] = (d * _GAMMA_INV + _HALF & _MASK64) - _HALF
+    return steps
+
+
+def _nonce_walk(first: int, steps) -> list:
+    """The wire nonces that ``steps`` walk from ``first``: the inverse of
+    ``_nonce_steps``, one nonce more than there are steps."""
+    z = first
+    return [first] + [z := (z + k * _GAMMA) & _MASK64 for k in steps]
 
 
 def _wire_parts(bits) -> tuple:
-    """A word's bits as its wire parts: (wire nonces, payloads packed LSB
-    first in bit order, epochs, depths), the inverse of
-    ``word_from_parts``. The nonces are a run (``_nonce_run``) when the
-    bits are one run of the stream at depth 0 under one epoch, as fresh
-    encryptions drawn in one call are, and a list otherwise."""
+    """A word's bits as its wire parts: (wire nonces, their steps,
+    payloads packed LSB first in bit order, epochs, depths), the inverse
+    of ``word_from_parts``. When the bits are one run of the stream at
+    depth 0 under one epoch, as fresh encryptions drawn in one call are,
+    the nonces are that run (``_nonce_run``) and the steps None;
+    otherwise the nonces are a list and the steps ``_nonce_steps`` of
+    it. The run test reads the differences of the nonces once; a word
+    with a bit above depth 0 skips it."""
     payload = 0
     for i, b in enumerate(bits):
         payload |= b._payload << i
     nonces = [b._nonce for b in bits]
     epochs, depths = [b.epoch for b in bits], [b.depth for b in bits]
-    if not any(depths) and epochs.count(epochs[0]) == len(epochs):
-        run = _nonce_run(nonces[0], len(nonces))
-        if nonces == [z & _MASK64 for z in run]:
-            nonces = run
-    return nonces, payload, epochs, depths
+    if not any(depths) and epochs.count(epochs[0]) == len(epochs) and \
+            set(map(sub, nonces[1:], nonces)) <= _RUN_DIFFS:
+        return _nonce_run(nonces[0], len(nonces)), None, payload, epochs, \
+            depths
+    return nonces, _nonce_steps(nonces), payload, epochs, depths
 
 
 def refresh(c: CipherBit) -> CipherBit:

@@ -292,12 +292,19 @@ def _rule(node, plan: bool, role: str):
     return rule
 
 
+@functools.cache
+def _child_fields(cls) -> tuple[str, ...]:
+    """The names of a node class's children of its own family, in field
+    order."""
+    return tuple(name for name, _ in node_fields(cls)
+                 if name in CHILD_FIELDS)
+
+
 def _inputs(node, env, walk) -> list:
     """``walk`` of each child of the node's own family in field order, or
     ``[env]`` for a leaf."""
     return [walk(getattr(node, name), env)
-            for name, _ in node_fields(type(node))
-            if name in CHILD_FIELDS] or [env]
+            for name in _child_fields(type(node))] or [env]
 
 
 # --- walkers ----------------------------------------------------------------

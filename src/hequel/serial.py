@@ -2,15 +2,24 @@
 
 Everything serializes to JSON with fixed key insertion order and compact
 separators, so equal values produce byte-identical messages (golden tests
-rely on this). A ciphertext word of w bits is one object in one of two
-layouts.
+rely on this). A ciphertext word of w bits is written as one object in
+one of two layouts, and read in those and a third.
 
-- **Per bit (v2):** ``{"v": 2, "width": w, "epoch": e, "depth": d,
-  "blob": b64}``. ``epoch`` and ``depth`` are one int when every bit
-  agrees, else a w-long list. The base64 blob holds the w 8-byte
-  big-endian nonces in bit order, then ceil(w/8) bytes of payload bits
-  packed LSB-first and XORed with one shake-256 digest keyed by the
-  ladder's mask key, the nonces and the 2-byte epochs.
+- **Stepped (v4):** ``{"v": 4, "width": w, "epoch": e, "depth": d,
+  "blob": b64}``, the per-bit layout. ``epoch`` and ``depth`` are one
+  int when every bit agrees, else a w-long list. The base64 blob holds
+  the first bit's nonce, 8 bytes big-endian, then the w - 1 signed
+  stream steps k_i with z_{i+1} = z_i + k_i·γ mod 2^64 (the kernel's
+  ``_nonce_steps``), big-endian at the narrowest of 1, 2, 4 or 8 bytes
+  that holds the widest, then ceil(w/8) bytes of payload bits packed
+  LSB-first and XORed with one shake-256 digest keyed by the ladder's
+  mask key, the w 8-byte nonces and the 2-byte epochs. The blob's length
+  implies the step width, so there is no width byte, and a 1-bit word's
+  blob is 9 bytes. A row of ``bit_mux`` outputs steps by about 3, so it
+  takes a byte a step where v2 took 8.
+- **Per bit (v2), read only:** ``{"v": 2, ...}`` as v4, its blob the w
+  nonces, 8 bytes each, then the payload bytes masked as v4 masks them.
+  Nothing writes it; tables a stored session wrote before v4 hold it.
 - **Seeded (v3):** ``{"v": 3, "width": w, "epoch": e, "blob": b64}``, for
   a word whose bits are one run of the nonce stream, as fresh encryptions
   drawn in one call are. Bit i has nonce (z + i·γ) mod 2^64 (the
@@ -23,19 +32,19 @@ Every payload bit is masked by a keyed pseudorandom bit whose key
 material fixes its own nonce, unique in its ladder's stream (a seeded
 word's first nonce and width fix all of its bits'), so without the mask
 key the blob does not reveal the plaintext; round-trips are byte-exact
-because the nonces are preserved.
+because the nonces are preserved. A v4 word's steps follow from its
+nonces and the public γ, so it reveals nothing a nonce per bit does not.
 
 A word's layout follows its bits, whoever writes it: the kernel's
 ``_wire_parts`` gives a word's nonces as a run when its bits are one run
 at depth 0 under one epoch, and ``_word_obj`` writes such a word seeded
-and any other word per bit. The client's uploads and query literals are
+and any other word stepped. The client's uploads and query literals are
 fresh runs, and so is the one-bit count word of a scalar aggregate, which
 is the server's own fresh presence bit; fetched rows, and the count word
 of a result of two or more rows, hold gate outputs above depth 0 and
-keep a nonce per bit. ``word_from_obj`` reads both layouts, and
-refuses a word wider than ``MAX_WORD_WIDTH`` (a row of the widest schema)
-before it decodes the blob, since a seeded blob no longer bounds the
-width.
+travel stepped. ``word_from_obj`` reads all three layouts, and refuses a
+word wider than ``MAX_WORD_WIDTH`` (a row of the widest schema) before
+it decodes the blob, since a seeded blob no longer bounds the width.
 
 A table row travels as one such word over its flat bits: the cells in
 column order, each MSB first, then the presence bit. The row's object adds
@@ -46,15 +55,16 @@ blob and one digest among them. A table object (``TABLE_VERSION`` 3) holds
 its name, schema and row records; version 2 made each cell and each
 presence bit its own word, and is refused with its version.
 
-One writer, ``_word_obj``, holds both word layouts. ``word_to_obj`` and
-``row_to_obj`` feed it bits as the kernel reads them off
+One writer, ``_word_obj``, holds both written layouts. ``word_to_obj``
+and ``row_to_obj`` feed it bits as the kernel reads them off
 (``kernel._wire_parts``), and ``encrypt_table_obj`` feeds it straight from
 a plaintext table, each row's nonces a slice of the run it draws from the
 kernel's stream: the client's upload builds no ciphertext object, yet its
 bytes, nonces and counts are those of ``table_to_obj`` over
 ``relalg.encrypt_table``. ``word_from_obj`` and ``row_from_obj`` build a
 decoded word's or row's bits in one kernel call
-(``kernel.word_from_parts``).
+(``kernel.word_from_parts``), a stepped word's nonces walked back from
+its steps once (``kernel._nonce_walk``) for both the mask and the bits.
 """
 
 from __future__ import annotations
@@ -72,24 +82,28 @@ from hequel.errors import LadderMismatch, ProtocolError
 from hequel.relalg import EncRow, EncTable
 from hequel.schema import MAX_COLUMNS, MAX_WIDTH, PlainTable, Schema
 
-# the per-bit word layout, the seeded one, and the table object whose rows
-# are one word each
+# the word layouts: per bit (read only), seeded, and stepped; and the
+# table object whose rows are one word each
 WIRE_VERSION = 2
 SEEDED_VERSION = 3
+STEPPED_VERSION = 4
 TABLE_VERSION = 3
 # the widest word a decoder builds: a row of the widest schema, its cells
 # and its presence bit. A seeded word's blob holds about 1/8 byte per bit,
 # so its length does not bound the width.
 MAX_WORD_WIDTH = MAX_COLUMNS * MAX_WIDTH + 1
+# a stepped word's struct code by the bytes each of its steps takes
+_STEP_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 _MASK64 = (1 << 64) - 1  # a wire nonce is 8 bytes
 
 
 def _mask(ladder: KeyLadder, head: bytes, keys, width: int) -> int:
     """Shake-256 mask of one word's ``width`` payload bits, keyed by the
-    mask key, ``head`` and the 2-byte ``keys``: a v2 word's nonces and
-    per-bit epochs, or a seeded word's first nonce, epoch and width. The
-    material after the mask key is 10·w bytes long for a v2 word and 12
-    for a seeded one, so the two layouts never key a mask alike."""
+    mask key, ``head`` and the 2-byte ``keys``: a stepped or v2 word's
+    nonces and per-bit epochs, or a seeded word's first nonce, epoch and
+    width. The material after the mask key is 10·w bytes long for a
+    stepped or v2 word and 12 for a seeded one, so a seeded word never
+    keys a mask as a per-bit word does."""
     material = ladder.mask_key + head + struct.pack(f">{len(keys)}H", *keys)
     digest = hashlib.shake_256(material).digest((width + 7) // 8)
     return int.from_bytes(digest, "little")
@@ -99,26 +113,34 @@ def _uniform(values: list):
     return values[0] if values.count(values[0]) == len(values) else values
 
 
-def _word_obj(ladder: KeyLadder, nonces, payload: int, epochs: list,
-              depths: list) -> dict:
-    """The object of one word from its wire parts: the bits' wire
-    nonces, their payloads packed LSB first in bit order, and their
-    per-bit epochs and depths. Nonces given as a run (a ``range``, see
-    ``kernel._nonce_run``) are those of bits at depth 0 under
-    ``epochs[0]``, and the word is written seeded (v3); nonces given as a
-    list keep a nonce per bit (v2). Both layouts are written here
-    alone."""
+def _word_obj(ladder: KeyLadder, nonces, steps, payload: int,
+              epochs: list, depths: list) -> dict:
+    """The object of one word from its wire parts (``kernel._wire_parts``):
+    the bits' wire nonces and the steps between them, their payloads
+    packed LSB first in bit order, and their per-bit epochs and depths.
+    Steps of None mark nonces given as a run (a ``range``, see
+    ``kernel._nonce_run``) of bits at depth 0 under ``epochs[0]``, and the
+    word is written seeded (v3); otherwise it is written stepped (v4).
+    Both layouts are written here alone."""
     width = len(nonces)
-    if type(nonces) is range:
+    if steps is None:
         first, epoch = nonces[0] & _MASK64, epochs[0]
         head = struct.pack(">Q", first)
         payload ^= _mask(ladder, head, (epoch, width), width)
         obj = {"v": SEEDED_VERSION, "width": width, "epoch": epoch}
     else:
-        head = struct.pack(f">{width}Q", *nonces)
-        payload ^= _mask(ladder, head, epochs, width)
-        obj = {"v": WIRE_VERSION, "width": width, "epoch": _uniform(epochs),
-               "depth": _uniform(depths)}
+        payload ^= _mask(ladder, struct.pack(f">{width}Q", *nonces), epochs,
+                         width)
+        try:
+            head = struct.pack(f">Q{width - 1}b", nonces[0], *steps)
+        except struct.error:  # a step past one byte
+            # the bytes the widest signed step needs, rounded up to 2, 4
+            # or 8
+            need = (max(max(steps), ~min(steps)).bit_length() + 8) // 8
+            code = _STEP_CODES[1 << (need - 1).bit_length()]
+            head = struct.pack(f">Q{width - 1}{code}", nonces[0], *steps)
+        obj = {"v": STEPPED_VERSION, "width": width,
+               "epoch": _uniform(epochs), "depth": _uniform(depths)}
     blob = head + payload.to_bytes((width + 7) // 8, "little")
     obj["blob"] = base64.b64encode(blob).decode("ascii")
     return obj
@@ -126,7 +148,7 @@ def _word_obj(ladder: KeyLadder, nonces, payload: int, epochs: list,
 
 def word_to_obj(ladder: KeyLadder, w: CipherWord) -> dict:
     """The object of ``w``, seeded when its bits are one run (read off by
-    ``kernel._wire_parts``) and per bit otherwise."""
+    ``kernel._wire_parts``) and stepped otherwise."""
     return _word_obj(ladder, *kernel._wire_parts(w.bits))
 
 
@@ -143,13 +165,14 @@ def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
 
 
 def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
-    """A word of either layout; a malformed one raises ProtocolError
-    before any bit is built."""
+    """A word of any layout; a malformed one raises ProtocolError before
+    any bit is built."""
     what = "ciphertext word"
     version = field(obj, "v", int, what)
-    if version not in (WIRE_VERSION, SEEDED_VERSION):
+    if version not in (WIRE_VERSION, SEEDED_VERSION, STEPPED_VERSION):
         raise ProtocolError(f"ciphertext word version {version!r}, want "
-                            f"{WIRE_VERSION} or {SEEDED_VERSION}")
+                            f"{WIRE_VERSION}, {SEEDED_VERSION} or "
+                            f"{STEPPED_VERSION}")
     seeded = version == SEEDED_VERSION
     width = field(obj, "width", int, what)
     if not 1 <= width <= MAX_WORD_WIDTH:
@@ -163,20 +186,40 @@ def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
         raw = base64.b64decode(blob, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII character
         raise ProtocolError("ciphertext blob is not base64") from None
-    at = 8 if seeded else 8 * width
-    size = at + (width + 7) // 8
-    if len(raw) != size:
-        raise ProtocolError(f"ciphertext blob has {len(raw)} bytes, want {size}")
+    tail = (width + 7) // 8
+    if version == STEPPED_VERSION:
+        # the blob's length implies the step width; a 1-bit word has none
+        step = (len(raw) - 8 - tail) // (width - 1) if width > 1 else 1
+        code = _STEP_CODES.get(step)
+        if code is None:
+            raise ProtocolError(
+                f"ciphertext blob has {len(raw)} bytes, which fit no step "
+                "width")
+        at = 8 + (width - 1) * step
+    else:
+        at = 8 if seeded else 8 * width
+    if len(raw) != at + tail:
+        raise ProtocolError(
+            f"ciphertext blob has {len(raw)} bytes, want {at + tail}")
     epochs = _per_bit(epoch, width, 1, ladder.ctx.epochs, "epoch")
     depths = _per_bit(depth, width, 0, ladder.ctx.depth_budget, "depth")
-    head = raw[:at]
     payload = int.from_bytes(raw[at:], "little")
     if seeded:
+        head = raw[:8]
         payload ^= _mask(ladder, head, (epoch, width), width)
-        nonces = kernel._nonce_run(int.from_bytes(head, "big"), width)
+        nonces = map(_MASK64.__and__,
+                     kernel._nonce_run(int.from_bytes(head, "big"), width))
     else:
+        if version == STEPPED_VERSION:
+            # expanded once, for both the mask and the bits
+            nonces = kernel._nonce_walk(
+                int.from_bytes(raw[:8], "big"),
+                struct.unpack_from(f">{width - 1}{code}", raw, 8))
+            head = struct.pack(f">{width}Q", *nonces)
+        else:
+            head = raw[:at]
+            nonces = struct.unpack(f">{width}Q", head)
         payload ^= _mask(ladder, head, epochs, width)
-        nonces = struct.unpack(f">{width}Q", head)
     if payload >> width:
         raise ProtocolError("ciphertext blob has padding bits set")
     return CipherWord(kernel.word_from_parts(
@@ -269,7 +312,7 @@ def encrypt_table_obj(pk: PublicKey, plain: PlainTable,
         # bit i of the payload is bit i of the row, and its nonces are the
         # row's slice of the run, itself a run
         bits = "".join([f"{v:0{w}b}" for v, w in zip(row, widths)]) + "1"
-        rows.append(_row_obj(ladder, widths, run[at:at + width],
+        rows.append(_row_obj(ladder, widths, run[at:at + width], None,
                              int(bits[::-1], 2), epochs, depths))
     return {"v": TABLE_VERSION, "name": name,
             "schema": schema_to_obj(plain.schema), "rows": rows}

@@ -219,7 +219,7 @@ def pinned_messages(runs=PINNED_RUNS, ctx=None):
     return out
 
 
-# sha256 over the bytes of every pinned message, in word layouts v2 and v3
+# sha256 over the bytes of every pinned message, in word layouts v3 and v4
 # with table version 3. The presence-first sort moved the sort runs'
 # result_count and fetch_rows replies, here and in both pins below. One
 # word per row record moved the fetch_rows replies here alone: every
@@ -228,8 +228,11 @@ def pinned_messages(runs=PINNED_RUNS, ctx=None):
 # each nonce as its counter value moved every blob, and the two pins below
 # kept theirs. Seeded literal words (v3) moved the one query with a
 # literal; every reply kept its bytes, and the two pins below theirs.
+# Stepped words (v4) moved the result_count and fetch_rows replies, whose
+# words were per bit (v2): every request kept its bytes, and every bit
+# its nonce, epoch, depth and payload.
 SERVER_MESSAGES_SHA = (
-    "f462cac4496b8e0c73eaa311d46785ae16f562ebce219e22e62b99579e6e4f4e")
+    "65c98612a66a2a7cb81af8d3c30a883697350f81d0971e5abe3b45f88156ca4d")
 
 
 def test_server_messages_are_pinned():

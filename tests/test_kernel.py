@@ -8,6 +8,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hequel import bench, kernel, serial
 from hequel.circuits import CipherWord
@@ -239,16 +241,18 @@ def gate_outputs(s):
 
 
 def bit_obj(ladder, c) -> dict:
-    """``c`` in the per-bit wire form (v2), a width-1 word, whatever its
-    depth: the nonce goes to ``serial._word_obj`` as a list."""
-    _, payload, epochs, depths = kernel._wire_parts((c,))
-    return serial._word_obj(ladder, [c._nonce], payload, epochs, depths)
+    """``c`` in the stepped wire form (v4), a width-1 word, whatever its
+    depth: the nonce goes to ``serial._word_obj`` as a list, with no
+    steps."""
+    _, _, payload, epochs, depths = kernel._wire_parts((c,))
+    return serial._word_obj(ladder, [c._nonce], [], payload, epochs, depths)
 
 
 # sha256 of the gate_outputs of gate_ladder, each serialized as a width-1
-# word in wire format v2
+# word in wire format v4. A 1-bit v4 word holds v2's blob, so the move
+# from v2 changed only each word's "v"
 GATE_NONCES_SHA = (
-    "2f63b4e345c61f75a0bb21f6acd759bde075190f9d74f3cb45e85f2075bf8f0b")
+    "ced8903e8581bfda956ea75fee278bd86d6b047fd48b0521624242653d47fa26")
 
 
 def test_gate_minted_nonces_are_pinned():
@@ -748,11 +752,35 @@ def test_word_from_parts_equals_the_constructor_per_bit():
 def test_wire_parts_read_what_word_from_parts_takes():
     ladder = gate_ladder()
     outs = tuple(gate_outputs(ladder.state))
-    nonces, payload, epochs, depths = kernel._wire_parts(outs)
+    nonces, steps, payload, epochs, depths = kernel._wire_parts(outs)
     assert nonces == [c._nonce for c in outs]
+    assert steps == kernel._nonce_steps(nonces)
     assert payload == sum(kernel._reveal(c) << i for i, c in enumerate(outs))
     assert (epochs, depths) == ([c.epoch for c in outs],
                                 [c.depth for c in outs])
     back = kernel.word_from_parts(ladder.state, payload, epochs, depths,
                                   nonces)
     assert _observe(ladder.state, back) == _observe(ladder.state, outs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_nonce_steps_walk_back_to_their_nonces(nonces):
+    # any nonces at all, so steps of every width and sign occur
+    steps = kernel._nonce_steps(nonces)
+    assert len(steps) == len(nonces) - 1
+    for z, k, after in zip(nonces, steps, nonces[1:]):
+        assert -2**63 <= k < 2**63
+        assert (z + k * kernel._GAMMA) % 2**64 == after
+    assert kernel._nonce_walk(nonces[0], steps) == nonces
+
+
+def test_a_run_steps_by_one_and_a_mux_row_by_three():
+    s = make_state(seed=5)
+    s.nonce_state = 2**64 - 2 * kernel._GAMMA % 2**64  # the run wraps
+    xs = kernel.fresh_word(s, 0b1011, 4, 1)
+    ys = kernel.fresh_word(s, 0b0110, 4, 1)
+    assert kernel._nonce_steps([b._nonce for b in xs]) == [1, 1, 1]
+    muxed = kernel.bits_mux(kernel.fresh_bit(s, 1, 1), xs, ys)
+    assert kernel._nonce_steps([b._nonce for b in muxed]) == [3, 3, 3]
+    assert kernel._nonce_steps([b._nonce for b in muxed[::-1]]) == [-3] * 3

@@ -8,8 +8,9 @@ and decryption (serialization reads payloads through ``_wire_parts``),
 ``MODE_CIRCULAR`` or ``MODE_LEVELED``
 outside the kernel and ``crypto``, which maps mode names to them, and
 the wire helpers that read payloads, mint wire nonces or know the nonce
-stream's increment, ``_fresh_wire_nonces``, ``_wire_parts`` and
-``_nonce_run``, outside the kernel and serialization.
+stream's increment, ``_fresh_wire_nonces``, ``_wire_parts``,
+``_nonce_run``, ``_nonce_steps`` and ``_nonce_walk``, outside the kernel
+and serialization.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ RULES = {
     "_fresh_wire_nonces": ({"kernel.py", "serial.py"}, False),
     "_wire_parts": ({"kernel.py", "serial.py"}, False),
     "_nonce_run": ({"kernel.py", "serial.py"}, False),
+    "_nonce_steps": ({"kernel.py", "serial.py"}, False),
+    "_nonce_walk": ({"kernel.py", "serial.py"}, False),
 }
 
 
@@ -74,8 +77,11 @@ def test_the_walk_sees_each_guarded_use(tmp_path):
         "refresh = kernel.settle\n"
         "kernel._fresh_wire_nonces(s, 3)\n"
         "from hequel.kernel import _wire_parts\n"
-        "kernel._nonce_run(z, 8)\n")
+        "kernel._nonce_run(z, 8)\n"
+        "kernel._nonce_steps(zs)\n"
+        "from hequel.kernel import _nonce_walk\n")
     assert sorted(_breaches(probe)) == [
+        "relalg.py:10: _nonce_steps", "relalg.py:11: _nonce_walk",
         "relalg.py:1: MODE_LEVELED", "relalg.py:1: _reveal",
         "relalg.py:3: refresh", "relalg.py:4: _payload",
         "relalg.py:5: MODE_CIRCULAR", "relalg.py:7: _fresh_wire_nonces",

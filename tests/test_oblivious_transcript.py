@@ -8,15 +8,15 @@ than any result's capacity, so the client asks for every row either way.
 Per message, the two transcripts must agree on the request and reply byte
 lengths, the counters moved since the previous reply (client work
 included), and the layout, width, epoch and depth of every word in the
-request and in the reply.
+request and in the reply, and the stream steps between the nonces of
+each reply word's bits, which set a stepped word's byte length.
 
 Beside the random plans, five fixed plans take the shapes of the
 benchmark's relational-fetch templates at n=32, under its circular ladder
 and under aggregate-leveled's ``leveled:128`` at depth budget 8. A census
 over the same plans checks the word layouts: a word in either direction
 is seeded (v3) exactly when its decoded bits are one run of the nonce
-stream at depth 0 under one epoch, and keeps a nonce per bit (v2)
-otherwise.
+stream at depth 0 under one epoch, and is stepped (v4) otherwise.
 """
 
 from __future__ import annotations
@@ -63,11 +63,20 @@ def _words(ladder, obj) -> list:
             for w in _word_objs(obj)]
 
 
+def _stepped_words(ladder, obj) -> list:
+    """``_words``, each with the stream steps between its decoded bits'
+    nonces."""
+    return [(*word, tuple(kernel._nonce_steps(
+        [b._nonce for b in serial.word_from_obj(ladder, w).bits])))
+        for word, w in zip(_words(ladder, obj), _word_objs(obj))]
+
+
 def _transcript(ctx: SecurityContext, catalog: dict, plan,
-                words=_words) -> list:
+                words=_words, reply_words=_stepped_words) -> list:
     """One entry per message: its lengths, counter deltas, request words
-    and reply words, as ``words`` reads them off each decoded message; a
-    refusal ends the transcript with its error class."""
+    and reply words, as ``words`` and ``reply_words`` read them off each
+    decoded message; a refusal ends the transcript with its error
+    class."""
     ladder, keys = keygen(ctx, seed=b"transcript")
     server = ServerStore(ladder)
     client = ClientSession(keys, ladder.public_key(1), slack=SLACK)
@@ -80,7 +89,7 @@ def _transcript(ctx: SecurityContext, catalog: dict, plan,
         out.append((len(request), len(reply),
                     tuple(b - a for a, b in zip(last, now)),
                     words(ladder, serial.message_from_bytes(request)),
-                    words(ladder, serial.message_from_bytes(reply))))
+                    reply_words(ladder, serial.message_from_bytes(reply))))
         last = now
         return reply
 
@@ -193,13 +202,13 @@ def test_a_word_is_seeded_exactly_when_its_bits_are_one_fresh_run(mode):
                      dsl.parse(text)))
     census = Counter()
     for ctx, catalog, plan in runs:
-        for entry in _transcript(ctx, catalog, plan, _layouts):
+        for entry in _transcript(ctx, catalog, plan, _layouts, _layouts):
             if not isinstance(entry, str):
                 census.update(("sent", *word) for word in entry[3])
                 census.update(("replied", *word) for word in entry[4])
-    seeded, per_bit = serial.SEEDED_VERSION, serial.WIRE_VERSION
+    seeded, stepped = serial.SEEDED_VERSION, serial.STEPPED_VERSION
     # the client's uploads and literals are fresh runs; the server's fetched
     # rows are gate outputs, and a scalar result's count word is its own
     # fresh presence bit
     assert set(census) == {("sent", seeded, True), ("replied", seeded, True),
-                           ("replied", per_bit, False)}, census
+                           ("replied", stepped, False)}, census

@@ -583,15 +583,16 @@ def _blob(word, edit):
     word["blob"] = base64.b64encode(bytes(raw)).decode()
 
 
-def _v2_row(t):
-    """The first row's record rewritten in the per-bit layout (v2), as the
+def _stepped_row(t):
+    """The first row's record rewritten in the stepped layout (v4), as the
     server writes rows, so an edit forges a field of that layout."""
     ladder, _ = keygen(SecurityContext(depth_budget=8), seed=b"proto")
     row = t["rows"][0]
     bits = serial.word_from_obj(ladder, row).bits
-    _, *parts = kernel._wire_parts(bits)
-    t["rows"][0] = serial._row_obj(ladder, row["cells"],
-                                   [b._nonce for b in bits], *parts)
+    nonces = [b._nonce for b in bits]
+    _, _, *parts = kernel._wire_parts(bits)
+    t["rows"][0] = serial._row_obj(ladder, row["cells"], nonces,
+                                   kernel._nonce_steps(nonces), *parts)
     return t["rows"][0]
 
 
@@ -608,7 +609,7 @@ def _record(width, cells):
 # each edit forges one part of an otherwise valid upload of a table with
 # two 4-bit columns, under a circular ladder with depth budget 8; a row is
 # one 9-bit word, its cells' 8 bits and then the presence bit, seeded as
-# the client writes it; an edit of a field only the per-bit layout has
+# the client writes it; an edit of a field only the stepped layout has
 # rewrites the row in that layout first. The cases from table version 2,
 # which made each cell and each presence bit its own word, keep their
 # names and forge the same part of the row record.
@@ -624,8 +625,8 @@ FORGED_UPLOADS = {
     "epoch 99": lambda t: _row(t).update(epoch=99),
     "epoch 0": lambda t: _row(t).update(epoch=0),
     "epoch a bool": lambda t: _row(t).update(epoch=True),
-    "depth -5": lambda t: _v2_row(t).update(depth=-5),
-    "depth past budget": lambda t: _v2_row(t).update(depth=9),
+    "depth -5": lambda t: _stepped_row(t).update(depth=-5),
+    "depth past budget": lambda t: _stepped_row(t).update(depth=9),
     "width not an int": lambda t: _row(t).update(width="9"),
     "1-bit cell in a 4-bit column": _record(6, [1, 4]),
     "cell missing": _record(5, [4]),
@@ -640,14 +641,14 @@ FORGED_UPLOADS = {
     "word version 1": lambda t: _row(t).update(v=1),
     "word without version": lambda t: _row(t).pop("v"),
     "table version 0": lambda t: t.update(v=0),
-    # wire format v2 (the server's row layout) and v3 (the client's seeded
+    # wire format v4 (the server's row layout) and v3 (the client's seeded
     # one): per-bit metadata lists, blob size, padding, width
     "table version 1": lambda t: t.update(v=1),
-    "epoch list too short": lambda t: _v2_row(t).update(epoch=[1] * 8),
-    "epoch list holding a bool": lambda t: _v2_row(t).update(
+    "epoch list too short": lambda t: _stepped_row(t).update(epoch=[1] * 8),
+    "epoch list holding a bool": lambda t: _stepped_row(t).update(
         epoch=[1, True] + [1] * 7),
-    "depth list too long": lambda t: _v2_row(t).update(depth=[0] * 10),
-    "depth list holding a bool": lambda t: _v2_row(t).update(
+    "depth list too long": lambda t: _stepped_row(t).update(depth=[0] * 10),
+    "depth list holding a bool": lambda t: _stepped_row(t).update(
         depth=[0, 0, False] + [0] * 6),
     "blob one byte short": lambda t: _blob(_row(t), bytearray.pop),
     # a 9-bit word's last payload byte has 7 padding bits, and flipping a
@@ -659,8 +660,8 @@ FORGED_UPLOADS = {
     "width 2**40": lambda t: _row(t).update(width=2 ** 40),
     # table version 3: one record per row, split by its cell widths
     "table version 2": lambda t: t.update(v=2),
-    # a v2 record relabelled seeded: its blob is 8 bytes a bit too long
-    "row word version 3": lambda t: _v2_row(t).update(v=3),
+    # a v4 record relabelled seeded: its blob is a byte a step too long
+    "row word version 3": lambda t: _stepped_row(t).update(v=3),
     "cells missing": lambda t: _row(t).pop("cells"),
     "cells a string": lambda t: _row(t).update(cells="44"),
     "cells an object": lambda t: _row(t).update(cells={"a": 4, "b": 4}),
@@ -827,20 +828,14 @@ def test_compact_fetch_is_smaller_than_full_table():
     server, client = make_session()
     qid, n = submit_query(client, server,
                           dsl.parse("select(speed>1, table(pc))"))
+    held = server.results[qid]
     reply = server.handle(client.fetch_message(qid))
-    # the whole table as the server writes gate-output rows, a nonce per
-    # bit; the stored rows are fresh runs, so their nonces go to
-    # ``serial._word_obj`` as a list
-    rows = []
-    for r in server.tables["pc"].rows:
-        bits = [b for c in r.cells for b in c.bits] + [r.presence]
-        _, *parts = kernel._wire_parts(bits)
-        rows.append(serial._row_obj(server.ladder, [c.width for c in r.cells],
-                                    [b._nonce for b in bits], *parts))
+    # every row of the held result, as a fetch without compaction would
+    # carry them
     full = serial.message_to_bytes("fetch_rows", qid, {
-        "schema": serial.schema_to_obj(server.tables["pc"].schema),
-        "rows": rows})
-    assert n == 2
+        "schema": serial.schema_to_obj(held.schema),
+        "rows": [serial.row_to_obj(server.ladder, r) for r in held.rows]})
+    assert n == 2 < len(held.rows)
     assert len(reply) < len(full)
 
 
@@ -861,7 +856,7 @@ def test_scalar_count_word_travels_seeded():
     assert client.read_count(reply) == (qid, 1)
     fetched = server.handle(client.fetch_message(qid))
     (record,) = serial.message_from_bytes(fetched)["payload"]["rows"]
-    assert record["v"] == serial.WIRE_VERSION
+    assert record["v"] == serial.STEPPED_VERSION
     assert client.read_rows_and_verify(fetched).rows == [(2114 + 478,)]
 
 

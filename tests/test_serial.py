@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,11 +30,29 @@ def bit_obj(ladder, c) -> dict:
     return serial.word_to_obj(ladder, CipherWord((c,)))
 
 
-def per_bit_obj(ladder, bits) -> dict:
-    """``bits`` written as a per-bit word (v2) whatever their nonces: the
-    nonces go to ``serial._word_obj`` as a list, not as a run."""
-    _, *parts = kernel._wire_parts(bits)
-    return serial._word_obj(ladder, [b._nonce for b in bits], *parts)
+def stepped_obj(ladder, bits) -> dict:
+    """``bits`` written as a stepped word (v4) whatever their nonces: the
+    nonces go to ``serial._word_obj`` as a list with their steps, not as
+    a run."""
+    nonces = [b._nonce for b in bits]
+    _, _, *parts = kernel._wire_parts(bits)
+    return serial._word_obj(ladder, nonces, kernel._nonce_steps(nonces),
+                            *parts)
+
+
+def v2_obj(ladder, bits) -> dict:
+    """``bits`` in the per-bit layout (v2), which nothing writes any more
+    but a stored session may hold: every nonce in full, then the payload
+    masked over the nonces and epochs, as v4 masks it."""
+    width = len(bits)
+    _, _, payload, epochs, depths = kernel._wire_parts(bits)
+    head = struct.pack(f">{width}Q", *[b._nonce for b in bits])
+    payload ^= serial._mask(ladder, head, epochs, width)
+    blob = head + payload.to_bytes((width + 7) // 8, "little")
+    return {"v": serial.WIRE_VERSION, "width": width,
+            "epoch": serial._uniform(epochs),
+            "depth": serial._uniform(depths),
+            "blob": base64.b64encode(blob).decode()}
 
 
 def test_bit_round_trip_byte_exact(session):
@@ -61,8 +80,8 @@ def test_blob_does_not_expose_payload(session):
     # both values, so the blob alone does not determine the plaintext
     seen = [set() for _ in range(8)]
     for _ in range(64):
-        obj = per_bit_obj(ladder, encrypt_word(pk, 202, width=8).bits)
-        masked = base64.b64decode(obj["blob"])[8 * 8]
+        obj = stepped_obj(ladder, encrypt_word(pk, 202, width=8).bits)
+        masked = base64.b64decode(obj["blob"])[-1]
         for i in range(8):
             seen[i].add(masked >> i & 1)
     assert seen == [{0, 1}] * 8
@@ -96,9 +115,9 @@ def test_bad_blob_rejected(session):
 def test_word_metadata_lists(session):
     ladder, keys, pk = session
     w = encrypt_word(pk, 5, width=3)
-    obj = per_bit_obj(ladder, w.bits)
-    assert (obj["v"], obj["width"], obj["epoch"], obj["depth"]) == (2, 3, 1, 0)
-    assert len(base64.b64decode(obj["blob"])) == 3 * 8 + 1
+    obj = stepped_obj(ladder, w.bits)
+    assert (obj["v"], obj["width"], obj["epoch"], obj["depth"]) == (4, 3, 1, 0)
+    assert len(base64.b64decode(obj["blob"])) == 8 + 2 + 1
     listed = dict(obj, epoch=[1, 1, 1], depth=[0, 0, 0])
     assert decrypt_word(keys, serial.word_from_obj(ladder, listed)) == 5
     for key, value in (("epoch", [1, 1]), ("epoch", [1, True, 1]),
@@ -176,11 +195,12 @@ def test_only_fresh_runs_are_seeded():
         "a run over two epochs": two_epochs,
     }
     for name, w in words.items():
-        assert serial.word_to_obj(ladder, w)["v"] == serial.WIRE_VERSION, name
+        obj = serial.word_to_obj(ladder, w)
+        assert obj["v"] == serial.STEPPED_VERSION, name
     # a row whose presence bit comes from another run is written per bit
     t = encrypt_table(pk, PlainTable(Schema((("a", 4),)), [(1,)]), name="t")
     mixed = EncRow(t.rows[0].cells, b.bits[0])
-    assert serial.row_to_obj(ladder, mixed)["v"] == 2
+    assert serial.row_to_obj(ladder, mixed)["v"] == 4
     assert serial.row_to_obj(ladder, t.rows[0])["v"] == 3
 
 
@@ -221,7 +241,7 @@ def test_bad_seeded_word_rejected(session):
            _blob_edit(obj, lambda raw: raw.extend(bytes(8 * 3))),  # v2 size
            dict(obj, epoch=[1, 1, 1, 1]), dict(obj, epoch=True),
            dict(obj, epoch=0), dict(obj, epoch=2),
-           dict(obj, v=4), dict(obj, width=serial.MAX_WORD_WIDTH + 1),
+           dict(obj, v=5), dict(obj, width=serial.MAX_WORD_WIDTH + 1),
            dict(obj, width=0)]
     for forged in bad:
         with pytest.raises(ProtocolError):
@@ -229,6 +249,130 @@ def test_bad_seeded_word_rejected(session):
     # a depth key is not read: a seeded word is at depth 0
     (b,) = serial.word_from_obj(ladder, dict(obj, depth=5)).bits[:1]
     assert b.depth == 0
+
+
+# --- stepped words (v4) -------------------------------------------------------
+
+def _walked_word(ladder, first: int, steps, depth: int = 1) -> CipherWord:
+    """A word whose nonces walk ``steps`` from ``first``, at ``depth``
+    under epoch 1, with payload bits 1, 0, 1, ..."""
+    nonces = kernel._nonce_walk(first, steps)
+    n = len(nonces)
+    return CipherWord(kernel.word_from_parts(
+        ladder.state, int("01" * n, 2) >> n, [1] * n, [depth] * n, nonces))
+
+
+def _tuples(w: CipherWord) -> list:
+    return [(b._nonce, b.epoch, b.depth, kernel._reveal(b)) for b in w.bits]
+
+
+# (steps, the bytes each step takes): each width's edges, and a negative
+# step in each
+STEP_WIDTHS = [
+    ([3, 4, -128, 127, 3], 1),
+    ([3, 128, -1], 2),
+    ([-129, 4], 2),
+    ([2**15, 3, -2**15 - 1], 4),
+    ([-2**31], 4),
+    ([2**31, -3], 8),
+    ([-2**63, 2**63 - 1, 3], 8),
+]
+
+
+@pytest.mark.parametrize("first", [0x0123456789ABCDEF, 2**64 - 1])
+@pytest.mark.parametrize("steps, size", STEP_WIDTHS)
+def test_stepped_word_round_trips_at_each_step_width(session, steps, size,
+                                                     first):
+    ladder, _, _ = session
+    w = _walked_word(ladder, first, steps)
+    obj = serial.word_to_obj(ladder, w)
+    assert list(obj) == ["v", "width", "epoch", "depth", "blob"]
+    assert (obj["v"], obj["width"], obj["epoch"], obj["depth"]) == \
+        (serial.STEPPED_VERSION, len(steps) + 1, 1, 1)
+    raw = base64.b64decode(obj["blob"])
+    # the first nonce, the steps big-endian at ``size`` bytes, the payload
+    assert raw[:8] == first.to_bytes(8, "big")
+    assert len(raw) == 8 + len(steps) * size + 1
+    assert [int.from_bytes(raw[8 + i * size:8 + (i + 1) * size], "big",
+                           signed=True) for i in range(len(steps))] == steps
+    back = serial.word_from_obj(ladder, json.loads(json.dumps(obj)))
+    assert _tuples(back) == _tuples(w)
+    assert json.dumps(serial.word_to_obj(ladder, back)) == json.dumps(obj)
+
+
+def test_a_stepped_run_past_2_to_the_64_round_trips(session):
+    # the steps of bit_mux outputs, from a first nonce near the top of the
+    # stream, so the nonces wrap modulo 2^64
+    ladder, _, _ = session
+    w = _walked_word(ladder, 2**64 - 5 * kernel._GAMMA % 2**64, [3] * 6)
+    nonces = [b._nonce for b in w.bits]
+    assert nonces != sorted(nonces)
+    obj = serial.word_to_obj(ladder, w)
+    assert obj["v"] == serial.STEPPED_VERSION
+    assert len(base64.b64decode(obj["blob"])) == 8 + 6 + 1
+    back = serial.word_from_obj(ladder, obj)
+    assert _tuples(back) == _tuples(w)
+    assert serial.word_to_obj(ladder, back) == obj
+
+
+def test_a_one_bit_stepped_word_is_nine_bytes(session):
+    ladder, keys, pk = session
+    a, b = encrypt_bit(pk, 1), encrypt_bit(pk, 1)
+    c = kernel.and_(a, b)  # depth 1, so not a fresh run
+    obj = bit_obj(ladder, c)
+    assert (obj["v"], obj["width"], obj["depth"]) == (4, 1, 1)
+    raw = base64.b64decode(obj["blob"])
+    assert raw[:8] == c._nonce.to_bytes(8, "big") and len(raw) == 9
+    # a 1-bit word has no steps, so its blob is v2's
+    assert obj["blob"] == v2_obj(ladder, (c,))["blob"]
+    (back,) = serial.word_from_obj(ladder, obj).bits
+    assert keys.decrypt_bit(back) == 1
+    assert bit_obj(ladder, back) == obj
+
+
+def _gate_output_row(pk) -> EncRow:
+    """A 17-bit row of ``bits_mux`` outputs and a gate-output presence bit,
+    as a fetch returns rows."""
+    a, b = encrypt_word(pk, 9, width=8), encrypt_word(pk, 3, width=8)
+    c, d = encrypt_word(pk, 19, width=8), encrypt_word(pk, 30, width=8)
+    f = kernel.and_(a.bits[0], b.bits[1])
+    return EncRow((CipherWord(kernel.bits_mux(f, a.bits, b.bits)),
+                   CipherWord(kernel.bits_mux(f, c.bits, d.bits))),
+                  kernel.bit_mux(f, a.bits[2], b.bits[3]))
+
+
+def test_stepped_payload_bytes_equal_the_v2_bytes(session):
+    # v4 re-encodes v2's nonce column only: the first nonce and the masked
+    # payload bytes are v2's, since the mask is keyed over the same nonces
+    # and epochs
+    ladder, _, pk = session
+    row = _gate_output_row(pk)
+    obj = serial.row_to_obj(ladder, row)
+    bits = serial.row_from_obj(ladder, obj)
+    bits = [b for c in bits.cells for b in c.bits] + [bits.presence]
+    stepped = base64.b64decode(obj["blob"])
+    legacy = base64.b64decode(v2_obj(ladder, bits)["blob"])
+    assert obj["v"] == serial.STEPPED_VERSION
+    assert stepped[:8] == legacy[:8]
+    assert stepped[-3:] == legacy[-3:]
+    assert len(stepped) == 8 + 16 + 3 < len(legacy) == 17 * 8 + 3
+
+
+def test_v2_words_still_decode(session):
+    # a stored session may hold v2 words: they decode to the same bits, and
+    # are written back stepped
+    ladder, keys, pk = session
+    row = _gate_output_row(pk)
+    bits = [b for c in row.cells for b in c.bits] + [row.presence]
+    legacy = v2_obj(ladder, bits)
+    back = serial.word_from_obj(ladder, legacy)
+    assert _tuples(back) == _tuples(CipherWord(tuple(bits)))
+    assert decrypt_word(keys, CipherWord(back.bits[:8])) == \
+        decrypt_word(keys, row.cells[0])
+    assert serial.word_to_obj(ladder, back) == \
+        serial.word_to_obj(ladder, CipherWord(tuple(bits)))
+    listed = dict(legacy, depth=[b.depth for b in bits])
+    assert _tuples(serial.word_from_obj(ladder, listed)) == _tuples(back)
 
 
 def test_table_round_trip_byte_exact(session):
@@ -266,7 +410,7 @@ def test_row_record_keeps_every_bit(context):
     presence = kernel.and_(a.bits[0], kernel.refresh(b.bits[1]))
     row = EncRow((a, mixed, encrypt_word(pk, 5, width=3)), presence)
     obj = json.loads(json.dumps(serial.row_to_obj(ladder, row)))
-    assert (obj["v"], obj["width"], obj["cells"]) == (2, 12, [4, 4, 3])
+    assert (obj["v"], obj["width"], obj["cells"]) == (4, 12, [4, 4, 3])
     assert isinstance(obj["depth"], list)
     assert isinstance(obj["epoch"], list) == (context.mode == "leveled")
     back = serial.row_from_obj(ladder, obj)
@@ -278,7 +422,7 @@ def test_row_record_keeps_every_bit(context):
 
 def test_row_record_is_one_word(session):
     # the row's bits read as one word: cells in column order, then presence;
-    # a fresh row travels seeded, and the same bits written per bit (v2)
+    # a fresh row travels seeded, and the same bits written stepped (v4)
     # decode to the same word
     ladder, keys, pk = session
     t = encrypt_table(pk, PlainTable(Schema((("a", 4), ("b", 8))),
@@ -288,11 +432,12 @@ def test_row_record_is_one_word(session):
     assert obj["v"] == serial.TABLE_VERSION == 3
     assert list(row) == ["v", "width", "epoch", "blob", "cells"]
     assert len(base64.b64decode(row["blob"])) == 8 + 2
-    per_bit = dict(per_bit_obj(ladder, serial.word_from_obj(ladder, row).bits),
+    stepped = dict(stepped_obj(ladder, serial.word_from_obj(ladder, row).bits),
                    cells=row["cells"])
-    assert list(per_bit) == ["v", "width", "epoch", "depth", "blob", "cells"]
-    assert len(base64.b64decode(per_bit["blob"])) == 13 * 8 + 2
-    for record in (row, per_bit):
+    assert list(stepped) == ["v", "width", "epoch", "depth", "blob", "cells"]
+    # the first nonce, 12 one-byte steps of 1, the payload
+    assert len(base64.b64decode(stepped["blob"])) == 8 + 12 + 2
+    for record in (row, stepped):
         word = serial.word_from_obj(ladder, record)
         assert decrypt_word(keys, word) == (9 << 9) | (200 << 1)
 

@@ -11,7 +11,8 @@ Examples are derandomized so Tier-1 runs the same inputs on every run, and
 nothing is written to a hypothesis database. Two further tests send an
 upload past each of the server's upload bounds. The valid upload and
 query carry seeded words (word layout v3), so the mutations cover that
-layout; fixed forgeries of it, and a schema past ``MAX_COLUMNS``, are
+layout; fixed forgeries of it, of the same words rewritten stepped (word
+layout v4, the server's own), and a schema past ``MAX_COLUMNS``, are
 each refused before ``kernel.word_from_parts`` builds a bit.
 """
 
@@ -230,7 +231,7 @@ SEEDED_FORGERIES = {
     "epoch a one-item list": (lambda w: w.update(epoch=[1]),
                               "'epoch' is not int"),
     "epoch a bool": (lambda w: w.update(epoch=True), "'epoch' is not int"),
-    "version 4": (lambda w: w.update(v=4), "version 4"),
+    "an unknown version": (lambda w: w.update(v=5), "version 5"),
     "wider than a row of the widest schema": (
         lambda w: w.update(_seeded_blob(w, WIDEST + 1)), f"{WIDEST + 1}"),
 }
@@ -253,6 +254,78 @@ def test_seeded_forgeries_are_refused_before_any_bit(where, forgery, refusal,
         word["cells"] = [64] * MAX_COLUMNS
         msg["payload"]["table"].update(
             schema=[[f"c{i}", 64] for i in range(MAX_COLUMNS)], rows=[word])
+    server = fresh_server()
+    built = []
+    monkeypatch.setattr(kernel, "word_from_parts",
+                        lambda *args: built.append(args))
+    before = counters(LADDER.state), LADDER.state.nonce_state
+    with pytest.raises(HequelError, match=refusal):
+        server.handle(json.dumps(msg).encode())
+    assert built == []
+    assert (counters(LADDER.state), LADDER.state.nonce_state) == before
+
+
+def _restep(word: dict) -> None:
+    """Rewrite the seeded ``word`` in place as a stepped word (v4) of the
+    same bits: the first nonce, steps of 1, and v2's masked payload."""
+    bits = serial.word_from_obj(LADDER, word).bits
+    nonces = [b._nonce for b in bits]
+    _, _, *parts = kernel._wire_parts(bits)
+    word.update(serial._word_obj(LADDER, nonces, kernel._nonce_steps(nonces),
+                                 *parts))
+
+
+def _blob_bytes(edit):
+    def forge(w):
+        raw = bytearray(base64.b64decode(w["blob"]))
+        edit(raw, w["width"])
+        w["blob"] = base64.b64encode(bytes(raw)).decode()
+    return forge
+
+
+# each edit forges a stepped word in place; beside it, the refusal it must
+# meet. Every word here has steps of 1, one byte each.
+STEPPED_FORGERIES = {
+    # two more bytes a step would make steps of 3 bytes, no step width
+    "a blob length that fits no step width": (_blob_bytes(
+        lambda raw, w: raw.__setitem__(slice(8, 8), bytes(2 * (w - 1)))),
+        "fit no step width"),
+    "a blob one byte long": (_blob_bytes(lambda raw, w: raw.append(0)),
+                             "blob has"),
+    "a blob one byte short": (_blob_bytes(lambda raw, w: raw.pop()),
+                              "blob has"),
+    "a blob shorter than a nonce": (_blob_bytes(
+        lambda raw, w: raw.__delitem__(slice(4, None))), "fit no step width"),
+    "a 1-bit word with extra bytes": (
+        lambda w: w.update(_seeded_blob(w, 1, 1)), "blob has"),
+    "padding bits set": (_blob_bytes(
+        lambda raw, w: raw.__setitem__(-1, raw[-1] ^ 0x80)), "padding"),
+    "an epoch list too short": (
+        lambda w: w.update(epoch=[1] * (w["width"] - 1)), "epoch"),
+    "an epoch list holding a bool": (
+        lambda w: w.update(epoch=[True] + [1] * (w["width"] - 1)), "epoch"),
+    "a depth list too long": (
+        lambda w: w.update(depth=[0] * (w["width"] + 1)), "depth"),
+    "a depth list past the budget": (
+        lambda w: w.update(depth=[0] * (w["width"] - 1) + [9]), "depth"),
+    "no depth": (lambda w: w.pop("depth"), "lacks 'depth'"),
+}
+
+
+@pytest.mark.parametrize("where", ["upload row", "query literal"])
+@pytest.mark.parametrize("forgery, refusal", STEPPED_FORGERIES.values(),
+                         ids=STEPPED_FORGERIES.keys())
+def test_stepped_forgeries_are_refused_before_any_bit(where, forgery,
+                                                      refusal, monkeypatch):
+    valid, find = {"upload row": (UPLOAD, _upload_row),
+                   "query literal": (FUZZED_QUERY, _literal)}[where]
+    msg = json.loads(valid)
+    word = find(msg)
+    _restep(word)
+    assert word["v"] == serial.STEPPED_VERSION
+    # the rewrite alone is answered, so each refusal is its forgery's
+    fresh_server().handle(json.dumps(msg).encode())
+    forgery(word)
     server = fresh_server()
     built = []
     monkeypatch.setattr(kernel, "word_from_parts",
