@@ -145,6 +145,15 @@ class KernelState:
     def gate_total(self) -> int:
         return self.xor_count + self.and_count
 
+    def copy(self) -> KernelState:
+        """A state with this one's mode, budget, epochs, ladder id, nonce
+        state and scope, no counts and no armed fault: a dry run on it
+        (``tape.record``) moves nothing of this one."""
+        twin = KernelState(self.mode, self.depth_budget, self.num_epochs,
+                           self.nonce_state, self.ladder_id)
+        twin.scope = self.scope
+        return twin
+
 
 class CipherBit:
     """Opaque encrypted bit. The payload is private; only decryption with

@@ -20,10 +20,15 @@ the encrypted presence-count of the result table plus its public capacity.
 The client decrypts the count to n and asks for n' rows (n' >= n; the
 server sees only n'). The server compacts the result under encryption
 (``relalg.compact_rows``: present rows to the front in their order, with a
-gate sequence fixed by the capacity) and returns its first n' rows. A
-packed result (``EncTable.packed``: a sort at the plan's root, through
-projections) already has its present rows in front, so its first n' rows
-go out with no gate at all; the flag follows the public plan shape. The
+gate sequence fixed by the capacity) and returns its first n' rows. That
+gate sequence is fixed by public data alone, so the server records it as
+a tape (``hequel.tape``) the second time it sees a compaction's shape and
+replays the tape from then on, with every count, nonce and byte the
+kernel's; it keeps at most ``MAX_TAPES`` tapes and as many shapes seen
+once, and an armed gate fault always runs the kernel. A packed result
+(``EncTable.packed``: a sort at the plan's root, through projections)
+already has its present rows in front, so its first n' rows go out with
+no gate at all; the flag follows the public plan shape. The
 client decrypts the presence bits and accepts only if exactly n present
 rows arrive, all before any absent row: a short or padded-wrong reply
 fails verification instead of silently truncating. A client exchange goes
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from hequel import plans, serial
+from hequel import plans, serial, tape
 from hequel.circuits import decrypt_word
 from hequel.crypto import ClientKeys, KeyLadder, PublicKey
 from hequel.errors import (FetchTooLarge, HequelError, ProtocolError,
@@ -55,6 +60,11 @@ from hequel.schema import PlainTable, Schema
 # results counted but not yet fetched that one server holds at most; a
 # query past the cap is refused before its plan is evaluated
 MAX_PENDING_RESULTS = 64
+# compaction tapes one server keeps at most, and shapes it remembers
+# seeing once; past either, the oldest entry goes. A compaction whose tape
+# would pass MAX_TAPE_NODES payload nodes always runs the kernel.
+MAX_TAPES = 16
+MAX_TAPE_NODES = 1 << 16
 # rows one upload may hold, and tables one server stores at most; an
 # upload past either is refused before any of its words is decoded
 MAX_UPLOAD_ROWS = 4096
@@ -72,6 +82,11 @@ class ServerStore:
         self.ladder = ladder
         self.tables: dict[str, EncTable] = {}
         self.results: dict[str, EncTable] = {}
+        # compaction shape -> its tape; shape seen once -> whether it may
+        # be recorded; fetches by the path their compaction took
+        self.tapes: dict[tuple, tape.Tape] = {}
+        self.sightings: dict[tuple, bool] = {}
+        self.compactions = {"kernel": 0, "recorded": 0, "replayed": 0}
 
     def handle(self, data: bytes) -> bytes:
         # each message is its own lift scope: a lifted copy is reused
@@ -132,8 +147,8 @@ class ServerStore:
         if n_prime > result.capacity:
             raise FetchTooLarge(
                 f"{n_prime} rows requested, capacity is {result.capacity}")
-        rows = result.rows if result.packed else compact_rows(result.rows)
-        top = rows[:n_prime]
+        top = (result.rows[:n_prime] if result.packed
+               else self._compact(result.rows, n_prime))
         reply = serial.message_to_bytes("fetch_rows", qid, {
             "schema": serial.schema_to_obj(result.schema),
             "rows": [serial.row_to_obj(self.ladder, r) for r in top],
@@ -141,6 +156,45 @@ class ServerStore:
         # a result is fetched once; a refused request above keeps it
         del self.results[qid]
         return reply
+
+    def _compact(self, rows, n_prime: int) -> list:
+        """The first ``n_prime`` rows of ``compact_rows(rows)``, every
+        count, nonce and byte the kernel's. A shape's first sighting runs
+        the kernel, its second records its tape (``tape.record``) and
+        replays it, and later ones replay it. An armed gate fault, and a
+        shape whose recording raised or passed ``MAX_TAPE_NODES``, run the
+        kernel. ``compactions`` counts each path of a result of two rows
+        or more."""
+        state = self.ladder.state
+        if len(rows) < 2:  # no row moves and no gate runs
+            return list(rows[:n_prime])
+        if state.fault_gate < 0:
+            inputs, key = tape.shape(rows)
+            found = self.tapes.get(key)
+            if found is not None:
+                self.compactions["replayed"] += 1
+                return found.replay(state, inputs, n_prime)
+            sighted = self.sightings.get(key)
+            if sighted:
+                found = tape.record(state, rows, inputs, MAX_TAPE_NODES)
+                if found is not None:
+                    del self.sightings[key]
+                    _keep(self.tapes, key, found)
+                    self.compactions["recorded"] += 1
+                    return found.replay(state, inputs, n_prime)
+                self.sightings[key] = False
+            elif sighted is None:
+                _keep(self.sightings, key, True)
+        self.compactions["kernel"] += 1
+        return compact_rows(rows)[:n_prime]
+
+
+def _keep(store: dict, key, value) -> None:
+    """``store[key] = value``, dropping the oldest entry first when the
+    store already holds ``MAX_TAPES``."""
+    if len(store) >= MAX_TAPES:
+        del store[next(iter(store))]
+    store[key] = value
 
 
 @dataclass

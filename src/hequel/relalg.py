@@ -309,8 +309,14 @@ def compact_rows(rows):
     passes as it is. Each round settles the presence a mover reads. The
     gates depend only on len(rows); fewer than two rows come back
     untouched.
-    The fetch runs it on every result that is not packed; a sort's result
-    already holds its present rows in front, so it is not run there.
+    The fetch compacts every result that is not packed; a sort's result
+    already holds its present rows in front, so it is not run there. Its
+    circuit is fixed by public data alone (the row count, the cell
+    widths, each input bit's epoch and depth, and which inputs are one
+    bit object), so the server runs it here on a shape's first fetch,
+    records its tape on the second (``tape.record``, a dry run of this
+    function on symbolic payloads) and replays the tape after that, with
+    the same counts, nonces and output bits.
     """
     n = len(rows)
     if n < 2:

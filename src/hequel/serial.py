@@ -11,12 +11,13 @@ one of two layouts, and read in those and a third.
   the first bit's nonce, 8 bytes big-endian, then the w - 1 signed
   stream steps k_i with z_{i+1} = z_i + k_i·γ mod 2^64 (the kernel's
   ``_nonce_steps``), big-endian at the narrowest of 1, 2, 4 or 8 bytes
-  that holds the widest, then ceil(w/8) bytes of payload bits packed
-  LSB-first and XORed with one shake-256 digest keyed by the ladder's
-  mask key, the w 8-byte nonces and the 2-byte epochs. The blob's length
-  implies the step width, so there is no width byte, and a 1-bit word's
-  blob is 9 bytes. A row of ``bit_mux`` outputs steps by about 3, so it
-  takes a byte a step where v2 took 8.
+  that holds the widest (a blob whose steps a narrower width holds is
+  refused, so a word has one step width), then ceil(w/8) bytes of
+  payload bits packed LSB-first and XORed with one shake-256 digest
+  keyed by the ladder's mask key, the w 8-byte nonces and the 2-byte
+  epochs. The blob's length implies the step width, so there is no
+  width byte, and a 1-bit word's blob is 9 bytes. A row of ``bit_mux``
+  outputs steps by about 3, so it takes a byte a step where v2 took 8.
 - **Per bit (v2), read only:** ``{"v": 2, ...}`` as v4, its blob the w
   nonces, 8 bytes each, then the payload bytes masked as v4 masks them.
   Nothing writes it; tables a stored session wrote before v4 hold it.
@@ -109,6 +110,13 @@ def _mask(ladder: KeyLadder, head: bytes, keys, width: int) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _step_bytes(steps) -> int:
+    """The bytes each of a non-empty list of signed steps takes on the
+    wire: the narrowest of 1, 2, 4 or 8 that holds the widest."""
+    need = (max(max(steps), ~min(steps)).bit_length() + 8) // 8
+    return 1 << (need - 1).bit_length()
+
+
 def _uniform(values: list):
     return values[0] if values.count(values[0]) == len(values) else values
 
@@ -134,10 +142,7 @@ def _word_obj(ladder: KeyLadder, nonces, steps, payload: int,
         try:
             head = struct.pack(f">Q{width - 1}b", nonces[0], *steps)
         except struct.error:  # a step past one byte
-            # the bytes the widest signed step needs, rounded up to 2, 4
-            # or 8
-            need = (max(max(steps), ~min(steps)).bit_length() + 8) // 8
-            code = _STEP_CODES[1 << (need - 1).bit_length()]
+            code = _STEP_CODES[_step_bytes(steps)]
             head = struct.pack(f">Q{width - 1}{code}", nonces[0], *steps)
         obj = {"v": STEPPED_VERSION, "width": width,
                "epoch": _uniform(epochs), "depth": _uniform(depths)}
@@ -211,10 +216,14 @@ def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
                      kernel._nonce_run(int.from_bytes(head, "big"), width))
     else:
         if version == STEPPED_VERSION:
+            steps = struct.unpack_from(f">{width - 1}{code}", raw, 8)
+            # only a blob of wider steps can be one a narrower one holds
+            if step > 1 and _step_bytes(steps) < step:
+                raise ProtocolError(
+                    f"ciphertext steps take {step} bytes each, more than "
+                    "the widest needs")
             # expanded once, for both the mask and the bits
-            nonces = kernel._nonce_walk(
-                int.from_bytes(raw[:8], "big"),
-                struct.unpack_from(f">{width - 1}{code}", raw, 8))
+            nonces = kernel._nonce_walk(int.from_bytes(raw[:8], "big"), steps)
             head = struct.pack(f">{width}Q", *nonces)
         else:
             head = raw[:at]

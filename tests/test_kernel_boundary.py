@@ -2,9 +2,11 @@
 mode stay inside ``hequel.kernel``.
 
 Every module of ``src/hequel`` is parsed, and a use of a guarded name
-outside the modules allowed it fails the test: a call to ``refresh`` or a
-read of ``_payload`` outside the kernel, ``_reveal`` outside the kernel
-and decryption (serialization reads payloads through ``_wire_parts``),
+outside the modules allowed it fails the test: a call to ``refresh``
+outside the kernel, a read of ``_payload`` outside the kernel and
+``tape`` (which reads the inputs of a replayed compaction and the
+symbolic payloads of its dry run), ``_reveal`` outside the kernel and
+decryption (serialization reads payloads through ``_wire_parts``),
 ``MODE_CIRCULAR`` or ``MODE_LEVELED``
 outside the kernel and ``crypto``, which maps mode names to them, and
 the wire helpers that read payloads, mint wire nonces or know the nonce
@@ -23,7 +25,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hequel"
 # guarded name -> (modules allowed to use it, whether only a call counts)
 RULES = {
     "refresh": ({"kernel.py"}, True),
-    "_payload": ({"kernel.py"}, False),
+    "_payload": ({"kernel.py", "tape.py"}, False),
     "_reveal": ({"kernel.py", "crypto.py"}, False),
     "MODE_CIRCULAR": ({"kernel.py", "crypto.py"}, False),
     "MODE_LEVELED": ({"kernel.py", "crypto.py"}, False),

@@ -12,14 +12,17 @@ nothing is written to a hypothesis database. Two further tests send an
 upload past each of the server's upload bounds. The valid upload and
 query carry seeded words (word layout v3), so the mutations cover that
 layout; fixed forgeries of it, of the same words rewritten stepped (word
-layout v4, the server's own), and a schema past ``MAX_COLUMNS``, are
-each refused before ``kernel.word_from_parts`` builds a bit.
+layout v4, the server's own), among them steps written wider than they
+need, and a schema past ``MAX_COLUMNS``, are each refused before
+``kernel.word_from_parts`` builds a bit. A stepped word decodes at its
+writer's step width alone, and re-encodes byte for byte.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -283,9 +286,22 @@ def _blob_bytes(edit):
     return forge
 
 
+def _widened(size: int):
+    """A forgery that writes a word's one-byte steps at ``size`` bytes
+    each, the mask and payload kept: the same nonces, so only the step
+    width check can refuse it."""
+    def edit(raw, w):
+        steps = struct.unpack_from(f">{w - 1}b", raw, 8)
+        raw[8:8 + w - 1] = struct.pack(
+            f">{w - 1}{serial._STEP_CODES[size]}", *steps)
+    return _blob_bytes(edit)
+
+
 # each edit forges a stepped word in place; beside it, the refusal it must
 # meet. Every word here has steps of 1, one byte each.
 STEPPED_FORGERIES = {
+    **{f"steps written {size} bytes wide": (
+        _widened(size), "more than the widest needs") for size in (2, 4, 8)},
     # two more bytes a step would make steps of 3 bytes, no step width
     "a blob length that fits no step width": (_blob_bytes(
         lambda raw, w: raw.__setitem__(slice(8, 8), bytes(2 * (w - 1)))),
@@ -335,6 +351,39 @@ def test_stepped_forgeries_are_refused_before_any_bit(where, forgery,
         server.handle(json.dumps(msg).encode())
     assert built == []
     assert (counters(LADDER.state), LADDER.state.nonce_state) == before
+
+
+@FUZZ
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=12),
+       st.data())
+def test_a_stepped_word_has_one_encoding(nonces, data):
+    # a word of two bits or more whose first bit has depth, so it is
+    # never one fresh run and always travels stepped, written at each
+    # step width its steps fit:
+    # the decoder accepts the writer's width alone, and an accepted word
+    # re-encodes byte for byte
+    w = len(nonces)
+    depths = [1] + data.draw(st.lists(st.integers(0, 8), min_size=w - 1,
+                                      max_size=w - 1))
+    payload = data.draw(st.integers(0, (1 << w) - 1))
+    steps = kernel._nonce_steps(nonces)
+    written = serial._word_obj(LADDER, nonces, steps, payload, [1] * w,
+                               depths)
+    tail = base64.b64decode(written["blob"])[-((w + 7) // 8):]
+    accepted = []
+    for code in serial._STEP_CODES.values():
+        try:
+            head = struct.pack(f">Q{w - 1}{code}", nonces[0], *steps)
+        except struct.error:  # a step this width cannot hold
+            continue
+        obj = dict(written, blob=base64.b64encode(head + tail).decode())
+        try:
+            word = serial.word_from_obj(LADDER, obj)
+        except HequelError:
+            continue
+        assert serial.word_to_obj(LADDER, word) == obj
+        accepted.append(obj)
+    assert accepted == [written]
 
 
 def test_widest_seeded_row_is_decoded():
