@@ -27,8 +27,7 @@ the others name the kernel's functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from hequel import kernel
 from hequel.crypto import ClientKeys, PublicKey
 from hequel.errors import ValueOverflow, WidthMismatch
 from hequel.kernel import (and_, bit_and_not, bit_mux, bit_or, bits_differ,
@@ -38,19 +37,51 @@ from hequel.kernel import (and_, bit_and_not, bit_mux, bit_or, bits_differ,
 DEFAULT_WIDTH = 8
 
 
-@dataclass(frozen=True)
 class CipherWord:
-    """An unsigned integer as encrypted bits, MSB first."""
+    """An unsigned integer as encrypted bits, MSB first.
 
-    bits: tuple
+    ``CipherWord(bits)`` holds bits already built. A decoded word is made
+    by ``from_parts`` and holds its wire parts instead: its kernel state,
+    its payloads packed LSB first in bit order, and per-bit epochs, depths
+    and wire nonces. The first read of ``.bits`` builds its bits once
+    through ``kernel.word_from_parts``, keeps them and drops the parts, so
+    every later read returns the same bit objects. ``.width`` builds
+    nothing, and neither does ``decrypt_word``, which decrypts the parts.
+    Building moves no counter and no nonce stream, so when a word is built
+    changes no count; which words a query builds follows from the public
+    plan, the columns its gates read.
+    """
 
-    def __post_init__(self):
-        if not self.bits:
+    # ``bits`` stays unset on a word built from parts until its first
+    # read, which lands in ``__getattr__``; a set slot is read directly
+    __slots__ = ("bits", "_parts")
+
+    def __init__(self, bits: tuple):
+        if not bits:
             raise WidthMismatch("a word needs at least one bit")
+        self.bits = bits
+        self._parts = None
+
+    @classmethod
+    def from_parts(cls, state, payload: int, epochs, depths,
+                   nonces) -> CipherWord:
+        """A word of ``len(epochs)`` bits, built from these parts (as
+        ``kernel.word_from_parts`` takes them) when first read."""
+        word = cls.__new__(cls)
+        word._parts = (state, payload, epochs, depths, nonces)
+        return word
+
+    def __getattr__(self, name: str):
+        if name != "bits" or self._parts is None:
+            raise AttributeError(name)
+        self.bits = kernel.word_from_parts(*self._parts)
+        self._parts = None
+        return self.bits
 
     @property
     def width(self) -> int:
-        return len(self.bits)
+        parts = self._parts
+        return len(self.bits) if parts is None else len(parts[2])
 
     def __repr__(self):
         return f"CipherWord(width={self.width})"
@@ -66,6 +97,13 @@ def encrypt_word(pk: PublicKey, value: int, width: int = DEFAULT_WIDTH) -> Ciphe
 
 
 def decrypt_word(keys: ClientKeys, word: CipherWord) -> int:
+    """The value of ``word``. A word whose bits were never built is
+    decrypted from its parts (``ClientKeys.decrypt_parts``) and stays
+    unbuilt; either way every bit passes ``ClientKeys.decrypt_bit``'s
+    checks."""
+    parts = word._parts
+    if parts is not None:
+        return keys.decrypt_parts(*parts[:4])
     value = 0
     for bit in word.bits:
         value = (value << 1) | keys.decrypt_bit(bit)

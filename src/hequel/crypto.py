@@ -10,7 +10,9 @@ the mask key of serialized payloads. A refresh is the kernel's and uses
 no key material; the lattice math is not reproduced.
 
 Only the client holds ``ClientKeys`` and decrypts. It refuses a bit from
-another ladder, at an epoch outside the ladder, or past the depth budget.
+another ladder, at an epoch outside the ladder, or past the depth budget,
+with one check whether the bit was built or a decoded word still holds it
+as wire parts.
 """
 
 from __future__ import annotations
@@ -92,17 +94,34 @@ class ClientKeys:
     ladder_id: str
     epochs: int
 
-    def decrypt_bit(self, c) -> int:
-        state = c._state
+    def _check(self, state, epochs, depths) -> None:
+        """The checks of every decryption: refuse bits of another ladder
+        than this one, then, at the first bit in order that fails either,
+        an epoch outside the ladder or a depth past ``state``'s budget."""
         if state.ladder_id != self.ladder_id:
             raise LadderMismatch("ciphertext belongs to a different ladder")
-        if not 1 <= c.epoch <= self.epochs:
-            raise EpochMismatch(
-                f"ciphertext epoch {c.epoch} outside ladder of {self.epochs}")
-        if c.depth > state.depth_budget:
-            raise NoiseOverflow(
-                f"depth {c.depth} exceeds budget {state.depth_budget}")
+        budget = state.depth_budget
+        if min(epochs) >= 1 and max(epochs) <= self.epochs and \
+                max(depths) <= budget:
+            return
+        for epoch, depth in zip(epochs, depths):
+            if not 1 <= epoch <= self.epochs:
+                raise EpochMismatch(
+                    f"ciphertext epoch {epoch} outside ladder of {self.epochs}")
+            if depth > budget:
+                raise NoiseOverflow(f"depth {depth} exceeds budget {budget}")
+
+    def decrypt_bit(self, c) -> int:
+        self._check(c._state, (c.epoch,), (c.depth,))
         return kernel._reveal(c)
+
+    def decrypt_parts(self, state, payload: int, epochs, depths) -> int:
+        """The value of a word held as its wire parts (``circuits.
+        CipherWord.from_parts``): bit i of ``payload`` is bit i of the
+        word, most significant first, at ``epochs[i]`` and ``depths[i]``.
+        Each bit passes ``decrypt_bit``'s checks, and no bit is built."""
+        self._check(state, epochs, depths)
+        return int(f"{payload:0{len(epochs)}b}"[::-1], 2)
 
 
 def keygen(ctx: SecurityContext,

@@ -223,11 +223,11 @@ def word_from_parts(s: KernelState, payload: int, epochs, depths,
                     nonces) -> tuple:
     """Rebuild a word's bits from their serialized parts, with no counter
     bump: bit i takes bit i of ``payload`` (LSB first), ``epochs[i]``,
-    ``depths[i]`` and ``nonces[i]``, a wire nonce in 0..2^64 - 1.
-    ``nonces`` may be any iterable of them."""
+    ``depths[i]`` and ``nonces[i]`` modulo 2^64, its wire nonce.
+    ``nonces`` may be any iterable of ints, a ``_nonce_run`` among them."""
     n = len(epochs)
     return tuple(map(CipherBit, [s] * n, [payload >> i & 1 for i in range(n)],
-                     epochs, depths, nonces))
+                     epochs, depths, map(_MASK64.__and__, nonces)))
 
 
 def _nonce_steps(nonces) -> list:

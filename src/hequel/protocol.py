@@ -24,17 +24,18 @@ gate sequence fixed by the capacity) and returns its first n' rows. That
 gate sequence is fixed by public data alone, so the server records it as
 a tape (``hequel.tape``) the second time it sees a compaction's shape and
 replays the tape from then on, with every count, nonce and byte the
-kernel's; it keeps at most ``MAX_TAPES`` tapes and as many shapes seen
-once, and an armed gate fault always runs the kernel. A packed result
-(``EncTable.packed``: a sort at the plan's root, through projections)
-already has its present rows in front, so its first n' rows go out with
-no gate at all; the flag follows the public plan shape. The
-client decrypts the presence bits and accepts only if exactly n present
-rows arrive, all before any absent row: a short or padded-wrong reply
-fails verification instead of silently truncating. A client exchange goes
-from "queried" to "counted" to "requested" and is dropped once its rows
-verify; a reply or fetch out of that order is refused, and so is a query
-whose id already has a result awaiting its fetch on the server.
+kernel's; it keeps at most ``MAX_TAPES`` tapes and the hashes of
+``MAX_SIGHTINGS`` shapes seen once, and an armed gate fault always runs
+the kernel. A packed result (``EncTable.packed``: a sort at the plan's
+root, through projections) already has its present rows in front, so
+its first n' rows go out with no gate at all; the flag follows the
+public plan shape. The client decrypts the presence bits and accepts
+only if exactly n present rows arrive, all before any absent row: a
+short or padded-wrong reply fails verification instead of silently
+truncating. A client exchange goes from "queried" to "counted" to
+"requested" and is dropped once its rows verify; a reply or fetch out of
+that order is refused, and so is a query whose id already has a result
+awaiting its fetch on the server.
 """
 
 from __future__ import annotations
@@ -60,11 +61,16 @@ from hequel.schema import PlainTable, Schema
 # results counted but not yet fetched that one server holds at most; a
 # query past the cap is refused before its plan is evaluated
 MAX_PENDING_RESULTS = 64
-# compaction tapes one server keeps at most, and shapes it remembers
-# seeing once; past either, the oldest entry goes. A compaction whose tape
-# would pass MAX_TAPE_NODES payload nodes always runs the kernel.
+# compaction tapes one server keeps at most; past it, the oldest goes. A
+# compaction whose tape would pass MAX_TAPE_NODES payload nodes always
+# runs the kernel.
 MAX_TAPES = 16
 MAX_TAPE_NODES = 1 << 16
+# shapes seen once that one server remembers, by the hash of their key;
+# past it, the oldest goes. An entry is one int where a tape is a circuit,
+# so this bound is far looser, and a server that cycles over more shapes
+# than it keeps tapes still sees each shape's second sighting.
+MAX_SIGHTINGS = 1024
 # rows one upload may hold, and tables one server stores at most; an
 # upload past either is refused before any of its words is decoded
 MAX_UPLOAD_ROWS = 4096
@@ -82,10 +88,11 @@ class ServerStore:
         self.ladder = ladder
         self.tables: dict[str, EncTable] = {}
         self.results: dict[str, EncTable] = {}
-        # compaction shape -> its tape; shape seen once -> whether it may
-        # be recorded; fetches by the path their compaction took
+        # compaction shape -> its tape; hash of a shape seen once ->
+        # whether it may be recorded; fetches by the path their compaction
+        # took
         self.tapes: dict[tuple, tape.Tape] = {}
-        self.sightings: dict[tuple, bool] = {}
+        self.sightings: dict[int, bool] = {}
         self.compactions = {"kernel": 0, "recorded": 0, "replayed": 0}
 
     def handle(self, data: bytes) -> bytes:
@@ -163,8 +170,11 @@ class ServerStore:
         the kernel, its second records its tape (``tape.record``) and
         replays it, and later ones replay it. An armed gate fault, and a
         shape whose recording raised or passed ``MAX_TAPE_NODES``, run the
-        kernel. ``compactions`` counts each path of a result of two rows
-        or more."""
+        kernel. A sighting is kept as the hash of its shape's key: two
+        shapes that share one only change which path runs, since a tape
+        is recorded from the rows at hand and kept under the full key.
+        ``compactions`` counts each path of a result of two rows or
+        more."""
         state = self.ladder.state
         if len(rows) < 2:  # no row moves and no gate runs
             return list(rows[:n_prime])
@@ -174,25 +184,26 @@ class ServerStore:
             if found is not None:
                 self.compactions["replayed"] += 1
                 return found.replay(state, inputs, n_prime)
-            sighted = self.sightings.get(key)
+            seen = hash(key)
+            sighted = self.sightings.get(seen)
             if sighted:
                 found = tape.record(state, rows, inputs, MAX_TAPE_NODES)
                 if found is not None:
-                    del self.sightings[key]
-                    _keep(self.tapes, key, found)
+                    del self.sightings[seen]
+                    _keep(self.tapes, key, found, MAX_TAPES)
                     self.compactions["recorded"] += 1
                     return found.replay(state, inputs, n_prime)
-                self.sightings[key] = False
+                self.sightings[seen] = False
             elif sighted is None:
-                _keep(self.sightings, key, True)
+                _keep(self.sightings, seen, True, MAX_SIGHTINGS)
         self.compactions["kernel"] += 1
         return compact_rows(rows)[:n_prime]
 
 
-def _keep(store: dict, key, value) -> None:
+def _keep(store: dict, key, value, bound: int) -> None:
     """``store[key] = value``, dropping the oldest entry first when the
-    store already holds ``MAX_TAPES``."""
-    if len(store) >= MAX_TAPES:
+    store already holds ``bound``."""
+    if len(store) >= bound:
         del store[next(iter(store))]
     store[key] = value
 

@@ -45,7 +45,10 @@ is the server's own fresh presence bit; fetched rows, and the count word
 of a result of two or more rows, hold gate outputs above depth 0 and
 travel stepped. ``word_from_obj`` reads all three layouts, and refuses a
 word wider than ``MAX_WORD_WIDTH`` (a row of the widest schema) before
-it decodes the blob, since a seeded blob no longer bounds the width.
+it decodes the blob, since a seeded blob no longer bounds the width. It
+refuses a stepped word the writer would write otherwise: a fresh run at
+depth 0 under one epoch, or an epoch or depth list of one value, so a
+word has one encoding.
 
 A table row travels as one such word over its flat bits: the cells in
 column order, each MSB first, then the presence bit. The row's object adds
@@ -62,10 +65,15 @@ and ``row_to_obj`` feed it bits as the kernel reads them off
 a plaintext table, each row's nonces a slice of the run it draws from the
 kernel's stream: the client's upload builds no ciphertext object, yet its
 bytes, nonces and counts are those of ``table_to_obj`` over
-``relalg.encrypt_table``. ``word_from_obj`` and ``row_from_obj`` build a
-decoded word's or row's bits in one kernel call
-(``kernel.word_from_parts``), a stepped word's nonces walked back from
-its steps once (``kernel._nonce_walk``) for both the mask and the bits.
+``relalg.encrypt_table``. ``word_from_obj`` and ``row_from_obj`` run
+every check of a word before they return, a stepped word's nonces
+walked back from its steps once (``kernel._nonce_walk``) for both the
+mask and the bits. They build no cell: a decoded word, and each cell of
+a decoded row (its parts split by cell width), is a
+``CipherWord.from_parts``, whose bits ``kernel.word_from_parts`` builds
+once when they are first read. Only a row's presence bit is built at
+decode. Decoding moves no counter and no nonce stream, whenever the
+bits are built.
 """
 
 from __future__ import annotations
@@ -169,9 +177,12 @@ def _per_bit(value, width: int, lo: int, top: int, what: str) -> list:
         f"ciphertext {what} {value!r} is not {width} ints in {lo}..{top}")
 
 
-def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
-    """A word of any layout; a malformed one raises ProtocolError before
-    any bit is built."""
+def _word_parts(ladder: KeyLadder, obj: dict) -> tuple:
+    """The parts of a word of any layout, as ``kernel.word_from_parts``
+    takes them: (payload, epochs, depths, nonces), the nonces a list, or
+    for a seeded word its run (``kernel._nonce_run``). A malformed word,
+    or a stepped one that another form writes (a fresh run, or a list
+    of one epoch or one depth), raises ProtocolError."""
     what = "ciphertext word"
     version = field(obj, "v", int, what)
     if version not in (WIRE_VERSION, SEEDED_VERSION, STEPPED_VERSION):
@@ -212,16 +223,24 @@ def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
     if seeded:
         head = raw[:8]
         payload ^= _mask(ladder, head, (epoch, width), width)
-        nonces = map(_MASK64.__and__,
-                     kernel._nonce_run(int.from_bytes(head, "big"), width))
+        nonces = kernel._nonce_run(int.from_bytes(head, "big"), width)
     else:
         if version == STEPPED_VERSION:
+            # the writer gives a list only where the bits disagree
+            for value, name in ((epoch, "epoch"), (depth, "depth")):
+                if type(value) is list and value.count(value[0]) == width:
+                    raise ProtocolError(
+                        f"ciphertext {name} list holds one value")
             steps = struct.unpack_from(f">{width - 1}{code}", raw, 8)
             # only a blob of wider steps can be one a narrower one holds
             if step > 1 and _step_bytes(steps) < step:
                 raise ProtocolError(
                     f"ciphertext steps take {step} bytes each, more than "
                     "the widest needs")
+            if depth == 0 and type(epoch) is int and \
+                    steps.count(1) == width - 1:
+                raise ProtocolError(
+                    "ciphertext word is one fresh run, which travels seeded")
             # expanded once, for both the mask and the bits
             nonces = kernel._nonce_walk(int.from_bytes(raw[:8], "big"), steps)
             head = struct.pack(f">{width}Q", *nonces)
@@ -231,8 +250,13 @@ def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
         payload ^= _mask(ladder, head, epochs, width)
     if payload >> width:
         raise ProtocolError("ciphertext blob has padding bits set")
-    return CipherWord(kernel.word_from_parts(
-        ladder.state, payload, epochs, depths, nonces))
+    return payload, epochs, depths, nonces
+
+
+def word_from_obj(ladder: KeyLadder, obj: dict) -> CipherWord:
+    """A word of any layout, its bits built when first read
+    (``CipherWord.from_parts``); a malformed one raises ProtocolError."""
+    return CipherWord.from_parts(ladder.state, *_word_parts(ladder, obj))
 
 
 def field(obj, key: str, kind: type, what: str):
@@ -263,20 +287,28 @@ def row_to_obj(ladder: KeyLadder, row: EncRow) -> dict:
 
 
 def row_from_obj(ladder: KeyLadder, obj: dict) -> EncRow:
-    """A row record decoded with every check of a word, split by its cell
-    widths; it needs no schema."""
+    """A row record decoded with every check of a word and split by its
+    cell widths into one word per cell, each built when first read
+    (``CipherWord.from_parts``), and its presence bit, built here; it
+    needs no schema."""
     widths = field(obj, "cells", list, "row")
-    bits = word_from_obj(ladder, obj).bits
+    payload, epochs, depths, nonces = _word_parts(ladder, obj)
+    end = len(epochs) - 1
     if not all(type(w) is int and w > 0 for w in widths) or (
-            sum(widths) != len(bits) - 1):
+            sum(widths) != end):
         raise ProtocolError(
-            f"row cells do not split its {len(bits)} bits into cells of "
+            f"row cells do not split its {end + 1} bits into cells of "
             "positive width and one presence bit")
-    cells, at = [], 0
+    state, cells, at = ladder.state, [], 0
     for w in widths:
-        cells.append(CipherWord(bits[at:at + w]))
+        cut = slice(at, at + w)
+        cells.append(CipherWord.from_parts(
+            state, payload >> at & (1 << w) - 1, epochs[cut], depths[cut],
+            nonces[cut]))
         at += w
-    return EncRow(tuple(cells), bits[at])
+    presence, = kernel.word_from_parts(state, payload >> end, epochs[end:],
+                                       depths[end:], nonces[end:])
+    return EncRow(tuple(cells), presence)
 
 
 def schema_to_obj(schema: Schema) -> list:

@@ -1,18 +1,21 @@
 """Key lifecycle: ladders, encrypt/decrypt, epoch rules, noise overflow,
-and the server/client separation contract."""
+the server/client separation contract, and decryption of a decoded word
+from its wire parts."""
 
 from __future__ import annotations
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hequel import kernel
-from hequel.circuits import bit_or
+from hequel.circuits import CipherWord, bit_or, decrypt_word
 from hequel.crypto import (MAX_EPOCHS, ClientKeys, SecurityContext,
                            encrypt_bit, keygen)
-from hequel.errors import (EpochMismatch, LadderExhausted, LadderMismatch,
-                           NoiseOverflow)
+from hequel.errors import (EpochMismatch, HequelError, LadderExhausted,
+                           LadderMismatch, NoiseOverflow)
 from hequel.protocol import ServerStore
 
 
@@ -158,3 +161,69 @@ def test_epoch_out_of_range():
         for epoch in (0, ctx.epochs + 1):
             with pytest.raises(EpochMismatch):
                 ladder.public_key(epoch)
+
+
+PARTS_CTX = SecurityContext(mode="leveled", depth_budget=3, epochs=4)
+PARTS_LADDER, PARTS_KEYS = keygen(PARTS_CTX, seed=b"parts")
+# bit edits that each break one check of decryption: the (epoch, depth)
+# they give a bit, None keeping its own
+BREAKS = {"epoch 0": (0, None), "epoch past the ladder": (5, None),
+          "depth past the budget": (None, 4)}
+
+
+def _decrypted(keys, word):
+    """The value ``decrypt_word`` gives, or its refusal's class and text."""
+    try:
+        return decrypt_word(keys, word)
+    except HequelError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_decrypting_parts_matches_decrypting_built_bits(data):
+    # a decoded word decrypted from its parts gives the value, or the
+    # refusal, that decrypting its built bits one by one gives, and
+    # builds no bit
+    width = data.draw(st.integers(1, 6))
+    payload = data.draw(st.integers(0, (1 << width) - 1))
+    epochs = data.draw(st.lists(st.integers(1, 4), min_size=width,
+                                max_size=width))
+    depths = data.draw(st.lists(st.integers(0, 3), min_size=width,
+                                max_size=width))
+    nonces = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=width,
+                                max_size=width))
+    for at, name in data.draw(st.lists(st.tuples(
+            st.integers(0, width - 1), st.sampled_from(sorted(BREAKS))),
+            max_size=3)):
+        epoch, depth = BREAKS[name]
+        epochs[at] = epochs[at] if epoch is None else epoch
+        depths[at] = depths[at] if depth is None else depth
+    foreign = data.draw(st.booleans())
+    keys = ClientKeys("another ladder", 4) if foreign else PARTS_KEYS
+    parts = (PARTS_LADDER.state, payload, epochs, depths, nonces)
+    lazy = CipherWord.from_parts(*parts)
+    built = CipherWord(kernel.word_from_parts(*parts))
+    assert _decrypted(keys, lazy) == _decrypted(keys, built)
+    assert lazy._parts is not None
+
+
+@pytest.mark.parametrize("epochs, depths, error", [
+    ([1, 0, 1], [0, 0, 0], EpochMismatch),
+    ([1, 5, 1], [0, 0, 0], EpochMismatch),
+    ([1, 1, 1], [0, 4, 0], NoiseOverflow),
+    # the first bad bit in order decides, as bit-by-bit decryption meets it
+    ([1, 1, 5], [0, 4, 0], NoiseOverflow),
+    ([1, 5, 1], [0, 0, 4], EpochMismatch)])
+def test_decrypting_parts_refuses_what_decrypt_bit_refuses(epochs, depths,
+                                                           error):
+    # each refusal of the property above, drawn or not
+    parts = (PARTS_LADDER.state, 5, epochs, depths, [7, 8, 9])
+    for word in (CipherWord.from_parts(*parts),
+                 CipherWord(kernel.word_from_parts(*parts))):
+        with pytest.raises(error):
+            decrypt_word(PARTS_KEYS, word)
+    with pytest.raises(LadderMismatch):
+        decrypt_word(ClientKeys("another ladder", 4),
+                     CipherWord.from_parts(PARTS_LADDER.state, 5, [1] * 3,
+                                           [0] * 3, [7, 8, 9]))

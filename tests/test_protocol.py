@@ -1,5 +1,7 @@
 """Two-step result return: count round, fetch round, client verification,
-and rejection of tampered or malformed replies."""
+and rejection of tampered or malformed replies; a stored table that
+builds only the cells a query reads, and the compaction's bound on the
+shapes it has seen once."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from hequel.protocol import (MAX_PENDING_RESULTS, ClientSession, ServerStore,
                              submit_query)
 from hequel.relalg import encrypt_table
 from hequel.schema import MAX_WIDTH, PlainTable, Schema
+from test_serial import _counting
 
 PC_SCHEMA = Schema((("model", 12), ("speed", 4), ("ram", 12),
                     ("hd", 10), ("price", 12)))
@@ -1062,3 +1065,69 @@ def test_repeated_leveled_query_spends_the_same_counts():
         assert result_fetch(client, server, qid).rows == [(min(plain.rows)[0],)]
     assert spent[0] == spent[1]
     assert spent[0][2] > 0  # the tournament climbs epochs, so it lifts
+
+
+WIDE = Schema((("a", 8), ("b", 8), ("c", 12), ("d", 16)))
+
+
+def test_a_stored_table_builds_only_the_cells_a_query_reads(monkeypatch):
+    # an upload's rows keep their cells as wire parts and build only
+    # their presence bits; sum(a) then builds column a and no other, and
+    # the client decrypts its count and its row from their parts
+    ladder, keys = keygen(SecurityContext(depth_budget=8), seed=b"late")
+    server = ServerStore(ladder)
+    client = ClientSession(keys, ladder.public_key())
+    plain = PlainTable(WIDE, [(i, 3 * i % 256, 5 * i % 4096, 7 * i)
+                              for i in range(64)])
+    built = _counting(monkeypatch)
+    setup_upload(client, server, "t", plain)
+    assert built == [1] * 64
+    built.clear()
+    got = run_query(client, server, plans.Sum("a", plans.TableRef("t")))
+    assert got.rows == [(sum(range(64)) % 256,)]
+    # the server's 64 cells of a, then the presence of the fetched row
+    assert built == [8] * 64 + [1]
+
+
+SHAPED = Schema((("k", 4), ("v", 4)))
+
+
+def _shape_rounds(server, client, shapes: int, rounds: int) -> None:
+    """Fetch ``shapes`` select results of 2, 3, ... rows, each its own
+    compaction shape, ``rounds`` times over, checking the server's bounds
+    after each fetch."""
+    for i in range(shapes):
+        setup_upload(client, server, f"t{i}", PlainTable(
+            SHAPED, [(j % 16, 3 * j % 16) for j in range(i + 2)]))
+    for _ in range(rounds):
+        for i in range(shapes):
+            got = run_query(client, server,
+                            dsl.parse(f"select(k > 3, table(t{i}))"))
+            assert got.rows == [(j % 16, 3 * j % 16) for j in range(i + 2)
+                                if j % 16 > 3]
+            assert len(server.tapes) <= protocol.MAX_TAPES
+            assert len(server.sightings) <= protocol.MAX_SIGHTINGS
+            assert all(type(seen) is int for seen in server.sightings)
+
+
+def test_a_server_cycling_over_more_shapes_than_tapes_records_them():
+    # one shape more than the tapes a server keeps, in three rounds: each
+    # shape records its tape at its second sighting, and the third round
+    # replays the 16 tapes kept and runs the kernel for the one dropped
+    assert protocol.MAX_TAPES == 16
+    server, client = make_session()
+    _shape_rounds(server, client, 17, 3)
+    assert server.compactions == {"kernel": 18, "recorded": 17,
+                                  "replayed": 16}
+
+
+def test_sightings_past_their_bound_drop_the_oldest(monkeypatch):
+    # six shapes cycling through four remembered sightings: each is
+    # dropped before its second sighting, so none records, and the
+    # sightings never pass their bound
+    monkeypatch.setattr(protocol, "MAX_SIGHTINGS", 4)
+    server, client = make_session()
+    _shape_rounds(server, client, 6, 2)
+    assert len(server.sightings) == 4
+    assert server.compactions == {"kernel": 12, "recorded": 0,
+                                  "replayed": 0}

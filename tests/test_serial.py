@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hequel import kernel, serial
+from hequel import kernel, serial, tape
 from hequel.circuits import CipherWord, decrypt_word, encrypt_word, word_add
 from hequel.crypto import SecurityContext, encrypt_bit, keygen
 from hequel.errors import LadderMismatch, ProtocolError, ValueOverflow
@@ -112,19 +112,50 @@ def test_bad_blob_rejected(session):
     assert serial.word_from_obj(ladder, flipped).width == 4
 
 
+def _at_depth(bits, depth: int = 1) -> tuple:
+    """``bits``' payloads, epochs and nonces at ``depth``: no longer a
+    fresh run, so they travel stepped (v4)."""
+    nonces, _, payload, epochs, _ = kernel._wire_parts(bits)
+    return kernel.word_from_parts(bits[0]._state, payload, epochs,
+                                  [depth] * len(bits), nonces)
+
+
 def test_word_metadata_lists(session):
+    # a stepped word's epoch and depth are one int where its bits agree
+    # and a list where they differ; a list of one value is refused
     ladder, keys, pk = session
     w = encrypt_word(pk, 5, width=3)
-    obj = stepped_obj(ladder, w.bits)
-    assert (obj["v"], obj["width"], obj["epoch"], obj["depth"]) == (4, 3, 1, 0)
+    obj = stepped_obj(ladder, _at_depth(w.bits))
+    assert (obj["v"], obj["width"], obj["epoch"], obj["depth"]) == (4, 3, 1, 1)
     assert len(base64.b64decode(obj["blob"])) == 8 + 2 + 1
-    listed = dict(obj, epoch=[1, 1, 1], depth=[0, 0, 0])
-    assert decrypt_word(keys, serial.word_from_obj(ladder, listed)) == 5
+    listed = dict(obj, depth=[1, 0, 1])
+    back = serial.word_from_obj(ladder, listed)
+    assert decrypt_word(keys, back) == 5
+    assert serial.word_to_obj(ladder, back) == listed
     for key, value in (("epoch", [1, 1]), ("epoch", [1, True, 1]),
                        ("depth", [0, 0, 0, 0]), ("depth", [0, 9, 0]),
+                       ("epoch", [1, 1, 1]), ("depth", [1, 1, 1]),
                        ("epoch", 1.0), ("v", 1), ("width", True)):
         with pytest.raises(ProtocolError):
             serial.word_from_obj(ladder, dict(obj, **{key: value}))
+
+
+def test_a_stepped_fresh_run_is_refused(session):
+    # bits that are one fresh run at depth 0 under one epoch travel seeded
+    # (v3), so their stepped form is refused: a word has one layout
+    ladder, _, pk = session
+    for width in (1, 3, 8):
+        w = encrypt_word(pk, 1, width=width)
+        run = stepped_obj(ladder, w.bits)
+        assert (run["v"], run["epoch"], run["depth"]) == (4, 1, 0)
+        with pytest.raises(ProtocolError, match="one fresh run"):
+            serial.word_from_obj(ladder, run)
+        for listed in (dict(run, depth=[0] * width),
+                       dict(run, epoch=[1] * width)):
+            with pytest.raises(ProtocolError, match="list holds one value"):
+                serial.word_from_obj(ladder, listed)
+        assert serial.word_from_obj(
+            ladder, serial.word_to_obj(ladder, w)).width == width
 
 
 def test_word_round_trip(session):
@@ -422,8 +453,8 @@ def test_row_record_keeps_every_bit(context):
 
 def test_row_record_is_one_word(session):
     # the row's bits read as one word: cells in column order, then presence;
-    # a fresh row travels seeded, and the same bits written stepped (v4)
-    # decode to the same word
+    # a fresh row travels seeded, and the same bits at depth 1, written
+    # stepped (v4), decode to the same word
     ladder, keys, pk = session
     t = encrypt_table(pk, PlainTable(Schema((("a", 4), ("b", 8))),
                                      [(9, 200)]), presence=[0], name="t")
@@ -432,8 +463,8 @@ def test_row_record_is_one_word(session):
     assert obj["v"] == serial.TABLE_VERSION == 3
     assert list(row) == ["v", "width", "epoch", "blob", "cells"]
     assert len(base64.b64decode(row["blob"])) == 8 + 2
-    stepped = dict(stepped_obj(ladder, serial.word_from_obj(ladder, row).bits),
-                   cells=row["cells"])
+    deep = _at_depth(serial.word_from_obj(ladder, row).bits)
+    stepped = dict(stepped_obj(ladder, deep), cells=row["cells"])
     assert list(stepped) == ["v", "width", "epoch", "depth", "blob", "cells"]
     # the first nonce, 12 one-byte steps of 1, the payload
     assert len(base64.b64decode(stepped["blob"])) == 8 + 12 + 2
@@ -550,3 +581,57 @@ def test_encrypt_table_obj_refuses_a_row_past_its_schema(session, row):
         serial.encrypt_table_obj(pk, plain, "t")
     # refused before any nonce is drawn
     assert (state.encrypt_count, state.nonce_state) == before
+
+
+# --- late-built words ---------------------------------------------------------
+
+def _counting(monkeypatch) -> list:
+    """The width of each word ``kernel.word_from_parts`` builds from now
+    on, in order."""
+    word_from_parts, built = kernel.word_from_parts, []
+
+    def counted(s, payload, epochs, *rest):
+        built.append(len(epochs))
+        return word_from_parts(s, payload, epochs, *rest)
+
+    monkeypatch.setattr(kernel, "word_from_parts", counted)
+    return built
+
+
+def test_a_decoded_row_builds_a_cell_once_when_it_is_read(session,
+                                                         monkeypatch):
+    ladder, keys, pk = session
+    t = encrypt_table(pk, PlainTable(Schema((("a", 4), ("b", 8), ("c", 3))),
+                                     [(9, 200, 5), (1, 2, 3)]), name="t")
+    obj = serial.table_to_obj(ladder, t)
+    built = _counting(monkeypatch)
+    back = serial.table_from_obj(ladder, obj)
+    # the presence bits are built at once, the cells not yet
+    assert built == [1, 1]
+    row = back.rows[0]
+    assert [c.width for c in row.cells] == [4, 8, 3]
+    assert [decrypt_word(keys, c) for c in row.cells] == [9, 200, 5]
+    assert built == [1, 1]
+    bits = row.cells[1].bits
+    assert built == [1, 1, 8]
+    # every later read returns the same bit objects
+    assert row.cells[1].bits is bits
+    assert decrypt_word(keys, row.cells[1]) == 200
+    # a compaction's shape, read twice, sees one bit object per position
+    first, key = tape.shape(back.rows)
+    again, same = tape.shape(back.rows)
+    assert key == same and list(map(id, first)) == list(map(id, again))
+    assert built == [1, 1, 8, 4, 3, 4, 8, 3]
+    assert serial.table_to_obj(ladder, back) == obj
+    assert _tuples(row.cells[0]) == _tuples(t.rows[0].cells[0])
+
+
+def test_a_decoded_word_is_built_only_when_read(session, monkeypatch):
+    ladder, keys, pk = session
+    obj = serial.word_to_obj(ladder, encrypt_word(pk, 202, width=8))
+    built = _counting(monkeypatch)
+    word = serial.word_from_obj(ladder, obj)
+    assert (word.width, decrypt_word(keys, word), built) == (8, 202, [])
+    assert serial.word_to_obj(ladder, word) == obj
+    assert built == [8]
+    assert word.bits is word.bits and built == [8]

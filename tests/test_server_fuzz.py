@@ -11,9 +11,10 @@ Examples are derandomized so Tier-1 runs the same inputs on every run, and
 nothing is written to a hypothesis database. Two further tests send an
 upload past each of the server's upload bounds. The valid upload and
 query carry seeded words (word layout v3), so the mutations cover that
-layout; fixed forgeries of it, of the same words rewritten stepped (word
-layout v4, the server's own), among them steps written wider than they
-need, and a schema past ``MAX_COLUMNS``, are each refused before
+layout; fixed forgeries of it, of the same words rewritten stepped at
+depth 1 (word layout v4, the server's own; at depth 0 they would be a
+fresh run, which travels seeded only), among them steps written wider
+than they need, and a schema past ``MAX_COLUMNS``, are each refused before
 ``kernel.word_from_parts`` builds a bit. A stepped word decodes at its
 writer's step width alone, and re-encodes byte for byte.
 """
@@ -270,12 +271,14 @@ def test_seeded_forgeries_are_refused_before_any_bit(where, forgery, refusal,
 
 def _restep(word: dict) -> None:
     """Rewrite the seeded ``word`` in place as a stepped word (v4) of the
-    same bits: the first nonce, steps of 1, and v2's masked payload."""
+    same payloads, epochs and nonces at depth 1: the first nonce, steps of
+    1, and v2's masked payload. At depth 0 the bits would be one fresh
+    run, which travels seeded only."""
     bits = serial.word_from_obj(LADDER, word).bits
     nonces = [b._nonce for b in bits]
-    _, _, *parts = kernel._wire_parts(bits)
+    _, _, payload, epochs, _ = kernel._wire_parts(bits)
     word.update(serial._word_obj(LADDER, nonces, kernel._nonce_steps(nonces),
-                                 *parts))
+                                 payload, epochs, [1] * len(bits)))
 
 
 def _blob_bytes(edit):
