@@ -13,7 +13,9 @@ allowed: the lower-epoch operand is lifted to the other's epoch first
 copy its first lift made, so a bit that meets newer-epoch bits in several
 gates is bootstrapped once per epoch step; the server opens a new scope
 for each message it handles (``open_scope``), so a repeated request pays
-for its lifts again and spends the same counts. A settle keeps no copy,
+for its lifts again and spends the same counts. ``lifted`` tells whether
+some bits hold such a copy, which a replayed gate tape must not skip
+(``hequel.tape``). A settle keeps no copy,
 so a caller that feeds one deep bit into several gates settles it once
 itself. A bit that feeds a gate for every bit of whole rows, or that a
 gate reads in every round of a loop, goes through ``fan_out`` once
@@ -114,13 +116,16 @@ class KernelState:
     flips the output of the N-th gate (1-based over XOR+AND) and exists for
     fault-injection tests; -1 disables it. ``impl`` is this module; the
     benchmark's layer timings are its only reader, and every other caller
-    imports the module.
+    imports the module. ``taped`` is None unless a ``protocol.ServerStore``
+    evaluates on this state: then it is the server's admission to its
+    tape store, which the sort network asks for a tape to replay
+    (``relalg.oblivious_sort_rows``).
     """
 
     __slots__ = (
         "mode", "depth_budget", "num_epochs", "ladder_id",
         "xor_count", "and_count", "refresh_count", "encrypt_count",
-        "fault_gate", "nonce_state", "scope", "impl",
+        "fault_gate", "nonce_state", "scope", "lifted_in", "impl", "taped",
     )
 
     def __init__(self, mode: int, depth_budget: int, num_epochs: int,
@@ -140,15 +145,18 @@ class KernelState:
         self.fault_gate = -1
         self.nonce_state = nonce_state & _MASK64
         self.scope = 0
+        self.lifted_in = -1  # the last scope in which lift made a copy
         self.impl = sys.modules[__name__]
+        self.taped = None
 
     def gate_total(self) -> int:
         return self.xor_count + self.and_count
 
     def copy(self) -> KernelState:
         """A state with this one's mode, budget, epochs, ladder id, nonce
-        state and scope, no counts and no armed fault: a dry run on it
-        (``tape.record``) moves nothing of this one."""
+        state and scope, no counts, no armed fault and no tape store: a
+        dry run on it (``tape.record``) moves nothing of this one and
+        never replays a tape."""
         twin = KernelState(self.mode, self.depth_budget, self.num_epochs,
                            self.nonce_state, self.ladder_id)
         twin.scope = self.scope
@@ -313,10 +321,21 @@ def lift(c: CipherBit, epoch: int) -> CipherBit:
     while c.epoch < epoch:
         up = c._up
         if up is None or c._up_scope != c._state.scope:
+            s = c._state
             up = c._up = refresh(c)
-            c._up_scope = c._state.scope
+            c._up_scope = s.lifted_in = s.scope
         c = up
     return c
+
+
+def lifted(bits) -> bool:
+    """True iff some bit of ``bits``, a non-empty sequence of one
+    ladder's bits, holds a copy ``lift`` made of it in the current scope,
+    which a later lift of it in that scope reuses. Read in O(1) when no
+    lift made a copy in this scope, as in circular mode."""
+    s = bits[0]._state
+    return s.lifted_in == s.scope and any(
+        b._up is not None and b._up_scope == s.scope for b in bits)
 
 
 def open_scope(s: KernelState) -> None:

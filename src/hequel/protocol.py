@@ -21,21 +21,26 @@ The client decrypts the count to n and asks for n' rows (n' >= n; the
 server sees only n'). The server compacts the result under encryption
 (``relalg.compact_rows``: present rows to the front in their order, with a
 gate sequence fixed by the capacity) and returns its first n' rows. That
-gate sequence is fixed by public data alone, so the server records it as
-a tape (``hequel.tape``) the second time it sees a compaction's shape and
-replays the tape from then on, with every count, nonce and byte the
-kernel's; it keeps at most ``MAX_TAPES`` tapes and the hashes of
-``MAX_SIGHTINGS`` shapes seen once, and an armed gate fault always runs
-the kernel. A packed result (``EncTable.packed``: a sort at the plan's
-root, through projections) already has its present rows in front, so
-its first n' rows go out with no gate at all; the flag follows the
-public plan shape. The client decrypts the presence bits and accepts
-only if exactly n present rows arrive, all before any absent row: a
-short or padded-wrong reply fails verification instead of silently
-truncating. A client exchange goes from "queried" to "counted" to
-"requested" and is dropped once its rows verify; a reply or fetch out of
-that order is refused, and so is a query whose id already has a result
-awaiting its fetch on the server.
+gate sequence is fixed by public data alone, and so is the sort network
+a query's ``sort`` or ``groupby`` runs (``relalg.oblivious_sort_rows``,
+which reaches this server through its ladder's ``KernelState.taped``).
+The server records either circuit as a tape (``hequel.tape``) the second
+time it sees its shape and replays the tape from then on, with every
+count, nonce and byte the kernel's. Both go through one admission rule
+(``tape.admit``) into one store: at most ``MAX_TAPES`` tapes and the
+hashes of ``MAX_SIGHTINGS`` shapes seen once, each key led by its
+circuit's kind. An armed gate fault always runs the kernel, and so does,
+in leveled mode, a sort whose replay would skip a lift copy the kernel
+would reuse or leave (see ``hequel.tape``). A packed result
+(``EncTable.packed``: a sort at the plan's root, through projections)
+already has its present rows in front, so its first n' rows go out with
+no gate at all; the flag follows the public plan shape. The client
+decrypts the presence bits and accepts only if exactly n present rows
+arrive, all before any absent row: a short or padded-wrong reply fails
+verification instead of silently truncating. A client exchange goes from
+"queried" to "counted" to "requested" and is dropped once its rows
+verify; a reply or fetch out of that order is refused, and so is a query
+whose id already has a result awaiting its fetch on the server.
 """
 
 from __future__ import annotations
@@ -52,18 +57,20 @@ from hequel.kernel import open_scope
 # as attributes of this module, so both stay imported here
 from hequel.relalg import (
     EncTable,
+    bits_of_rows,
     compact_rows,
     oblivious_sort_rows,  # noqa: F401
     op_count,
+    rows_of_bits,
 )
 from hequel.schema import PlainTable, Schema
 
 # results counted but not yet fetched that one server holds at most; a
 # query past the cap is refused before its plan is evaluated
 MAX_PENDING_RESULTS = 64
-# compaction tapes one server keeps at most; past it, the oldest goes. A
-# compaction whose tape would pass MAX_TAPE_NODES payload nodes always
-# runs the kernel.
+# tapes one server keeps at most, of compactions and sorts together; past
+# it, the oldest goes. A circuit whose tape would pass MAX_TAPE_NODES
+# payload nodes always runs the kernel.
 MAX_TAPES = 16
 MAX_TAPE_NODES = 1 << 16
 # shapes seen once that one server remembers, by the hash of their key;
@@ -88,12 +95,17 @@ class ServerStore:
         self.ladder = ladder
         self.tables: dict[str, EncTable] = {}
         self.results: dict[str, EncTable] = {}
-        # compaction shape -> its tape; hash of a shape seen once ->
-        # whether it may be recorded; fetches by the path their compaction
-        # took
+        # circuit shape -> its tape; hash of a shape seen once -> whether
+        # it may be recorded; fetches by the path their compaction took,
+        # and sort networks by theirs
         self.tapes: dict[tuple, tape.Tape] = {}
         self.sightings: dict[int, bool] = {}
         self.compactions = {"kernel": 0, "recorded": 0, "replayed": 0}
+        self.sorts = {"kernel": 0, "recorded": 0, "replayed": 0}
+        self._paths = {"compact": self.compactions, "sort": self.sorts}
+        # the sort network, run inside a query's plan, reaches the store
+        # through the ladder's state
+        ladder.state.taped = self._taped
 
     def handle(self, data: bytes) -> bytes:
         # each message is its own lift scope: a lifted copy is reused
@@ -166,46 +178,35 @@ class ServerStore:
 
     def _compact(self, rows, n_prime: int) -> list:
         """The first ``n_prime`` rows of ``compact_rows(rows)``, every
-        count, nonce and byte the kernel's. A shape's first sighting runs
-        the kernel, its second records its tape (``tape.record``) and
-        replays it, and later ones replay it. An armed gate fault, and a
-        shape whose recording raised or passed ``MAX_TAPE_NODES``, run the
-        kernel. A sighting is kept as the hash of its shape's key: two
-        shapes that share one only change which path runs, since a tape
-        is recorded from the rows at hand and kept under the full key.
-        ``compactions`` counts each path of a result of two rows or
-        more."""
-        state = self.ladder.state
+        count, nonce and byte the kernel's, through the tape store
+        (``_taped``). ``compactions`` counts each path of a result of two
+        rows or more."""
         if len(rows) < 2:  # no row moves and no gate runs
             return list(rows[:n_prime])
-        if state.fault_gate < 0:
-            inputs, key = tape.shape(rows)
-            found = self.tapes.get(key)
-            if found is not None:
-                self.compactions["replayed"] += 1
-                return found.replay(state, inputs, n_prime)
-            seen = hash(key)
-            sighted = self.sightings.get(seen)
-            if sighted:
-                found = tape.record(state, rows, inputs, MAX_TAPE_NODES)
-                if found is not None:
-                    del self.sightings[seen]
-                    _keep(self.tapes, key, found, MAX_TAPES)
-                    self.compactions["recorded"] += 1
-                    return found.replay(state, inputs, n_prime)
-                self.sightings[seen] = False
-            elif sighted is None:
-                _keep(self.sightings, seen, True, MAX_SIGHTINGS)
-        self.compactions["kernel"] += 1
-        return compact_rows(rows)[:n_prime]
+        inputs, key = tape.shape(rows)
+        cells = rows[0].cells
 
+        def run(clones, _):
+            return bits_of_rows(compact_rows(rows_of_bits(clones, cells)))
 
-def _keep(store: dict, key, value, bound: int) -> None:
-    """``store[key] = value``, dropping the oldest entry first when the
-    store already holds ``bound``."""
-    if len(store) >= bound:
-        del store[next(iter(store))]
-    store[key] = value
+        found = self._taped(("compact", key), inputs, run)
+        if found is None:
+            return compact_rows(rows)[:n_prime]
+        k = n_prime * len(inputs) // len(rows)
+        return rows_of_bits(found.replay(self.ladder.state, inputs, k), cells)
+
+    def _taped(self, key: tuple, inputs: list, run):
+        """The tape to replay for one run of the circuit ``key`` names,
+        its kind tag first, or None when the kernel runs it: the fetch
+        compaction and the sort network share one admission rule
+        (``tape.admit``) and one store, ``tapes`` and ``sightings``, each
+        bounded with the oldest entry dropped first. The path is counted
+        in ``compactions`` or ``sorts``."""
+        path, found = tape.admit(self.tapes, self.sightings,
+                                 self.ladder.state, key, inputs, run,
+                                 (MAX_TAPES, MAX_SIGHTINGS, MAX_TAPE_NODES))
+        self._paths[key[0]][path] += 1
+        return found
 
 
 @dataclass

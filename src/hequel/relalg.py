@@ -15,7 +15,9 @@ so only what typing cannot see (ladders) is checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
+
+from hequel import tape
 
 from hequel.circuits import (
     CipherWord,
@@ -38,7 +40,7 @@ from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import LadderMismatch, ValueOverflow
 from hequel.kernel import (and_, bit_and_not, bit_or, bits_differ, bits_gt,
                            bits_mux, bits_settle, bits_swap, bits_xor, fan_out,
-                           fresh_bit, not_, settle, xor)
+                           fresh_bit, lifted, not_, settle, xor)
 from hequel.schema import PlainTable, Schema
 
 
@@ -248,7 +250,21 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
     ``adjacent_only`` is for a caller that needs equal keys adjacent and
     nothing more: the keys alone are compared, so equal keys end up
     together in some order and absent rows among the present ones. With
-    no key either, every order will do and no gate runs."""
+    no key either, every order will do and no gate runs.
+
+    The network is fixed by public data alone: ``tape.shape(rows)``'s
+    key (the row count, cell widths, every input bit's epoch and depth,
+    and which inputs are one bit object), the key cells' positions,
+    ``ascending``, ``adjacent_only`` and ``epoch``. So when a server
+    evaluates on ``state`` (``state.taped`` is set), the network runs
+    here on a shape's first sighting, is recorded as a tape on the
+    second (``tape.record``, a dry run of it on symbolic payloads) and
+    replays from the tape after that, with the same counts, nonces and
+    output bits. In leveled mode the kernel runs whenever an input bit
+    holds a lift copy made in the current scope, and a dry run that
+    leaves a lift copy on an input clone or an output bit keeps no tape,
+    since a later gate of the message would reuse that copy; circular
+    mode never lifts. A caller with no server runs the kernel."""
     n = len(rows)
     if n < 2:
         return list(rows)
@@ -261,14 +277,64 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
     for k in keys:
         i = _cell_index(cells, k)
         pos.extend(range(starts[i], starts[i + 1]))
-    if adjacent_only:
-        flat = [_row_bits(r.cells) + (r.presence,) for r in rows]
+
+    width = starts[-1] + 1
+
+    def network(bits, s) -> list:
+        flat = _sort_network(_split(bits, width), pos, ascending, s, epoch,
+                             adjacent_only)
+        return list(chain.from_iterable(flat))
+
+    def run(clones, copy):
+        out = network(clones, copy)
+        if lifted(clones) or lifted(out):
+            raise tape.Unrecordable("the dry run left a lift copy")
+        return out
+
+    if state.taped is None:
+        bits = network(bits_of_rows(rows), state)
     else:
+        inputs, key = tape.shape(rows)
+        found = state.taped(("sort", key, tuple(pos), ascending,
+                             adjacent_only, epoch), inputs, run)
+        bits = (network(inputs, state) if found is None
+                else found.replay(state, inputs, len(inputs)))
+    return rows_of_bits(bits, cells)
+
+
+def _split(bits, width: int) -> list:
+    """Flat rows of ``width`` bits each, in order."""
+    return [tuple(bits[at:at + width]) for at in range(0, len(bits), width)]
+
+
+def rows_of_bits(bits, cells) -> list:
+    """The rows of flat bits, each its cell bits, split into cells of the
+    widths of ``cells``, then its presence."""
+    starts = _cell_starts(cells)
+    width = starts[-1] + 1
+    return [EncRow(_cells_of(bits[at:at + width], starts),
+                   bits[at + width - 1]) for at in range(0, len(bits), width)]
+
+
+def bits_of_rows(rows) -> list:
+    """Each row's cell bits then its presence, row after row: the inverse
+    of ``rows_of_bits``."""
+    return [b for r in rows for b in (*_row_bits(r.cells), r.presence)]
+
+
+def _sort_network(flat, pos, ascending: bool, state, epoch: int,
+                  adjacent_only: bool) -> list:
+    """The merge-exchange network of ``oblivious_sort_rows`` on flat rows
+    (cell bits, then presence) with the key bits at ``pos``; the sorted
+    flat rows in the same layout."""
+    n = len(flat)
+    if not adjacent_only:
         # the index bits ride between the cells and the presence
+        m = len(flat[0]) - 1
         width = (n - 1).bit_length()
-        idx = range(starts[-1], starts[-1] + width)
-        flat = [_row_bits(r.cells) + const_word(state, i, width, epoch).bits
-                + (r.presence,) for i, r in enumerate(rows)]
+        idx = range(m, m + width)
+        flat = [bits[:m] + const_word(state, i, width, epoch).bits + bits[m:]
+                for i, bits in enumerate(flat)]
     for i, j in merge_exchange(n):
         a, b = bits_settle(flat[i]), bits_settle(flat[j])
         ka, kb = [a[p] for p in pos], [b[p] for p in pos]
@@ -281,7 +347,9 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
         # unsigned order of their concatenation: one comparator chain
         f = fan_out(bits_gt(ka, bits_xor(ka, kb)))
         flat[i], flat[j] = bits_swap(f, a, b)
-    return [EncRow(_cells_of(bits, starts), bits[-1]) for bits in flat]
+    if not adjacent_only:
+        flat = [bits[:m] + bits[-1:] for bits in flat]
+    return flat
 
 
 def compact_rows(rows):
@@ -316,7 +384,8 @@ def compact_rows(rows):
     bit object), so the server runs it here on a shape's first fetch,
     records its tape on the second (``tape.record``, a dry run of this
     function on symbolic payloads) and replays the tape after that, with
-    the same counts, nonces and output bits.
+    the same counts, nonces and output bits, through the admission the
+    sort network shares (``ServerStore._compact``).
     """
     n = len(rows)
     if n < 2:

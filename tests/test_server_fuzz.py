@@ -7,6 +7,8 @@ structural mutations of valid ``upload_table`` / ``query`` /
 ``fetch_rows_request`` messages (one JSON value replaced, one key or list
 item dropped), and uploads whose row records carry forged cell widths. A
 refused message also leaves the server's tables and results as they were.
+Mutated and corrupted sort and groupby queries also go to a server that
+already holds both sort networks' tapes.
 Examples are derandomized so Tier-1 runs the same inputs on every run, and
 nothing is written to a hypothesis database. Two further tests send an
 upload past each of the server's upload bounds. The valid upload and
@@ -75,13 +77,33 @@ def fresh_server() -> ServerStore:
     return server
 
 
+# a sort and a groupby over t, each sent twice to prime a server, so it
+# holds both sort networks' tapes, and once more to be fuzzed
+SORTS = {"sort": "sort(b, desc, table(t))",
+         "groupby": "groupby([a], b, table(t))"}
+PRIMING = [CLIENT.query_message(dsl.parse(text))[1]
+           for text in SORTS.values() for _ in "ab"]
+TAPED = {name: CLIENT.query_message(dsl.parse(text))[1]
+         for name, text in SORTS.items()}
+
+
+def taped_server() -> ServerStore:
+    """``fresh_server``'s state, plus the tapes of a sort and a groupby
+    network and their pending results; each example gets its own."""
+    server = fresh_server()
+    for query in PRIMING:
+        server.handle(query)
+    assert server.sorts == {"kernel": 2, "recorded": 2, "replayed": 0}
+    return server
+
+
 def counters(state) -> tuple[int, int, int, int]:
     return (state.and_count, state.xor_count, state.refresh_count,
             state.encrypt_count)
 
 
-def handle_or_hequel_error(data: bytes):
-    server = fresh_server()
+def handle_or_hequel_error(data: bytes, make=fresh_server):
+    server = make()
     before = counters(LADDER.state)
     held = dict(server.tables), dict(server.results)
     try:
@@ -121,20 +143,19 @@ def test_arbitrary_bytes(data):
     handle_or_hequel_error(data)
 
 
-@FUZZ
-@given(st.sampled_from(sorted(VALID)), st.data())
-def test_corrupted_bytes(mtype, data):
-    raw = bytearray(VALID[mtype])
+def _corrupted(message: bytes, data) -> bytes:
+    """``message`` with one to four bytes overwritten."""
+    raw = bytearray(message)
     for _ in range(data.draw(st.integers(1, 4))):
         i = data.draw(st.integers(0, len(raw) - 1))
         raw[i] = data.draw(st.integers(0, 255))
-    handle_or_hequel_error(bytes(raw))
+    return bytes(raw)
 
 
-@FUZZ
-@given(st.sampled_from(sorted(VALID)), st.data())
-def test_mutated_messages(mtype, data):
-    msg = json.loads(VALID[mtype])
+def _mutated(message: bytes, data) -> bytes:
+    """``message`` with one JSON value replaced, or one key or list item
+    dropped."""
+    msg = json.loads(message)
     prefix, key = data.draw(st.sampled_from(list(paths(msg))))
     parent = msg
     for step in prefix:
@@ -145,7 +166,34 @@ def test_mutated_messages(mtype, data):
         del parent[key]
     else:
         parent.pop(key)
-    handle_or_hequel_error(json.dumps(msg).encode())
+    return json.dumps(msg).encode()
+
+
+@FUZZ
+@given(st.sampled_from(sorted(VALID)), st.data())
+def test_corrupted_bytes(mtype, data):
+    handle_or_hequel_error(_corrupted(VALID[mtype], data))
+
+
+@FUZZ
+@given(st.sampled_from(sorted(VALID)), st.data())
+def test_mutated_messages(mtype, data):
+    handle_or_hequel_error(_mutated(VALID[mtype], data))
+
+
+def test_a_server_holding_sort_tapes_replays_them():
+    # so the fuzzing below reaches a server whose sort networks replay
+    for name in TAPED:
+        server = taped_server()
+        server.handle(TAPED[name])
+        assert server.sorts == {"kernel": 2, "recorded": 2, "replayed": 1}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(TAPED)), st.booleans(), st.data())
+def test_sort_queries_to_a_server_holding_sort_tapes(name, corrupt, data):
+    message = (_corrupted if corrupt else _mutated)(TAPED[name], data)
+    handle_or_hequel_error(message, taped_server)
 
 
 # cell widths of a row record over columns of 4 and 6 bits: the schema's

@@ -27,7 +27,7 @@ from hequel import dsl, protocol, randgen, serial, tape
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import HequelError, LadderExhausted
 from hequel.protocol import MAX_TAPES, ClientSession, ServerStore
-from hequel.relalg import compact_rows
+from hequel.relalg import bits_of_rows, compact_rows, rows_of_bits
 from hequel.schema import PlainTable, Schema
 from test_oblivious_transcript import (CONTEXTS, PLANS, SHAPED_CONTEXTS,
                                        SHAPED_PLANS, SLACK, _pooled_catalog)
@@ -226,9 +226,13 @@ def test_a_compaction_past_the_node_bound_never_records(monkeypatch):
     result = _query(server, client)
     rows = server.results[result].rows
     inputs, _ = tape.shape(rows)
-    nodes = tape.record(ladder.state, rows, inputs, 1 << 20).nodes
-    assert tape.record(ladder.state, rows, inputs, nodes - 1) is None
-    assert tape.record(ladder.state, rows, inputs, nodes).nodes == nodes
+
+    def run(clones, _):
+        return bits_of_rows(compact_rows(rows_of_bits(clones, rows[0].cells)))
+
+    nodes = tape.record(ladder.state, inputs, run, 1 << 20).nodes
+    assert tape.record(ladder.state, inputs, run, nodes - 1) is None
+    assert tape.record(ladder.state, inputs, run, nodes).nodes == nodes
     monkeypatch.setattr(protocol, "MAX_TAPE_NODES", nodes - 1)
     protocol.result_fetch(client, server, result)
     for _ in range(3):
