@@ -10,21 +10,22 @@ When an AND would push the result past the depth budget, an operand that
 sits at the budget is refreshed first (``settle``). Mixing epochs is
 allowed: the lower-epoch operand is lifted to the other's epoch first
 (``lift``). Within one scope, a bit lifted a second time returns the
-copy its first lift made, so a bit that meets newer-epoch bits in several
-gates is bootstrapped once per epoch step; the server opens a new scope
-for each message it handles (``open_scope``), so a repeated request pays
-for its lifts again and spends the same counts. ``lifted`` tells whether
-some bits hold such a copy, which a replayed gate tape must not skip
-(``hequel.tape``). A settle keeps no copy,
-so a caller that feeds one deep bit into several gates settles it once
+copy its first lift made, so a bit that meets newer-epoch bits in
+several gates is bootstrapped once per epoch step; the server opens a
+new scope for each message it handles (``open_scope``), so a repeated
+request pays for its lifts again and spends the same counts. A replayed
+gate tape cannot reuse such a copy, so ``lifts`` tells a circuit whether
+its ladder can make one (``hequel.tape``). A settle keeps no copy, so a
+caller that feeds one deep bit into several gates settles it once
 itself. A bit that feeds a gate for every bit of whole rows, or that a
 gate reads in every round of a loop, goes through ``fan_out`` once
 instead: the sort's compare-swap selectors, the fetch compaction's
 movers and every cell bit entering it, and groupby's boundary flag and
 running sum once per step. These three functions, with ``bits_settle``
 for a whole row of settles, make every refresh decision above the gates:
-no other library module calls ``refresh`` or reads the mode, which
-``tests/test_kernel_boundary.py`` checks.
+no other library module calls ``refresh`` or reads the mode, of which
+``lifts`` tells the layers above only whether it is leveled, and
+``tests/test_kernel_boundary.py`` checks it.
 
 One fused one-AND primitive lives here too: ``bit_mux``, the select
 y ⊕ (f ∧ (x ⊕ y)). It refuses operands from two ladders before any gate
@@ -46,15 +47,19 @@ OR tree over them), ``bits_mux`` (``bit_mux`` per bit pair),
 operands lifted to their top epoch) and ``bits_gt`` (the comparator
 chain). Each refuses a stranger-ladder bit at any position before any
 gate, lift or settle. ``bits_settle`` then refreshes only the bits at
-the budget. The gate-running ones but ``bits_gt`` follow one rule:
+the budget, and ``bits_swap`` runs its composition: its one caller, the
+sort network, replays from a tape from a shape's second sighting on a
+circular server (``hequel.tape``), and under ``leveled:256`` none of the
+573 swaps of three n = 32 sorts had its operands on one epoch within the
+budget. ``bits_xor``, ``bits_differ`` and ``bits_mux`` follow one rule:
 when no fault is armed and every step's operands share one epoch and
 need no settle (for ``bits_differ``, every XOR shares one depth too),
 the whole call is inline, counting its gates and advancing the nonce
 stream in gate order and building only the output bits; otherwise the
-composition runs from the first bit. ``bits_gt``
-alone keeps an inline prefix and a composed tail (its docstring says
-why): in 4 aggregate-leveled cycles, 628 of its 1,012 calls compose part
-of the chain, 3,444 of 9,596 steps.
+composition runs from the first bit. ``bits_gt`` alone keeps an inline
+prefix and a composed tail (its docstring says why): in 4
+aggregate-leveled cycles, 628 of its 1,012 calls compose part of the
+chain, 3,444 of 9,596 steps.
 
 Every gate output, refresh and encryption is a fresh ciphertext with its
 own nonce: the next value of its ladder's counter, which steps by
@@ -119,13 +124,15 @@ class KernelState:
     imports the module. ``taped`` is None unless a ``protocol.ServerStore``
     evaluates on this state: then it is the server's admission to its
     tape store, which the sort network asks for a tape to replay
-    (``relalg.oblivious_sort_rows``).
+    (``relalg.oblivious_sort_rows``). ``scope`` numbers the current lift
+    scope (``open_scope``); a bit's lift copy records the scope it was
+    made in.
     """
 
     __slots__ = (
         "mode", "depth_budget", "num_epochs", "ladder_id",
         "xor_count", "and_count", "refresh_count", "encrypt_count",
-        "fault_gate", "nonce_state", "scope", "lifted_in", "impl", "taped",
+        "fault_gate", "nonce_state", "scope", "impl", "taped",
     )
 
     def __init__(self, mode: int, depth_budget: int, num_epochs: int,
@@ -145,7 +152,6 @@ class KernelState:
         self.fault_gate = -1
         self.nonce_state = nonce_state & _MASK64
         self.scope = 0
-        self.lifted_in = -1  # the last scope in which lift made a copy
         self.impl = sys.modules[__name__]
         self.taped = None
 
@@ -321,21 +327,17 @@ def lift(c: CipherBit, epoch: int) -> CipherBit:
     while c.epoch < epoch:
         up = c._up
         if up is None or c._up_scope != c._state.scope:
-            s = c._state
             up = c._up = refresh(c)
-            c._up_scope = s.lifted_in = s.scope
+            c._up_scope = c._state.scope
         c = up
     return c
 
 
-def lifted(bits) -> bool:
-    """True iff some bit of ``bits``, a non-empty sequence of one
-    ladder's bits, holds a copy ``lift`` made of it in the current scope,
-    which a later lift of it in that scope reuses. Read in O(1) when no
-    lift made a copy in this scope, as in circular mode."""
-    s = bits[0]._state
-    return s.lifted_in == s.scope and any(
-        b._up is not None and b._up_scope == s.scope for b in bits)
+def lifts(s: KernelState) -> bool:
+    """True iff ``lift`` on ``s`` can make a copy that a later lift in
+    the same scope reuses: in leveled mode. A circular ladder has one
+    epoch, so its lift is the identity."""
+    return s.mode == MODE_LEVELED
 
 
 def open_scope(s: KernelState) -> None:
@@ -562,28 +564,9 @@ def bits_mux(f: CipherBit, xs, ys) -> tuple:
 def bits_swap(f: CipherBit, xs, ys):
     """Per bit pair in order, t = f ∧ (x ⊕ y), then x ⊕ t and y ⊕ t, one
     AND for both outputs, as two tuples: (ys, xs) where f is 1, else
-    (xs, ys). The composition first lifts f, x and y to their top epoch,
-    each once."""
-    s = f._state
-    _one_ladder(s, xs, ys)
-    if s.fault_gate < 0:
-        budget, e, df, fp = s.depth_budget, f.epoch, f.depth, f._payload
-        z, out_x, out_y = s.nonce_state, [], []
-        for x, y in zip(xs, ys):
-            d = x.depth if x.depth >= y.depth else y.depth
-            if df > d:
-                d = df
-            if d >= budget or x.epoch != e or y.epoch != e:
-                break
-            z = (z + 4 * _GAMMA) & _MASK64
-            p, q = x._payload, y._payload
-            t = fp & (p ^ q)
-            out_x.append(CipherBit(s, p ^ t, e, d + 1,
-                                   (z - _GAMMA) & _MASK64))
-            out_y.append(CipherBit(s, q ^ t, e, d + 1, z))
-        else:
-            _book(s, 3 * len(out_x), len(out_x), 0, z)
-            return tuple(out_x), tuple(out_y)
+    (xs, ys). Each step first lifts f, x and y to their top epoch, each
+    once, then runs the three gates."""
+    _one_ladder(f._state, xs, ys)
     out_x, out_y = [], []
     for x, y in zip(xs, ys):
         e = max(f.epoch, x.epoch, y.epoch)

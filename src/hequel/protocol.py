@@ -29,9 +29,9 @@ time it sees its shape and replays the tape from then on, with every
 count, nonce and byte the kernel's. Both go through one admission rule
 (``tape.admit``) into one store: at most ``MAX_TAPES`` tapes and the
 hashes of ``MAX_SIGHTINGS`` shapes seen once, each key led by its
-circuit's kind. An armed gate fault always runs the kernel, and so does,
-in leveled mode, a sort whose replay would skip a lift copy the kernel
-would reuse or leave (see ``hequel.tape``). A packed result
+circuit's kind. An armed gate fault always runs the kernel, and so does
+every sort in leveled mode, where a later gate of its query may reuse a
+lift copy the kernel leaves (see ``hequel.tape``). A packed result
 (``EncTable.packed``: a sort at the plan's root, through projections)
 already has its present rows in front, so its first n' rows go out with
 no gate at all; the flag follows the public plan shape. The client
@@ -109,7 +109,8 @@ class ServerStore:
 
     def handle(self, data: bytes) -> bytes:
         # each message is its own lift scope: a lifted copy is reused
-        # within the request that made it and never by a later one
+        # within the request that made it and never by a later one, so
+        # no input of a fetch's compaction holds a copy its replay skips
         open_scope(self.ladder.state)
         msg = serial.message_from_bytes(data, *self._HANDLERS)
         return getattr(self, self._HANDLERS[msg["type"]])(

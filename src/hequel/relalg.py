@@ -40,7 +40,7 @@ from hequel.crypto import ClientKeys, PublicKey, encrypt_bit
 from hequel.errors import LadderMismatch, ValueOverflow
 from hequel.kernel import (and_, bit_and_not, bit_or, bits_differ, bits_gt,
                            bits_mux, bits_settle, bits_swap, bits_xor, fan_out,
-                           fresh_bit, lifted, not_, settle, xor)
+                           fresh_bit, lifts, not_, settle, xor)
 from hequel.schema import PlainTable, Schema
 
 
@@ -255,16 +255,16 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
     The network is fixed by public data alone: ``tape.shape(rows)``'s
     key (the row count, cell widths, every input bit's epoch and depth,
     and which inputs are one bit object), the key cells' positions,
-    ``ascending``, ``adjacent_only`` and ``epoch``. So when a server
-    evaluates on ``state`` (``state.taped`` is set), the network runs
-    here on a shape's first sighting, is recorded as a tape on the
+    ``ascending`` and ``adjacent_only``; ``epoch``, the top epoch of the
+    rows' bits for every caller, follows from the shape. So when a
+    server evaluates on ``state`` (``state.taped`` is set), the network
+    runs here on a shape's first sighting, is recorded as a tape on the
     second (``tape.record``, a dry run of it on symbolic payloads) and
     replays from the tape after that, with the same counts, nonces and
-    output bits. In leveled mode the kernel runs whenever an input bit
-    holds a lift copy made in the current scope, and a dry run that
-    leaves a lift copy on an input clone or an output bit keeps no tape,
-    since a later gate of the message would reuse that copy; circular
-    mode never lifts. A caller with no server runs the kernel."""
+    output bits. On a ladder that can lift (``kernel.lifts``: leveled
+    mode) the network always runs here, since a later gate of the
+    message may reuse a lift copy the kernel leaves: the dry run refuses
+    before its first gate. A caller with no server runs the kernel."""
     n = len(rows)
     if n < 2:
         return list(rows)
@@ -286,17 +286,16 @@ def oblivious_sort_rows(rows, key_fn, ascending: bool, state, epoch: int, *,
         return list(chain.from_iterable(flat))
 
     def run(clones, copy):
-        out = network(clones, copy)
-        if lifted(clones) or lifted(out):
-            raise tape.Unrecordable("the dry run left a lift copy")
-        return out
+        if lifts(copy):
+            raise tape.Unrecordable("a leveled sort records no tape")
+        return network(clones, copy)
 
     if state.taped is None:
         bits = network(bits_of_rows(rows), state)
     else:
         inputs, key = tape.shape(rows)
         found = state.taped(("sort", key, tuple(pos), ascending,
-                             adjacent_only, epoch), inputs, run)
+                             adjacent_only), inputs, run)
         bits = (network(inputs, state) if found is None
                 else found.replay(state, inputs, len(inputs)))
     return rows_of_bits(bits, cells)

@@ -44,13 +44,14 @@ unrecordable. Both stores drop their oldest entry first.
 
 In leveled mode ``kernel.lift`` reuses the copy it made of a bit in the
 current scope (one server message), so a replay must not stand in for a
-kernel run that would reuse or leave such a copy. ``admit`` runs the
-kernel whenever an input bit holds a lift copy made in the current
-scope. A circuit that more gates of its message may follow, such as the
-sort, also refuses a dry run that leaves a lift copy on an input clone
-or an output bit (its ``run`` raises ``Unrecordable``); the fetch
-compaction ends its message, so a copy its run leaves is never read.
-Circular mode never lifts.
+kernel run that would reuse or leave such a copy. The fetch compaction
+is the whole of its message's gates, and ``ServerStore.handle`` opens
+that message's scope just before it, so no input holds a copy the kernel
+would reuse and a copy its run leaves is never read: it records and
+replays in both modes. The sort, which more gates of its query may
+follow, records nothing on a ladder that can lift (``kernel.lifts``):
+its ``run`` raises ``Unrecordable`` before its first gate, so each
+leveled sort runs its network once, on the kernel.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from itertools import accumulate, repeat
 from operator import add, and_, attrgetter, mul, or_, xor
 
 from hequel.errors import HequelError
-from hequel.kernel import CipherBit, KernelState, lifted
+from hequel.kernel import CipherBit, KernelState
 
 _MASK64 = (1 << 64) - 1  # a nonce is the stream's counter modulo 2^64
 # the payload operation of each gate kind, by its code on the tape
@@ -190,7 +191,7 @@ def admit(tapes: dict, sightings: dict, state: KernelState, key: tuple,
     the hash of its key: two shapes that share one only change which path
     runs, since a tape is recorded from the inputs at hand and kept under
     the full key."""
-    if state.fault_gate >= 0 or lifted(inputs):
+    if state.fault_gate >= 0:
         return "kernel", None
     found = tapes.get(key)
     if found is not None:

@@ -686,7 +686,12 @@ def test_word_primitive_refuses_a_stranger_bit_anywhere(name, shape,
         assert [_spent(s) for s in (home, away)] == before
 
 
-@pytest.mark.parametrize("name, shape, composition", WORD, ids=WORD_IDS)
+# ``bits_swap`` has no inline path, so it is left out here
+INLINE = [w for w in WORD if w[0] != "bits_swap"]
+
+
+@pytest.mark.parametrize("name, shape, composition", INLINE,
+                         ids=[name for name, *_ in INLINE])
 def test_word_primitive_inline_path_calls_no_gate(name, shape, composition,
                                                   monkeypatch):
     # shallow bits on one epoch, no fault: the whole word is inline, so no

@@ -4,8 +4,9 @@ mode stay inside ``hequel.kernel``.
 Every module of ``src/hequel`` is parsed, and a use of a guarded name
 outside the modules allowed it fails the test: a call to ``refresh``
 outside the kernel, a read of ``_payload`` outside the kernel and
-``tape`` (which reads the inputs of a replayed compaction and the
-symbolic payloads of its dry run), ``_reveal`` outside the kernel and
+``tape`` (which reads the inputs of a replayed circuit, a fetch
+compaction or a sort network, and the symbolic payloads of its dry
+run), ``_reveal`` outside the kernel and
 decryption (serialization reads payloads through ``_wire_parts``),
 ``MODE_CIRCULAR`` or ``MODE_LEVELED``
 outside the kernel and ``crypto``, which maps mode names to them, and
@@ -13,6 +14,10 @@ the wire helpers that read payloads, mint wire nonces or know the nonce
 stream's increment, ``_fresh_wire_nonces``, ``_wire_parts``,
 ``_nonce_run``, ``_nonce_steps`` and ``_nonce_walk``, outside the kernel
 and serialization.
+
+The same parse finds every name a module imports and never reads, such
+as an import left behind when the code that read it went; the one kept
+on purpose is listed in ``UNREAD_IMPORTS``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ RULES = {
     "_nonce_steps": ({"kernel.py", "serial.py"}, False),
     "_nonce_walk": ({"kernel.py", "serial.py"}, False),
 }
+
+# (module, imported name) pairs that no code of the module reads: the
+# benchmark's tracer wraps ``protocol.oblivious_sort_rows`` by name
+UNREAD_IMPORTS = {("protocol.py", "oblivious_sort_rows")}
 
 
 def _uses(tree):
@@ -88,3 +97,38 @@ def test_the_walk_sees_each_guarded_use(tmp_path):
         "relalg.py:3: refresh", "relalg.py:4: _payload",
         "relalg.py:5: MODE_CIRCULAR", "relalg.py:7: _fresh_wire_nonces",
         "relalg.py:8: _wire_parts", "relalg.py:9: _nonce_run"]
+
+
+def _unread_imports(path: Path):
+    """(module, name) for each name an import binds in ``path`` that no
+    ``Name`` node of the module reads; ``__future__`` imports bind
+    none."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".", 1)[0]
+                if name not in read:
+                    yield path.name, name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {u for p in sorted(SRC.glob("*.py")) for u in _unread_imports(p)}
+    assert found == UNREAD_IMPORTS
+
+
+def test_the_import_walk_sees_each_unread_form(tmp_path):
+    probe = tmp_path / "relalg.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from hequel.kernel import lift, lifts, settle as s\n"
+        "from hequel import tape\n"
+        "lifts(tape)\n")
+    assert sorted(_unread_imports(probe)) == [
+        ("relalg.py", "lift"), ("relalg.py", "os"), ("relalg.py", "s"),
+        ("relalg.py", "system")]

@@ -6,10 +6,10 @@ then records the shape's tape and replays it, then replays it. Every
 message's reply, counters and nonce state must equal those of the same
 message sent to a fresh server, which sees each shape once and so always
 runs the kernel. In leveled mode a lift copy made in the current scope
-must be reused as the kernel reuses it: an input that holds one runs the
-kernel, and a dry run that lifts an input keeps no tape. An armed gate
-fault runs the kernel even when a tape is recorded, and sort and
-compaction tapes share the server's bounds.
+must be reused as the kernel reuses it, so every leveled sort runs its
+network once, on the kernel, and records no tape. An armed gate fault
+runs the kernel even when a tape is recorded, and sort and compaction
+tapes share the server's bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from hequel import dsl, oracle, protocol
+from hequel import dsl, oracle, protocol, relalg
 from hequel.crypto import SecurityContext, keygen
 from hequel.errors import HequelError
 from hequel.kernel import lift, open_scope
@@ -83,7 +83,7 @@ def test_a_replayed_sort_answers_as_the_kernel(mode, plan):
     if mode == "circular":
         assert server.sorts == THREE
     else:
-        assert sum(server.sorts.values()) == 3
+        assert server.sorts == {"kernel": 3, "recorded": 0, "replayed": 0}
 
 
 def _session():
@@ -172,25 +172,27 @@ def _sorts_with_a_lift(taped: bool, epochs) -> tuple[list, ServerStore]:
     return seen, server
 
 
-def test_a_sort_input_lifted_in_this_scope_runs_the_kernel():
-    # one comparator on fresh rows under one epoch stays within the depth
-    # budget, so the network lifts nothing and its tape is kept
-    got, server = _sorts_with_a_lift(True, (1, 1))
-    want, _ = _sorts_with_a_lift(False, (1, 1))
+@pytest.mark.parametrize("epochs", [(1, 1), (1, 2)],
+                         ids=["one epoch", "two epochs"])
+def test_a_leveled_sort_runs_its_network_once_on_the_kernel(epochs,
+                                                             monkeypatch):
+    # rows under one epoch: one comparator on fresh rows stays within the
+    # depth budget and lifts nothing. Under two, the network lifts the
+    # older inputs, and a copy the kernel leaves is what the lift after
+    # the sort reuses. Either way no sort records or replays, and no dry
+    # run enters the network.
+    network, runs = relalg._sort_network, []
+
+    def counted(*args):
+        runs.append(len(args[0]))
+        return network(*args)
+
+    monkeypatch.setattr(relalg, "_sort_network", counted)
+    got, server = _sorts_with_a_lift(True, epochs)
+    assert runs == [2] * 4
+    want, _ = _sorts_with_a_lift(False, epochs)
     assert got == want
     assert got[0][2] == [(3, 5), (9, 1)]
-    # the tape recorded at the second sort is there, yet the lifted input
-    # sends the fourth sort to the kernel
-    assert server.sorts == {"kernel": 2, "recorded": 1, "replayed": 1}
-    assert [key[0] for key in server.tapes] == ["sort"]
-
-
-def test_a_dry_run_that_lifts_an_input_keeps_no_tape():
-    # rows under two epochs: the network lifts the older inputs, and a
-    # copy the kernel leaves is what the lift after the sort reuses
-    got, server = _sorts_with_a_lift(True, (1, 2))
-    want, _ = _sorts_with_a_lift(False, (1, 2))
-    assert got == want
     assert server.sorts == {"kernel": 4, "recorded": 0, "replayed": 0}
     assert server.tapes == {}
 
